@@ -72,7 +72,6 @@ from .specfun import (
     riemann_zeta,
     theta,
     theta_log_derivatives,
-    upper_incomplete_gamma,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "theta",
     "theta_log_derivatives",
     "riemann_zeta",
-    "upper_incomplete_gamma",
     "incgamma_bound",
     "bessel_k",
     "lambda_n",

@@ -14,14 +14,14 @@ Subcommands map one-to-one onto the library's analysis entry points:
 Exit codes: 0 success, 1 evaluation error, 2 an indeterminate sign decision
 occurred, 64 usage error.  Output is plain text by default; --format csv/json
 emit machine-readable artifacts in which every number carries its error
-bound.  Reruns with identical flags and seed produce byte-identical output.
+bound.  Reruns with identical flags produce byte-identical output; the two
+sampling commands, convexity and verify-min, take their draws from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -87,7 +87,6 @@ def _parse_bounds(text: str) -> tuple[float, float]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="epsteinzeta", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (EPSTEIN_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, needs_s: bool = False) -> None:
@@ -133,7 +132,6 @@ def build_parser() -> _Parser:
     p.add_argument("--axes", type=int, default=2, help="free chart dimensions")
     p.add_argument("--bounds", type=_parse_bounds, default=(-2.0, 2.0), metavar="LO:HI")
     p.add_argument("--grid", type=int, default=41, help="nodes per axis")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify-min", help="minimum-at-equal-scales sampling")
     common(p, needs_s=True)
@@ -302,7 +300,7 @@ def _cmd_convexity(args, cfg: EvalConfig, out: _Output) -> None:
         out.results["checks"].append({"check": name, "passed": passed, "detail": detail})
 
 
-def _cmd_scan(args, cfg: EvalConfig, out: _Output, threads: int) -> None:
+def _cmd_scan(args, cfg: EvalConfig, out: _Output) -> None:
     s = _resolve_s(args)
     if args.chart == "standard":
         chart = convexity.standard_chart(args.n)
@@ -315,10 +313,9 @@ def _cmd_scan(args, cfg: EvalConfig, out: _Output, threads: int) -> None:
         bounds=[args.bounds] * chart.j,
         steps=[args.grid] * chart.j,
         cfg=cfg,
-        threads=threads,
     )
     conn = regions.certify_connected(grid)
-    conv = regions.certify_discrete_convex(grid, seed=args.seed)
+    conv = regions.certify_discrete_convex(grid)
     out.indeterminate = grid.indeterminate_fraction() > 0.0
     out.line(
         f"scan n={args.n} s={s}: {conn.negative_cells} negative cells, "
@@ -362,6 +359,7 @@ _HANDLERS = {
     "second-deriv": _cmd_second_deriv,
     "bounds": _cmd_bounds,
     "convexity": _cmd_convexity,
+    "scan": _cmd_scan,
     "verify-min": _cmd_verify_min,
 }
 
@@ -385,15 +383,12 @@ def _emit(spec: RunSpec, out: _Output, errors: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def run(spec: RunSpec, argv_args, threads: int) -> int:
+def run(spec: RunSpec, argv_args) -> int:
     out = _Output()
     errors: list[str] = []
     cfg = EvalConfig(tol=spec.parameters.get("tol", 1e-9))
     try:
-        if spec.command == "scan":
-            _cmd_scan(argv_args, cfg, out, threads)
-        else:
-            _HANDLERS[spec.command](argv_args, cfg, out)
+        _HANDLERS[spec.command](argv_args, cfg, out)
     except IndeterminateSignError as exc:
         errors.append(str(exc))
         out.indeterminate = True
@@ -409,13 +404,10 @@ def run(spec: RunSpec, argv_args, threads: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("EPSTEIN_THREADS", "1"))
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "fmt", "out", "threads") and not callable(v)
+        if k not in ("command", "fmt", "out") and not callable(v)
     }
     spec = RunSpec(
         command=args.command,
@@ -423,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
         fmt=args.fmt,
     )
-    return run(spec, args, threads)
+    return run(spec, args)
 
 
 if __name__ == "__main__":

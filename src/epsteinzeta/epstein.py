@@ -234,8 +234,7 @@ def _tail_bound(beta: float, big_t: float, theta_prod: float) -> float:
     return (2.0 / big_t) * math.exp(-big_t / 2.0) * theta_prod
 
 
-def _choose_T(betas: tuple[float, ...], scales: tuple[float, ...], tol: float) -> float:
-    theta_prod = _theta_half_product(scales)
+def _choose_T(betas: tuple[float, ...], theta_prod: float, tol: float) -> float:
     tmin = max(8.0, max(4.0 * (b - 1.0) for b in betas), max(4.0 * abs(b) for b in betas))
     # closed-form seed, then verify and double if the bound is still too large
     big_t = max(tmin, 2.0 * math.log(max(8.0 * theta_prod / tol, 4.0)))
@@ -268,8 +267,8 @@ def gamma_kernel_sum_multi(
     """
     sv = ScaleVector.ensure(scales)
     betas = tuple(float(b) for b in betas)
-    big_t = _choose_T(betas, sv.a, cfg.tol / 4.0)
     theta_prod = _theta_half_product(sv.a)
+    big_t = _choose_T(betas, theta_prod, cfg.tol / 4.0)
     q, w = _enumerate_q(sv.a, big_t / math.pi, cfg.max_radius)
     x = math.pi * q
     out = []

@@ -6,15 +6,13 @@ sign of Xi there; a sign is only asserted when the error bound excludes zero,
 otherwise the node is marked indeterminate.  The negative region in these
 coordinates is convex, hence connected, and the certifiers check the discrete
 shadow of both facts on the sampled grid: one 2j-adjacency component, and no
-segment between negative cells crossing a positive cell.
+positive cell inside the convex hull of the negative cells.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +95,6 @@ def scan(
     bounds,
     steps,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    threads: int = 1,
 ) -> RegionGrid:
     """Label the sign of Xi_n(s; chart(b)) at every grid node."""
     if chart.n != n:
@@ -113,26 +110,14 @@ def scan(
     labels = np.zeros(shape, dtype=np.int8)
     values = np.zeros(shape)
     errs = np.zeros(shape)
-    indices = list(np.ndindex(*shape))
-
-    def node(idx):
+    for idx in np.ndindex(*shape):
         b = np.array([axes[d][idx[d]] for d in range(chart.j)])
         try:
-            sign, value = decide_sign(n, s, chart.scales(b), cfg)
-            return idx, sign, value.value, value.err
+            labels[idx], value = decide_sign(n, s, chart.scales(b), cfg)
         except IndeterminateSignError:
-            value = xi(n, s, chart.scales(b), cfg)
-            return idx, INDETERMINATE, value.value, value.err
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(node, indices))
-    else:
-        results = [node(idx) for idx in indices]
-    for idx, sign, value, err in results:  # assembled by index, not arrival order
-        labels[idx] = sign
-        values[idx] = value
-        errs[idx] = err
+            labels[idx], value = INDETERMINATE, xi(n, s, chart.scales(b), cfg)
+        values[idx] = value.value
+        errs[idx] = value.err
     return RegionGrid(chart, n, s, bounds, steps, labels, values, errs)
 
 
@@ -206,7 +191,7 @@ def certify_connected(grid: RegionGrid) -> ConnectivityReport:
 @dataclass(frozen=True)
 class DiscreteConvexityReport:
     negative_cells: int
-    pairs_checked: int
+    pairs_checked: int  # segments the pairwise test examined; 0 when the hull test decided
     ok: bool
     witness: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None
 
@@ -226,21 +211,17 @@ def _segment_lattice_points(a: tuple[int, ...], b: tuple[int, ...]):
         yield tuple(aa + k * d // g for aa, d in zip(a, diff))
 
 
-def certify_discrete_convex(
-    grid_or_labels,
-    max_pairs: int = 10_000,
-    seed: int = 0,
-) -> DiscreteConvexityReport:
+def certify_discrete_convex(grid_or_labels) -> DiscreteConvexityReport:
     """Digital convexity of the negative cell set.
 
-    Two complementary certificates, both satisfied identically when the grid
-    samples a genuinely convex region:
-
-    * pairwise: every lattice cell lying exactly on a segment between two
-      negative cells is negative or indeterminate (all pairs, or a seeded
-      subsample of max_pairs when the region is large);
-    * hull: every grid cell inside the convex hull of the negative cells is
-      negative or indeterminate.
+    The hull test checks that every grid cell inside the convex hull of the
+    negative cells is negative or indeterminate.  It is exhaustive, and it
+    subsumes the pairwise test, since every lattice cell lying exactly on a
+    segment between two negative cells lies in their hull.  A degenerate
+    (collinear or coplanar) set has no full-dimensional hull to triangulate;
+    there the pairwise test runs over every pair instead: each lattice cell
+    lying exactly on a segment between two negative cells is negative or
+    indeterminate.
 
     A raster that tested cells merely clipped by segments would flag
     boundary-skin cells of perfectly convex regions (their centers sit just
@@ -248,49 +229,44 @@ def certify_discrete_convex(
     or a raw int8 label array (synthetic fixtures).
     """
     labels = grid_or_labels.labels if isinstance(grid_or_labels, RegionGrid) else grid_or_labels
-    shape = labels.shape
     negative = [tuple(int(v) for v in i) for i in np.argwhere(labels == NEGATIVE)]
     if len(negative) < 2:
         return DiscreteConvexityReport(len(negative), 0, True, None)
-    npairs_total = len(negative) * (len(negative) - 1) // 2
-    if npairs_total <= max_pairs:
-        pairs = itertools.combinations(range(len(negative)), 2)
-        checked = npairs_total
-    else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, len(negative), size=max_pairs)
-        jj = rng.integers(0, len(negative), size=max_pairs)
-        pairs = ((int(i), int(j)) for i, j in zip(ii, jj) if i != j)
-        checked = max_pairs
-    for i, j in pairs:
-        a, b = negative[i], negative[j]
+    witness, checked = _hull_violation(labels, negative)
+    return DiscreteConvexityReport(len(negative), checked, witness is None, witness)
+
+
+def _pairwise_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
+    """(witness, pairs examined): the first positive cell exactly on a segment
+    between two negative cells, over every pair."""
+    checked = 0
+    for a, b in itertools.combinations(negative, 2):
+        checked += 1
         for cell in _segment_lattice_points(a, b):
             if labels[cell] == POSITIVE:
-                return DiscreteConvexityReport(len(negative), checked, False, (a, b, cell))
-
-    witness = _hull_violation(labels, negative)
-    if witness is not None:
-        return DiscreteConvexityReport(len(negative), checked, False, witness)
-    return DiscreteConvexityReport(len(negative), checked, True, None)
+                return (a, b, cell), checked
+    return None, checked
 
 
 def _hull_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
-    """First positive cell inside the convex hull of the negative cells."""
+    """(witness, pairs examined): the first positive cell inside the convex
+    hull of the negative cells, falling back to the pairwise test when the
+    hull is not full-dimensional."""
     dim = labels.ndim
     pts = np.array(negative, dtype=float)
     if dim == 1:
         lo, hi = int(pts.min()), int(pts.max())
         for c in range(lo, hi + 1):
             if labels[c] == POSITIVE:
-                return ((lo,), (hi,), (c,))
-        return None
+                return ((lo,), (hi,), (c,)), 0
+        return None, 0
     # a full-dimensional hull needs dim+1 affinely independent points
     from scipy.spatial import Delaunay, QhullError
 
     try:
         tri = Delaunay(pts)
     except QhullError:
-        return None  # degenerate (collinear/coplanar) sets are covered pairwise
+        return _pairwise_violation(labels, negative)
     mins = pts.min(axis=0).astype(int)
     maxs = pts.max(axis=0).astype(int)
     candidates = [
@@ -299,15 +275,15 @@ def _hull_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
         if labels[idx] == POSITIVE
     ]
     if not candidates:
-        return None
+        return None, 0
     simplices = tri.find_simplex(np.array(candidates, dtype=float))
     for idx, simplex in zip(candidates, simplices):
         if simplex >= 0:
             verts = tri.simplices[simplex]
             a = tuple(int(v) for v in pts[verts[0]])
             b = tuple(int(v) for v in pts[verts[1]])
-            return (a, b, idx)
-    return None
+            return (a, b, idx), 0
+    return None, 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +342,3 @@ def grid_to_json(grid: RegionGrid) -> dict:
         "values": grid.values.ravel().tolist(),
         "errs": grid.errs.ravel().tolist(),
     }
-
-
-def grid_to_json_str(grid: RegionGrid) -> str:
-    return json.dumps(grid_to_json(grid), indent=2, sort_keys=True)

@@ -1,9 +1,10 @@
 """Self-contained real-argument special functions with tracked error bounds.
 
 Provides the theta function theta(t) = sum_k exp(-pi t k^2) and its first two
-t-derivatives, the Riemann zeta function for real argument, the upper
-incomplete gamma function Gamma(beta, x), its closed-form partial-sum
-upper/lower bounds, and the modified Bessel function K_nu(z).
+t-derivatives, the Riemann zeta function for real argument, closed-form
+partial-sum upper/lower bounds on the upper incomplete gamma function
+Gamma(beta, x), and the modified Bessel function K_nu(z).  Gamma(beta, x)
+itself is evaluated by the lattice engine through scipy (epstein._g_kernel).
 
 Every tolerance-driven routine returns an :class:`Approximation`: a double
 precision value paired with an absolute error bound derived from the
@@ -28,10 +29,8 @@ __all__ = [
     "theta_with_derivatives",
     "theta_log_derivatives",
     "riemann_zeta",
-    "upper_incomplete_gamma",
     "incgamma_bound",
     "bessel_k",
-    "log_gamma",
 ]
 
 _EPS = 2.2204460492503131e-16
@@ -231,110 +230,8 @@ def riemann_zeta(s: float, cfg: EvalConfig | None = None) -> Approximation:
 
 
 # ---------------------------------------------------------------------------
-# Upper incomplete gamma
+# Partial-sum bounds on the upper incomplete gamma
 # ---------------------------------------------------------------------------
-
-_CF_MAX_ITER = 300
-
-
-def _upper_gamma_cf(beta: float, x: float, tol: float) -> tuple[float, float]:
-    """Continued fraction (modified Lentz), reliable for x > beta + 1."""
-    tiny = 1e-300
-    f = x + 1.0 - beta
-    if f == 0.0:
-        f = tiny
-    c = f
-    d = 0.0
-    delta = 0.0
-    for i in range(1, _CF_MAX_ITER + 1):
-        an = i * (beta - i)
-        bn = x + 2.0 * i + 1.0 - beta
-        d = bn + an * d
-        if d == 0.0:
-            d = tiny
-        c = bn + an / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < tol:
-            value = math.exp(-x + beta * math.log(x)) / f
-            return value, abs(value) * (abs(delta - 1.0) + 8.0 * _EPS)
-    raise PrecisionError(
-        f"incomplete gamma continued fraction did not converge for beta={beta}, x={x}",
-        achieved=abs(delta - 1.0),
-    )
-
-
-def _lower_gamma_series(beta: float, x: float, tol: float) -> tuple[float, float]:
-    """Series for the lower incomplete gamma, beta > 0, x <= beta + 1."""
-    term = 1.0 / beta
-    total = term
-    b = beta
-    for _ in range(500):
-        b += 1.0
-        term *= x / b
-        total += term
-        if term < abs(total) * tol:
-            scale = math.exp(-x + beta * math.log(x))
-            value = scale * total
-            return value, scale * (term * 2.0 + 8.0 * _EPS * abs(total))
-    raise PrecisionError(f"lower gamma series stalled for beta={beta}, x={x}")
-
-
-def _e1_series(x: float) -> float:
-    """Exponential integral E_1(x) = Gamma(0, x) for 0 < x <= 2."""
-    euler_gamma = 0.57721566490153286
-    total = -euler_gamma - math.log(x)
-    term = 1.0
-    for k in range(1, 60):
-        term *= -x / k
-        total -= term / k
-        if abs(term) < 1e-18:
-            break
-    return total
-
-
-def upper_incomplete_gamma(
-    beta: float, x: float, cfg: EvalConfig | None = None
-) -> Approximation:
-    """Gamma(beta, x) = integral_x^inf t^{beta-1} e^{-t} dt for x > 0, real beta.
-
-    Continued fraction for x > beta + 1; Gamma(beta) minus the lower-gamma
-    series otherwise (beta > 0); for beta <= 0 the value is reduced to one of
-    those through the downward recurrence
-    Gamma(beta, x) = (Gamma(beta+1, x) - x^beta e^{-x}) / beta,
-    with Gamma(0, x) = E_1(x) anchoring the integer ladder.
-    """
-    if not x > 0:
-        raise DomainError(f"upper incomplete gamma requires x > 0, got {x}")
-    tol = min((cfg or DEFAULT_CONFIG).tol * 1e-3, 1e-15)
-    if x > beta + 1.0:
-        value, err = _upper_gamma_cf(beta, x, tol)
-        return Approximation(value, err)
-    if beta > 0.0:
-        lower, lerr = _lower_gamma_series(beta, x, tol)
-        gb = math.gamma(beta)
-        value = gb - lower
-        return Approximation(value, lerr + 4.0 * _EPS * (abs(gb) + abs(lower)))
-    # beta <= 0, x <= beta + 1 <= 1: climb down from a safe starting order.
-    is_int = beta == round(beta)
-    if is_int:
-        start = 0.0
-        g = _e1_series(x)
-        err = 8.0 * _EPS * abs(g)
-    else:
-        start = beta - math.floor(beta)  # in (0, 1)
-        lower, lerr = _lower_gamma_series(start, x, tol)
-        g = math.gamma(start) - lower
-        err = lerr + 8.0 * _EPS * abs(g)
-    b = start
-    while b > beta + 0.5:
-        b -= 1.0
-        g = (g - x**b * math.exp(-x)) / b
-        err = (err + _EPS * x**b * math.exp(-x)) / abs(b) + 2.0 * _EPS * abs(g)
-    return Approximation(g, err)
 
 
 def incgamma_bound(beta: float, x: float, side: str) -> float:
@@ -426,8 +323,3 @@ def bessel_k(nu: float, z: float, cfg: EvalConfig | None = None) -> Approximatio
     else:
         value, err = _bessel_k_quadrature(nu, z, tol)
     return Approximation(value, err)
-
-
-def log_gamma(x: float) -> float:
-    """log |Gamma(x)|; thin wrapper kept for a uniform import surface."""
-    return math.lgamma(x)

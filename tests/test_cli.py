@@ -103,6 +103,8 @@ def test_scan_and_rerun_byte_identical(tmp_path, capsys):
     assert payload["errors"] == []
     scan_block = payload["results"]["scan"]
     assert len(scan_block["values"]) == len(scan_block["errs"]) == 49
+    assert "seed" not in payload["spec"]
+    assert payload["results"]["discrete_convexity"] == {"ok": True, "pairs_checked": 0}
 
 
 def test_scan_csv_has_error_column(capsys):
@@ -142,6 +144,16 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "--n", "10", "--s", "2.5", "--bogus", "1"])
     assert info.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as info:
+        main(["--threads", "2", "eval", "--n", "10", "--s", "2.5"])
+    assert info.value.code == EXIT_USAGE
+
+
+def test_thread_environment_variable_is_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("EPSTEIN_THREADS", "two")
+    code, out = run_cli(["eval", "--n", "2", "--s", "0.5"], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("Xi_2(0.5;")
 
 
 def test_eval_error_exit_code(capsys):

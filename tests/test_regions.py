@@ -110,14 +110,6 @@ def test_scan_deterministic_and_axis_reorder():
     assert np.array_equal(swapped.labels, grid1.labels.T)
 
 
-def test_scan_threads_match_sequential():
-    chart = kratio_chart(3)
-    seq = scan(3, 0.7, chart, [(-1.0, 1.0)] * 2, [5, 5], threads=1)
-    par = scan(3, 0.7, chart, [(-1.0, 1.0)] * 2, [5, 5], threads=4)
-    assert np.array_equal(seq.labels, par.labels)
-    assert np.array_equal(seq.values, par.values)
-
-
 def test_scan_rejects_out_of_range_s():
     with pytest.raises(DomainError):
         scan(3, 1.6, kratio_chart(3), [(-1.0, 1.0)] * 2, [3, 3])
@@ -163,7 +155,10 @@ def test_connected_two_blobs():
 
 
 def test_discrete_convex_disk():
-    assert certify_discrete_convex(disk_labels()).ok
+    report = certify_discrete_convex(disk_labels())
+    assert report.ok
+    # a full-dimensional set is decided by the hull test alone
+    assert report.pairs_checked == 0
 
 
 def test_discrete_convex_l_shape_fails_with_witness():
@@ -174,6 +169,26 @@ def test_discrete_convex_l_shape_fails_with_witness():
     # the witness cell really is positive and really lies between a and b
     labels = l_shape_labels()
     assert labels[cell] == POSITIVE
+
+
+def test_discrete_convex_collinear_sets_checked_pairwise():
+    # one column of negatives with a one-cell gap has no 2-d hull
+    labels = np.full((13, 4), POSITIVE, dtype=np.int8)
+    labels[2:5, 1] = NEGATIVE
+    labels[6:8, 1] = NEGATIVE
+    report = certify_discrete_convex(labels)
+    assert not report.ok
+    a, b, cell = report.witness
+    assert labels[a] == labels[b] == NEGATIVE
+    assert labels[cell] == POSITIVE
+    assert cell[1] == 1 and min(a[0], b[0]) < cell[0] < max(a[0], b[0])
+    # a gapless row of k negatives passes after examining all k(k-1)/2 pairs
+    k = 9
+    row = np.full((5, k), POSITIVE, dtype=np.int8)
+    row[2, :] = NEGATIVE
+    report = certify_discrete_convex(row)
+    assert report.ok
+    assert report.pairs_checked == k * (k - 1) // 2
 
 
 def test_center_solution_standard_chart():
