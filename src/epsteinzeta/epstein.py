@@ -13,10 +13,16 @@ the closed incomplete-gamma form of the theta-integral continuation.  The
 representation converges for every real s away from the simple poles at 0 and
 n/2, which is what makes sign analysis inside the critical range possible.
 
-Lattice sums are truncated at pi Q <= T with T chosen so that a theta-product
-tail bound falls below the configured tolerance; equal scales are grouped and
-summed radially through exact representation counts, so isotropic directions
-cost O(T) terms instead of O(T^{n/2}).
+Lattice sums are truncated at pi Q <= T with T chosen so that the tail bound
+
+    (2/T) e^{-(1-c)T} prod_groups theta(c a^2)^count
+
+falls below the configured tolerance.  It holds for every split 0 < c < 1;
+c is chosen per kernel sum from the majorant theta(t) <= 1 + t^{-1/2} in a few
+arithmetic steps, and the exact product then costs one theta call per group
+of equal scales.  Equal scales are also summed radially through exact
+representation counts, so isotropic directions cost O(T) terms instead of
+O(T^{n/2}).
 """
 
 from __future__ import annotations
@@ -173,11 +179,11 @@ def _group_table(scale: float, count: int, qmax: float, max_radius: int):
 _MAX_POINTS = 60_000_000
 
 
-def _enumerate_q(scales: tuple[float, ...], qmax: float, max_radius: int):
+def _enumerate_q(groups: list[tuple[float, int]], qmax: float, max_radius: int):
     """All nonzero values Q(k) <= qmax with multiplicities, as flat arrays."""
     q = np.array([0.0])
     w = np.array([1.0])
-    for scale, count in _group_scales(scales):
+    for scale, count in groups:
         gq, gw = _group_table(scale, count, qmax, max_radius)
         # per-partial admissible prefix of the (sorted) group table
         lens = np.searchsorted(gq, qmax - q, side="right")
@@ -223,24 +229,57 @@ def _g_kernel(beta: float, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _theta_half_product(scales: tuple[float, ...]) -> float:
-    return math.prod(theta(x * x / 2.0).value for x in scales)
+def _theta_product(groups: list[tuple[float, int]], c: float) -> float:
+    """sum_k exp(-c pi Q(k)) = prod over scale groups of theta(c a^2)^count."""
+    return math.prod(theta(c * a * a).value ** count for a, count in groups)
 
 
-def _tail_bound(beta: float, big_t: float, theta_prod: float) -> float:
-    # For pi Q >= T >= max(8, 4(beta-1)):
-    #   g(beta, x) <= 2 x^{-1} e^{-x} <= (2/T) e^{-x/2} e^{-T/2}
-    # and sum_k e^{-pi Q(k)/2} = prod_i theta(a_i^2 / 2).
-    return (2.0 / big_t) * math.exp(-big_t / 2.0) * theta_prod
+def _tail_bound(big_t: float, c: float, theta_prod: float) -> float:
+    # For x = pi Q >= T >= max(8, 4(beta-1), 4|beta|) and any split 0 < c < 1:
+    #   g(beta, x) <= 2 x^{-1} e^{-x} <= (2/T) e^{-(1-c)T} e^{-c x}
+    # and sum_k e^{-c pi Q(k)} = theta_prod.
+    return (2.0 / big_t) * math.exp(-(1.0 - c) * big_t) * theta_prod
 
 
-def _choose_T(betas: tuple[float, ...], theta_prod: float, tol: float) -> float:
+def _choose_split(groups: list[tuple[float, int]], tol: float, tmin: float) -> float:
+    """Split c minimising the threshold T at which the tail bound meets tol.
+
+    Uses the majorant theta(t) <= 1 + t^{-1/2}, so log P(c) is about
+    h(c) = sum count log(1 + 1/(a sqrt c)).  The minimiser of
+    T(c) = (log(2/(T tol)) + h(c)) / (1 - c) satisfies c = S(c) / (2T) with
+    S(c) = -2c h'(c) = sum count / (1 + a sqrt c); two fixed-point steps
+    from c = 1/2 land within 1% of the optimal T for n <= 10 and within 3%
+    for n <= 21.  c is capped at 1/2, which keeps _choose_T's iteration a
+    contraction.
+    """
+    c, big_t = 0.5, tmin
+    for _ in range(2):
+        r = math.sqrt(c)
+        h = math.fsum(count * math.log1p(1.0 / (a * r)) for a, count in groups)
+        big_t = max(tmin, (math.log(2.0 / (big_t * tol)) + h) / (1.0 - c))
+        c = min(0.5, math.fsum(count / (1.0 + a * r) for a, count in groups) / (2.0 * big_t))
+    return c
+
+
+def _choose_T(
+    betas: tuple[float, ...], groups: list[tuple[float, int]], tol: float
+) -> tuple[float, float, float]:
+    """(T, c, theta_prod) with _tail_bound(T, c, theta_prod) < tol."""
     tmin = max(8.0, max(4.0 * (b - 1.0) for b in betas), max(4.0 * abs(b) for b in betas))
-    # closed-form seed, then verify and double if the bound is still too large
-    big_t = max(tmin, 2.0 * math.log(max(8.0 * theta_prod / tol, 4.0)))
+    c = _choose_split(groups, tol, tmin)
+    theta_prod = _theta_product(groups, c)
+
+    # the bound falls in T; its crossing with tol is the fixed point of the
+    # contraction phi (|phi'| <= 1/4 on T >= 8), whose odd iterates from a
+    # point below the crossing stay above it
+    def phi(t: float) -> float:
+        return math.log(2.0 * theta_prod / (t * tol)) / (1.0 - c)
+
+    big_t = phi(tmin)
+    big_t = tmin if big_t <= tmin else phi(phi(big_t))
     for _ in range(60):
-        if max(_tail_bound(b, big_t, theta_prod) for b in betas) < tol:
-            return big_t
+        if _tail_bound(big_t, c, theta_prod) < tol:
+            return big_t, c, theta_prod
         big_t *= 2.0
     raise PrecisionError(f"no truncation threshold reaches tol={tol}")
 
@@ -267,15 +306,15 @@ def gamma_kernel_sum_multi(
     """
     sv = ScaleVector.ensure(scales)
     betas = tuple(float(b) for b in betas)
-    theta_prod = _theta_half_product(sv.a)
-    big_t = _choose_T(betas, theta_prod, cfg.tol / 4.0)
-    q, w = _enumerate_q(sv.a, big_t / math.pi, cfg.max_radius)
+    groups = _group_scales(sv.a)
+    big_t, c, theta_prod = _choose_T(betas, groups, cfg.tol / 4.0)
+    q, w = _enumerate_q(groups, big_t / math.pi, cfg.max_radius)
     x = math.pi * q
+    tail = _tail_bound(big_t, c, theta_prod)
     out = []
     for b in betas:
         terms = w * _g_kernel(b, x)
         value = float(terms.sum())
-        tail = _tail_bound(b, big_t, theta_prod)
         # terms share one sign except far outside the critical strip, so
         # pairwise summation costs a few ulps of the absolute mass
         rounding = 5e-15 * float(np.abs(terms).sum()) * (4.0 if b <= 0 else 1.0)
@@ -312,6 +351,27 @@ def _check_not_pole(n: int, s: float) -> None:
         raise PoleError(f"s={s} is inside the guard band around the pole at n/2")
 
 
+def _reflected_kernel_sum(n: int, s: float, recip: ScaleVector, cfg: EvalConfig) -> Approximation:
+    """S(n/2 - s; 1/a), with the rounding of the order n/2 - s in its err.
+
+    The order is evaluated at beta = fl(n/2 - s), off the exact order by
+    dbeta (recovered exactly by TwoSum).  dS/dbeta is a sum of positive
+    terms dg/dbeta = integral_1^inf t^{beta-1} log t e^{-xt} dt; by Jensen,
+    dg/dbeta <= g log(g(beta+1, x) / g(beta, x)) <= g log(1 + max(beta, 1)/x),
+    so |dS/dbeta| <= S log(1 + max(beta, 1)/x_min), where
+    x_min = pi min(1/a)^2 is the smallest lattice value and S <= value + err.
+    The factor reaches log(1/x_min) at strong anisotropy, where it amplifies
+    the half-ulp of dbeta well past the roundoff allowance.
+    """
+    half = n / 2.0
+    beta = half - s
+    dbeta = (half - (beta - (beta - half))) + (-s - (beta - half))
+    kernel = gamma_kernel_sum(beta, recip, cfg)
+    x_min = math.pi * min(recip.a) ** 2
+    slope = (abs(kernel.value) + kernel.err) * math.log1p(max(beta, 1.0) / x_min)
+    return Approximation(kernel.value, kernel.err + abs(dbeta) * slope)
+
+
 def lambda_n(s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     """Pole-free part: S(s; a) + S(n/2 - s; 1/a), symmetric under
     (s, a) -> (n/2 - s, 1/a)."""
@@ -319,7 +379,7 @@ def lambda_n(s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximatio
     n = len(sv)
     _check_not_pole(n, s)
     first = gamma_kernel_sum(s, sv, cfg)
-    second = gamma_kernel_sum(n / 2.0 - s, sv.reciprocal(), cfg)
+    second = _reflected_kernel_sum(n, s, sv.reciprocal(), cfg)
     value = first.value + second.value
     return Approximation(value, first.err + second.err + 2.0 * _EPS * abs(value))
 
@@ -333,7 +393,7 @@ def xi(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
     v = sv.V
     # split the tolerance by the V-weights so the assembled error meets tol
     first = gamma_kernel_sum(s, sv, cfg.tighter(0.5 / v))
-    second = gamma_kernel_sum(n / 2.0 - s, sv.reciprocal(), cfg.tighter(0.5 * v))
+    second = _reflected_kernel_sum(n, s, sv.reciprocal(), cfg.tighter(0.5 * v))
     value = math.fsum(
         (-v / s, -(1.0 / v) / (n / 2.0 - s), v * first.value, second.value / v)
     )

@@ -193,7 +193,10 @@ class DiscreteConvexityReport:
     negative_cells: int
     pairs_checked: int  # segments the pairwise test examined; 0 when the hull test decided
     ok: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None
+    # (vertices, cell): a positive cell inside the hull of the negative
+    # vertices, which are the two ends of a segment through the cell
+    # (pairwise and 1-d tests) or the dim+1 corners of a Delaunay simplex
+    witness: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None
 
 
 def _segment_lattice_points(a: tuple[int, ...], b: tuple[int, ...]):
@@ -244,7 +247,7 @@ def _pairwise_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
         checked += 1
         for cell in _segment_lattice_points(a, b):
             if labels[cell] == POSITIVE:
-                return (a, b, cell), checked
+                return ((a, b), cell), checked
     return None, checked
 
 
@@ -258,7 +261,7 @@ def _hull_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
         lo, hi = int(pts.min()), int(pts.max())
         for c in range(lo, hi + 1):
             if labels[c] == POSITIVE:
-                return ((lo,), (hi,), (c,)), 0
+                return (((lo,), (hi,)), (c,)), 0
         return None, 0
     # a full-dimensional hull needs dim+1 affinely independent points
     from scipy.spatial import Delaunay, QhullError
@@ -279,10 +282,8 @@ def _hull_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
     simplices = tri.find_simplex(np.array(candidates, dtype=float))
     for idx, simplex in zip(candidates, simplices):
         if simplex >= 0:
-            verts = tri.simplices[simplex]
-            a = tuple(int(v) for v in pts[verts[0]])
-            b = tuple(int(v) for v in pts[verts[1]])
-            return (a, b, idx), 0
+            verts = tuple(tuple(int(v) for v in pts[k]) for k in tri.simplices[simplex])
+            return (verts, idx), 0
     return None, 0
 
 

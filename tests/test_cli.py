@@ -14,10 +14,17 @@ def run_cli(argv, capsys):
 
 
 def test_eval_golden_value(capsys):
-    code, out = run_cli(["eval", "--n", "10", "--s", "2.5"], capsys)
+    # twelve printed digits need err well below the 3e-14 between the true
+    # value 0.20590304048653 and the rounding boundary ...4865
+    code, out = run_cli(["eval", "--n", "10", "--s", "2.5", "--tol", "1e-14"], capsys)
     assert code == EXIT_OK
     assert "0.205903040487" in out
     assert "±" in out
+    # at the default tol the value is only promised to within its err
+    code, out = run_cli(["eval", "--n", "10", "--s", "2.5", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    xi_val = json.loads(out)["results"]["xi"]
+    assert abs(xi_val["value"] - 0.20590304048653) <= xi_val["err"]
 
 
 def test_eval_one_dimensional_zeta(capsys):

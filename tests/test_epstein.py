@@ -286,3 +286,53 @@ def test_anisotropic_grouping_matches_plain_enumeration():
         ours = xi(n, s, ScaleVector(a), EvalConfig(tol=1e-11))
         oracle = nested_oracle(n, s, a)
         assert ours.value == pytest.approx(oracle, abs=5e-11)
+
+
+def test_err_covers_rounded_reflected_order():
+    # 5 - s rounds by 4.4e-16 here, and dS/dbeta carries a factor
+    # log(1/x_min) of about 12.7 at the 2^-10 axis; the exact value is an
+    # mpmath lattice sum with exact pi and exact order at 30 digits
+    s = 0.9698635322674956
+    v = xi(10, s, ScaleVector((2.0**10, 2.0**-10) + (1.0,) * 8))
+    assert abs(v.value - 2.2783887763942010e23) <= v.err
+
+
+def split_cases():
+    rng = np.random.default_rng(20240611)
+    for n in range(1, 10):
+        log_a = rng.normal(scale=0.7, size=n)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        for a in ((1.0,) * n, tuple(np.exp(log_a - log_a.mean())), tuple(2.0 ** (3 * signs))):
+            s = float(rng.uniform(0.05, n / 2.0 - 0.05)) if n > 1 else 0.3
+            yield n, s, a
+
+
+@pytest.mark.parametrize("n, s, a", list(split_cases()))
+def test_default_tol_agrees_with_tight_reference(n, s, a):
+    loose = xi(n, s, ScaleVector(a))
+    tight = xi(n, s, ScaleVector(a), EvalConfig(tol=1e-13 * max(1.0, abs(loose.value))))
+    assert abs(loose.value - tight.value) <= loose.err + tight.err
+
+
+@pytest.mark.parametrize(
+    "beta, a",
+    [
+        (2.25, (1.0,) * 9),
+        (0.7, (1.0, 2.0, 0.5)),
+        (-0.4, (2.0**3, 2.0**-3, 1.0)),
+        (3.1, (0.6, 1.7, 0.9, 1.1)),
+    ],
+)
+def test_split_tail_bound_majorises_doubled_threshold(beta, a):
+    from epsteinzeta.epstein import _choose_T, _enumerate_q, _g_kernel, _group_scales, _tail_bound
+
+    groups = _group_scales(a)
+    big_t, c, theta_prod = _choose_T((beta,), groups, 1e-10)
+    assert 0.0 < c <= 0.5
+    bound = _tail_bound(big_t, c, theta_prod)
+    assert bound < 1e-10
+    q, w = _enumerate_q(groups, 2.0 * big_t / math.pi, 2_000_000)
+    x = math.pi * q
+    beyond = x > big_t
+    tail = float(np.sum(w[beyond] * _g_kernel(beta, x[beyond])))
+    assert 0.0 < tail <= bound

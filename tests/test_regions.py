@@ -164,11 +164,36 @@ def test_discrete_convex_disk():
 def test_discrete_convex_l_shape_fails_with_witness():
     report = certify_discrete_convex(l_shape_labels())
     assert not report.ok
-    a, b, cell = report.witness
+    vertices, cell = report.witness
     assert certify_discrete_convex(disk_labels()).witness is None
-    # the witness cell really is positive and really lies between a and b
+    # the witness cell is positive and lies in the simplex of its vertices
     labels = l_shape_labels()
     assert labels[cell] == POSITIVE
+    assert len(vertices) == 3
+    assert all(labels[v] == NEGATIVE for v in vertices)
+    assert in_simplex(cell, vertices)
+
+
+def in_simplex(cell, vertices):
+    # barycentric coordinates of cell with respect to the dim+1 vertices
+    corners = np.array(vertices, dtype=float)
+    edges = (corners[1:] - corners[0]).T
+    lam = np.linalg.solve(edges, np.array(cell, dtype=float) - corners[0])
+    return bool(np.all(lam >= -1e-12) and lam.sum() <= 1.0 + 1e-12)
+
+
+def test_discrete_convex_hull_witness_names_the_simplex():
+    # three negatives whose triangle holds (1, 1); no segment between two
+    # of them passes through it, so the witness is the whole simplex
+    labels = np.full((5, 5), POSITIVE, dtype=np.int8)
+    for cell in [(0, 0), (3, 1), (1, 3)]:
+        labels[cell] = NEGATIVE
+    report = certify_discrete_convex(labels)
+    assert not report.ok
+    vertices, cell = report.witness
+    assert sorted(vertices) == [(0, 0), (1, 3), (3, 1)]
+    assert labels[cell] == POSITIVE
+    assert in_simplex(cell, vertices)
 
 
 def test_discrete_convex_collinear_sets_checked_pairwise():
@@ -178,7 +203,7 @@ def test_discrete_convex_collinear_sets_checked_pairwise():
     labels[6:8, 1] = NEGATIVE
     report = certify_discrete_convex(labels)
     assert not report.ok
-    a, b, cell = report.witness
+    (a, b), cell = report.witness
     assert labels[a] == labels[b] == NEGATIVE
     assert labels[cell] == POSITIVE
     assert cell[1] == 1 and min(a[0], b[0]) < cell[0] < max(a[0], b[0])
