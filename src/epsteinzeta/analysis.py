@@ -169,8 +169,9 @@ def _tail_factor_dim9() -> float:
     return ((ep + 1.0) / (ep - 1.0)) ** 9 - 1.0 - 18.0 * math.exp(-_PI)
 
 
-def _kernel_upper_dim9(beta: float) -> float:
-    """Upper bound on sum_{k != 0} (pi|k|^2)^{-beta} Gamma(beta, pi|k|^2) in Z^9.
+def _kernel_upper_dim9(beta: float) -> tuple[float, float]:
+    """Upper bound on sum_{k != 0} (pi|k|^2)^{-beta} Gamma(beta, pi|k|^2) in Z^9,
+    as the pair (shell, tail) whose sum is the bound.
 
     First shell (18 points at |k| = 1) exactly, remaining shells through the
     partial-sum bound at x = 2 pi times the closed-form tail factor.
@@ -178,7 +179,7 @@ def _kernel_upper_dim9(beta: float) -> float:
     m = math.floor(beta)
     shell1 = (18.0 / _PI) * math.exp(-_PI) * ibp_partial_sum(beta, _PI, m)
     tail = (1.0 / (2.0 * _PI)) * ibp_partial_sum(beta, 2.0 * _PI, m) * _tail_factor_dim9()
-    return shell1 + tail
+    return shell1, tail
 
 
 def _pole_part_dim9(s: float) -> float:
@@ -193,8 +194,7 @@ def critical_sign_certificates(cfg: EvalConfig = DEFAULT_CONFIG) -> list[BoundRe
     bound staying below 4/9 settles the sign.  For Xi_10(5/2) the first-shell
     lower partial sum alone already clears -4/5.
     """
-    shell1 = (18.0 / _PI) * math.exp(-_PI) * ibp_partial_sum(9.0 / 4.0, _PI, 2)
-    tail = (1.0 / (2.0 * _PI)) * ibp_partial_sum(9.0 / 4.0, 2.0 * _PI, 2) * _tail_factor_dim9()
+    shell1, tail = _kernel_upper_dim9(9.0 / 4.0)
     combined = shell1 + tail
     lower10 = -4.0 / 5.0 + (40.0 / _PI) * math.exp(-_PI) * ibp_partial_sum(
         5.0 / 2.0, _PI, 3
@@ -226,7 +226,7 @@ def verify_negative_range(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Boun
     reports: list[BoundReport] = []
     if n == 9:
         for lo, hi in _STAIRS:
-            kern = _kernel_upper_dim9(lo) + _kernel_upper_dim9(4.5 - lo)
+            kern = sum(_kernel_upper_dim9(lo)) + sum(_kernel_upper_dim9(4.5 - lo))
             pole = _pole_part_dim9(hi)
             reports.append(BoundReport(f"kernel_upper({lo})", kern, "upper", "negative"))
             reports.append(BoundReport(f"pole_part({hi})", pole, "upper", "negative"))

@@ -20,13 +20,15 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, _check_not_pole
-from .errors import NotGenericError
+from .errors import NotGenericError, PrecisionError
 from .specfun import bessel_k, riemann_zeta
 
 __all__ = ["CSTerms", "chowla_selberg_terms", "xi_chowla_selberg"]
 
 _GUARD = 1e-4
-_ASYMPTOTIC_SWITCH = 30.0
+# Bessel terms one tower level may enumerate; beyond this the expansion is
+# no longer the cheap cross-check it is meant to be
+_MAX_TERMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -54,36 +56,21 @@ def _check_generic(n: int, s: float) -> None:
             )
 
 
-def _k_points(j: int, scales: tuple[float, ...], norm_cap: float) -> list[float]:
-    """Squared a-weighted norms of the nonzero points of Z^j within the cap."""
-    cap_sq = norm_cap * norm_cap
-    out: list[float] = []
-
-    def rec(axis: int, acc: float) -> None:
-        if axis == j:
-            if acc > 0.0:
-                out.append(acc)
-            return
-        lim = int(math.floor(math.sqrt(max(cap_sq - acc, 0.0)) * scales[axis]))
-        for k in range(-lim, lim + 1):
-            rec(axis + 1, acc + (k / scales[axis]) ** 2)
-
-    rec(0, 0.0)
-    out.sort()
-    return out
+def _check_terms(count: float) -> None:
+    if count > _MAX_TERMS:
+        raise PrecisionError(f"Bessel sum would need {count:.0f} terms (cap {_MAX_TERMS})")
 
 
-def _k_asymptotic_vec(nu: float, zs: np.ndarray) -> np.ndarray:
-    """Large-argument K_nu expansion, identical to the scalar branch."""
-    mu = 4.0 * nu * nu
-    term = np.ones_like(zs)
-    total = np.ones_like(zs)
-    for k in range(1, 40):
-        term = term * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * zs * k)
-        if float(np.abs(term).max()) < 1e-18:
-            break
-        total += term
-    return np.sqrt(math.pi / (2.0 * zs)) * np.exp(-zs) * total
+def _k_points(a: tuple[float, ...], cap: float) -> np.ndarray:
+    """Squared a-weighted norms sum (k_i / a_i)^2 <= cap^2 of the nonzero k in Z^j."""
+    cap_sq = cap * cap
+    q = np.zeros(1)
+    for ai in a:
+        lim = int(cap * ai)
+        _check_terms(q.size * (2.0 * lim + 1.0))
+        q = (q[:, None] + (np.arange(-lim, lim + 1) / ai) ** 2).ravel()
+        q = q[q <= cap_sq]
+    return q[q > 0.0]
 
 
 def chowla_selberg_terms(
@@ -107,7 +94,9 @@ def chowla_selberg_terms(
     leading = lead_coeff * z2s.value
     err += abs(lead_coeff) * z2s.err
 
+    cutoff = math.log(1.0 / cfg.tol) + 40.0
     tower = []
+    bessel_terms: list[float] = []
     prod_a = 1.0
     for j in range(1, n):
         prod_a *= a[j - 1]
@@ -121,38 +110,20 @@ def chowla_selberg_terms(
         tower.append(coeff * zj.value)
         err += abs(coeff) * zj.err
 
-    cutoff = math.log(1.0 / cfg.tol) + 40.0
-    bessel_terms: list[float] = []
-    prod_a = 1.0
-    for j in range(1, n):
-        prod_a *= a[j - 1]
-        pref = 4.0 / prod_a
+        # every (k, p) with z = 2 pi p a_{j+1} |k|_a <= cutoff; p = 1 admits
+        # the widest k-shells
         nu = s - j / 2.0
-        aj1 = a[j]
-        # p = 1 admits the widest k-shells; |k|_a <= cutoff / (2 pi a_{j+1})
-        small_z: list[tuple[float, float]] = []
-        big_z: list[tuple[float, float]] = []
-        for qa in _k_points(j, a[:j], cutoff / (2.0 * math.pi * aj1)):
-            nrm = math.sqrt(qa)
-            radial = qa ** (s / 2.0 - j / 4.0)
-            p = 1
-            while True:
-                zarg = 2.0 * math.pi * p * aj1 * nrm
-                if zarg > cutoff:
-                    break
-                coeff = pref * radial / (p * aj1) ** nu
-                (big_z if zarg > _ASYMPTOTIC_SWITCH else small_z).append((coeff, zarg))
-                p += 1
-        for coeff, zarg in small_z:
-            kv = bessel_k(nu, zarg, cfg)
-            bessel_terms.append(coeff * kv.value)
-            err += abs(coeff) * kv.err
-        if big_z:
-            coeffs = np.array([c for c, _ in big_z])
-            zs = np.array([zv for _, zv in big_z])
-            vals = coeffs * _k_asymptotic_vec(nu, zs)
-            bessel_terms.append(float(vals.sum()))
-            err += 1e-14 * float(np.abs(vals).sum())
+        norms = np.sqrt(_k_points(a[:j], cutoff / (2.0 * math.pi * a[j])))
+        reps = np.floor(cutoff / (2.0 * math.pi * a[j] * norms))
+        _check_terms(float(reps.sum()))
+        reps = reps.astype(np.int64)
+        p = np.arange(1, int(reps.sum()) + 1) - np.repeat(np.cumsum(reps) - reps, reps)
+        norms = np.repeat(norms, reps)
+        pa = p * a[j]
+        coeffs = (4.0 / prod_a) * (norms / pa) ** nu
+        kv, kerr = bessel_k(nu, 2.0 * math.pi * pa * norms, cfg)
+        bessel_terms.extend((coeffs * kv).tolist())
+        err += float(coeffs @ kerr)
     bessel_tail = math.fsum(bessel_terms)
     # everything past the cutoff decays like e^{-z}; the +40 margin makes the
     # omitted block negligible against tol

@@ -11,24 +11,17 @@ class EvalConfig:
 
     tol
         Target absolute error of the returned value.
-    max_radius
-        Hard cap on the number of integer steps enumerated along any single
-        lattice direction (and on per-group table sizes).  Exceeding it raises
-        PrecisionError carrying the bound that was achievable.
     """
 
     tol: float = 1e-9
-    max_radius: int = 2_000_000
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_radius < 2:
-            raise ValueError(f"max_radius must be >= 2, got {self.max_radius}")
 
     def tighter(self, factor: float) -> "EvalConfig":
         """A copy with tol scaled by ``factor`` (used for sign refinement)."""
-        return EvalConfig(tol=self.tol * factor, max_radius=self.max_radius)
+        return EvalConfig(tol=self.tol * factor)
 
 
 DEFAULT_CONFIG = EvalConfig()

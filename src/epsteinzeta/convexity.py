@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, xi
 from .errors import DomainError
-from .specfun import Approximation, theta_with_derivatives
+from .specfun import Approximation, theta_log_derivatives, theta_with_derivatives
 
 __all__ = [
     "JnInput",
@@ -109,7 +109,7 @@ def standard_chart(n: int, v=None) -> HyperplaneChart:
 # ---------------------------------------------------------------------------
 
 
-def h_of_v(v: float, cfg: EvalConfig | None = None) -> Approximation:
+def h_of_v(v: float) -> Approximation:
     """h(v) = theta''(v) theta(v) - theta'(v)^2 + theta(v) theta'(v) / v.
 
     Positivity of h on [1, inf) is the computational core of the strict
@@ -118,7 +118,7 @@ def h_of_v(v: float, cfg: EvalConfig | None = None) -> Approximation:
     """
     if not v >= 1.0:
         raise DomainError(f"h(v) is evaluated on v >= 1 only, got {v}")
-    th, thp, thpp = theta_with_derivatives(v, cfg)
+    th, thp, thpp = theta_with_derivatives(v)
     value = thpp.value * th.value - thp.value * thp.value + th.value * thp.value / v
     err = (
         abs(thpp.value) * th.err
@@ -240,7 +240,7 @@ class SylvesterReport:
     all_nonnegative: bool
 
 
-def sylvester_check(xs, cfg: EvalConfig | None = None) -> SylvesterReport:
+def sylvester_check(xs) -> SylvesterReport:
     """Leading principal minors of the reduced Hessian of prod_i theta(e^{x_i}).
 
     With f(x) = theta(e^x), the reduced Hessian has diagonal f''/f and
@@ -253,9 +253,7 @@ def sylvester_check(xs, cfg: EvalConfig | None = None) -> SylvesterReport:
     ws: list[float] = []
     for x in xs:
         t = math.exp(x)
-        th, thp, thpp = theta_with_derivatives(t, cfg)
-        g1 = thp.value / th.value
-        g2 = (thpp.value * th.value - thp.value**2) / th.value**2
+        g1, g2 = theta_log_derivatives(t)
         w = t * g1  # (log f)'
         log_second = t * t * g2 + t * g1  # (log f)''
         ws.append(w)
@@ -306,7 +304,7 @@ class LogConvexityReport:
     all_positive: bool
 
 
-def log_theta_convexity(us, cfg: EvalConfig | None = None) -> LogConvexityReport:
+def log_theta_convexity(us) -> LogConvexityReport:
     """Second derivative of u -> log theta(e^u) at each grid point, with error
     bounds that must exclude zero.
 
@@ -319,7 +317,7 @@ def log_theta_convexity(us, cfg: EvalConfig | None = None) -> LogConvexityReport
     results = []
     for u in us:
         t = math.exp(abs(u))
-        th, thp, thpp = theta_with_derivatives(t, cfg)
+        th, thp, thpp = theta_with_derivatives(t)
         g1 = thp.value / th.value
         g2 = (thpp.value * th.value - thp.value**2) / th.value**2
         value = t * t * g2 + t * g1

@@ -53,6 +53,12 @@ __all__ = [
 
 _EPS = 2.2204460492503131e-16
 _POLE_GUARD = 1e-6
+# hard caps on the integer steps along one lattice direction (and per-group
+# table sizes) and on the enumerated lattice; past them PrecisionError
+_MAX_RADIUS = 2_000_000
+_MAX_POINTS = 60_000_000
+# radial tables up to this length are cheaper as dense binary powers
+_DENSE_COUNTS_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -118,19 +124,24 @@ class XiValue:
 def _radial_counts(dim: int, mmax: int) -> np.ndarray:
     """Coefficients of theta(q)^dim up to q^mmax, as float64.
 
+    theta(q) = 1 + 2 sum_j q^{j^2} has about sqrt(mmax) terms.  Small tables
+    take binary powers through dense convolutions, O(mmax^2 log dim) in a few
+    numpy calls; longer ones take dim sparse products of O(mmax^{3/2}) each,
+    since dense squaring would cost O(mmax^2) per step.
     Counts are exact integers; float64 loses exactness only beyond 2^53,
     far above anything a truncated lattice sum needs.
     """
-    base = np.zeros(mmax + 1)
-    base[0] = 1.0
-    j = 1
-    while j * j <= mmax:
-        base[j * j] = 2.0
-        j += 1
-    # binary exponentiation of the generating polynomial, truncated each step
     result = np.zeros(mmax + 1)
     result[0] = 1.0
-    power = base
+    if mmax > _DENSE_COUNTS_MAX:
+        for _ in range(dim):
+            twice = 2.0 * result
+            for j in range(1, math.isqrt(mmax) + 1):
+                result[j * j :] += twice[: mmax + 1 - j * j]
+        return result
+    power = np.zeros(mmax + 1)
+    power[0] = 1.0
+    power[np.arange(1, math.isqrt(mmax) + 1) ** 2] = 2.0
     e = dim
     while e:
         if e & 1:
@@ -149,7 +160,7 @@ def _group_scales(a: tuple[float, ...]) -> list[tuple[float, int]]:
     return sorted(groups.items(), key=lambda kv: -kv[0])
 
 
-def _group_table(scale: float, count: int, qmax: float, max_radius: int):
+def _group_table(scale: float, count: int, qmax: float):
     """Sorted (q, weight) arrays for one group of equal scales.
 
     q runs over scale^2 * m with m a sum of `count` integer squares and
@@ -158,33 +169,28 @@ def _group_table(scale: float, count: int, qmax: float, max_radius: int):
     """
     if count == 1:
         kmax = int(math.floor(math.sqrt(qmax) / scale))
-        if kmax + 1 > max_radius:
-            raise PrecisionError(
-                f"per-axis range {kmax} exceeds max_radius={max_radius}"
-            )
+        if kmax + 1 > _MAX_RADIUS:
+            raise PrecisionError(f"per-axis range {kmax} exceeds {_MAX_RADIUS}")
         ks = np.arange(kmax + 1, dtype=np.float64)
         q = (scale * ks) ** 2
         w = np.full(kmax + 1, 2.0)
         w[0] = 1.0
         return q, w
     mmax = int(math.floor(qmax / (scale * scale)))
-    if mmax + 1 > max_radius:
-        raise PrecisionError(f"radial table size {mmax} exceeds max_radius={max_radius}")
+    if mmax + 1 > _MAX_RADIUS:
+        raise PrecisionError(f"radial table size {mmax} exceeds {_MAX_RADIUS}")
     counts = _radial_counts(count, mmax)
     m = np.arange(mmax + 1, dtype=np.float64)
     keep = counts > 0
     return (scale * scale) * m[keep], counts[keep]
 
 
-_MAX_POINTS = 60_000_000
-
-
-def _enumerate_q(groups: list[tuple[float, int]], qmax: float, max_radius: int):
+def _enumerate_q(groups: list[tuple[float, int]], qmax: float):
     """All nonzero values Q(k) <= qmax with multiplicities, as flat arrays."""
     q = np.array([0.0])
     w = np.array([1.0])
     for scale, count in groups:
-        gq, gw = _group_table(scale, count, qmax, max_radius)
+        gq, gw = _group_table(scale, count, qmax)
         # per-partial admissible prefix of the (sorted) group table
         lens = np.searchsorted(gq, qmax - q, side="right")
         total = int(lens.sum())
@@ -308,7 +314,7 @@ def gamma_kernel_sum_multi(
     betas = tuple(float(b) for b in betas)
     groups = _group_scales(sv.a)
     big_t, c, theta_prod = _choose_T(betas, groups, cfg.tol / 4.0)
-    q, w = _enumerate_q(groups, big_t / math.pi, cfg.max_radius)
+    q, w = _enumerate_q(groups, big_t / math.pi)
     x = math.pi * q
     tail = _tail_bound(big_t, c, theta_prod)
     out = []

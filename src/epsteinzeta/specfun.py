@@ -3,14 +3,15 @@
 Provides the theta function theta(t) = sum_k exp(-pi t k^2) and its first two
 t-derivatives, the Riemann zeta function for real argument, closed-form
 partial-sum upper/lower bounds on the upper incomplete gamma function
-Gamma(beta, x), and the modified Bessel function K_nu(z).  Gamma(beta, x)
-itself is evaluated by the lattice engine through scipy (epstein._g_kernel).
+Gamma(beta, x), and the modified Bessel function K_nu(z) over a float or an
+array of z.  Gamma(beta, x) itself is evaluated by the lattice engine through
+scipy (epstein._g_kernel).
 
-Every tolerance-driven routine returns an :class:`Approximation`: a double
-precision value paired with an absolute error bound derived from the
-truncation analysis of the series or quadrature used.  The bounds are
-truncation bounds plus small roundoff allowances, not directed-rounding
-enclosures.
+Every tolerance-driven routine returns an :class:`Approximation` (bessel_k on
+an array: arrays of values and errors): a double precision value paired with
+an absolute error bound derived from the truncation analysis of the series or
+quadrature used.  The bounds are truncation bounds plus small roundoff
+allowances, not directed-rounding enclosures.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 _EPS = 2.2204460492503131e-16
-# Floor used when a caller does not supply a tolerance: keep series errors
-# close to roundoff so downstream error budgets are dominated by lattice tails.
+# Keep theta-series errors close to roundoff so downstream error budgets are
+# dominated by lattice tails.
 _SERIES_FLOOR = 1e-17
 
 
@@ -60,12 +61,12 @@ class Approximation:
         return f"{self.value!r} ± {self.err:.3g}"
 
 
-def _gauss_series(t: float, power: int, floor: float = _SERIES_FLOOR) -> Approximation:
+def _gauss_series(t: float, power: int) -> Approximation:
     """sum_{k>=1} k^power exp(-pi t k^2) for t > 0.
 
     Terms eventually decay faster than geometrically; summation stops once the
-    next term is below ``floor`` and less than half of its predecessor, so the
-    tail is majorised by twice the first omitted term.
+    next term is below ``_SERIES_FLOOR`` and less than half of its predecessor,
+    so the tail is majorised by twice the first omitted term.
     """
     total = 0.0
     comp = 0.0  # Kahan compensation
@@ -78,7 +79,7 @@ def _gauss_series(t: float, power: int, floor: float = _SERIES_FLOOR) -> Approxi
         comp = (s - total) - y
         total = s
         nxt = float(k + 1) ** power * math.exp(-math.pi * t * (k + 1) * (k + 1))
-        if nxt == 0.0 or (nxt < floor and nxt < 0.5 * term):
+        if nxt == 0.0 or (nxt < _SERIES_FLOOR and nxt < 0.5 * term):
             return Approximation(total, 2.0 * nxt)
         prev = term
         k += 1
@@ -89,7 +90,7 @@ def _gauss_series(t: float, power: int, floor: float = _SERIES_FLOOR) -> Approxi
             )
 
 
-def theta(t: float, cfg: EvalConfig | None = None) -> Approximation:
+def theta(t: float) -> Approximation:
     """theta(t) = 1 + 2 sum_{k>=1} exp(-pi t k^2), t > 0.
 
     For t < 1 the value is obtained through the reflection identity
@@ -98,21 +99,18 @@ def theta(t: float, cfg: EvalConfig | None = None) -> Approximation:
     """
     if not t > 0:
         raise DomainError(f"theta requires t > 0, got {t}")
-    floor = min(_SERIES_FLOOR, (cfg.tol if cfg else 1.0) * 1e-3)
     if t < 1.0:
-        inner = _gauss_series(1.0 / t, 0, floor)
+        inner = _gauss_series(1.0 / t, 0)
         scale = 1.0 / math.sqrt(t)
         value = scale * (1.0 + 2.0 * inner.value)
         err = scale * 2.0 * inner.err + 4.0 * _EPS * value
         return Approximation(value, err)
-    inner = _gauss_series(t, 0, floor)
+    inner = _gauss_series(t, 0)
     value = 1.0 + 2.0 * inner.value
     return Approximation(value, 2.0 * inner.err + 2.0 * _EPS * value)
 
 
-def theta_with_derivatives(
-    t: float, cfg: EvalConfig | None = None
-) -> tuple[Approximation, Approximation, Approximation]:
+def theta_with_derivatives(t: float) -> tuple[Approximation, Approximation, Approximation]:
     """(theta(t), theta'(t), theta''(t)) by termwise differentiation.
 
     theta'(t)  = -2 pi   sum k^2 exp(-pi t k^2)
@@ -123,10 +121,9 @@ def theta_with_derivatives(
     """
     if not t > 0:
         raise DomainError(f"theta derivatives require t > 0, got {t}")
-    floor = min(_SERIES_FLOOR, (cfg.tol if cfg else 1.0) * 1e-3)
-    s0 = _gauss_series(t, 0, floor)
-    s2 = _gauss_series(t, 2, floor)
-    s4 = _gauss_series(t, 4, floor)
+    s0 = _gauss_series(t, 0)
+    s2 = _gauss_series(t, 2)
+    s4 = _gauss_series(t, 4)
     th = Approximation(1.0 + 2.0 * s0.value, 2.0 * s0.err + 2.0 * _EPS * (1.0 + 2.0 * s0.value))
     pi = math.pi
     thp = Approximation(-2.0 * pi * s2.value, 2.0 * pi * s2.err + 4.0 * _EPS * pi * s2.value)
@@ -152,30 +149,14 @@ def theta_log_derivatives(t: float) -> tuple[float, float]:
 # Riemann zeta
 # ---------------------------------------------------------------------------
 
-_SQRT8 = math.sqrt(8.0)
-
-
-def _zeta_alternating(s: float, n: int) -> tuple[float, float]:
-    """Accelerated alternating series for (1 - 2^{1-s}) zeta(s), s > 0.
-
-    Chebyshev-weighted acceleration; with n terms the eta-series error is
-    at most 3 / d_n where d_n = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2.
-    """
-    dn = ((3.0 + _SQRT8) ** n + (3.0 - _SQRT8) ** n) / 2.0
-    b = -1.0
-    c = -dn
-    eta = 0.0
-    for k in range(n):
-        c = b - c
-        eta += c * float(k + 1) ** (-s)
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    eta /= dn
-    scale = 1.0 - 2.0 ** (1.0 - s)
-    return eta / scale, 3.0 / dn / abs(scale)
-
-
 def _zeta_direct(s: float, tol: float) -> tuple[float, float]:
-    """Euler-Maclaurin tail-corrected direct series, s > 2."""
+    """Euler-Maclaurin tail-corrected direct series, s >= 0, s != 1.
+
+    For real s >= 0 every derivative of x^{-s} keeps one sign, so the
+    remainder is at most the first omitted correction term.  Below s = 2 the
+    head and the pole term N^{1-s}/(s-1) cancel, so the roundoff allowance
+    is taken on both rather than on their sum.
+    """
     n = 24
     while True:
         # first omitted correction term bounds the remainder
@@ -192,40 +173,48 @@ def _zeta_direct(s: float, tol: float) -> tuple[float, float]:
         - s * (s + 1.0) * (s + 2.0) * nf ** (-s - 3.0) / 720.0
     )
     value = head + tail
-    return value, rem + 4.0 * _EPS * abs(value)
+    return value, rem + 4.0 * _EPS * (head + abs(tail))
 
 
 def riemann_zeta(s: float, cfg: EvalConfig | None = None) -> Approximation:
     """Riemann zeta for real s != 1.
 
-    s > 2        : direct series with Euler-Maclaurin tail correction.
-    0 <= s <= 2  : accelerated alternating series.
-    s < 0        : classical functional equation, recursing on zeta(1 - s);
-                   trivial zeros at negative even integers are returned as
-                   exact zeros.
+    s >= 0 : direct series with Euler-Maclaurin tail correction.
+    s < 0  : classical functional equation, recursing on zeta(1 - s);
+             trivial zeros at negative even integers are returned as exact
+             zeros.
     """
     if s == 1.0:
         raise PoleError("zeta has a pole at s = 1")
     tol = min((cfg or DEFAULT_CONFIG).tol, 1e-13)
-    if s > 2.0:
+    if s >= 0.0:
         value, err = _zeta_direct(s, tol)
         return Approximation(value, err)
-    if s >= 0.0:
-        n = 36
-        value, err = _zeta_alternating(s, n)
-        while err > tol:
-            n += 12
-            value, err = _zeta_alternating(s, n)
-            if n > 400:
-                raise PrecisionError(f"zeta acceleration stalled at s={s}", achieved=err)
-        return Approximation(value, err + 4.0 * _EPS * abs(value))
     # s < 0
     if s == round(s) and int(round(s)) % 2 == 0:
         return Approximation(0.0, 0.0)
-    rec = riemann_zeta(1.0 - s, cfg)
-    factor = 2.0**s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0) * math.gamma(1.0 - s)
+    sig = 1.0 - s
+    rec = riemann_zeta(sig, cfg)
+    # sig is off 1 - s by dsig (TwoSum); near the pole zeta moves by up to
+    # dsig |zeta'| between them.  |zeta'(x)| = sum_{k>=2} log k k^{-x} falls
+    # in x, and its terms fall in k from k = 3 on, so at h = x - 1 > 0
+    # |zeta'(x)| <= (log 2) 2^{-x} + (log 3) 3^{-x} + int_3^inf log t t^{-x} dt;
+    # h is taken at the end nearer the pole
+    dsig = (1.0 - (sig - (sig - 1.0))) + (-s - (sig - 1.0))
+    h = (sig - 1.0) - abs(dsig)
+    log3 = math.log(3.0)
+    slope = (
+        math.log(2.0) * 2.0 ** (-1.0 - h)
+        + log3 * 3.0 ** (-1.0 - h)
+        + 3.0**-h * (log3 / h + 1.0 / (h * h))
+    )
+    # sin(pi s/2) through the offset of s/2 from its nearest integer m, so the
+    # zeros at even s cost no relative accuracy
+    m = round(s / 2.0)
+    sine = math.sin(math.pi * (s / 2.0 - m)) * (-1.0 if m % 2 else 1.0)
+    factor = 2.0**s * math.pi ** (s - 1.0) * sine * math.gamma(sig)
     value = factor * rec.value
-    err = abs(factor) * rec.err + 8.0 * _EPS * abs(value)
+    err = abs(factor) * (rec.err + abs(dsig) * slope) + 8.0 * _EPS * abs(value)
     return Approximation(value, err)
 
 
@@ -267,59 +256,76 @@ def ibp_partial_sum(beta: float, x: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_PANELS = 10
+_GL_BLOCK = 4096
 _ASYMPTOTIC_SWITCH = 30.0
 
 
-def _bessel_k_quadrature(nu: float, z: float, tol: float) -> tuple[float, float]:
+def _k_quadrature(nu: float, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """K_nu(z) = int_0^inf exp(-z cosh u) cosh(nu u) du, truncated quadrature.
 
     The integrand decays doubly exponentially; truncation at
-    u* = arccosh((ln(1/tol) + 40)/z) leaves a tail below the integrand there.
-    Composite 64-point Gauss-Legendre panels resolve the rest to roundoff.
+    u* = arccosh((ln(1/tol) + 40)/z), per z, leaves a tail below twice the
+    integrand there.  Ten equal 64-point Gauss-Legendre panels on [0, u*]
+    resolve the rest to roundoff.
     """
-    cut = (math.log(1.0 / tol) + 40.0) / z
-    ustar = math.acosh(max(cut, 1.5))
-    npanels = 10
-    total = 0.0
-    for i in range(npanels):
-        a = ustar * i / npanels
-        b = ustar * (i + 1) / npanels
-        u = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        w = 0.5 * (b - a) * _GL_WEIGHTS
-        total += float(np.dot(w, np.exp(-z * np.cosh(u)) * np.cosh(nu * u)))
-    tail = math.exp(-z * math.cosh(ustar)) * math.cosh(nu * ustar) * 2.0
-    return total, tail + 1e-14 * abs(total)
+    ustar = np.arccosh(np.maximum((math.log(1.0 / tol) + 40.0) / z, 1.5))
+    width = ustar / _GL_PANELS
+    total = np.zeros_like(z)
+    # blocks of z keep the (block, 64) node arrays small
+    for lo in range(0, z.size, _GL_BLOCK):
+        zb, wb = z[lo : lo + _GL_BLOCK, None], width[lo : lo + _GL_BLOCK, None]
+        for i in range(_GL_PANELS):
+            u = wb * (i + 0.5 + 0.5 * _GL_NODES)
+            f = np.exp(-zb * np.cosh(u)) * np.cosh(nu * u)
+            total[lo : lo + _GL_BLOCK] += (f * _GL_WEIGHTS).sum(axis=1)
+    total *= 0.5 * width
+    tail = 2.0 * np.exp(-z * np.cosh(ustar)) * np.cosh(nu * ustar)
+    return total, tail + 1e-14 * total
 
 
-def _bessel_k_asymptotic(nu: float, z: float) -> tuple[float, float]:
-    """Large-argument expansion; first omitted term bounds the truncation."""
+def _k_asymptotic(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Large-argument expansion, summed for each z until a term falls below
+    1e-18; the first omitted term bounds the truncation."""
     mu = 4.0 * nu * nu
-    term = 1.0
-    total = 1.0
-    omitted = 0.0
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    omitted = np.zeros_like(z)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(1, 40):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * z * k)
-        if abs(term) < 1e-18:
-            omitted = abs(term)
+        term = term * ((mu - (2.0 * k - 1.0) ** 2) / (8.0 * z * k))
+        omitted = np.where(live, np.abs(term), omitted)
+        live &= omitted >= 1e-18
+        if not live.any():
             break
-        total += term
-        omitted = abs(term)
-    scale = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-    return scale * total, scale * (omitted + 4.0 * _EPS * abs(total))
+        total = np.where(live, total + term, total)
+    scale = np.sqrt(math.pi / (2.0 * z)) * np.exp(-z)
+    # rounding: up to 39 additions of half an ulp each, a few ulps in the
+    # term ratios, scale and product
+    return scale * total, scale * (omitted + 24.0 * _EPS * np.abs(total))
 
 
-def bessel_k(nu: float, z: float, cfg: EvalConfig | None = None) -> Approximation:
+def bessel_k(nu: float, z, cfg: EvalConfig | None = None):
     """Modified Bessel function of the second kind, K_nu(z), z > 0, real nu.
 
-    Evenness in the order is structural: the integral representation only
-    sees cosh(nu u), so K_{-nu} = K_nu by construction.
+    ``z`` is a float or an array.  A float gives an :class:`Approximation`;
+    an array gives the pair (values, errs) of arrays of its shape.  Arguments
+    above ``_ASYMPTOTIC_SWITCH`` take the large-argument expansion, the rest
+    the quadrature, each branch evaluated once over all of its arguments.
+
+    Evenness in the order is structural: both branches see the order only
+    through cosh(nu u) or nu^2, so K_{-nu} = K_nu by construction.
     """
-    if not z > 0:
+    zs = np.asarray(z, dtype=float)
+    if not np.all(zs > 0):
         raise DomainError(f"bessel_k requires z > 0, got {z}")
     nu = abs(nu)
     tol = min((cfg or DEFAULT_CONFIG).tol * 1e-3, 1e-15)
-    if z > _ASYMPTOTIC_SWITCH:
-        value, err = _bessel_k_asymptotic(nu, z)
-    else:
-        value, err = _bessel_k_quadrature(nu, z, tol)
-    return Approximation(value, err)
+    values = np.empty_like(zs)
+    errs = np.empty_like(zs)
+    far = zs > _ASYMPTOTIC_SWITCH
+    values[far], errs[far] = _k_asymptotic(nu, zs[far])
+    values[~far], errs[~far] = _k_quadrature(nu, zs[~far], tol)
+    if zs.ndim == 0:
+        return Approximation(float(values), float(errs))
+    return values, errs

@@ -4,8 +4,11 @@ import pytest
 from epsteinzeta import (
     EvalConfig,
     NotGenericError,
+    PrecisionError,
     ScaleVector,
+    chowla,
     chowla_selberg_terms,
+    specfun,
     xi,
     xi_chowla_selberg,
 )
@@ -54,23 +57,39 @@ def test_one_dimensional_reduces_to_zeta_term():
     assert abs(left.value - right.value) <= left.err + right.err
 
 
+def test_oversized_bessel_sum_raises():
+    # the 1/1024 axis would need about 2e7 Bessel terms
+    with pytest.raises(PrecisionError):
+        xi_chowla_selberg(2, 0.7, ScaleVector([1024.0, 1.0 / 1024.0]))
+
+
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 def test_non_generic_arguments_rejected(s):
     with pytest.raises(NotGenericError):
         xi_chowla_selberg(4, s, ScaleVector.unit(4))
 
 
-def test_generic_sample_agreement():
+def test_generic_sample_agreement(monkeypatch):
+    # record every Bessel call: one per tower level, over all of its terms
+    calls = []
+
+    def recording_bessel_k(nu, z, cfg=None):
+        calls.append(np.asarray(z))
+        return specfun.bessel_k(nu, z, cfg)
+
+    monkeypatch.setattr(chowla, "bessel_k", recording_bessel_k)
     rng = np.random.default_rng(12)
     cfg = EvalConfig(tol=1e-10)
     done = 0
-    while done < 10:
+    while done < 24:
         n = int(rng.integers(2, 5))
         s = float(rng.uniform(0.2, n / 2.0 - 0.2))
         if abs(2.0 * s - round(2.0 * s)) < 5e-3:
             continue
-        scales = ScaleVector(np.exp(rng.uniform(-0.7, 0.7, size=n)))
+        scales = ScaleVector(np.exp(rng.uniform(-1.2, 1.2, size=n)))
         left = xi_chowla_selberg(n, s, scales, cfg)
         right = xi(n, s, scales, cfg)
         assert abs(left.value - right.value) <= left.err + right.err
         done += 1
+    switch = specfun._ASYMPTOTIC_SWITCH
+    assert any(z.min() <= switch < z.max() for z in calls)

@@ -59,11 +59,12 @@ def test_lambda_unit_nine_quarters():
 
 def test_xi_homogeneity():
     n, s, lam = 2, 0.8, 3.0
-    a = ScaleVector([1.0, 2.0])
-    left = xi(n, s, a.scaled(lam))
-    right = xi(n, s, a)
     factor = lam ** (n / 2.0 - 2.0 * s)
-    assert abs(left.value - factor * right.value) <= left.err + factor * right.err + 1e-12
+    # 2^-7 scales need a radial table of about 1.8e5 entries
+    for a in (ScaleVector([1.0, 2.0]), ScaleVector([2.0**-7, 2.0**-7])):
+        left = xi(n, s, a.scaled(lam))
+        right = xi(n, s, a)
+        assert abs(left.value - factor * right.value) <= left.err + factor * right.err + 1e-12
 
 
 def test_xi_pole_guards():
@@ -246,9 +247,27 @@ def test_lambda_vs_theta_product_quadrature():
 
 
 def test_precision_error_carries_bound():
-    cfg = EvalConfig(tol=1e-9, max_radius=2)
+    # the 2^-20 axis needs more steps than the lattice engine's per-axis cap
     with pytest.raises(PrecisionError):
-        xi(2, 0.7, ScaleVector([40.0, 0.025]), cfg)
+        xi(2, 0.7, ScaleVector([2.0**20, 2.0**-20]))
+
+
+# the last two run the sparse products used past _DENSE_COUNTS_MAX entries
+@pytest.mark.parametrize(
+    "dim, mmax", [(1, 30), (2, 40), (3, 30), (4, 20), (5, 12), (2, 400), (3, 300)]
+)
+def test_radial_counts_match_enumeration(dim, mmax):
+    import itertools
+
+    from epsteinzeta.epstein import _radial_counts
+
+    r = math.isqrt(mmax)
+    brute = np.zeros(mmax + 1)
+    for k in itertools.product(range(-r, r + 1), repeat=dim):
+        m = sum(x * x for x in k)
+        if m <= mmax:
+            brute[m] += 1
+    assert np.array_equal(_radial_counts(dim, mmax), brute)
 
 
 def test_anisotropic_grouping_matches_plain_enumeration():
@@ -331,7 +350,7 @@ def test_split_tail_bound_majorises_doubled_threshold(beta, a):
     assert 0.0 < c <= 0.5
     bound = _tail_bound(big_t, c, theta_prod)
     assert bound < 1e-10
-    q, w = _enumerate_q(groups, 2.0 * big_t / math.pi, 2_000_000)
+    q, w = _enumerate_q(groups, 2.0 * big_t / math.pi)
     x = math.pi * q
     beyond = x > big_t
     tail = float(np.sum(w[beyond] * _g_kernel(beta, x[beyond])))

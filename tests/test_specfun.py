@@ -120,9 +120,27 @@ def test_zeta_negative_between_zero_and_one(s):
 
 
 def test_zeta_at_half():
-    # accelerated alternating series oracle value, frozen to 1e-9
+    # zeta(1/2) = -1.46035450880958681..., to 1e-9
     v = riemann_zeta(0.5)
     assert v.value == pytest.approx(-1.4603545088095868, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "s, exact",
+    [
+        (1.0001, 10000.57722294753897031),
+        (0.999, -999.4228571557879018316),
+        (0.014466440796139013, -0.5135067872466210977659),
+        (-0.002236218178305882, -0.4979500583458920129807),
+        (-5.993042927312626, -4.10361348914761839299e-5),
+    ],
+)
+def test_zeta_err_covers_cancellation(s, exact):
+    # the pole at 1, the head/tail cancellation of the series near s = 0,
+    # the rounding of 1 - s next to the pole of zeta(1 - s) and the trivial
+    # zeros each cost relative accuracy; references are mpmath.zeta at 40 digits
+    v = riemann_zeta(s)
+    assert abs(v.value - exact) <= v.err
 
 
 @pytest.mark.parametrize(
@@ -226,11 +244,24 @@ def test_incgamma_bound_rejects_small_x():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("zval", [1.0, 2.0 * math.pi])
+@pytest.mark.parametrize(
+    "zval", [1.0, 2.0 * math.pi, np.array([1.0, 2.0 * math.pi, 29.9, 30.1, 35.0, 60.0])]
+)
 def test_bessel_k_half_order_closed_form(zval):
-    expected = math.sqrt(math.pi / (2.0 * zval)) * math.exp(-zval)
-    v = bessel_k(0.5, zval)
-    assert v.value == pytest.approx(expected, rel=1e-12)
+    # K_{1/2}(z) = sqrt(pi / (2z)) e^{-z}; the array spans both branches
+    expected = np.sqrt(math.pi / (2.0 * zval)) * np.exp(-zval)
+    if np.ndim(zval) == 0:
+        v = bessel_k(0.5, zval)
+        assert isinstance(v, Approximation)
+        values, errs = v.value, v.err
+    else:
+        values, errs = bessel_k(0.5, zval)
+        scalars = [bessel_k(0.5, float(x)) for x in zval]
+        assert np.array_equal(values, [v.value for v in scalars])
+        assert np.array_equal(errs, [v.err for v in scalars])
+    assert values == pytest.approx(expected, rel=1e-12)
+    # the closed form itself is good to a few ulps
+    assert np.all(np.abs(values - expected) <= errs + 8.0 * 2.2e-16 * expected)
 
 
 def test_bessel_k_even_in_order():
@@ -259,6 +290,15 @@ def test_bessel_k_asymptotic_branch():
     assert abs(v.value - oracle) <= v.err + 1e-18 + quad_err
 
 
+def test_bessel_k_asymptotic_rounding_in_err():
+    # the expansion is about 4 eps off here, 5% more than an allowance of
+    # 4 eps |total| admits; the reference is mpmath.besselk at 50 digits
+    v = bessel_k(1.0314815005156186, 41.5254098286656)
+    assert abs(v.value - 1.814900380893020276585279e-19) <= v.err
+
+
 def test_bessel_k_domain():
     with pytest.raises(DomainError):
         bessel_k(0.5, -1.0)
+    with pytest.raises(DomainError):
+        bessel_k(0.5, np.array([1.0, 0.0]))
