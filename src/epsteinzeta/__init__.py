@@ -13,6 +13,7 @@ from .analysis import (
     SignInterval,
     classify_critical_point,
     decide_sign,
+    decide_signs,
     find_positive_interval,
     hat_xi_second_derivative,
     large_scale_positivity,
@@ -43,6 +44,7 @@ from .epstein import (
     hat_xi,
     lambda_n,
     xi,
+    xi_many,
     z,
 )
 from .errors import (
@@ -94,6 +96,7 @@ __all__ = [
     "bessel_k",
     "lambda_n",
     "xi",
+    "xi_many",
     "z",
     "hat_xi",
     "gamma_kernel_sum",
@@ -101,6 +104,7 @@ __all__ = [
     "xi_chowla_selberg",
     "chowla_selberg_terms",
     "decide_sign",
+    "decide_signs",
     "find_positive_interval",
     "verify_negative_range",
     "critical_sign_certificates",

@@ -10,6 +10,9 @@ Covers the three computational pillars of that analysis:
   to n < 9, and a dense grid double-checks every case numerically;
 * extremum classification at the symmetry point n/4 through the second
   derivative in normalised coordinates.
+
+Every sign grid is decided in one batched call, `decide_signs`, which
+refines only the nodes still undecided.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .epstein import ScaleVector, XiValue, gamma_kernel_sum_d2, xi
+from .epstein import ScaleVector, XiValue, gamma_kernel_sum_d2, xi_many
 from .errors import AnalysisError, DomainError, IndeterminateSignError
 from .specfun import Approximation, ibp_partial_sum
 
@@ -27,6 +30,7 @@ __all__ = [
     "SignInterval",
     "BoundReport",
     "decide_sign",
+    "decide_signs",
     "find_positive_interval",
     "verify_negative_range",
     "critical_sign_certificates",
@@ -85,23 +89,45 @@ class BoundReport:
         return self.bound_value > self.threshold
 
 
+def decide_signs(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[int, XiValue]]:
+    """Sign of Xi_n(s; a) at every node (n, s, scales), with its evaluation.
+
+    All nodes are evaluated in one batched call; the tolerance is then
+    refined tenfold, up to three times, on the nodes whose error bound does
+    not yet exclude zero.  A node still undecided gets sign 0 and keeps its
+    tightest evaluation.
+    """
+    nodes = list(nodes)
+    values = xi_many(nodes, cfg)
+    pending = [i for i, v in enumerate(values) if not v.excludes_zero()]
+    c = cfg
+    for _ in range(_REFINEMENTS):
+        if not pending:
+            break
+        c = c.tighter(0.1)
+        for i, v in zip(pending, xi_many([nodes[i] for i in pending], c)):
+            values[i] = v
+        pending = [i for i in pending if not values[i].excludes_zero()]
+    return [
+        ((1 if v.value > 0 else -1) if v.excludes_zero() else 0, v) for v in values
+    ]
+
+
+def _decided(n: int, s: float, sign: int, value: XiValue) -> int:
+    if sign == 0:
+        raise IndeterminateSignError(
+            f"sign of Xi_{n}({s}) undecidable: value {value.value} within bound {value.err}"
+        )
+    return sign
+
+
 def decide_sign(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[int, XiValue]:
     """Sign of Xi_n(s; a) with the error bound required to exclude zero.
 
     Refines the tolerance tenfold up to three times before giving up.
     """
-    c = cfg
-    value = xi(n, s, scales, c)
-    for _ in range(_REFINEMENTS):
-        if value.excludes_zero():
-            break
-        c = c.tighter(0.1)
-        value = xi(n, s, scales, c)
-    if not value.excludes_zero():
-        raise IndeterminateSignError(
-            f"sign of Xi_{n}({s}) undecidable: value {value.value} within bound {value.err}"
-        )
-    return (1 if value.value > 0 else -1), value
+    [(sign, value)] = decide_signs([(n, s, scales)], cfg)
+    return _decided(n, s, sign, value), value
 
 
 def _unit_grid(n: int) -> list[float]:
@@ -129,7 +155,8 @@ def find_positive_interval(
 
     unit = ScaleVector.unit(n)
     grid = _unit_grid(n)
-    signs = [decide_sign(n, s, unit, cfg)[0] for s in grid]
+    decided = decide_signs([(n, s, unit) for s in grid], cfg)
+    signs = [_decided(n, s, *d) for s, d in zip(grid, decided)]
     if signs[0] >= 0:
         raise AnalysisError(f"Xi_{n} unexpectedly nonnegative at s={grid[0]}")
     if signs[-1] <= 0:
@@ -234,25 +261,26 @@ def verify_negative_range(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Boun
                 BoundReport(f"stair({lo},{hi}]", pole + kern, "upper", "negative", threshold=0.0)
             )
 
-    unit = ScaleVector.unit(n)
     grid = _unit_grid(n)[1:]  # the 0.01-step grid; 1e-4 is trivially negative
-    worst = -math.inf
-    for s in grid:
-        sign, value = decide_sign(n, s, unit, cfg)
-        if sign >= 0:
-            raise AnalysisError(f"Xi_{n}({s}) is not negative; negativity scan failed")
-        worst = max(worst, value.value + value.err)
-    reports.append(
-        BoundReport(f"grid_negativity_n{n}", worst, "upper", "negative", threshold=0.0)
-    )
-
+    unit, unit9 = ScaleVector.unit(n), ScaleVector.unit(9)
+    nodes = [(n, s, unit) for s in grid]
     if n < 9:
         # Xi_n(s) = XiHat_n(2s/n) < XiHat_9(2s/n) = Xi_9(9s/n): monotone in
         # the dimension at fixed normalised argument
-        worst9 = -math.inf
-        for s in grid:
-            _, value9 = decide_sign(9, 9.0 * s / n, ScaleVector.unit(9), cfg)
-            worst9 = max(worst9, value9.value + value9.err)
+        nodes += [(9, 9.0 * s / n, unit9) for s in grid]
+    decided = decide_signs(nodes, cfg)
+    own, majorant = decided[: len(grid)], decided[len(grid) :]
+    for s, (sign, value) in zip(grid, own):
+        if _decided(n, s, sign, value) > 0:
+            raise AnalysisError(f"Xi_{n}({s}) is not negative; negativity scan failed")
+    for (_, s9, _), (sign, value) in zip(nodes[len(grid) :], majorant):
+        _decided(9, s9, sign, value)
+    worst = max(value.value + value.err for _, value in own)
+    reports.append(
+        BoundReport(f"grid_negativity_n{n}", worst, "upper", "negative", threshold=0.0)
+    )
+    if majorant:
+        worst9 = max(value.value + value.err for _, value in majorant)
         reports.append(
             BoundReport(f"dim9_majorant_n{n}", worst9, "upper", "negative", threshold=0.0)
         )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis, convexity, regions
 from .config import EvalConfig
-from .epstein import ScaleVector, xi, z
+from .epstein import ScaleVector, xi, xi_many, z
 from .errors import IndeterminateSignError, SpecialPointError
 
 EXIT_OK = 0
@@ -171,9 +171,9 @@ def _cmd_interval(args, cfg: EvalConfig, out: _Output) -> None:
     if args.sweep:
         out.rows = [["s", "value", "err"]]
         out.results["sweep"] = []
-        for i in range(args.sweep):
-            s = (i + 0.5) / args.sweep * (args.n / 2.0)
-            v = xi(args.n, s, ScaleVector.unit(args.n), cfg)
+        unit = ScaleVector.unit(args.n)
+        points = [(i + 0.5) / args.sweep * (args.n / 2.0) for i in range(args.sweep)]
+        for s, v in zip(points, xi_many([(args.n, s, unit) for s in points], cfg)):
             out.rows.append([_fmt(s), _fmt(v.value), _fmt(v.err)])
             out.results["sweep"].append({"s": s, "value": v.value, "err": v.err})
             out.line(f"s={s:.6f}  Xi={v.value:.10g}  err={v.err:.2e}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .epstein import ScaleVector, XiValue, xi
+from .epstein import ScaleVector, XiValue, xi_many
 from .errors import DomainError
 from .specfun import Approximation, theta_log_derivatives, theta_with_derivatives
 
@@ -289,9 +289,9 @@ def midpoint_convexity_xi(
         raise DomainError(f"chart is {chart.n}-dimensional, expected {n}")
     b1 = np.asarray(b1, dtype=float).reshape(chart.j)
     b2 = np.asarray(b2, dtype=float).reshape(chart.j)
-    left = xi(n, s, chart.scales(b1), cfg)
-    right = xi(n, s, chart.scales(b2), cfg)
-    mid = xi(n, s, chart.scales(0.5 * (b1 + b2)), cfg)
+    left, right, mid = xi_many(
+        [(n, s, chart.scales(b)) for b in (b1, b2, 0.5 * (b1 + b2))], cfg
+    )
     slack = 0.5 * (left.value + right.value) - mid.value
     allowance = 0.5 * (left.err + right.err) + mid.err
     return MidpointReport(left, right, mid, slack, holds=slack >= -allowance)
@@ -356,13 +356,17 @@ def verify_minimum_at_equal_scales(
     equal-scale point in max log-coordinates.
     """
     rng = np.random.default_rng(seed)
-    base = xi(n, s, ScaleVector.unit(n), cfg)
-    failures = 0
-    min_margin = math.inf
+    draws = []
     for _ in range(samples):
         logs = rng.uniform(-1.0, 1.0, size=n - 1)
-        logs = np.append(logs, -logs.sum())
-        value = xi(n, s, ScaleVector(np.exp(logs)), cfg)
+        draws.append(np.append(logs, -logs.sum()))
+    base, *values = xi_many(
+        [(n, s, ScaleVector.unit(n))] + [(n, s, ScaleVector(np.exp(logs))) for logs in draws],
+        cfg,
+    )
+    failures = 0
+    min_margin = math.inf
+    for logs, value in zip(draws, values):
         gap = value.value - base.value
         combined = value.err + base.err
         if gap < -2.0 * combined:

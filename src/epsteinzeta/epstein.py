@@ -23,10 +23,28 @@ arithmetic steps, and the exact product then costs one theta call per group
 of equal scales.  Equal scales are also summed radially through exact
 representation counts, so isotropic directions cost O(T) terms instead of
 O(T^{n/2}).
+
+Every kernel sum goes through one batched engine, `_kernel_sums`.  A job is
+(orders, scales, tol); its threshold T is chosen alone, by scalar arithmetic.
+Jobs with the same pattern of group counts share a bucket.  A bucket's
+integer tables (squares for single axes, representation counts for groups)
+are built once, and its lattices are enumerated together, each partial point
+carrying the index of its job, so every job's points end up contiguous with
+its origin first.  The origin gets weight zero, which keeps every job's
+segment nonempty.  A bucket is cut into chunks of whole jobs of at most
+`_CHUNK_POINTS` points, which bounds memory; a larger single lattice runs
+alone.  Each chunk makes one gammaincc call with per-point orders and sums
+each job by np.add.reduceat over its segment.  reduceat keeps numpy's
+pairwise summation, so the flat rounding allowance 5e-15 sum|terms| holds on
+large lattices, where a sequential sum (np.bincount) would not.  A job's
+value and err do not depend on the batch it is evaluated in.  `xi` is a
+batch of one node, whose two kernel sums S(s; a) and S(n/2 - s; 1/a) are two
+jobs in one bucket; `xi_many` evaluates many nodes in one call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +64,7 @@ __all__ = [
     "gamma_kernel_sum_multi",
     "lambda_n",
     "xi",
+    "xi_many",
     "z",
     "hat_xi",
     "functional_equation_residual",
@@ -57,6 +76,8 @@ _POLE_GUARD = 1e-6
 # table sizes) and on the enumerated lattice; past them PrecisionError
 _MAX_RADIUS = 2_000_000
 _MAX_POINTS = 60_000_000
+# lattice points per enumeration chunk of a batch; one larger lattice runs alone
+_CHUNK_POINTS = 1 << 13
 # radial tables up to this length are cheaper as dense binary powers
 _DENSE_COUNTS_MAX = 256
 
@@ -120,7 +141,6 @@ class XiValue:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _radial_counts(dim: int, mmax: int) -> np.ndarray:
     """Coefficients of theta(q)^dim up to q^mmax, as float64.
 
@@ -152,58 +172,110 @@ def _radial_counts(dim: int, mmax: int) -> np.ndarray:
     return result
 
 
+@lru_cache(maxsize=None)
+def _radial_table(dim: int, mmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, r_dim(m)) over the m <= mmax that are sums of dim squares."""
+    counts = _radial_counts(dim, mmax)
+    keep = counts > 0
+    return np.arange(mmax + 1, dtype=np.float64)[keep], counts[keep]
+
+
 def _group_scales(a: tuple[float, ...]) -> list[tuple[float, int]]:
     groups: dict[float, int] = {}
     for x in a:
         groups[x] = groups.get(x, 0) + 1
+    # ordered by count, so a and 1/a share one pattern of counts, then
     # largest scales first: their tables are shortest and prune hardest
-    return sorted(groups.items(), key=lambda kv: -kv[0])
+    return sorted(groups.items(), key=lambda kv: (kv[1], -kv[0]))
 
 
-def _group_table(scale: float, count: int, qmax: float):
-    """Sorted (q, weight) arrays for one group of equal scales.
+def _group_table(count: int, scale: np.ndarray, qmax: np.ndarray):
+    """Sorted (m, weight) table of one group level, shared by a bucket's jobs.
 
-    q runs over scale^2 * m with m a sum of `count` integer squares and
-    weight the number of representations; singleton groups enumerate k >= 0
-    directly with weight 2 off the origin.
+    m runs over the sums of `count` integer squares with scale^2 m <= qmax for
+    some job, weight over their representation counts; a single axis takes
+    m = k^2, k >= 0, with weight 2 off the origin.
     """
     if count == 1:
-        kmax = int(math.floor(math.sqrt(qmax) / scale))
+        kmax = int(np.floor(np.sqrt(qmax) / scale).max())
         if kmax + 1 > _MAX_RADIUS:
             raise PrecisionError(f"per-axis range {kmax} exceeds {_MAX_RADIUS}")
         ks = np.arange(kmax + 1, dtype=np.float64)
-        q = (scale * ks) ** 2
         w = np.full(kmax + 1, 2.0)
         w[0] = 1.0
-        return q, w
-    mmax = int(math.floor(qmax / (scale * scale)))
+        return ks * ks, w
+    mmax = int(np.floor(qmax / (scale * scale)).max())
     if mmax + 1 > _MAX_RADIUS:
         raise PrecisionError(f"radial table size {mmax} exceeds {_MAX_RADIUS}")
-    counts = _radial_counts(count, mmax)
-    m = np.arange(mmax + 1, dtype=np.float64)
-    keep = counts > 0
-    return (scale * scale) * m[keep], counts[keep]
+    return _radial_table(count, mmax)
 
 
-def _enumerate_q(groups: list[tuple[float, int]], qmax: float):
-    """All nonzero values Q(k) <= qmax with multiplicities, as flat arrays."""
-    q = np.array([0.0])
-    w = np.array([1.0])
-    for scale, count in groups:
-        gq, gw = _group_table(scale, count, qmax)
-        # per-partial admissible prefix of the (sorted) group table
-        lens = np.searchsorted(gq, qmax - q, side="right")
-        total = int(lens.sum())
+def _enumerate(pattern: tuple[int, ...], scales: np.ndarray, qmax: np.ndarray):
+    """Lattice points Q(k) <= qmax[j] of every job j of one bucket.
+
+    scales[level, j] is job j's scale in the level-th group of `pattern`.
+    Yields chunks (q, w, first, counts) of the whole jobs first, first + 1,
+    ..., each job's counts[i] points contiguous with its origin first; a
+    chunk holds at most _CHUNK_POINTS points unless it is a single job.
+    """
+    tables = [_group_table(count, scales[level], qmax) for level, count in enumerate(pattern)]
+    a2 = scales * scales
+
+    def expand(level: int, q, w, node, lens=None):
+        while True:
+            m, weight = tables[level]
+            # one job: its qmax and scale are scalars, else one per partial
+            at = node[0] if node[0] == node[-1] else node
+            a2p = a2[level][at]
+            if lens is None:
+                # per-partial admissible prefix of the (sorted) shared table
+                lens = m.searchsorted((qmax[at] - q) / a2p, side="right")
+            cuts = _cuts(node, lens)
+            if len(cuts) > 1:
+                for lo, hi in cuts:
+                    yield from expand(level, q[lo:hi], w[lo:hi], node[lo:hi], lens[lo:hi])
+                return
+            idx = np.arange(int(lens.sum()))
+            idx -= (lens.cumsum() - lens).repeat(lens)
+            nq, nw = m[idx], weight[idx]
+            del idx
+            nq *= a2p if np.ndim(a2p) == 0 else a2p.repeat(lens)
+            nq += q.repeat(lens)
+            nw *= w.repeat(lens)
+            level += 1
+            if level == len(tables):
+                break
+            q, w, node, lens = nq, nw, node.repeat(lens), None
+        first = int(node[0])
+        # points per job; float sums of integers, exact far beyond _MAX_POINTS
+        counts = np.bincount(node - first, weights=lens).astype(np.int64)
+        del q, w, node, a2p, lens
+        yield nq, nw, first, counts
+
+    jobs = len(qmax)
+    yield from expand(0, np.zeros(jobs), np.ones(jobs), np.arange(jobs, dtype=np.int32))
+
+
+def _cuts(node: np.ndarray, lens: np.ndarray) -> list[tuple[int, int]]:
+    """Partial-index ranges of whole jobs whose expansions fit _CHUNK_POINTS."""
+    total = int(lens.sum())
+    if total <= _CHUNK_POINTS or node[0] == node[-1]:
         if total > _MAX_POINTS:
             raise PrecisionError(
                 f"lattice enumeration would need {total} points (cap {_MAX_POINTS})"
             )
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        idx = np.arange(total) - np.repeat(starts, lens)
-        q = np.repeat(q, lens) + gq[idx]
-        w = np.repeat(w, lens) * gw[idx]
-    mask = q > 0.0
-    return q[mask], w[mask]
+        return [(0, len(lens))]
+    first = int(node[0])
+    sizes = np.bincount(node - first, weights=lens).astype(np.int64)
+    starts = node.searchsorted(np.arange(first, first + len(sizes)))
+    cuts, lo, acc = [], 0, 0
+    for at, size in zip(starts.tolist(), sizes.tolist()):
+        if acc and acc + size > _CHUNK_POINTS:
+            cuts.append((lo, at))
+            lo, acc = at, 0
+        acc += size
+    cuts.append((lo, len(lens)))
+    return cuts
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +283,61 @@ def _enumerate_q(groups: list[tuple[float, int]], qmax: float):
 # ---------------------------------------------------------------------------
 
 
-def _g_kernel(beta: float, x: np.ndarray) -> np.ndarray:
-    if beta > 0:
-        return x ** (-beta) * gammaincc(beta, x) * math.gamma(beta)
-    if beta == round(beta):
-        # Gamma(-m, x) = x^{-m} E_{m+1}(x), hence the kernel is E_{m+1} itself
-        return expn(int(round(-beta)) + 1, x)
-    k = int(math.floor(-beta)) + 1  # smallest shift making beta + k > 0
-    if min(abs(beta + j) for j in range(k)) < 1e-8:
-        raise DomainError(
-            f"kernel order beta={beta} too close to a nonpositive integer"
-        )
-    g = gammaincc(beta + k, x) * math.gamma(beta + k)
-    ex = np.exp(-x)
-    for j in range(k - 1, -1, -1):
-        b = beta + j
-        g = (g - x**b * ex) / b
-    return x ** (-beta) * g
+def _g_kernel(orders, x: np.ndarray, lens=None) -> np.ndarray:
+    """g(beta, x) = x^{-beta} Gamma(beta, x) at every x.
+
+    `orders` is one order for all of x, or one order per consecutive segment
+    of x with lengths `lens`.  One gammaincc call covers every point: an
+    order beta <= 0 enters it shifted to beta + k > 0 and comes down through
+    Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b, except the integers -m,
+    whose kernel is E_{m+1}(x) itself.
+    """
+    shape = np.shape(x)
+    if lens is None:
+        orders, lens = [float(orders)], [math.prod(shape)]
+        x = np.reshape(x, -1)
+    # one order for all points (a lone large lattice) stays a scalar, which
+    # saves the per-point order arrays; the results are bit-equal
+    uniform = min(orders) == max(orders)
+
+    def spread(values):
+        return np.float64(values[0]) if uniform else np.array(values).repeat(lens)
+
+    def full(values):
+        return np.broadcast_to(spread(values), x.shape)
+
+    shifted, shifts = [], []
+    for b in orders:
+        if b > 0:
+            k = 0
+        elif b == round(b):
+            k = -1  # E_{m+1}; its gammaincc slot takes the harmless order 1
+        else:
+            k = int(math.floor(-b)) + 1  # smallest shift making beta + k > 0
+            if min(abs(b + j) for j in range(k)) < 1e-8:
+                raise DomainError(f"kernel order beta={b} too close to a nonpositive integer")
+        shifted.append(b + k if k >= 0 else 1.0)
+        shifts.append(k)
+    beta = spread(orders)
+    g = gammaincc(spread(shifted) if any(shifts) else beta, x)
+    g *= spread([math.gamma(b) for b in shifted])
+    if max(shifts) > 0:
+        ex = np.exp(-x)
+        steps, betas = full(shifts), full(orders)
+        for j in range(max(shifts) - 1, -1, -1):
+            if uniform:  # one order: update in place, without masks
+                b = beta + j
+                g -= np.power(x, b) * ex
+                g /= b
+            else:
+                sel = steps > j
+                b = betas[sel] + j
+                g[sel] = (g[sel] - np.power(x[sel], b) * ex[sel]) / b
+    g *= np.power(x, -beta)
+    if min(shifts) < 0:
+        sel = full(shifts) < 0
+        g[sel] = expn(full([1 - int(b) if k < 0 else 0 for b, k in zip(orders, shifts)])[sel], x[sel])
+    return g.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +401,75 @@ def _choose_T(
 
 
 # ---------------------------------------------------------------------------
+# The batched kernel-sum engine
+# ---------------------------------------------------------------------------
+
+
+def _job(orders: tuple[float, ...], a: tuple[float, ...], tol: float):
+    """One kernel-sum job: its orders, group-count pattern, group scales,
+    qmax = T/pi and the tail bound at T, the threshold chosen for tol."""
+    groups = _group_scales(a)
+    big_t, c, theta_prod = _choose_T(orders, groups, tol)
+    return (
+        orders,
+        tuple(count for _, count in groups),
+        tuple(scale for scale, _ in groups),
+        big_t / math.pi,
+        _tail_bound(big_t, c, theta_prod),
+    )
+
+
+def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
+    """(values, errs) of S(beta; a) for every order of every `_job`, flat in
+    job order.
+
+    Each job sums over its own truncated lattice, so its results do not
+    depend on the other jobs of the batch; jobs with one group-count pattern
+    share one enumeration and one kernel call per chunk.
+    """
+    offsets = list(itertools.accumulate((len(job[0]) for job in jobs), initial=0))
+    values, errs = [0.0] * offsets[-1], [0.0] * offsets[-1]
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for i, job in enumerate(jobs):
+        buckets.setdefault(job[1], []).append(i)
+    for pattern, members in buckets.items():
+        scales = np.array([jobs[i][2] for i in members]).T
+        qmax = np.array([jobs[i][3] for i in members])
+        for q, w, first, counts in _enumerate(pattern, scales, qmax):
+            starts = np.cumsum(counts) - counts
+            # the origin's term is zero: it keeps every segment nonempty
+            q[starts] = 1.0
+            w[starts] = 0.0
+            chunk = members[first : first + len(counts)]
+            reps = [len(jobs[i][0]) for i in chunk]
+            if max(reps) > 1:
+                # one copy of a job's points per order
+                src = np.repeat(starts, reps)
+                counts = np.repeat(counts, reps)
+                starts = np.cumsum(counts) - counts
+                idx = np.arange(int(counts.sum())) + np.repeat(src - starts, counts)
+                q, w = q[idx], w[idx]
+            orders = [b for i in chunk for b in jobs[i][0]]
+            q *= math.pi
+            terms = _g_kernel(orders, q, counts)
+            terms *= w
+            del q, w
+            sums = np.add.reduceat(terms, starts).tolist()
+            # terms of a positive order are nonnegative: there the sum is the mass
+            mass = sums if min(orders) > 0 else np.add.reduceat(np.abs(terms), starts).tolist()
+            k = 0
+            for i in chunk:
+                tail = jobs[i][4]
+                for at in range(offsets[i], offsets[i + 1]):
+                    values[at] = sums[k]
+                    # terms share one sign except far outside the critical
+                    # strip, so pairwise summation costs a few ulps of the mass
+                    errs[at] = tail + 5e-15 * mass[k] * (4.0 if orders[k] <= 0 else 1.0)
+                    k += 1
+    return values, errs
+
+
+# ---------------------------------------------------------------------------
 # Kernel sums and the public operations
 # ---------------------------------------------------------------------------
 
@@ -311,21 +490,8 @@ def gamma_kernel_sum_multi(
     truncation sets that differ between evaluations would not cancel.
     """
     sv = ScaleVector.ensure(scales)
-    betas = tuple(float(b) for b in betas)
-    groups = _group_scales(sv.a)
-    big_t, c, theta_prod = _choose_T(betas, groups, cfg.tol / 4.0)
-    q, w = _enumerate_q(groups, big_t / math.pi)
-    x = math.pi * q
-    tail = _tail_bound(big_t, c, theta_prod)
-    out = []
-    for b in betas:
-        terms = w * _g_kernel(b, x)
-        value = float(terms.sum())
-        # terms share one sign except far outside the critical strip, so
-        # pairwise summation costs a few ulps of the absolute mass
-        rounding = 5e-15 * float(np.abs(terms).sum()) * (4.0 if b <= 0 else 1.0)
-        out.append(Approximation(value, tail + rounding))
-    return out
+    values, errs = _kernel_sums([_job(tuple(float(b) for b in betas), sv.a, cfg.tol / 4.0)])
+    return [Approximation(v, e) for v, e in zip(values, errs)]
 
 
 def gamma_kernel_sum_d2(
@@ -357,7 +523,16 @@ def _check_not_pole(n: int, s: float) -> None:
         raise PoleError(f"s={s} is inside the guard band around the pole at n/2")
 
 
-def _reflected_kernel_sum(n: int, s: float, recip: ScaleVector, cfg: EvalConfig) -> Approximation:
+def _lambda_jobs(n: int, s: float, sv: ScaleVector, tol_a: float, tol_recip: float):
+    """The jobs of S(s; a) and S(n/2 - s; 1/a), and min(1/a)."""
+    recip = tuple(1.0 / x for x in sv.a)
+    return [
+        _job((s,), sv.a, tol_a / 4.0),
+        _job((n / 2.0 - s,), recip, tol_recip / 4.0),
+    ], min(recip)
+
+
+def _reflected(n: int, s: float, kernel: Approximation, recip_min: float) -> Approximation:
     """S(n/2 - s; 1/a), with the rounding of the order n/2 - s in its err.
 
     The order is evaluated at beta = fl(n/2 - s), off the exact order by
@@ -372,8 +547,7 @@ def _reflected_kernel_sum(n: int, s: float, recip: ScaleVector, cfg: EvalConfig)
     half = n / 2.0
     beta = half - s
     dbeta = (half - (beta - (beta - half))) + (-s - (beta - half))
-    kernel = gamma_kernel_sum(beta, recip, cfg)
-    x_min = math.pi * min(recip.a) ** 2
+    x_min = math.pi * recip_min**2
     slope = (abs(kernel.value) + kernel.err) * math.log1p(max(beta, 1.0) / x_min)
     return Approximation(kernel.value, kernel.err + abs(dbeta) * slope)
 
@@ -383,30 +557,51 @@ def lambda_n(s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximatio
     (s, a) -> (n/2 - s, 1/a)."""
     sv = ScaleVector.ensure(scales)
     n = len(sv)
+    s = float(s)
     _check_not_pole(n, s)
-    first = gamma_kernel_sum(s, sv, cfg)
-    second = _reflected_kernel_sum(n, s, sv.reciprocal(), cfg)
+    jobs, recip_min = _lambda_jobs(n, s, sv, cfg.tol, cfg.tol)
+    (v1, v2), (e1, e2) = _kernel_sums(jobs)
+    first = Approximation(v1, e1)
+    second = _reflected(n, s, Approximation(v2, e2), recip_min)
     value = first.value + second.value
     return Approximation(value, first.err + second.err + 2.0 * _EPS * abs(value))
 
 
+def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
+    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call.
+
+    Each value and err is the one `xi` returns at that node, bit for bit.
+    """
+    jobs, nodes_at = [], []
+    for n, s, scales in nodes:
+        sv = ScaleVector.ensure(scales)
+        if len(sv) != n:
+            raise DomainError(f"expected {n} scales, got {len(sv)}")
+        s = float(s)
+        _check_not_pole(n, s)
+        v = sv.V
+        # split the tolerance by the V-weights so the assembled error meets tol
+        pair, recip_min = _lambda_jobs(n, s, sv, cfg.tol * (0.5 / v), cfg.tol * (0.5 * v))
+        jobs += pair
+        nodes_at.append((n, s, v, recip_min))
+    values, errs = _kernel_sums(jobs)
+    out = []
+    for k, (n, s, v, recip_min) in enumerate(nodes_at):
+        first = Approximation(values[2 * k], errs[2 * k])
+        second = _reflected(n, s, Approximation(values[2 * k + 1], errs[2 * k + 1]), recip_min)
+        value = math.fsum(
+            (-v / s, -(1.0 / v) / (n / 2.0 - s), v * first.value, second.value / v)
+        )
+        err = v * first.err + second.err / v + 4.0 * _EPS * (
+            v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value)
+        )
+        out.append(XiValue(value, err, n, s))
+    return out
+
+
 def xi(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
     """Xi_n(s; a): pole terms plus the V-weighted kernel sums."""
-    sv = ScaleVector.ensure(scales)
-    if len(sv) != n:
-        raise DomainError(f"expected {n} scales, got {len(sv)}")
-    _check_not_pole(n, s)
-    v = sv.V
-    # split the tolerance by the V-weights so the assembled error meets tol
-    first = gamma_kernel_sum(s, sv, cfg.tighter(0.5 / v))
-    second = _reflected_kernel_sum(n, s, sv.reciprocal(), cfg.tighter(0.5 * v))
-    value = math.fsum(
-        (-v / s, -(1.0 / v) / (n / 2.0 - s), v * first.value, second.value / v)
-    )
-    err = v * first.err + second.err / v + 4.0 * _EPS * (
-        v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value)
-    )
-    return XiValue(value, err, n, s)
+    return xi_many([(n, s, scales)], cfg)[0]
 
 
 def z(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
@@ -449,6 +644,5 @@ def functional_equation_residual(
     different lattices), so agreement is evidence, not tautology.
     """
     sv = ScaleVector.ensure(scales)
-    left = xi(n, s, sv, cfg)
-    right = xi(n, n / 2.0 - s, sv.reciprocal(), cfg)
+    left, right = xi_many([(n, s, sv), (n, n / 2.0 - s, sv.reciprocal())], cfg)
     return abs(left.value - right.value)

@@ -3,7 +3,9 @@ discrete-convexity certification of the negative region.
 
 A scan labels every node of a rectangular grid in chart coordinates with the
 sign of Xi there; a sign is only asserted when the error bound excludes zero,
-otherwise the node is marked indeterminate.  The negative region in these
+otherwise the node is marked indeterminate and keeps its tightest
+evaluation.  All nodes are decided in one batched call (`decide_signs`),
+which refines only the nodes still undecided.  The negative region in these
 coordinates is convex, hence connected, and the certifiers check the discrete
 shadow of both facts on the sampled grid: one 2j-adjacency component, and no
 positive cell inside the convex hull of the negative cells.
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import decide_sign
+from .analysis import decide_signs
 from .config import DEFAULT_CONFIG, EvalConfig
 from .convexity import HyperplaneChart
-from .epstein import xi
-from .errors import DomainError, IndeterminateSignError
+from .errors import DomainError
 
 __all__ = [
     "RegionGrid",
@@ -107,17 +108,14 @@ def scan(
         raise DomainError("bounds and steps must match the chart's free dimensions")
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps)]
     shape = tuple(steps)
-    labels = np.zeros(shape, dtype=np.int8)
-    values = np.zeros(shape)
-    errs = np.zeros(shape)
-    for idx in np.ndindex(*shape):
-        b = np.array([axes[d][idx[d]] for d in range(chart.j)])
-        try:
-            labels[idx], value = decide_sign(n, s, chart.scales(b), cfg)
-        except IndeterminateSignError:
-            labels[idx], value = INDETERMINATE, xi(n, s, chart.scales(b), cfg)
-        values[idx] = value.value
-        errs[idx] = value.err
+    nodes = [
+        (n, s, chart.scales(np.array([axes[d][idx[d]] for d in range(chart.j)])))
+        for idx in np.ndindex(*shape)
+    ]
+    decided = decide_signs(nodes, cfg)  # sign 0, undecided, is INDETERMINATE
+    labels = np.array([sign for sign, _ in decided], dtype=np.int8).reshape(shape)
+    values = np.array([value.value for _, value in decided]).reshape(shape)
+    errs = np.array([value.err for _, value in decided]).reshape(shape)
     return RegionGrid(chart, n, s, bounds, steps, labels, values, errs)
 
 

@@ -38,6 +38,9 @@ _EPS = 2.2204460492503131e-16
 # Keep theta-series errors close to roundoff so downstream error budgets are
 # dominated by lattice tails.
 _SERIES_FLOOR = 1e-17
+# riemann_zeta(s) for -1e-6 < s < 0 is zeta(0) + s zeta'(0), within 1.01 s^2;
+# the functional equation's err there grows like 4e-17/|s| (4e-11 at -1e-6)
+_TAYLOR_AT_ZERO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,8 @@ def riemann_zeta(s: float, cfg: EvalConfig | None = None) -> Approximation:
     s >= 0 : direct series with Euler-Maclaurin tail correction.
     s < 0  : classical functional equation, recursing on zeta(1 - s);
              trivial zeros at negative even integers are returned as exact
-             zeros.
+             zeros; s above -_TAYLOR_AT_ZERO takes the first-order Taylor
+             term at 0.
     """
     if s == 1.0:
         raise PoleError("zeta has a pole at s = 1")
@@ -193,6 +197,13 @@ def riemann_zeta(s: float, cfg: EvalConfig | None = None) -> Approximation:
     # s < 0
     if s == round(s) and int(round(s)) % 2 == 0:
         return Approximation(0.0, 0.0)
+    if s > -_TAYLOR_AT_ZERO:
+        # 1 - s rounds to 1 below half an ulp, and beyond it the rounding of
+        # 1 - s next to the pole of zeta(1 - s) costs far more than the
+        # Taylor remainder: zeta(s) = zeta(0) + s zeta'(0) + s^2 zeta''(x)/2
+        # with zeta(0) = -1/2, zeta'(0) = -log(2 pi)/2, |zeta''| < 2.01 here
+        value = -0.5 - 0.5 * s * math.log(2.0 * math.pi)
+        return Approximation(value, 1.01 * s * s + _EPS * abs(value))
     sig = 1.0 - s
     rec = riemann_zeta(sig, cfg)
     # sig is off 1 - s by dsig (TwoSum); near the pole zeta moves by up to

@@ -343,14 +343,17 @@ def test_default_tol_agrees_with_tight_reference(n, s, a):
     ],
 )
 def test_split_tail_bound_majorises_doubled_threshold(beta, a):
-    from epsteinzeta.epstein import _choose_T, _enumerate_q, _g_kernel, _group_scales, _tail_bound
+    from epsteinzeta.epstein import _choose_T, _enumerate, _g_kernel, _group_scales, _tail_bound
 
     groups = _group_scales(a)
     big_t, c, theta_prod = _choose_T((beta,), groups, 1e-10)
     assert 0.0 < c <= 0.5
     bound = _tail_bound(big_t, c, theta_prod)
     assert bound < 1e-10
-    q, w = _enumerate_q(groups, 2.0 * big_t / math.pi)
+    # one job enumerated alone: a single chunk, origin included
+    pattern = tuple(count for _, count in groups)
+    scales = np.array([[scale] for scale, _ in groups])
+    [(q, w, _, _)] = list(_enumerate(pattern, scales, np.array([2.0 * big_t / math.pi])))
     x = math.pi * q
     beyond = x > big_t
     tail = float(np.sum(w[beyond] * _g_kernel(beta, x[beyond])))

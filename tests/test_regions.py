@@ -5,6 +5,7 @@ import pytest
 
 from epsteinzeta import (
     DomainError,
+    EvalConfig,
     ScaleVector,
     certify_connected,
     certify_discrete_convex,
@@ -16,7 +17,7 @@ from epsteinzeta import (
     standard_chart,
     xi,
 )
-from epsteinzeta.regions import NEGATIVE, POSITIVE
+from epsteinzeta.regions import INDETERMINATE, NEGATIVE, POSITIVE
 
 
 def disk_labels(size=21, radius2=36):
@@ -64,6 +65,34 @@ def test_single_cell_scan_at_origin():
     grid = scan(2, 0.5, kratio_chart(2), [(0.0, 0.0)], [1])
     assert grid.labels[(0,)] == NEGATIVE
     assert grid.values[(0,)] == pytest.approx(xi(2, 0.5, ScaleVector.unit(2)).value)
+
+
+def test_scan_values_equal_xi_bit_for_bit():
+    chart = kratio_chart(3)
+    grid = scan(3, 0.7, chart, [(-2.0, 2.0)] * 2, [5, 5])
+    axes = grid.axes()
+    for idx in np.ndindex(*grid.steps):
+        v = xi(3, 0.7, chart.scales([axes[0][idx[0]], axes[1][idx[1]]]))
+        assert (grid.values[idx], grid.errs[idx]) == (v.value, v.err)
+
+
+def test_scan_keeps_tightest_evaluation_of_undecided_node():
+    # a node on the zero crossing of Xi along the chart stays undecided
+    # through every refinement; it reports its last, tightest evaluation
+    chart = kratio_chart(3, 1)
+    lo, hi = 1.2, 1.41  # Xi_3(0.7) changes sign on this stretch
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if xi(3, 0.7, chart.scales([mid]), EvalConfig(tol=1e-13)).value < 0:
+            lo = mid
+        else:
+            hi = mid
+    cfg = EvalConfig(tol=1e-3)
+    grid = scan(3, 0.7, chart, [(lo, lo)], [1], cfg)
+    assert grid.labels[0] == INDETERMINATE
+    tightest = xi(3, 0.7, chart.scales([lo]), cfg.tighter(0.1).tighter(0.1).tighter(0.1))
+    assert (grid.values[0], grid.errs[0]) == (tightest.value, tightest.err)
+    assert grid.errs[0] < xi(3, 0.7, chart.scales([lo]), cfg).err
 
 
 def test_scan_origin_negative_n3():

@@ -152,6 +152,17 @@ def test_zeta_even_values_match_bernoulli(k, bern):
     assert riemann_zeta(2.0 * k).value == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("s", [-1.08e-16, 1e-300, -1e-300, -5e-7, -2.7])
+def test_zeta_near_zero_matches_mpmath(s):
+    # below half an ulp of 1 the functional equation would evaluate zeta(1)
+    import mpmath
+
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(mpmath.mpf(s))
+        v = riemann_zeta(s)
+        assert abs(mpmath.mpf(v.value) - exact) <= v.err
+
+
 def test_zeta_pole():
     with pytest.raises(PoleError):
         riemann_zeta(1.0)
