@@ -6,8 +6,8 @@ Covers the three computational pillars of that analysis:
   as observed on every scanned grid, a single interval (gamma, n/2 - gamma)
   symmetric about n/4; bisection pins gamma down to 1e-5 brackets;
 * negativity for n <= 9: a staircase of closed-form bounds certifies
-  Xi_9 < 0 on (0, 9/4], monotonicity in the dimension transports the result
-  to n < 9, and a dense grid double-checks every case numerically;
+  Xi_9 < 0 on all of (0, 9/4], monotonicity in the dimension carries it to
+  every n < 9, and a dense grid of Xi_n itself double-checks each case;
 * extremum classification at the symmetry point n/4 through the second
   derivative in normalised coordinates.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, gamma_kernel_sum_d2, xi_many
 from .errors import AnalysisError, DomainError, IndeterminateSignError
-from .specfun import Approximation, ibp_partial_sum
+from .specfun import _EPS, Approximation, ibp_partial_sum
 
 __all__ = [
     "SignInterval",
@@ -240,50 +240,37 @@ _STAIRS = ((0.0, 0.95), (0.95, 1.55), (1.55, 2.0), (2.0, 2.25))
 def verify_negative_range(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[BoundReport]:
     """Certify Xi_n < 0 on (0, n/4] for 1 <= n <= 9.
 
-    For n = 9 the certificate is the four-stair argument: the pole part is
+    The certificate is the four-stair argument at n = 9: the pole part is
     increasing and the kernel part decreasing on (0, 9/4], so on each stair
     [lo, hi] the value is at most pole(hi) + kernel_upper(lo), and each of
-    those four sums is negative.  For n < 9 the value is majorised by the
-    dimension-9 case in normalised coordinates; the majorant is evaluated on
-    the grid.  In every case a dense 0.01-grid sign scan with error bounds
-    excluding zero is run as well.
+    those four sums is negative.  It covers every n < 9 as well, since
+    Xi_n(s) = XiHat_n(2s/n) < XiHat_9(2s/n) = Xi_9(9s/n) is monotone in the
+    dimension at fixed normalised argument, so the twelve stair reports are
+    the same for every n.  A dense 0.01-grid sign scan of Xi_n itself, with
+    error bounds excluding zero, is run as well.
     """
     if not 1 <= n <= 9:
         raise DomainError(f"negativity verification covers 1 <= n <= 9, got {n}")
     reports: list[BoundReport] = []
-    if n == 9:
-        for lo, hi in _STAIRS:
-            kern = sum(_kernel_upper_dim9(lo)) + sum(_kernel_upper_dim9(4.5 - lo))
-            pole = _pole_part_dim9(hi)
-            reports.append(BoundReport(f"kernel_upper({lo})", kern, "upper", "negative"))
-            reports.append(BoundReport(f"pole_part({hi})", pole, "upper", "negative"))
-            reports.append(
-                BoundReport(f"stair({lo},{hi}]", pole + kern, "upper", "negative", threshold=0.0)
-            )
+    for lo, hi in _STAIRS:
+        kern = sum(_kernel_upper_dim9(lo)) + sum(_kernel_upper_dim9(4.5 - lo))
+        pole = _pole_part_dim9(hi)
+        reports.append(BoundReport(f"kernel_upper({lo})", kern, "upper", "negative"))
+        reports.append(BoundReport(f"pole_part({hi})", pole, "upper", "negative"))
+        reports.append(
+            BoundReport(f"stair({lo},{hi}]", pole + kern, "upper", "negative", threshold=0.0)
+        )
 
     grid = _unit_grid(n)[1:]  # the 0.01-step grid; 1e-4 is trivially negative
-    unit, unit9 = ScaleVector.unit(n), ScaleVector.unit(9)
-    nodes = [(n, s, unit) for s in grid]
-    if n < 9:
-        # Xi_n(s) = XiHat_n(2s/n) < XiHat_9(2s/n) = Xi_9(9s/n): monotone in
-        # the dimension at fixed normalised argument
-        nodes += [(9, 9.0 * s / n, unit9) for s in grid]
-    decided = decide_signs(nodes, cfg)
-    own, majorant = decided[: len(grid)], decided[len(grid) :]
-    for s, (sign, value) in zip(grid, own):
+    unit = ScaleVector.unit(n)
+    decided = decide_signs([(n, s, unit) for s in grid], cfg)
+    for s, (sign, value) in zip(grid, decided):
         if _decided(n, s, sign, value) > 0:
             raise AnalysisError(f"Xi_{n}({s}) is not negative; negativity scan failed")
-    for (_, s9, _), (sign, value) in zip(nodes[len(grid) :], majorant):
-        _decided(9, s9, sign, value)
-    worst = max(value.value + value.err for _, value in own)
+    worst = max(value.value + value.err for _, value in decided)
     reports.append(
         BoundReport(f"grid_negativity_n{n}", worst, "upper", "negative", threshold=0.0)
     )
-    if majorant:
-        worst9 = max(value.value + value.err for _, value in majorant)
-        reports.append(
-            BoundReport(f"dim9_majorant_n{n}", worst9, "upper", "negative", threshold=0.0)
-        )
     return reports
 
 
@@ -293,7 +280,7 @@ def verify_negative_range(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Boun
 
 
 def hat_xi_second_derivative(
-    n: int, s_hat: float, cfg: EvalConfig = DEFAULT_CONFIG, step: float = 1e-3
+    n: int, s_hat: float, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> Approximation:
     """Second derivative of the normalised Xi at s_hat in (0, 1).
 
@@ -306,11 +293,11 @@ def hat_xi_second_derivative(
         raise DomainError(f"normalised argument must lie in (0, 1), got {s_hat}")
     unit = ScaleVector.unit(n)
     pole = -(4.0 / n) * (1.0 / s_hat**3 + 1.0 / (1.0 - s_hat) ** 3)
-    _, d2a = gamma_kernel_sum_d2(n * s_hat / 2.0, unit, cfg, step)
-    _, d2b = gamma_kernel_sum_d2(n * (1.0 - s_hat) / 2.0, unit, cfg, step)
+    _, d2a = gamma_kernel_sum_d2(n * s_hat / 2.0, unit, cfg)
+    _, d2b = gamma_kernel_sum_d2(n * (1.0 - s_hat) / 2.0, unit, cfg)
     half_n_sq = (n / 2.0) ** 2
     value = pole + half_n_sq * (d2a.value + d2b.value)
-    err = half_n_sq * (d2a.err + d2b.err) + 8.0 * 2.22e-16 * (abs(pole) + abs(value))
+    err = half_n_sq * (d2a.err + d2b.err) + 8.0 * _EPS * (abs(pole) + abs(value))
     return Approximation(value, err)
 
 

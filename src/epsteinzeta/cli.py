@@ -39,19 +39,6 @@ EXIT_USAGE = 64
 
 
 @dataclass
-class RunSpec:
-    """A validated command invocation: what to run, with what, where to."""
-
-    command: str
-    parameters: dict
-    out: str | None
-    fmt: str
-
-    def public_parameters(self) -> dict:
-        return {k: v for k, v in self.parameters.items() if v is not None}
-
-
-@dataclass
 class _Output:
     lines: list[str] = field(default_factory=list)
     rows: list[list] = field(default_factory=list)  # csv rows, first row = header
@@ -364,58 +351,42 @@ _HANDLERS = {
 }
 
 
-def _emit(spec: RunSpec, out: _Output, errors: list[str]) -> None:
-    if spec.fmt == "json":
-        payload = {
-            "spec": {"command": spec.command, **spec.public_parameters()},
-            "results": out.results,
-            "errors": errors,
-        }
+def _emit(args, out: _Output, errors: list[str]) -> None:
+    if args.fmt == "json":
+        spec = {k: v for k, v in vars(args).items() if k not in ("fmt", "out") and v is not None}
+        payload = {"spec": spec, "results": out.results, "errors": errors}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif spec.fmt == "csv":
+    elif args.fmt == "csv":
         text = "\n".join(",".join(str(c) for c in row) for row in out.rows) + "\n"
     else:
         text = "\n".join(out.lines) + "\n"
-    if spec.out:
-        with open(spec.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def run(spec: RunSpec, argv_args) -> int:
+def run(args) -> int:
     out = _Output()
     errors: list[str] = []
-    cfg = EvalConfig(tol=spec.parameters.get("tol", 1e-9))
+    cfg = EvalConfig(tol=args.tol)
     try:
-        _HANDLERS[spec.command](argv_args, cfg, out)
+        _HANDLERS[args.command](args, cfg, out)
     except IndeterminateSignError as exc:
         errors.append(str(exc))
         out.indeterminate = True
     except (ValueError, RuntimeError) as exc:
         errors.append(str(exc))
         out.line(f"error: {exc}")
-        _emit(spec, out, errors)
+        _emit(args, out, errors)
         return EXIT_ERROR
-    _emit(spec, out, errors)
+    _emit(args, out, errors)
     return EXIT_INDETERMINATE if out.indeterminate else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "fmt", "out") and not callable(v)
-    }
-    spec = RunSpec(
-        command=args.command,
-        parameters=params,
-        out=args.out,
-        fmt=args.fmt,
-    )
-    return run(spec, args)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

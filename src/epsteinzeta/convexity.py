@@ -14,14 +14,15 @@ scales, checked by randomised sampling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, xi_many
-from .errors import DomainError
-from .specfun import Approximation, theta_log_derivatives, theta_with_derivatives
+from .errors import DomainError, PrecisionError
+from .specfun import _EPS, Approximation, theta, theta_log_derivatives, theta_with_derivatives
 
 __all__ = [
     "JnInput",
@@ -42,8 +43,6 @@ __all__ = [
     "verify_minimum_at_equal_scales",
     "MinimumReport",
 ]
-
-_EPS = 2.2204460492503131e-16
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,9 @@ def h_of_v(v: float) -> Approximation:
 
     Positivity of h on [1, inf) is the computational core of the strict
     log-convexity of theta(e^u); the reflection symmetry of log theta(e^u)
-    reduces u < 0 to this range, hence v >= 1 is required here.
+    reduces u < 0 to this range, hence v >= 1 is required here.  h decays
+    like e^{-pi v}; once it falls below the normal double range (v near 225)
+    its value and err are no longer resolved, and PrecisionError is raised.
     """
     if not v >= 1.0:
         raise DomainError(f"h(v) is evaluated on v >= 1 only, got {v}")
@@ -127,6 +128,8 @@ def h_of_v(v: float) -> Approximation:
         + (abs(thp.value) * th.err + th.value * thp.err) / v
         + 4.0 * _EPS * (abs(thpp.value) * th.value + thp.value**2 + abs(thp.value) / v)
     )
+    if not abs(value) >= sys.float_info.min:
+        raise PrecisionError(f"h({v}) = {value} is below the normal double range")
     return Approximation(value, err)
 
 
@@ -145,7 +148,7 @@ class CoefficientReport:
     all_positive: bool
 
 
-def coefficient_positivity_check(kmax: int, v: float = 1.0) -> CoefficientReport:
+def coefficient_positivity_check(kmax: int) -> CoefficientReport:
     """Verify the two coefficient claims at the worst case v = 1.
 
     (a) C(j, k) > 0 whenever j != k; (b) C(k-1, k) + C(k, k)/2 > 0 for all
@@ -157,11 +160,11 @@ def coefficient_positivity_check(kmax: int, v: float = 1.0) -> CoefficientReport
     min_off = math.inf
     for k in range(1, kmax + 1):
         for j in range(0, k):
-            min_off = min(min_off, _c_coeff(j, k, v))
+            min_off = min(min_off, _c_coeff(j, k, 1.0))
     min_pair = min(
-        _c_coeff(k - 1, k, v) + 0.5 * _c_coeff(k, k, v) for k in range(1, kmax + 1)
+        _c_coeff(k - 1, k, 1.0) + 0.5 * _c_coeff(k, k, 1.0) for k in range(1, kmax + 1)
     )
-    q1 = _c_coeff(0, 1, v) + 0.5 * _c_coeff(1, 1, v)
+    q1 = _c_coeff(0, 1, 1.0) + 0.5 * _c_coeff(1, 1, 1.0)
     return CoefficientReport(
         kmax=kmax,
         min_offdiagonal=min_off,
@@ -308,8 +311,10 @@ def log_theta_convexity(us) -> LogConvexityReport:
     """Second derivative of u -> log theta(e^u) at each grid point, with error
     bounds that must exclude zero.
 
-    The symmetry (log theta(e^u))'' = (log theta(e^{-u}))'' maps negative
-    grid points to positive ones before evaluation.
+    With t = e^u the derivative is t^2 h(t) / theta(t)^2.  The symmetry
+    (log theta(e^u))'' = (log theta(e^{-u}))'' maps negative grid points to
+    positive ones, so t >= 1 and h_of_v applies; like h_of_v, a point past
+    u of about 5.4 raises PrecisionError rather than report an unresolved 0.
     """
     us = tuple(float(u) for u in us)
     if not us:
@@ -317,16 +322,10 @@ def log_theta_convexity(us) -> LogConvexityReport:
     results = []
     for u in us:
         t = math.exp(abs(u))
-        th, thp, thpp = theta_with_derivatives(t)
-        g1 = thp.value / th.value
-        g2 = (thpp.value * th.value - thp.value**2) / th.value**2
-        value = t * t * g2 + t * g1
-        e0, e1, e2 = th.err, thp.err, thpp.err
-        g1_err = (e1 + abs(g1) * e0) / th.value
-        num_err = th.value * e2 + abs(thpp.value) * e0 + 2.0 * abs(thp.value) * e1
-        g2_err = (num_err + 2.0 * abs(g2) * th.value * e0) / th.value**2
-        err = t * t * g2_err + t * g1_err + 8.0 * _EPS * (t * t * abs(g2) + t * abs(g1))
-        results.append(Approximation(value, err))
+        h, th = h_of_v(t), theta(t)
+        value = t * t * h.value / th.value**2
+        err = t * t * (h.err + 2.0 * abs(h.value) * th.err / th.value) / th.value**2
+        results.append(Approximation(value, err + 8.0 * _EPS * abs(value)))
     all_pos = all(r.value > 0.0 and r.excludes_zero() for r in results)
     return LogConvexityReport(us=us, second_derivatives=tuple(results), all_positive=all_pos)
 

@@ -25,26 +25,27 @@ representation counts, so isotropic directions cost O(T) terms instead of
 O(T^{n/2}).
 
 Every kernel sum goes through one batched engine, `_kernel_sums`.  A job is
-(orders, scales, tol); its threshold T is chosen alone, by scalar arithmetic.
-Jobs with the same pattern of group counts share a bucket.  A bucket's
-integer tables (squares for single axes, representation counts for groups)
-are built once, and its lattices are enumerated together, each partial point
-carrying the index of its job, so every job's points end up contiguous with
-its origin first.  The origin gets weight zero, which keeps every job's
-segment nonempty.  A bucket is cut into chunks of whole jobs of at most
-`_CHUNK_POINTS` points, which bounds memory; a larger single lattice runs
-alone.  Each chunk makes one gammaincc call with per-point orders and sums
-each job by np.add.reduceat over its segment.  reduceat keeps numpy's
-pairwise summation, so the flat rounding allowance 5e-15 sum|terms| holds on
-large lattices, where a sequential sum (np.bincount) would not.  A job's
-value and err do not depend on the batch it is evaluated in.  `xi` is a
-batch of one node, whose two kernel sums S(s; a) and S(n/2 - s; 1/a) are two
-jobs in one bucket; `xi_many` evaluates many nodes in one call.
+one kernel sum, (order, scales, tol); its threshold T is chosen by scalar
+arithmetic, and the orders of one difference quotient share it, so their
+truncations cancel.  Jobs with the same pattern of group counts share a
+bucket.  A bucket's integer tables (squares for single axes, representation
+counts for groups) are built once, and its lattices are enumerated together,
+each partial point carrying the index of its job, so every job's points end
+up contiguous with its origin first.  The origin gets weight zero, which
+keeps every job's segment nonempty.  A bucket is cut into chunks of whole
+jobs of at most `_CHUNK_POINTS` points, which bounds memory; a larger single
+lattice runs alone.  Each chunk makes one gammaincc call with per-point
+orders and sums each job by np.add.reduceat over its segment.  reduceat
+keeps numpy's pairwise summation, so the flat rounding allowance
+5e-15 sum|terms| holds on large lattices, where a sequential sum
+(np.bincount) would not.  A job's value and err do not depend on the batch
+it is evaluated in.  `xi` is a batch of one node, whose two kernel sums
+S(s; a) and S(n/2 - s; 1/a) are two jobs in one bucket; `xi_many` evaluates
+many nodes in one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,14 +55,13 @@ from scipy.special import expn, gammaincc
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, PoleError, PrecisionError, SpecialPointError
-from .specfun import Approximation, theta
+from .specfun import _EPS, Approximation, theta
 
 __all__ = [
     "EvalConfig",
     "ScaleVector",
     "XiValue",
     "gamma_kernel_sum",
-    "gamma_kernel_sum_multi",
     "lambda_n",
     "xi",
     "xi_many",
@@ -70,7 +70,6 @@ __all__ = [
     "functional_equation_residual",
 ]
 
-_EPS = 2.2204460492503131e-16
 _POLE_GUARD = 1e-6
 # hard caps on the integer steps along one lattice direction (and per-group
 # table sizes) and on the enumerated lattice; past them PrecisionError
@@ -117,23 +116,11 @@ class ScaleVector:
 
 
 @dataclass(frozen=True)
-class XiValue:
+class XiValue(Approximation):
     """Xi_n(s; a) with its absolute error bound."""
 
-    value: float
-    err: float
     n: int
     s: float
-
-    def __post_init__(self) -> None:
-        if not self.err >= 0:
-            raise ValueError(f"error bound must be nonnegative, got {self.err}")
-
-    def __float__(self) -> float:
-        return self.value
-
-    def excludes_zero(self) -> bool:
-        return abs(self.value) > self.err
 
 
 # ---------------------------------------------------------------------------
@@ -405,30 +392,29 @@ def _choose_T(
 # ---------------------------------------------------------------------------
 
 
-def _job(orders: tuple[float, ...], a: tuple[float, ...], tol: float):
-    """One kernel-sum job: its orders, group-count pattern, group scales,
-    qmax = T/pi and the tail bound at T, the threshold chosen for tol."""
+def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float) -> list[tuple]:
+    """One kernel-sum job per order over the scales a: its order, group-count
+    pattern, group scales, qmax = T/pi and the tail bound at T.
+
+    The orders share the threshold T chosen for all of them at tol, so their
+    lattices are equal and differences in the order cancel the truncation.
+    """
     groups = _group_scales(a)
     big_t, c, theta_prod = _choose_T(orders, groups, tol)
-    return (
-        orders,
-        tuple(count for _, count in groups),
-        tuple(scale for scale, _ in groups),
-        big_t / math.pi,
-        _tail_bound(big_t, c, theta_prod),
-    )
+    pattern = tuple(count for _, count in groups)
+    scales = tuple(scale for scale, _ in groups)
+    tail = _tail_bound(big_t, c, theta_prod)
+    return [(beta, pattern, scales, big_t / math.pi, tail) for beta in orders]
 
 
 def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
-    """(values, errs) of S(beta; a) for every order of every `_job`, flat in
-    job order.
+    """(values, errs) of S(beta; a) for every `_jobs` job, in job order.
 
     Each job sums over its own truncated lattice, so its results do not
     depend on the other jobs of the batch; jobs with one group-count pattern
     share one enumeration and one kernel call per chunk.
     """
-    offsets = list(itertools.accumulate((len(job[0]) for job in jobs), initial=0))
-    values, errs = [0.0] * offsets[-1], [0.0] * offsets[-1]
+    values, errs = [0.0] * len(jobs), [0.0] * len(jobs)
     buckets: dict[tuple[int, ...], list[int]] = {}
     for i, job in enumerate(jobs):
         buckets.setdefault(job[1], []).append(i)
@@ -441,15 +427,7 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
             q[starts] = 1.0
             w[starts] = 0.0
             chunk = members[first : first + len(counts)]
-            reps = [len(jobs[i][0]) for i in chunk]
-            if max(reps) > 1:
-                # one copy of a job's points per order
-                src = np.repeat(starts, reps)
-                counts = np.repeat(counts, reps)
-                starts = np.cumsum(counts) - counts
-                idx = np.arange(int(counts.sum())) + np.repeat(src - starts, counts)
-                q, w = q[idx], w[idx]
-            orders = [b for i in chunk for b in jobs[i][0]]
+            orders = [jobs[i][0] for i in chunk]
             q *= math.pi
             terms = _g_kernel(orders, q, counts)
             terms *= w
@@ -457,15 +435,11 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
             sums = np.add.reduceat(terms, starts).tolist()
             # terms of a positive order are nonnegative: there the sum is the mass
             mass = sums if min(orders) > 0 else np.add.reduceat(np.abs(terms), starts).tolist()
-            k = 0
-            for i in chunk:
-                tail = jobs[i][4]
-                for at in range(offsets[i], offsets[i + 1]):
-                    values[at] = sums[k]
-                    # terms share one sign except far outside the critical
-                    # strip, so pairwise summation costs a few ulps of the mass
-                    errs[at] = tail + 5e-15 * mass[k] * (4.0 if orders[k] <= 0 else 1.0)
-                    k += 1
+            for i, beta, total, m in zip(chunk, orders, sums, mass):
+                values[i] = total
+                # terms share one sign except far outside the critical
+                # strip, so pairwise summation costs a few ulps of the mass
+                errs[i] = jobs[i][4] + 5e-15 * m * (4.0 if beta <= 0 else 1.0)
     return values, errs
 
 
@@ -473,47 +447,43 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
 # Kernel sums and the public operations
 # ---------------------------------------------------------------------------
 
+# order step of the second difference in gamma_kernel_sum_d2
+_D2_STEP = 1e-3
+
 
 def gamma_kernel_sum(
     beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> Approximation:
     """S(beta; a) = sum_{k != 0} (pi Q(k))^{-beta} Gamma(beta, pi Q(k))."""
-    return gamma_kernel_sum_multi((beta,), scales, cfg)[0]
-
-
-def gamma_kernel_sum_multi(
-    betas, scales, cfg: EvalConfig = DEFAULT_CONFIG
-) -> list[Approximation]:
-    """Kernel sums for several orders over one shared truncated lattice.
-
-    Sharing the point set matters when the results are differenced in beta:
-    truncation sets that differ between evaluations would not cancel.
-    """
     sv = ScaleVector.ensure(scales)
-    values, errs = _kernel_sums([_job(tuple(float(b) for b in betas), sv.a, cfg.tol / 4.0)])
-    return [Approximation(v, e) for v, e in zip(values, errs)]
+    [value], [err] = _kernel_sums(_jobs((float(beta),), sv.a, cfg.tol / 4.0))
+    return Approximation(value, err)
 
 
 def gamma_kernel_sum_d2(
-    beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG, step: float = 1e-3
+    beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> tuple[Approximation, Approximation]:
-    """(S(beta), d^2 S / d beta^2) with a central difference in the order.
+    """(S(beta), d^2 S / d beta^2) with a central difference of step
+    h = _D2_STEP in the order.
 
-    The difference quotient runs over one shared lattice, so the truncation
-    tails cancel to first order instead of being amplified by 1/step^2.  The
-    second derivative equals the log^2-weighted kernel sum
+    The three orders share one lattice, so the truncation tails cancel to
+    first order instead of being amplified by 1/h^2.  The second
+    derivative equals the log^2-weighted kernel sum
     sum_k integral_1^inf t^{beta-1} (log t)^2 exp(-pi Q(k) t) dt.
     """
-    f0, fp, fm = gamma_kernel_sum_multi((beta, beta + step, beta - step), scales, cfg)
-    d2 = (fp.value - 2.0 * f0.value + fm.value) / (step * step)
-    # residual tail after cancellation, roundoff amplified by 1/step^2, and
+    sv = ScaleVector.ensure(scales)
+    h = _D2_STEP
+    orders = (float(beta), float(beta + h), float(beta - h))
+    (f0, fp, fm), (e0, _, _) = _kernel_sums(_jobs(orders, sv.a, cfg.tol / 4.0))
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    # residual tail after cancellation, roundoff amplified by 1/h^2, and
     # the h^2 truncation of the difference quotient
     err = (
-        f0.err
-        + 4.0 * _EPS * (abs(fp.value) + 2.0 * abs(f0.value) + abs(fm.value)) / (step * step)
-        + 0.2 * step * step * abs(d2)
+        e0
+        + 4.0 * _EPS * (abs(fp) + 2.0 * abs(f0) + abs(fm)) / (h * h)
+        + 0.2 * h * h * abs(d2)
     )
-    return f0, Approximation(d2, err)
+    return Approximation(f0, e0), Approximation(d2, err)
 
 
 def _check_not_pole(n: int, s: float) -> None:
@@ -526,10 +496,8 @@ def _check_not_pole(n: int, s: float) -> None:
 def _lambda_jobs(n: int, s: float, sv: ScaleVector, tol_a: float, tol_recip: float):
     """The jobs of S(s; a) and S(n/2 - s; 1/a), and min(1/a)."""
     recip = tuple(1.0 / x for x in sv.a)
-    return [
-        _job((s,), sv.a, tol_a / 4.0),
-        _job((n / 2.0 - s,), recip, tol_recip / 4.0),
-    ], min(recip)
+    jobs = _jobs((s,), sv.a, tol_a / 4.0) + _jobs((n / 2.0 - s,), recip, tol_recip / 4.0)
+    return jobs, min(recip)
 
 
 def _reflected(n: int, s: float, kernel: Approximation, recip_min: float) -> Approximation:

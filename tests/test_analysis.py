@@ -100,13 +100,27 @@ def test_staircase_constants():
     assert reports["stair(2.0,2.25]"] == pytest.approx(-0.0240, abs=1e-3)
 
 
+_STAIR_NAMES = ["stair(0.0,0.95]", "stair(0.95,1.55]", "stair(1.55,2.0]", "stair(2.0,2.25]"]
+
+
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_negative_range_small_dimensions(n):
     reports = verify_negative_range(n)
     grid = next(r for r in reports if r.quantity.startswith("grid_negativity"))
     assert grid.holds()
-    majorant = next(r for r in reports if r.quantity.startswith("dim9_majorant"))
-    assert majorant.holds()
+    # the n = 9 stairs cover the continuum (0, n/4] for every n <= 9
+    stairs = {r.quantity: r for r in reports if r.quantity.startswith("stair")}
+    assert sorted(stairs) == sorted(_STAIR_NAMES)
+    assert all(stairs[name].holds() and stairs[name].threshold == 0.0 for name in _STAIR_NAMES)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_negative_range_reports_stairs_and_grid(n):
+    reports = verify_negative_range(n)
+    certified = [r.quantity for r in reports if r.threshold is not None]
+    assert certified == _STAIR_NAMES + [f"grid_negativity_n{n}"]
+    assert len(reports) == 13
+    assert all(r.holds() for r in reports)
 
 
 def test_negative_range_domain():

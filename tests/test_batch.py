@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from epsteinzeta import EvalConfig, ScaleVector, gamma_kernel_sum, kratio_chart, scan, xi, xi_many
 from epsteinzeta import epstein
-from epsteinzeta.epstein import _enumerate, _g_kernel, _group_scales, _job, _kernel_sums
+from epsteinzeta.epstein import _enumerate, _g_kernel, _group_scales, _jobs, _kernel_sums
 from epsteinzeta.specfun import riemann_zeta
 
 # repeated values make mixed group patterns such as (1, 2) or (1, 1, 3)
@@ -70,7 +70,7 @@ def test_chunk_cuts_leave_results_bit_identical(monkeypatch):
 def test_empty_lattice_sums_to_zero():
     assert gamma_kernel_sum(0.3, ScaleVector([1024.0])).value == 0.0
     # followed in its bucket by a nonempty job, whose first term it must not take
-    values, _ = _kernel_sums([_job((0.3,), (1024.0,), 1e-10), _job((0.3,), (1.0,), 1e-10)])
+    values, _ = _kernel_sums(_jobs((0.3,), (1024.0,), 1e-10) + _jobs((0.3,), (1.0,), 1e-10))
     assert values == [0.0, gamma_kernel_sum(0.3, (1.0,), EvalConfig(tol=4e-10)).value]
     # Xi_1(s; a) = V pi^-s Gamma(s) 2 zeta(2s) a^-2s with V = sqrt(a)
     n, s, (a,) = _EMPTY
@@ -82,18 +82,27 @@ def test_empty_lattice_sums_to_zero():
 
 def test_reduction_within_rounding_allowance_on_large_lattice():
     # the engine's pairwise per-segment sums against exactly rounded sums of
-    # the same terms, on a lattice of over 1e5 points, for two orders of one
-    # job sharing a bucket with a small job
+    # the same terms, on a lattice of over 1e5 points, for two orders on one
+    # shared lattice in a bucket with a small job
     orders = (0.7, -0.4)
-    big = _job(orders, (0.03, 0.04, 0.05), 1e-10)
-    values, _ = _kernel_sums([_job((1.1,), (1.0, 2.0, 0.5), 1e-10), big])
-    _, pattern, scales, qmax, _ = big
+    big = _jobs(orders, (0.03, 0.04, 0.05), 1e-10)
+    values, _ = _kernel_sums(_jobs((1.1,), (1.0, 2.0, 0.5), 1e-10) + big)
+    _, pattern, scales, qmax, _ = big[0]
     [(q, w, _, counts)] = list(_enumerate(pattern, np.array([[x] for x in scales]), np.array([qmax])))
     assert counts[0] >= 100_000
     x, w = math.pi * q[1:], w[1:]  # the origin carries no term
     for value, beta in zip(values[1:], orders):
         terms = w * _g_kernel(beta, x)
         assert abs(value - math.fsum(terms)) <= 5e-15 * math.fsum(np.abs(terms))
+
+
+def test_difference_orders_share_one_lattice():
+    # the orders of a second difference share T, hence qmax and the tail
+    # bound, so the difference quotient cancels their truncation
+    b, h = 2.25, 1e-3
+    jobs = _jobs((b, b + h, b - h), (1.0,) * 9, 1e-10)
+    assert [job[0] for job in jobs] == [b, b + h, b - h]
+    assert len({job[1:] for job in jobs}) == 1
 
 
 def test_one_enumeration_per_bucket(monkeypatch):

@@ -8,6 +8,7 @@ from epsteinzeta import (
     EvalConfig,
     HyperplaneChart,
     JnInput,
+    PrecisionError,
     ScaleVector,
     coefficient_positivity_check,
     det_jn,
@@ -224,6 +225,17 @@ def test_log_theta_convexity_symmetry():
     report = log_theta_convexity([1.3, -1.3])
     a, b = report.second_derivatives
     assert abs(a.value - b.value) <= a.err + b.err
+
+
+def test_log_theta_convexity_raises_past_the_normal_range():
+    # h(v) ~ 2 pi^2 e^{-pi v} leaves the normal doubles near v = 225 (u = 5.42);
+    # a 0.0 or subnormal value there is no evidence of convexity
+    with pytest.raises(PrecisionError):
+        h_of_v(240.0)
+    with pytest.raises(PrecisionError):
+        log_theta_convexity([5.5])
+    report = log_theta_convexity([5.0])
+    assert report.all_positive
 
 
 def test_log_theta_convexity_empty_grid():
