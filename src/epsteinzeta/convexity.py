@@ -22,7 +22,13 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, xi_many
 from .errors import DomainError, PrecisionError
-from .specfun import _EPS, Approximation, theta, theta_log_derivatives, theta_with_derivatives
+from .specfun import (
+    _EPS,
+    Approximation,
+    _gauss_series,
+    theta_log_derivatives,
+    theta_with_derivatives,
+)
 
 __all__ = [
     "JnInput",
@@ -322,9 +328,18 @@ def log_theta_convexity(us) -> LogConvexityReport:
     results = []
     for u in us:
         t = math.exp(abs(u))
-        h, th = h_of_v(t), theta(t)
+        h = h_of_v(t)
+        th, thp, thpp = theta_with_derivatives(t)
         value = t * t * h.value / th.value**2
         err = t * t * (h.err + 2.0 * abs(h.value) * th.err / th.value) / th.value**2
+        # t = fl(e^|u|) is off by up to an ulp, and each e^{-pi t k^2} sees t
+        # through the rounding of pi t k^2: 3 eps t in all, amplified by
+        # |d/dt (t^2 h / theta^2)| <= slope, which is about pi t |value|
+        d0, d1, d2 = th.value, -thp.value, thpp.value
+        d3 = 2.0 * math.pi**3 * _gauss_series(t, 6).value  # -theta'''(t)
+        dh = d3 * d0 + d1 * d2 + (d1 * d1 + d0 * d2) / t + d0 * d1 / (t * t)
+        slope = (2.0 * t * abs(h.value) + t * t * dh) / d0**2 + 2.0 * abs(value) * d1 / d0
+        err += 3.0 * _EPS * t * slope
         results.append(Approximation(value, err + 8.0 * _EPS * abs(value)))
     all_pos = all(r.value > 0.0 and r.excludes_zero() for r in results)
     return LogConvexityReport(us=us, second_derivatives=tuple(results), all_positive=all_pos)

@@ -17,31 +17,28 @@ Lattice sums are truncated at pi Q <= T with T chosen so that the tail bound
 
     (2/T) e^{-(1-c)T} prod_groups theta(c a^2)^count
 
-falls below the configured tolerance.  It holds for every split 0 < c < 1;
-c is chosen per kernel sum from the majorant theta(t) <= 1 + t^{-1/2} in a few
-arithmetic steps, and the exact product then costs one theta call per group
-of equal scales.  Equal scales are also summed radially through exact
-representation counts, so isotropic directions cost O(T) terms instead of
-O(T^{n/2}).
+falls below the configured tolerance; it holds for every split 0 < c < 1.
+T0 >= 8, the split c (from theta(t) <= 1 + t^{-1/2}) and the theta product
+(from a closed-form majorant) depend on the scales and tol alone; one engine
+call computes them once per distinct (scales, tol), and a sum of order beta
+takes T = max(T0, 4|beta|).  Equal scales are summed radially through exact
+representation counts: isotropic directions cost O(T) terms, not O(T^{n/2}).
 
 Every kernel sum goes through one batched engine, `_kernel_sums`.  A job is
-one kernel sum, (order, scales, tol); its threshold T is chosen by scalar
-arithmetic, and the orders of one difference quotient share it, so their
-truncations cancel.  Jobs with the same pattern of group counts share a
-bucket.  A bucket's integer tables (squares for single axes, representation
-counts for groups) are built once, and its lattices are enumerated together,
-each partial point carrying the index of its job, so every job's points end
-up contiguous with its origin first.  The origin gets weight zero, which
-keeps every job's segment nonempty.  A bucket is cut into chunks of whole
-jobs of at most `_CHUNK_POINTS` points, which bounds memory; a larger single
-lattice runs alone.  Each chunk makes one gammaincc call with per-point
-orders and sums each job by np.add.reduceat over its segment.  reduceat
-keeps numpy's pairwise summation, so the flat rounding allowance
-5e-15 sum|terms| holds on large lattices, where a sequential sum
-(np.bincount) would not.  A job's value and err do not depend on the batch
-it is evaluated in.  `xi` is a batch of one node, whose two kernel sums
-S(s; a) and S(n/2 - s; 1/a) are two jobs in one bucket; `xi_many` evaluates
-many nodes in one call.
+one kernel sum, (order, scales, tol); the orders of one difference quotient
+share one T, so their truncations cancel.  Jobs with the same pattern of
+group counts share a bucket, whose integer tables (squares for single axes,
+representation counts for groups) are built once and whose lattices are
+enumerated together, each job's points contiguous with its origin, of weight
+zero, first.  A bucket is cut into chunks of whole jobs of at most
+`_CHUNK_POINTS` points, which bounds memory; a larger single lattice runs
+alone.  Each chunk makes one gammaincc call with per-point orders and sums
+each job by np.add.reduceat over its segment, which keeps numpy's pairwise
+summation, so the flat rounding allowance 5e-15 sum|terms| holds on large
+lattices, where a sequential sum (np.bincount) would not.  A job's value and
+err do not depend on the batch it is evaluated in.  `xi` is a batch of one
+node, whose two kernel sums S(s; a) and S(n/2 - s; 1/a) are two jobs in one
+bucket; `xi_many` evaluates many nodes in one call.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from scipy.special import expn, gammaincc
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, PoleError, PrecisionError, SpecialPointError
-from .specfun import _EPS, Approximation, theta
+from .specfun import _EPS, Approximation
 
 __all__ = [
     "EvalConfig",
@@ -333,18 +330,26 @@ def _g_kernel(orders, x: np.ndarray, lens=None) -> np.ndarray:
 
 
 def _theta_product(groups: list[tuple[float, int]], c: float) -> float:
-    """sum_k exp(-c pi Q(k)) = prod over scale groups of theta(c a^2)^count."""
-    return math.prod(theta(c * a * a).value ** count for a, count in groups)
+    """A majorant of sum_k exp(-c pi Q(k)) = prod over groups of theta(c a^2)^count.
+
+    As k^2 >= 3k - 2, theta(t) <= max(1, t^{-1/2}) (1 + 2q/(1 - q^3)) with
+    q = e^{-pi max(t, 1/t)}, within 6e-10 relative; 1 + 8 eps covers rounding."""
+    prod = 1.0
+    for a, count in groups:
+        t = c * a * a
+        q = math.exp(-math.pi * max(t, 1.0 / t))
+        prod *= (max(1.0, t**-0.5) * (1.0 + 2.0 * q / (1.0 - q**3)) * (1.0 + 8.0 * _EPS)) ** count
+    return prod
 
 
 def _tail_bound(big_t: float, c: float, theta_prod: float) -> float:
-    # For x = pi Q >= T >= max(8, 4(beta-1), 4|beta|) and any split 0 < c < 1:
+    # For x = pi Q >= T >= max(8, 4|beta|) and any split 0 < c < 1:
     #   g(beta, x) <= 2 x^{-1} e^{-x} <= (2/T) e^{-(1-c)T} e^{-c x}
-    # and sum_k e^{-c pi Q(k)} = theta_prod.
+    # and sum_k e^{-c pi Q(k)} <= theta_prod.  The bound falls in T.
     return (2.0 / big_t) * math.exp(-(1.0 - c) * big_t) * theta_prod
 
 
-def _choose_split(groups: list[tuple[float, int]], tol: float, tmin: float) -> float:
+def _choose_split(groups: list[tuple[float, int]], tol: float) -> float:
     """Split c minimising the threshold T at which the tail bound meets tol.
 
     Uses the majorant theta(t) <= 1 + t^{-1/2}, so log P(c) is about
@@ -355,31 +360,28 @@ def _choose_split(groups: list[tuple[float, int]], tol: float, tmin: float) -> f
     for n <= 21.  c is capped at 1/2, which keeps _choose_T's iteration a
     contraction.
     """
-    c, big_t = 0.5, tmin
+    c, big_t = 0.5, 8.0
     for _ in range(2):
         r = math.sqrt(c)
         h = math.fsum(count * math.log1p(1.0 / (a * r)) for a, count in groups)
-        big_t = max(tmin, (math.log(2.0 / (big_t * tol)) + h) / (1.0 - c))
+        big_t = max(8.0, (math.log(2.0 / (big_t * tol)) + h) / (1.0 - c))
         c = min(0.5, math.fsum(count / (1.0 + a * r) for a, count in groups) / (2.0 * big_t))
     return c
 
 
-def _choose_T(
-    betas: tuple[float, ...], groups: list[tuple[float, int]], tol: float
-) -> tuple[float, float, float]:
-    """(T, c, theta_prod) with _tail_bound(T, c, theta_prod) < tol."""
-    tmin = max(8.0, max(4.0 * (b - 1.0) for b in betas), max(4.0 * abs(b) for b in betas))
-    c = _choose_split(groups, tol, tmin)
+def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, float, float]:
+    """(T0, c, theta_prod) with T0 >= 8 and _tail_bound(T0, c, theta_prod) < tol."""
+    c = _choose_split(groups, tol)
     theta_prod = _theta_product(groups, c)
 
-    # the bound falls in T; its crossing with tol is the fixed point of the
+    # the crossing of the bound with tol is the fixed point of the
     # contraction phi (|phi'| <= 1/4 on T >= 8), whose odd iterates from a
     # point below the crossing stay above it
     def phi(t: float) -> float:
         return math.log(2.0 * theta_prod / (t * tol)) / (1.0 - c)
 
-    big_t = phi(tmin)
-    big_t = tmin if big_t <= tmin else phi(phi(big_t))
+    big_t = phi(8.0)
+    big_t = 8.0 if big_t <= 8.0 else phi(phi(big_t))
     for _ in range(60):
         if _tail_bound(big_t, c, theta_prod) < tol:
             return big_t, c, theta_prod
@@ -392,17 +394,17 @@ def _choose_T(
 # ---------------------------------------------------------------------------
 
 
-def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float) -> list[tuple]:
+def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float, memo=None) -> list[tuple]:
     """One kernel-sum job per order over the scales a: its order, group-count
-    pattern, group scales, qmax = T/pi and the tail bound at T.
-
-    The orders share the threshold T chosen for all of them at tol, so their
-    lattices are equal and differences in the order cancel the truncation.
-    """
-    groups = _group_scales(a)
-    big_t, c, theta_prod = _choose_T(orders, groups, tol)
-    pattern = tuple(count for _, count in groups)
-    scales = tuple(scale for scale, _ in groups)
+    pattern, group scales, qmax = T/pi and the tail bound at T.  The orders
+    share T, so differences in the order cancel the truncation; `memo` holds
+    the groups and (T0, c, theta_prod) per (a, tol) for one engine call."""
+    memo = {} if memo is None else memo
+    if (a, tol) not in memo:
+        groups = _group_scales(a)
+        memo[a, tol] = (*zip(*groups), *_choose_T(groups, tol))
+    scales, pattern, t0, c, theta_prod = memo[a, tol]
+    big_t = max(t0, 4.0 * max(abs(beta) for beta in orders))
     tail = _tail_bound(big_t, c, theta_prod)
     return [(beta, pattern, scales, big_t / math.pi, tail) for beta in orders]
 
@@ -451,9 +453,7 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
 _D2_STEP = 1e-3
 
 
-def gamma_kernel_sum(
-    beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG
-) -> Approximation:
+def gamma_kernel_sum(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     """S(beta; a) = sum_{k != 0} (pi Q(k))^{-beta} Gamma(beta, pi Q(k))."""
     sv = ScaleVector.ensure(scales)
     [value], [err] = _kernel_sums(_jobs((float(beta),), sv.a, cfg.tol / 4.0))
@@ -493,10 +493,10 @@ def _check_not_pole(n: int, s: float) -> None:
         raise PoleError(f"s={s} is inside the guard band around the pole at n/2")
 
 
-def _lambda_jobs(n: int, s: float, sv: ScaleVector, tol_a: float, tol_recip: float):
+def _lambda_jobs(n: int, s: float, sv: ScaleVector, tol_a: float, tol_recip: float, memo: dict):
     """The jobs of S(s; a) and S(n/2 - s; 1/a), and min(1/a)."""
     recip = tuple(1.0 / x for x in sv.a)
-    jobs = _jobs((s,), sv.a, tol_a / 4.0) + _jobs((n / 2.0 - s,), recip, tol_recip / 4.0)
+    jobs = _jobs((s,), sv.a, tol_a / 4.0, memo) + _jobs((n / 2.0 - s,), recip, tol_recip / 4.0, memo)
     return jobs, min(recip)
 
 
@@ -527,7 +527,7 @@ def lambda_n(s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximatio
     n = len(sv)
     s = float(s)
     _check_not_pole(n, s)
-    jobs, recip_min = _lambda_jobs(n, s, sv, cfg.tol, cfg.tol)
+    jobs, recip_min = _lambda_jobs(n, s, sv, cfg.tol, cfg.tol, {})
     (v1, v2), (e1, e2) = _kernel_sums(jobs)
     first = Approximation(v1, e1)
     second = _reflected(n, s, Approximation(v2, e2), recip_min)
@@ -540,7 +540,7 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
 
     Each value and err is the one `xi` returns at that node, bit for bit.
     """
-    jobs, nodes_at = [], []
+    jobs, nodes_at, memo = [], [], {}
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
         if len(sv) != n:
@@ -549,7 +549,7 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
         _check_not_pole(n, s)
         v = sv.V
         # split the tolerance by the V-weights so the assembled error meets tol
-        pair, recip_min = _lambda_jobs(n, s, sv, cfg.tol * (0.5 / v), cfg.tol * (0.5 * v))
+        pair, recip_min = _lambda_jobs(n, s, sv, cfg.tol * (0.5 / v), cfg.tol * (0.5 * v), memo)
         jobs += pair
         nodes_at.append((n, s, v, recip_min))
     values, errs = _kernel_sums(jobs)

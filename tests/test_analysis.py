@@ -4,6 +4,8 @@ import pytest
 
 from epsteinzeta import (
     DomainError,
+    EvalConfig,
+    IndeterminateSignError,
     ScaleVector,
     classify_critical_point,
     decide_sign,
@@ -12,6 +14,7 @@ from epsteinzeta import (
     hat_xi_second_derivative,
     large_scale_positivity,
     critical_sign_certificates,
+    decide_signs,
     verify_negative_range,
     xi,
 )
@@ -43,6 +46,32 @@ def test_interval_endpoint_brackets_a_sign_change():
     right, rv = decide_sign(10, interval.gamma + w, ScaleVector.unit(10))
     assert left < 0 < right
     assert lv.excludes_zero() and rv.excludes_zero()
+
+
+def test_decide_sign_exhausts_its_refinements(monkeypatch):
+    # gamma_10 lies within 1e-5 of this node, so tol 1 refined tenfold three
+    # times still leaves |Xi| = 1.4e-5 inside its bound 2.5e-4
+    from epsteinzeta import analysis
+
+    tols = []
+    many = analysis.xi_many
+
+    def counting(nodes, cfg):
+        tols.append(cfg.tol)
+        return many(nodes, cfg)
+
+    monkeypatch.setattr(analysis, "xi_many", counting)
+    node = (10, 1.0899267578125, ScaleVector.unit(10))
+    cfgs = [EvalConfig(tol=1.0)]
+    for _ in range(3):
+        cfgs.append(cfgs[-1].tighter(0.1))
+    with pytest.raises(IndeterminateSignError):
+        decide_sign(*node, cfgs[0])
+    assert tols == [c.tol for c in cfgs]
+    # the batched form reports sign 0 with the tightest evaluation
+    [(sign, value)] = decide_signs([node], cfgs[0])
+    tightest = xi(*node, cfgs[-1])
+    assert sign == 0 and (value.value, value.err) == (tightest.value, tightest.err)
 
 
 def test_interval_symmetry_of_signs():

@@ -128,3 +128,20 @@ def test_one_enumeration_per_bucket(monkeypatch):
         for y in grid.axes()[1]
     }
     assert sorted(calls) == sorted(patterns)
+
+
+def test_unit_scale_grid_makes_one_truncation(monkeypatch):
+    calls = []
+    real = epstein._choose_T
+
+    def counted(groups, tol):
+        calls.append(tol)
+        return real(groups, tol)
+
+    monkeypatch.setattr(epstein, "_choose_T", counted)
+    nodes = [(10, float(s), ScaleVector.unit(10)) for s in np.linspace(0.02, 4.98, 200)]
+    values = [_pair(v) for v in xi_many(nodes)]
+    # at V = 1 the unit scales and their reciprocals share one (scales, tol)
+    assert len(calls) == 1
+    assert values == [_pair(xi(*node)) for node in nodes]
+    assert len(calls) == 1 + len(nodes)

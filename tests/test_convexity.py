@@ -238,6 +238,26 @@ def test_log_theta_convexity_raises_past_the_normal_range():
     assert report.all_positive
 
 
+@pytest.mark.parametrize("u", [2.0, 3.0, 4.0, 4.5, 5.0, 5.4])
+def test_log_theta_convexity_err_covers_mpmath_series(u):
+    # 80-digit series of t^2 h(t) / theta(t)^2 at the exact t = e^u; the
+    # rounding of t = fl(e^u) moves the value by about pi t ulps
+    import mpmath
+
+    [got] = log_theta_convexity([u]).second_derivatives
+    with mpmath.workdps(80):
+        t = mpmath.exp(mpmath.mpf(u))
+
+        def series(power):
+            return mpmath.nsum(
+                lambda k: k**power * mpmath.exp(-mpmath.pi * t * k * k), [1, mpmath.inf]
+            )
+
+        th, thp, thpp = 1 + 2 * series(0), -2 * mpmath.pi * series(2), 2 * mpmath.pi**2 * series(4)
+        exact = t * t * (thpp * th - thp * thp + th * thp / t) / th**2
+        assert abs(mpmath.mpf(got.value) - exact) <= got.err
+
+
 def test_log_theta_convexity_empty_grid():
     with pytest.raises(DomainError):
         log_theta_convexity([])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from epsteinzeta import (
     ScaleVector,
     SpecialPointError,
     functional_equation_residual,
+    gamma_kernel_sum,
     hat_xi,
     lambda_n,
     xi,
@@ -340,21 +342,58 @@ def test_default_tol_agrees_with_tight_reference(n, s, a):
         (0.7, (1.0, 2.0, 0.5)),
         (-0.4, (2.0**3, 2.0**-3, 1.0)),
         (3.1, (0.6, 1.7, 0.9, 1.1)),
+        # the order's floor 4 beta = 50 lies above T0 = 46.9 and sets T
+        (12.5, (1.0,) * 21),
     ],
 )
 def test_split_tail_bound_majorises_doubled_threshold(beta, a):
-    from epsteinzeta.epstein import _choose_T, _enumerate, _g_kernel, _group_scales, _tail_bound
+    from epsteinzeta.epstein import _enumerate, _g_kernel, _jobs
 
-    groups = _group_scales(a)
-    big_t, c, theta_prod = _choose_T((beta,), groups, 1e-10)
+    memo = {}
+    [(_, pattern, scales, qmax, bound)] = _jobs((beta,), a, 1e-10, memo)
+    [(_, _, t0, c, _)] = memo.values()
+    big_t = math.pi * qmax
+    assert big_t == pytest.approx(max(t0, 4.0 * abs(beta)), rel=1e-15)
     assert 0.0 < c <= 0.5
-    bound = _tail_bound(big_t, c, theta_prod)
     assert bound < 1e-10
     # one job enumerated alone: a single chunk, origin included
-    pattern = tuple(count for _, count in groups)
-    scales = np.array([[scale] for scale, _ in groups])
-    [(q, w, _, _)] = list(_enumerate(pattern, scales, np.array([2.0 * big_t / math.pi])))
+    [(q, w, _, _)] = list(_enumerate(pattern, np.array(scales)[:, None], np.array([2.0 * qmax])))
     x = math.pi * q
     beyond = x > big_t
     tail = float(np.sum(w[beyond] * _g_kernel(beta, x[beyond])))
     assert 0.0 < tail <= bound
+
+
+def test_theta_majorant_bounds_jtheta():
+    # _theta_product of one unit scale at split t is the theta majorant at t;
+    # the reference is mpmath's jtheta at 30 digits
+    import mpmath
+
+    from epsteinzeta.epstein import _theta_product
+
+    for t in np.geomspace(1e-3, 1e3, 61):
+        majorant = _theta_product([(1.0, 1)], float(t))
+        with mpmath.workdps(30):
+            exact = mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * mpmath.mpf(float(t))))
+            assert exact <= majorant <= (1 + mpmath.mpf(1e-9)) * exact
+
+
+@pytest.mark.parametrize("beta", [-0.3, -1.7, -2.5, -3.6, -5.5])
+@pytest.mark.parametrize("a", [(1.8,), (2.5,), (3.0, 3.0), (0.9, 1.7)])
+def test_kernel_sum_err_covers_negative_order_recurrence(beta, a):
+    # the backward recurrence of _g_kernel at beta < 0 is off by up to 8e-8
+    # relative per term; the sum-level err must still cover the error.  The
+    # reference is a 40-digit mpmath lattice sum over a box past pi Q = 120
+    import mpmath
+
+    box = [range(math.isqrt(int(120 / (math.pi * x * x))) + 2) for x in a]
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        exact = mpmath.mpf(0)
+        for k in itertools.product(*box):
+            if any(k):
+                x = mpmath.pi * mpmath.fsum((mpmath.mpf(c) * j) ** 2 for c, j in zip(a, k))
+                exact += 2 ** sum(j > 0 for j in k) * mpmath.gammainc(b, x) / x**b
+        for tol in (1e-9, 1e-13):
+            got = gamma_kernel_sum(beta, a, EvalConfig(tol=tol))
+            assert abs(mpmath.mpf(got.value) - exact) <= got.err
