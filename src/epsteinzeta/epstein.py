@@ -19,26 +19,29 @@ Lattice sums are truncated at pi Q <= T with T chosen so that the tail bound
 
 falls below the configured tolerance; it holds for every split 0 < c < 1.
 T0 >= 8, the split c (from theta(t) <= 1 + t^{-1/2}) and the theta product
-(from a closed-form majorant) depend on the scales and tol alone; one engine
-call computes them once per distinct (scales, tol), and a sum of order beta
-takes T = max(T0, 4|beta|).  Equal scales are summed radially through exact
-representation counts: isotropic directions cost O(T) terms, not O(T^{n/2}).
+(a closed-form majorant) depend on the scales and tol alone; a sum of order
+beta takes T = max(T0, 4|beta|).  Equal scales are summed radially through
+exact representation counts: isotropic directions cost O(T) terms.
 
 Every kernel sum goes through one batched engine, `_kernel_sums`.  A job is
 one kernel sum, (order, scales, tol); the orders of one difference quotient
-share one T, so their truncations cancel.  Jobs with the same pattern of
-group counts share a bucket, whose integer tables (squares for single axes,
+share one T, so their truncations cancel.  Jobs with one pattern of group
+counts share a bucket, whose integer tables (squares for single axes,
 representation counts for groups) are built once and whose lattices are
 enumerated together, each job's points contiguous with its origin, of weight
-zero, first.  A bucket is cut into chunks of whole jobs of at most
-`_CHUNK_POINTS` points, which bounds memory; a larger single lattice runs
-alone.  Each chunk makes one gammaincc call with per-point orders and sums
-each job by np.add.reduceat over its segment, which keeps numpy's pairwise
-summation, so the flat rounding allowance 5e-15 sum|terms| holds on large
-lattices, where a sequential sum (np.bincount) would not.  A job's value and
-err do not depend on the batch it is evaluated in.  `xi` is a batch of one
-node, whose two kernel sums S(s; a) and S(n/2 - s; 1/a) are two jobs in one
-bucket; `xi_many` evaluates many nodes in one call.
+zero, first.  Chunks of whole jobs hold at most `_CHUNK_POINTS` points, which
+bounds memory; a larger single lattice runs alone.  Each chunk makes one
+gammaincc call and sums each job by np.add.reduceat over its segment, whose
+pairwise summation keeps the flat rounding allowance 5e-15 sum|terms| on
+large lattices (np.bincount sums sequentially and would not).  A job's value
+and err do not depend on the batch it is evaluated in.
+
+`xi_many` evaluates many nodes in one engine call; `xi` is a batch of one.
+A flat loop makes each node's two jobs, S(s; a) and S(n/2 - s; 1/a), of one
+bucket, and assembles the node from plain floats into its XiValue, the only
+object made per node.  The call's memo, which nothing outlives, holds per
+scale vector its reciprocal and smallest reciprocal lattice value, and per
+(scales, tol) the groups and truncation.  `lambda_n` runs the same code.
 """
 
 from __future__ import annotations
@@ -55,16 +58,8 @@ from .errors import DomainError, PoleError, PrecisionError, SpecialPointError
 from .specfun import _EPS, Approximation
 
 __all__ = [
-    "EvalConfig",
-    "ScaleVector",
-    "XiValue",
-    "gamma_kernel_sum",
-    "lambda_n",
-    "xi",
-    "xi_many",
-    "z",
-    "hat_xi",
-    "functional_equation_residual",
+    "EvalConfig", "ScaleVector", "XiValue", "gamma_kernel_sum", "lambda_n", "xi", "xi_many",
+    "z", "hat_xi", "functional_equation_residual",
 ]
 
 _POLE_GUARD = 1e-6
@@ -267,14 +262,16 @@ def _cuts(node: np.ndarray, lens: np.ndarray) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _g_kernel(orders, x: np.ndarray, lens=None) -> np.ndarray:
+def _g_kernel(orders, x: np.ndarray, lens=None, magnitudes: bool = False):
     """g(beta, x) = x^{-beta} Gamma(beta, x) at every x.
 
     `orders` is one order for all of x, or one order per consecutive segment
     of x with lengths `lens`.  One gammaincc call covers every point: an
     order beta <= 0 enters it shifted to beta + k > 0 and comes down through
     Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b, except the integers -m,
-    whose kernel is E_{m+1}(x) itself.
+    whose kernel is E_{m+1}(x) itself.  `magnitudes` adds x^{-beta} times that
+    recurrence run on (|Gamma(b + 1, x)| + x^b e^{-x}) / |b| at shifted orders
+    (else None): it exceeds |g| by about 2 (x + 1) / |b| where b nears 0.
     """
     shape = np.shape(x)
     if lens is None:
@@ -305,23 +302,24 @@ def _g_kernel(orders, x: np.ndarray, lens=None) -> np.ndarray:
     beta = spread(orders)
     g = gammaincc(spread(shifted) if any(shifts) else beta, x)
     g *= spread([math.gamma(b) for b in shifted])
+    mag = None
     if max(shifts) > 0:
         ex = np.exp(-x)
+        mag = np.abs(g)
         steps, betas = full(shifts), full(orders)
         for j in range(max(shifts) - 1, -1, -1):
-            if uniform:  # one order: update in place, without masks
-                b = beta + j
-                g -= np.power(x, b) * ex
-                g /= b
-            else:
-                sel = steps > j
-                b = betas[sel] + j
-                g[sel] = (g[sel] - np.power(x[sel], b) * ex[sel]) / b
+            # one order steps every point with a scalar order, without masks
+            sel = slice(None) if uniform else steps > j
+            b = (beta if uniform else betas[sel]) + j
+            p = np.power(x[sel], b) * ex[sel]
+            g[sel] = (g[sel] - p) / b
+            mag[sel] = (mag[sel] + p) / np.abs(b)
+        mag *= np.power(x, -beta)
     g *= np.power(x, -beta)
     if min(shifts) < 0:
         sel = full(shifts) < 0
         g[sel] = expn(full([1 - int(b) if k < 0 else 0 for b, k in zip(orders, shifts)])[sel], x[sel])
-    return g.reshape(shape)
+    return (g.reshape(shape), mag) if magnitudes else g.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +367,8 @@ def _choose_split(groups: list[tuple[float, int]], tol: float) -> float:
     return c
 
 
-def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, float, float]:
-    """(T0, c, theta_prod) with T0 >= 8 and _tail_bound(T0, c, theta_prod) < tol."""
+def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, ...]:
+    """(T0, c, theta_prod, tail) with T0 >= 8 and tail = _tail_bound(T0, c, theta_prod) < tol."""
     c = _choose_split(groups, tol)
     theta_prod = _theta_product(groups, c)
 
@@ -383,8 +381,9 @@ def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, float
     big_t = phi(8.0)
     big_t = 8.0 if big_t <= 8.0 else phi(phi(big_t))
     for _ in range(60):
-        if _tail_bound(big_t, c, theta_prod) < tol:
-            return big_t, c, theta_prod
+        tail = _tail_bound(big_t, c, theta_prod)
+        if tail < tol:
+            return big_t, c, theta_prod, tail
         big_t *= 2.0
     raise PrecisionError(f"no truncation threshold reaches tol={tol}")
 
@@ -394,19 +393,25 @@ def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, float
 # ---------------------------------------------------------------------------
 
 
-def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float, memo=None) -> list[tuple]:
-    """One kernel-sum job per order over the scales a: its order, group-count
-    pattern, group scales, qmax = T/pi and the tail bound at T.  The orders
-    share T, so differences in the order cancel the truncation; `memo` holds
-    the groups and (T0, c, theta_prod) per (a, tol) for one engine call."""
-    memo = {} if memo is None else memo
-    if (a, tol) not in memo:
+def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
+    """The job of S(beta; a): order, group-count pattern, group scales, qmax =
+    T/pi and tail bound at T = max(T0, 4|beta|); `memo` holds one engine call's
+    groups and `_choose_T` per (a, tol)."""
+    entry = memo.get((a, tol))
+    if entry is None:
         groups = _group_scales(a)
-        memo[a, tol] = (*zip(*groups), *_choose_T(groups, tol))
-    scales, pattern, t0, c, theta_prod = memo[a, tol]
-    big_t = max(t0, 4.0 * max(abs(beta) for beta in orders))
-    tail = _tail_bound(big_t, c, theta_prod)
-    return [(beta, pattern, scales, big_t / math.pi, tail) for beta in orders]
+        entry = memo[a, tol] = (*zip(*groups), *_choose_T(groups, tol))
+    scales, pattern, t0, c, theta_prod, tail = entry
+    big_t = 4.0 * abs(beta)
+    if big_t > t0:
+        return beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
+    return beta, pattern, scales, t0 / math.pi, tail
+
+
+def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float) -> list[tuple]:
+    """Jobs of all orders over a at one T, the largest |order|'s: differences cancel the tail."""
+    _, *shared = _job(max(orders, key=abs), a, tol, {})
+    return [(beta, *shared) for beta in orders]
 
 
 def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
@@ -431,17 +436,21 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
             chunk = members[first : first + len(counts)]
             orders = [jobs[i][0] for i in chunk]
             q *= math.pi
-            terms = _g_kernel(orders, q, counts)
+            terms, mag = _g_kernel(orders, q, counts, magnitudes=True)
             terms *= w
-            del q, w
+            mags = None if mag is None else np.add.reduceat(mag * w, starts).tolist()
+            del q, w, mag
             sums = np.add.reduceat(terms, starts).tolist()
             # terms of a positive order are nonnegative: there the sum is the mass
             mass = sums if min(orders) > 0 else np.add.reduceat(np.abs(terms), starts).tolist()
-            for i, beta, total, m in zip(chunk, orders, sums, mass):
+            for i, beta, total, m, big in zip(chunk, orders, sums, mass, mags or mass):
                 values[i] = total
-                # terms share one sign except far outside the critical
-                # strip, so pairwise summation costs a few ulps of the mass
-                errs[i] = jobs[i][4] + 5e-15 * m * (4.0 if beta <= 0 else 1.0)
+                # terms share one sign except far outside the critical strip, so
+                # pairwise summation costs a few ulps of the mass; a shifted order
+                # pays k + 3 (summation, gammaincc, k steps, power) on its magnitudes
+                shifted = beta < 0 and beta != round(beta)
+                factor = math.floor(-beta) + 4.0 if shifted else 4.0 if beta <= 0 else 1.0
+                errs[i] = jobs[i][4] + 5e-15 * (big if shifted else m) * factor
     return values, errs
 
 
@@ -456,7 +465,7 @@ _D2_STEP = 1e-3
 def gamma_kernel_sum(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     """S(beta; a) = sum_{k != 0} (pi Q(k))^{-beta} Gamma(beta, pi Q(k))."""
     sv = ScaleVector.ensure(scales)
-    [value], [err] = _kernel_sums(_jobs((float(beta),), sv.a, cfg.tol / 4.0))
+    [value], [err] = _kernel_sums([_job(float(beta), sv.a, cfg.tol / 4.0, {})])
     return Approximation(value, err)
 
 
@@ -493,76 +502,64 @@ def _check_not_pole(n: int, s: float) -> None:
         raise PoleError(f"s={s} is inside the guard band around the pole at n/2")
 
 
-def _lambda_jobs(n: int, s: float, sv: ScaleVector, tol_a: float, tol_recip: float, memo: dict):
-    """The jobs of S(s; a) and S(n/2 - s; 1/a), and min(1/a)."""
-    recip = tuple(1.0 / x for x in sv.a)
-    jobs = _jobs((s,), sv.a, tol_a / 4.0, memo) + _jobs((n / 2.0 - s,), recip, tol_recip / 4.0, memo)
-    return jobs, min(recip)
+def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> float:
+    """The err of S(n/2 - s; 1/a) = value +- err plus the rounding of its order.
 
-
-def _reflected(n: int, s: float, kernel: Approximation, recip_min: float) -> Approximation:
-    """S(n/2 - s; 1/a), with the rounding of the order n/2 - s in its err.
-
-    The order is evaluated at beta = fl(n/2 - s), off the exact order by
-    dbeta (recovered exactly by TwoSum).  dS/dbeta is a sum of positive
-    terms dg/dbeta = integral_1^inf t^{beta-1} log t e^{-xt} dt; by Jensen,
-    dg/dbeta <= g log(g(beta+1, x) / g(beta, x)) <= g log(1 + max(beta, 1)/x),
-    so |dS/dbeta| <= S log(1 + max(beta, 1)/x_min), where
-    x_min = pi min(1/a)^2 is the smallest lattice value and S <= value + err.
-    The factor reaches log(1/x_min) at strong anisotropy, where it amplifies
-    the half-ulp of dbeta well past the roundoff allowance.
+    The order beta = fl(n/2 - s) is off by dbeta, recovered exactly by TwoSum.
+    dS/dbeta sums dg/dbeta = integral_1^inf t^{beta-1} log t e^{-xt} dt > 0; by
+    Jensen, dg/dbeta <= g log(g(beta+1, x) / g(beta, x)) <= g log(1 + max(beta, 1)/x),
+    so |dS/dbeta| <= (value + err) log(1 + max(beta, 1)/x_min) with x_min =
+    pi min(1/a)^2 the smallest lattice value.  At strong anisotropy the factor
+    log(1/x_min) amplifies the half-ulp of dbeta well past the roundoff allowance.
     """
     half = n / 2.0
     beta = half - s
     dbeta = (half - (beta - (beta - half))) + (-s - (beta - half))
-    x_min = math.pi * recip_min**2
-    slope = (abs(kernel.value) + kernel.err) * math.log1p(max(beta, 1.0) / x_min)
-    return Approximation(kernel.value, kernel.err + abs(dbeta) * slope)
+    return err + abs(dbeta) * ((abs(value) + err) * math.log1p(max(beta, 1.0) / x_min))
+
+
+def _lambda_parts(nodes, tol: float, split: bool):
+    """(n, s, V, S(s; a), err, S(n/2 - s; 1/a), err) per node (n, s, scales)
+    from one engine call.  Each sum gets tol/4; `split` splits tol by the
+    V-weights of Xi, so that its assembled error meets tol.  The call's memo
+    holds each scale vector's reciprocal and x_min next to the truncations."""
+    jobs, rows, memo = [], [], {}
+    for n, s, scales in nodes:
+        sv = ScaleVector.ensure(scales)
+        a, v = sv.a, sv.V
+        if len(a) != n:
+            raise DomainError(f"expected {n} scales, got {len(a)}")
+        s = float(s)
+        _check_not_pole(n, s)
+        recip = memo.get(a)
+        if recip is None:
+            inv = tuple(1.0 / x for x in a)
+            recip = memo[a] = inv, math.pi * min(inv) ** 2
+        tol_a, tol_r = (tol * (0.5 / v), tol * (0.5 * v)) if split else (tol, tol)
+        jobs.append(_job(s, a, tol_a / 4.0, memo))
+        jobs.append(_job(n / 2.0 - s, recip[0], tol_r / 4.0, memo))
+        rows.append((n, s, v, recip[1]))
+    values, errs = _kernel_sums(jobs)
+    sums = iter(zip(values, errs))
+    for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums):
+        yield n, s, v, v1, e1, v2, _reflected_err(n, s, v2, e2, x_min)
 
 
 def lambda_n(s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
-    """Pole-free part: S(s; a) + S(n/2 - s; 1/a), symmetric under
-    (s, a) -> (n/2 - s, 1/a)."""
+    """Pole-free part S(s; a) + S(n/2 - s; 1/a), symmetric under (s, a) -> (n/2 - s, 1/a)."""
     sv = ScaleVector.ensure(scales)
-    n = len(sv)
-    s = float(s)
-    _check_not_pole(n, s)
-    jobs, recip_min = _lambda_jobs(n, s, sv, cfg.tol, cfg.tol, {})
-    (v1, v2), (e1, e2) = _kernel_sums(jobs)
-    first = Approximation(v1, e1)
-    second = _reflected(n, s, Approximation(v2, e2), recip_min)
-    value = first.value + second.value
-    return Approximation(value, first.err + second.err + 2.0 * _EPS * abs(value))
+    [(_, _, _, v1, e1, v2, e2)] = _lambda_parts([(len(sv), s, sv)], cfg.tol, False)
+    value = v1 + v2
+    return Approximation(value, e1 + e2 + 2.0 * _EPS * abs(value))
 
 
 def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
-    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call.
-
-    Each value and err is the one `xi` returns at that node, bit for bit.
-    """
-    jobs, nodes_at, memo = [], [], {}
-    for n, s, scales in nodes:
-        sv = ScaleVector.ensure(scales)
-        if len(sv) != n:
-            raise DomainError(f"expected {n} scales, got {len(sv)}")
-        s = float(s)
-        _check_not_pole(n, s)
-        v = sv.V
-        # split the tolerance by the V-weights so the assembled error meets tol
-        pair, recip_min = _lambda_jobs(n, s, sv, cfg.tol * (0.5 / v), cfg.tol * (0.5 * v), memo)
-        jobs += pair
-        nodes_at.append((n, s, v, recip_min))
-    values, errs = _kernel_sums(jobs)
+    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call;
+    each value and err is the one `xi` returns at that node, bit for bit."""
     out = []
-    for k, (n, s, v, recip_min) in enumerate(nodes_at):
-        first = Approximation(values[2 * k], errs[2 * k])
-        second = _reflected(n, s, Approximation(values[2 * k + 1], errs[2 * k + 1]), recip_min)
-        value = math.fsum(
-            (-v / s, -(1.0 / v) / (n / 2.0 - s), v * first.value, second.value / v)
-        )
-        err = v * first.err + second.err / v + 4.0 * _EPS * (
-            v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value)
-        )
+    for n, s, v, v1, e1, v2, e2 in _lambda_parts(nodes, cfg.tol, True):
+        value = math.fsum((-v / s, -(1.0 / v) / (n / 2.0 - s), v * v1, v2 / v))
+        err = v * e1 + e2 / v + 4.0 * _EPS * (v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value))
         out.append(XiValue(value, err, n, s))
     return out
 
@@ -606,10 +603,13 @@ def hat_xi(n: int, s_hat: float, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
 def functional_equation_residual(
     n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> float:
-    """|Xi_n(s; a) - Xi_n(n/2 - s; 1/a)|, a correctness diagnostic.
+    """|Xi_n(s; a) - Xi_n(n/2 - s; 1/a)|, a check of the rounding of the
+    reflected inputs n/2 - s, 1/a and 1/V, not of the lattice sums.
 
-    Both sides are evaluated independently (different kernel orders and
-    different lattices), so agreement is evidence, not tautology.
+    Xi_n(n/2 - s; 1/a) adds the same two kernel sums, S(s; a) and
+    S(n/2 - s; 1/a), with their roles swapped; where the reflected inputs
+    round exactly, the two sides are equal jobs and the residual is 0.  The
+    independent check of the sums is `chowla.xi_chowla_selberg`.
     """
     sv = ScaleVector.ensure(scales)
     left, right = xi_many([(n, s, sv), (n, n / 2.0 - s, sv.reciprocal())], cfg)

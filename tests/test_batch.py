@@ -5,13 +5,32 @@ allowance."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsteinzeta import EvalConfig, ScaleVector, gamma_kernel_sum, kratio_chart, scan, xi, xi_many
+from epsteinzeta import (
+    EvalConfig,
+    ScaleVector,
+    gamma_kernel_sum,
+    kratio_chart,
+    lambda_n,
+    scan,
+    xi,
+    xi_many,
+)
 from epsteinzeta import epstein
-from epsteinzeta.epstein import _enumerate, _g_kernel, _group_scales, _jobs, _kernel_sums
-from epsteinzeta.specfun import riemann_zeta
+from epsteinzeta.epstein import (
+    _enumerate,
+    _g_kernel,
+    _group_scales,
+    _job,
+    _jobs,
+    _kernel_sums,
+    _lambda_parts,
+    _reflected_err,
+)
+from epsteinzeta.specfun import _EPS, riemann_zeta
 
 # repeated values make mixed group patterns such as (1, 2) or (1, 1, 3)
 _SCALES = (1.0, 0.5, 2.0, 0.8, 1.25, 0.7)
@@ -46,7 +65,7 @@ def _pair(v):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(nodes(), min_size=1, max_size=5), st.randoms(use_true_random=False))
+@given(st.lists(nodes(), min_size=1, max_size=12), st.randoms(use_true_random=False))
 def test_node_bit_identical_alone_and_in_any_batch(batch, rnd):
     batch = batch + [_EMPTY]
     rnd.shuffle(batch)
@@ -56,6 +75,30 @@ def test_node_bit_identical_alone_and_in_any_batch(batch, rnd):
     rnd.shuffle(order)
     shuffled = xi_many([batch[i] for i in order])
     assert [_pair(shuffled[order.index(k)]) for k in range(len(batch))] == alone
+
+
+@pytest.mark.parametrize(
+    "n, s, a",
+    [
+        (3, 0.7, (2.0, 0.5, 1.0)),
+        (2, -0.4, (1.0, 1.0)),
+        (4, 3.3, (0.5, 2.0, 0.8, 1.25)),
+        (10, 2.5, (1.0,) * 10),
+        (1, 1.8, (1.0,)),
+    ],
+)
+def test_lambda_n_adds_the_sums_xi_many_makes(n, s, a):
+    # at V = 1, xi_many at tolerance 2 tol asks both sums for tol/4, as
+    # lambda_n at tol does: the same jobs, kernel sums and reflected err
+    cfg = EvalConfig(tol=1e-10)
+    [(_, _, v, v1, e1, v2, e2)] = _lambda_parts([(n, s, a)], 2.0 * cfg.tol, True)
+    assert v == 1.0
+    memo, recip = {}, tuple(1.0 / x for x in a)
+    jobs = [_job(s, a, cfg.tol / 4.0, memo), _job(n / 2.0 - s, recip, cfg.tol / 4.0, memo)]
+    (w1, w2), (f1, f2) = _kernel_sums(jobs)
+    assert (w1, f1, w2, _reflected_err(n, s, w2, f2, math.pi * min(recip) ** 2)) == (v1, e1, v2, e2)
+    got = lambda_n(s, a, cfg)
+    assert (got.value, got.err) == (v1 + v2, e1 + e2 + 2.0 * _EPS * abs(v1 + v2))
 
 
 def test_chunk_cuts_leave_results_bit_identical(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsteinzeta import (
     EvalConfig,
@@ -93,3 +95,30 @@ def test_generic_sample_agreement(monkeypatch):
         done += 1
     switch = specfun._ASYMPTOTIC_SWITCH
     assert any(z.min() <= switch < z.max() for z in calls)
+
+
+@st.composite
+def generic_points(draw, n: int):
+    """Scales 2^u with u in [-3, 3] in ascending order, and s in
+    (-0.9, n/2 + 0.9) at least 0.02 from every multiple of 1/2: off the poles
+    and the non-generic arguments of the Chowla-Selberg route."""
+    a = sorted(2.0 ** u for u in draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    s = draw(
+        st.floats(-0.9, n / 2.0 + 0.9, exclude_min=True, exclude_max=True).filter(
+            lambda s: abs(s - round(2.0 * s) / 2.0) >= 0.02
+        )
+    )
+    return s, tuple(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_xi_agrees_with_chowla_selberg_and_under_reversed_scales(n, data):
+    # the ascending order keeps the Bessel sums short; xi takes any order
+    s, a = data.draw(generic_points(n))
+    ours = xi(n, s, a)
+    other = xi_chowla_selberg(n, s, a)
+    assert abs(ours.value - other.value) <= ours.err + other.err
+    reversed_ = xi(n, s, a[::-1])
+    assert abs(ours.value - reversed_.value) <= ours.err + reversed_.err

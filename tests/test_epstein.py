@@ -347,13 +347,15 @@ def test_default_tol_agrees_with_tight_reference(n, s, a):
     ],
 )
 def test_split_tail_bound_majorises_doubled_threshold(beta, a):
-    from epsteinzeta.epstein import _enumerate, _g_kernel, _jobs
+    from epsteinzeta.epstein import _enumerate, _g_kernel, _job
 
     memo = {}
-    [(_, pattern, scales, qmax, bound)] = _jobs((beta,), a, 1e-10, memo)
-    [(_, _, t0, c, _)] = memo.values()
+    _, pattern, scales, qmax, bound = _job(beta, a, 1e-10, memo)
+    [(_, _, t0, c, _, tail0)] = memo.values()
     big_t = math.pi * qmax
     assert big_t == pytest.approx(max(t0, 4.0 * abs(beta)), rel=1e-15)
+    # the memo's tail bound at T0 is the job's unless the order sets T
+    assert (bound == tail0) == (4.0 * abs(beta) <= t0)
     assert 0.0 < c <= 0.5
     assert bound < 1e-10
     # one job enumerated alone: a single chunk, origin included
@@ -378,7 +380,11 @@ def test_theta_majorant_bounds_jtheta():
             assert exact <= majorant <= (1 + mpmath.mpf(1e-9)) * exact
 
 
-@pytest.mark.parametrize("beta", [-0.3, -1.7, -2.5, -3.6, -5.5])
+# the last three lie just below a nonpositive integer, where one recurrence
+# step cancels; the two before them lie just above one
+@pytest.mark.parametrize(
+    "beta", [-0.3, -1.7, -2.5, -3.6, -5.5, -1 + 3e-7, -3 + 1e-5, -1 - 1e-4, -2 - 1e-6, -2 - 2e-8]
+)
 @pytest.mark.parametrize("a", [(1.8,), (2.5,), (3.0, 3.0), (0.9, 1.7)])
 def test_kernel_sum_err_covers_negative_order_recurrence(beta, a):
     # the backward recurrence of _g_kernel at beta < 0 is off by up to 8e-8
