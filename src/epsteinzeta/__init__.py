@@ -20,7 +20,7 @@ from .analysis import (
     critical_sign_certificates,
     verify_negative_range,
 )
-from .chowla import CSTerms, chowla_selberg_terms, xi_chowla_selberg
+from .chowla import xi_chowla_selberg
 from .config import EvalConfig
 from .convexity import (
     HyperplaneChart,
@@ -39,10 +39,7 @@ from .convexity import (
 from .epstein import (
     ScaleVector,
     XiValue,
-    functional_equation_residual,
-    gamma_kernel_sum,
     hat_xi,
-    lambda_n,
     xi,
     xi_many,
     z,
@@ -85,7 +82,6 @@ __all__ = [
     "XiValue",
     "SignInterval",
     "BoundReport",
-    "CSTerms",
     "HyperplaneChart",
     "JnInput",
     "RegionGrid",
@@ -94,15 +90,11 @@ __all__ = [
     "riemann_zeta",
     "incgamma_bound",
     "bessel_k",
-    "lambda_n",
     "xi",
     "xi_many",
     "z",
     "hat_xi",
-    "gamma_kernel_sum",
-    "functional_equation_residual",
     "xi_chowla_selberg",
-    "chowla_selberg_terms",
     "decide_sign",
     "decide_signs",
     "find_positive_interval",

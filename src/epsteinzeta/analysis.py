@@ -287,14 +287,15 @@ def hat_xi_second_derivative(
     The pole part differentiates in closed form to
     -(4/n)(1/s^3 + 1/(1-s)^3); each lattice kernel's log^2-weighted integral
     is realised as a second central difference in the order of the
-    incomplete-gamma kernel over one shared lattice.
+    incomplete-gamma kernel over one shared lattice, once at the symmetry point.
     """
     if not 0.0 < s_hat < 1.0:
         raise DomainError(f"normalised argument must lie in (0, 1), got {s_hat}")
     unit = ScaleVector.unit(n)
     pole = -(4.0 / n) * (1.0 / s_hat**3 + 1.0 / (1.0 - s_hat) ** 3)
-    _, d2a = gamma_kernel_sum_d2(n * s_hat / 2.0, unit, cfg)
-    _, d2b = gamma_kernel_sum_d2(n * (1.0 - s_hat) / 2.0, unit, cfg)
+    beta_a, beta_b = n * s_hat / 2.0, n * (1.0 - s_hat) / 2.0
+    d2a = gamma_kernel_sum_d2(beta_a, unit, cfg)
+    d2b = d2a if beta_b == beta_a else gamma_kernel_sum_d2(beta_b, unit, cfg)
     half_n_sq = (n / 2.0) ** 2
     value = pole + half_n_sq * (d2a.value + d2b.value)
     err = half_n_sq * (d2a.err + d2b.err) + 8.0 * _EPS * (abs(pole) + abs(value))

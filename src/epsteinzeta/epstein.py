@@ -41,7 +41,8 @@ A flat loop makes each node's two jobs, S(s; a) and S(n/2 - s; 1/a), of one
 bucket, and assembles the node from plain floats into its XiValue, the only
 object made per node.  The call's memo, which nothing outlives, holds per
 scale vector its reciprocal and smallest reciprocal lattice value, and per
-(scales, tol) the groups and truncation.  `lambda_n` runs the same code.
+(scales, tol) the groups and truncation.  The one other way in is the
+order difference `gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
 """
 
 from __future__ import annotations
@@ -57,10 +58,7 @@ from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, PoleError, PrecisionError, SpecialPointError
 from .specfun import _EPS, Approximation
 
-__all__ = [
-    "EvalConfig", "ScaleVector", "XiValue", "gamma_kernel_sum", "lambda_n", "xi", "xi_many",
-    "z", "hat_xi", "functional_equation_residual",
-]
+__all__ = ["EvalConfig", "ScaleVector", "XiValue", "xi", "xi_many", "z", "hat_xi"]
 
 _POLE_GUARD = 1e-6
 # hard caps on the integer steps along one lattice direction (and per-group
@@ -262,21 +260,17 @@ def _cuts(node: np.ndarray, lens: np.ndarray) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _g_kernel(orders, x: np.ndarray, lens=None, magnitudes: bool = False):
-    """g(beta, x) = x^{-beta} Gamma(beta, x) at every x.
+def _g_kernel(orders, x: np.ndarray, lens):
+    """(g, mag) with g(beta, x) = x^{-beta} Gamma(beta, x) at every point of x.
 
-    `orders` is one order for all of x, or one order per consecutive segment
-    of x with lengths `lens`.  One gammaincc call covers every point: an
-    order beta <= 0 enters it shifted to beta + k > 0 and comes down through
+    The 1-d x is split into consecutive segments of lengths `lens`, one per
+    entry of `orders`.  One gammaincc call covers every point: an order
+    beta <= 0 enters it shifted to beta + k > 0 and comes down through
     Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b, except the integers -m,
-    whose kernel is E_{m+1}(x) itself.  `magnitudes` adds x^{-beta} times that
-    recurrence run on (|Gamma(b + 1, x)| + x^b e^{-x}) / |b| at shifted orders
-    (else None): it exceeds |g| by about 2 (x + 1) / |b| where b nears 0.
+    whose kernel is E_{m+1}(x) itself.  mag is x^{-beta} times that
+    recurrence run on (|Gamma(b + 1, x)| + x^b e^{-x}) / |b| if any order is
+    shifted, else None: it exceeds |g| by about 2 (x + 1) / |b| where b nears 0.
     """
-    shape = np.shape(x)
-    if lens is None:
-        orders, lens = [float(orders)], [math.prod(shape)]
-        x = np.reshape(x, -1)
     # one order for all points (a lone large lattice) stays a scalar, which
     # saves the per-point order arrays; the results are bit-equal
     uniform = min(orders) == max(orders)
@@ -319,7 +313,7 @@ def _g_kernel(orders, x: np.ndarray, lens=None, magnitudes: bool = False):
     if min(shifts) < 0:
         sel = full(shifts) < 0
         g[sel] = expn(full([1 - int(b) if k < 0 else 0 for b, k in zip(orders, shifts)])[sel], x[sel])
-    return (g.reshape(shape), mag) if magnitudes else g.reshape(shape)
+    return g, mag
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +430,7 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
             chunk = members[first : first + len(counts)]
             orders = [jobs[i][0] for i in chunk]
             q *= math.pi
-            terms, mag = _g_kernel(orders, q, counts, magnitudes=True)
+            terms, mag = _g_kernel(orders, q, counts)
             terms *= w
             mags = None if mag is None else np.add.reduceat(mag * w, starts).tolist()
             del q, w, mag
@@ -462,18 +456,8 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
 _D2_STEP = 1e-3
 
 
-def gamma_kernel_sum(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
-    """S(beta; a) = sum_{k != 0} (pi Q(k))^{-beta} Gamma(beta, pi Q(k))."""
-    sv = ScaleVector.ensure(scales)
-    [value], [err] = _kernel_sums([_job(float(beta), sv.a, cfg.tol / 4.0, {})])
-    return Approximation(value, err)
-
-
-def gamma_kernel_sum_d2(
-    beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG
-) -> tuple[Approximation, Approximation]:
-    """(S(beta), d^2 S / d beta^2) with a central difference of step
-    h = _D2_STEP in the order.
+def gamma_kernel_sum_d2(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
+    """d^2 S(beta; a) / d beta^2, a central difference of step h = _D2_STEP in the order.
 
     The three orders share one lattice, so the truncation tails cancel to
     first order instead of being amplified by 1/h^2.  The second
@@ -492,7 +476,7 @@ def gamma_kernel_sum_d2(
         + 4.0 * _EPS * (abs(fp) + 2.0 * abs(f0) + abs(fm)) / (h * h)
         + 0.2 * h * h * abs(d2)
     )
-    return Approximation(f0, e0), Approximation(d2, err)
+    return Approximation(d2, err)
 
 
 def _check_not_pole(n: int, s: float) -> None:
@@ -518,11 +502,13 @@ def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> 
     return err + abs(dbeta) * ((abs(value) + err) * math.log1p(max(beta, 1.0) / x_min))
 
 
-def _lambda_parts(nodes, tol: float, split: bool):
-    """(n, s, V, S(s; a), err, S(n/2 - s; 1/a), err) per node (n, s, scales)
-    from one engine call.  Each sum gets tol/4; `split` splits tol by the
-    V-weights of Xi, so that its assembled error meets tol.  The call's memo
-    holds each scale vector's reciprocal and x_min next to the truncations."""
+def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
+    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call;
+    each value and err is the one `xi` returns at that node, bit for bit.
+
+    S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) gets tol V/8, so that their
+    V-weighted errors meet tol.  The call's memo holds each scale vector's
+    reciprocal and x_min next to the truncations."""
     jobs, rows, memo = [], [], {}
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
@@ -535,29 +521,14 @@ def _lambda_parts(nodes, tol: float, split: bool):
         if recip is None:
             inv = tuple(1.0 / x for x in a)
             recip = memo[a] = inv, math.pi * min(inv) ** 2
-        tol_a, tol_r = (tol * (0.5 / v), tol * (0.5 * v)) if split else (tol, tol)
-        jobs.append(_job(s, a, tol_a / 4.0, memo))
-        jobs.append(_job(n / 2.0 - s, recip[0], tol_r / 4.0, memo))
+        jobs.append(_job(s, a, cfg.tol * (0.5 / v) / 4.0, memo))
+        jobs.append(_job(n / 2.0 - s, recip[0], cfg.tol * (0.5 * v) / 4.0, memo))
         rows.append((n, s, v, recip[1]))
     values, errs = _kernel_sums(jobs)
     sums = iter(zip(values, errs))
-    for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums):
-        yield n, s, v, v1, e1, v2, _reflected_err(n, s, v2, e2, x_min)
-
-
-def lambda_n(s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
-    """Pole-free part S(s; a) + S(n/2 - s; 1/a), symmetric under (s, a) -> (n/2 - s, 1/a)."""
-    sv = ScaleVector.ensure(scales)
-    [(_, _, _, v1, e1, v2, e2)] = _lambda_parts([(len(sv), s, sv)], cfg.tol, False)
-    value = v1 + v2
-    return Approximation(value, e1 + e2 + 2.0 * _EPS * abs(value))
-
-
-def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
-    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call;
-    each value and err is the one `xi` returns at that node, bit for bit."""
     out = []
-    for n, s, v, v1, e1, v2, e2 in _lambda_parts(nodes, cfg.tol, True):
+    for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums):
+        e2 = _reflected_err(n, s, v2, e2, x_min)
         value = math.fsum((-v / s, -(1.0 / v) / (n / 2.0 - s), v * v1, v2 / v))
         err = v * e1 + e2 / v + 4.0 * _EPS * (v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value))
         out.append(XiValue(value, err, n, s))
@@ -598,19 +569,3 @@ def hat_xi(n: int, s_hat: float, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
     if not 0.0 < s_hat < 1.0:
         raise DomainError(f"normalised argument must lie in (0, 1), got {s_hat}")
     return xi(n, n * s_hat / 2.0, ScaleVector.unit(n), cfg)
-
-
-def functional_equation_residual(
-    n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
-    """|Xi_n(s; a) - Xi_n(n/2 - s; 1/a)|, a check of the rounding of the
-    reflected inputs n/2 - s, 1/a and 1/V, not of the lattice sums.
-
-    Xi_n(n/2 - s; 1/a) adds the same two kernel sums, S(s; a) and
-    S(n/2 - s; 1/a), with their roles swapped; where the reflected inputs
-    round exactly, the two sides are equal jobs and the residual is 0.  The
-    independent check of the sums is `chowla.xi_chowla_selberg`.
-    """
-    sv = ScaleVector.ensure(scales)
-    left, right = xi_many([(n, s, sv), (n, n / 2.0 - s, sv.reciprocal())], cfg)
-    return abs(left.value - right.value)

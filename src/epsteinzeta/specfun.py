@@ -179,7 +179,7 @@ def _zeta_direct(s: float, tol: float) -> tuple[float, float]:
     return value, rem + 4.0 * _EPS * (head + abs(tail))
 
 
-def riemann_zeta(s: float, cfg: EvalConfig | None = None) -> Approximation:
+def riemann_zeta(s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     """Riemann zeta for real s != 1.
 
     s >= 0 : direct series with Euler-Maclaurin tail correction.
@@ -190,7 +190,7 @@ def riemann_zeta(s: float, cfg: EvalConfig | None = None) -> Approximation:
     """
     if s == 1.0:
         raise PoleError("zeta has a pole at s = 1")
-    tol = min((cfg or DEFAULT_CONFIG).tol, 1e-13)
+    tol = min(cfg.tol, 1e-13)
     if s >= 0.0:
         value, err = _zeta_direct(s, tol)
         return Approximation(value, err)
@@ -316,7 +316,7 @@ def _k_asymptotic(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scale * total, scale * (omitted + 24.0 * _EPS * np.abs(total))
 
 
-def bessel_k(nu: float, z, cfg: EvalConfig | None = None):
+def bessel_k(nu: float, z, cfg: EvalConfig = DEFAULT_CONFIG):
     """Modified Bessel function of the second kind, K_nu(z), z > 0, real nu.
 
     ``z`` is a float or an array.  A float gives an :class:`Approximation`;
@@ -331,7 +331,7 @@ def bessel_k(nu: float, z, cfg: EvalConfig | None = None):
     if not np.all(zs > 0):
         raise DomainError(f"bessel_k requires z > 0, got {z}")
     nu = abs(nu)
-    tol = min((cfg or DEFAULT_CONFIG).tol * 1e-3, 1e-15)
+    tol = min(cfg.tol * 1e-3, 1e-15)
     values = np.empty_like(zs)
     errs = np.empty_like(zs)
     far = zs > _ASYMPTOTIC_SWITCH

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from epsteinzeta import (
     EvalConfig,
     ScaleVector,
-    gamma_kernel_sum,
     kratio_chart,
-    lambda_n,
     scan,
     xi,
     xi_many,
@@ -27,10 +25,8 @@ from epsteinzeta.epstein import (
     _job,
     _jobs,
     _kernel_sums,
-    _lambda_parts,
-    _reflected_err,
 )
-from epsteinzeta.specfun import _EPS, riemann_zeta
+from epsteinzeta.specfun import riemann_zeta
 
 # repeated values make mixed group patterns such as (1, 2) or (1, 1, 3)
 _SCALES = (1.0, 0.5, 2.0, 0.8, 1.25, 0.7)
@@ -77,30 +73,6 @@ def test_node_bit_identical_alone_and_in_any_batch(batch, rnd):
     assert [_pair(shuffled[order.index(k)]) for k in range(len(batch))] == alone
 
 
-@pytest.mark.parametrize(
-    "n, s, a",
-    [
-        (3, 0.7, (2.0, 0.5, 1.0)),
-        (2, -0.4, (1.0, 1.0)),
-        (4, 3.3, (0.5, 2.0, 0.8, 1.25)),
-        (10, 2.5, (1.0,) * 10),
-        (1, 1.8, (1.0,)),
-    ],
-)
-def test_lambda_n_adds_the_sums_xi_many_makes(n, s, a):
-    # at V = 1, xi_many at tolerance 2 tol asks both sums for tol/4, as
-    # lambda_n at tol does: the same jobs, kernel sums and reflected err
-    cfg = EvalConfig(tol=1e-10)
-    [(_, _, v, v1, e1, v2, e2)] = _lambda_parts([(n, s, a)], 2.0 * cfg.tol, True)
-    assert v == 1.0
-    memo, recip = {}, tuple(1.0 / x for x in a)
-    jobs = [_job(s, a, cfg.tol / 4.0, memo), _job(n / 2.0 - s, recip, cfg.tol / 4.0, memo)]
-    (w1, w2), (f1, f2) = _kernel_sums(jobs)
-    assert (w1, f1, w2, _reflected_err(n, s, w2, f2, math.pi * min(recip) ** 2)) == (v1, e1, v2, e2)
-    got = lambda_n(s, a, cfg)
-    assert (got.value, got.err) == (v1 + v2, e1 + e2 + 2.0 * _EPS * abs(v1 + v2))
-
-
 def test_chunk_cuts_leave_results_bit_identical(monkeypatch):
     chart = kratio_chart(3)
     batch = [(3, 0.7, chart.scales([x, y])) for x in (-1.5, 0.0, 0.8) for y in (-0.4, 0.0, 1.9)]
@@ -111,10 +83,10 @@ def test_chunk_cuts_leave_results_bit_identical(monkeypatch):
 
 
 def test_empty_lattice_sums_to_zero():
-    assert gamma_kernel_sum(0.3, ScaleVector([1024.0])).value == 0.0
+    assert _kernel_sums([_job(0.3, (1024.0,), EvalConfig().tol / 4.0, {})])[0] == [0.0]
     # followed in its bucket by a nonempty job, whose first term it must not take
     values, _ = _kernel_sums(_jobs((0.3,), (1024.0,), 1e-10) + _jobs((0.3,), (1.0,), 1e-10))
-    assert values == [0.0, gamma_kernel_sum(0.3, (1.0,), EvalConfig(tol=4e-10)).value]
+    assert values == [0.0, _kernel_sums([_job(0.3, (1.0,), 4e-10 / 4.0, {})])[0][0]]
     # Xi_1(s; a) = V pi^-s Gamma(s) 2 zeta(2s) a^-2s with V = sqrt(a)
     n, s, (a,) = _EMPTY
     v = xi(n, s, (a,))
@@ -135,7 +107,7 @@ def test_reduction_within_rounding_allowance_on_large_lattice():
     assert counts[0] >= 100_000
     x, w = math.pi * q[1:], w[1:]  # the origin carries no term
     for value, beta in zip(values[1:], orders):
-        terms = w * _g_kernel(beta, x)
+        terms = w * _g_kernel([beta], x, [x.size])[0]
         assert abs(value - math.fsum(terms)) <= 5e-15 * math.fsum(np.abs(terms))
 
 
