@@ -59,7 +59,7 @@ from .regions import (
     certify_connected,
     certify_discrete_convex,
     center_solution,
-    grid_to_csv,
+    grid_records,
     grid_to_json,
     kratio_chart,
     scan,
@@ -118,7 +118,7 @@ __all__ = [
     "certify_connected",
     "certify_discrete_convex",
     "center_solution",
-    "grid_to_csv",
+    "grid_records",
     "grid_to_json",
     "DomainError",
     "PoleError",

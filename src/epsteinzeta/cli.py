@@ -11,19 +11,25 @@ Subcommands map one-to-one onto the library's analysis entry points:
     scan          sign-region grid scan over a hyperplane chart
     verify-min    randomised minimum-at-equal-scales check
 
-Exit codes: 0 success, 1 evaluation error, 2 an indeterminate sign decision
-occurred, 64 usage error.  Output is plain text by default; --format csv/json
-emit machine-readable artifacts in which every number carries its error
-bound.  Reruns with identical flags produce byte-identical output; the two
-sampling commands, convexity and verify-min, take their draws from --seed.
+Exit codes: 0 success, 1 evaluation error or unwritable --out, 2 an
+indeterminate sign decision occurred, 64 usage error, including a --tol that
+is not positive and finite and a --grid, --samples, --sweep or --axes below 1.
+Output is plain text by default; --format csv/json emit machine-readable
+artifacts, both written from one list of records per command, in which every
+number carries its error bound.  Reruns with identical flags produce
+byte-identical output; the two sampling commands, convexity and verify-min,
+take their draws from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,7 +47,8 @@ EXIT_USAGE = 64
 @dataclass
 class _Output:
     lines: list[str] = field(default_factory=list)
-    rows: list[list] = field(default_factory=list)  # csv rows, first row = header
+    records: list[dict] = field(default_factory=list)  # csv rows; keys = header
+    header: list[str] | None = None  # csv header when there may be no records
     results: dict = field(default_factory=dict)  # json payload
     indeterminate: bool = False
 
@@ -49,8 +56,11 @@ class _Output:
         self.lines.append(text)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(x) -> str:
+    """CSV cell: a float to 17 significant digits, None empty, else str."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return "" if x is None else str(x)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,17 +82,32 @@ def _parse_bounds(text: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return x
+
+
+def _positive_int(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return k
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="epsteinzeta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_s: bool = False) -> None:
-        p.add_argument("--n", type=int, required=True)
+    def common(p: argparse.ArgumentParser, needs_n: bool = True, needs_s: bool = False) -> None:
+        if needs_n:
+            p.add_argument("--n", type=int, required=True)
         if needs_s:
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--s", type=float)
             group.add_argument("--s-hat", dest="s_hat", type=float)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_positive_float, default=1e-9)
         p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
         p.add_argument("--out", default=None)
 
@@ -92,37 +117,33 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("interval", help="positivity interval for one n")
     common(p)
-    p.add_argument("--sweep", type=int, default=None, metavar="POINTS",
+    p.add_argument("--sweep", type=_positive_int, default=None, metavar="POINTS",
                    help="emit a (s, value, err) sweep over (0, n/2) instead")
 
     p = sub.add_parser("table1", help="positivity intervals for n = 10..21")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--out", default=None)
+    common(p, needs_n=False)
 
     p = sub.add_parser("second-deriv", help="second derivative at the symmetry point")
     common(p)
 
     p = sub.add_parser("bounds", help="closed-form sign certificates (n = 9, 10)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--out", default=None)
+    common(p, needs_n=False)
 
     p = sub.add_parser("convexity", help="convexity suite at one (n, s)")
     common(p, needs_s=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scan", help="sign-region grid scan")
     common(p, needs_s=True)
     p.add_argument("--chart", choices=("standard", "kratio"), default="kratio")
-    p.add_argument("--axes", type=int, default=2, help="free chart dimensions")
+    p.add_argument("--axes", type=_positive_int, default=2, help="free chart dimensions")
     p.add_argument("--bounds", type=_parse_bounds, default=(-2.0, 2.0), metavar="LO:HI")
-    p.add_argument("--grid", type=int, default=41, help="nodes per axis")
+    p.add_argument("--grid", type=_positive_int, default=41, help="nodes per axis")
 
     p = sub.add_parser("verify-min", help="minimum-at-equal-scales sampling")
     common(p, needs_s=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -141,59 +162,47 @@ def _resolve_s(args) -> float:
 def _cmd_eval(args, cfg: EvalConfig, out: _Output) -> None:
     s = _resolve_s(args)
     scales = ScaleVector(args.scales) if args.scales else ScaleVector.unit(args.n)
-    xiv = xi(args.n, s, scales, cfg)
-    out.line(f"Xi_{args.n}({s}; {list(scales.a)}) = {xiv.value:.12f} ± {xiv.err:.2e}")
-    out.results["xi"] = {"value": xiv.value, "err": xiv.err}
-    out.rows = [["quantity", "value", "err"], ["xi", _fmt(xiv.value), _fmt(xiv.err)]]
+    values = {"xi": xi(args.n, s, scales, cfg)}
     try:
-        zv = z(args.n, s, scales, cfg)
+        values["z"] = z(args.n, s, scales, cfg)
     except SpecialPointError:
-        return
-    out.line(f"Z_{args.n}({s}; {list(scales.a)}) = {zv.value:.12f} ± {zv.err:.2e}")
-    out.results["z"] = {"value": zv.value, "err": zv.err}
-    out.rows.append(["z", _fmt(zv.value), _fmt(zv.err)])
+        pass
+    for name, v in values.items():
+        point = f"{name.capitalize()}_{args.n}({s}; {list(scales.a)})"
+        out.line(f"{point} = {v.value:.12f} ± {v.err:.2e}")
+        out.results[name] = {"value": v.value, "err": v.err}
+        out.records.append({"quantity": name, **out.results[name]})
 
 
 def _cmd_interval(args, cfg: EvalConfig, out: _Output) -> None:
     if args.sweep:
-        out.rows = [["s", "value", "err"]]
-        out.results["sweep"] = []
         unit = ScaleVector.unit(args.n)
         points = [(i + 0.5) / args.sweep * (args.n / 2.0) for i in range(args.sweep)]
         for s, v in zip(points, xi_many([(args.n, s, unit) for s in points], cfg)):
-            out.rows.append([_fmt(s), _fmt(v.value), _fmt(v.err)])
-            out.results["sweep"].append({"s": s, "value": v.value, "err": v.err})
+            out.records.append({"s": s, "value": v.value, "err": v.err})
             out.line(f"s={s:.6f}  Xi={v.value:.10g}  err={v.err:.2e}")
+        out.results["sweep"] = out.records
         return
     interval = analysis.find_positive_interval(args.n, cfg)
-    out.rows = [["n", "gamma", "mirror", "bracket_width"]]
     if interval is None:
         out.line(f"n={args.n}: empty (Xi_{args.n} < 0 on the whole critical range)")
         out.results["interval"] = None
+        out.header = ["n", "gamma", "mirror", "bracket_width"]
     else:
         out.line(
             f"n={args.n}: ({interval.gamma:.4f}, {interval.mirror:.4f})"
             f"  bracket ±{interval.bracket_width:.1e}"
         )
-        out.results["interval"] = {
-            "gamma": interval.gamma,
-            "mirror": interval.mirror,
-            "bracket_width": interval.bracket_width,
-        }
-        out.rows.append([args.n, _fmt(interval.gamma), _fmt(interval.mirror),
-                         _fmt(interval.bracket_width)])
+        out.records.append(asdict(interval))
+        out.results["interval"] = {k: v for k, v in out.records[0].items() if k != "n"}
 
 
 def _cmd_table1(args, cfg: EvalConfig, out: _Output) -> None:
-    out.rows = [["n", "gamma", "mirror", "bracket_width"]]
-    out.results["table"] = []
     for n in range(10, 22):
         iv = analysis.find_positive_interval(n, cfg)
         out.line(f"{n:3d}  ({iv.gamma:.4f}, {iv.mirror:.4f})")
-        out.rows.append([n, _fmt(iv.gamma), _fmt(iv.mirror), _fmt(iv.bracket_width)])
-        out.results["table"].append(
-            {"n": n, "gamma": iv.gamma, "mirror": iv.mirror, "bracket_width": iv.bracket_width}
-        )
+        out.records.append(asdict(iv))
+    out.results["table"] = out.records
 
 
 def _cmd_second_deriv(args, cfg: EvalConfig, out: _Output) -> None:
@@ -207,47 +216,21 @@ def _cmd_second_deriv(args, cfg: EvalConfig, out: _Output) -> None:
     out.line(f"hat-Xi''_{args.n}(1/2) = {d2.value:.12g} ± {d2.err:.2e}")
     out.line(f"Xi''_{args.n}(n/4)    = {d2.value / chain:.12g} ± {d2.err / chain:.2e}")
     out.line(f"s = n/4 is a {kind.replace('_', ' ')}")
-    out.results["second_derivative"] = {
-        "hat": {"value": d2.value, "err": d2.err},
-        "unhatted": {"value": d2.value / chain, "err": d2.err / chain},
-        "classification": kind,
-    }
-    out.rows = [
-        ["quantity", "value", "err"],
-        ["hat_xi_dd", _fmt(d2.value), _fmt(d2.err)],
-        ["xi_dd", _fmt(d2.value / chain), _fmt(d2.err / chain)],
-        ["classification", kind, ""],
-    ]
-
-
-def _report_rows(reports) -> list[list]:
-    rows = [["quantity", "bound_value", "direction", "conclusion_sign", "threshold", "holds"]]
-    for r in reports:
-        rows.append([
-            r.quantity, _fmt(r.bound_value), r.direction, r.conclusion_sign,
-            "" if r.threshold is None else _fmt(r.threshold), str(r.holds()),
-        ])
-    return rows
+    hat = {"value": d2.value, "err": d2.err}
+    unhatted = {"value": d2.value / chain, "err": d2.err / chain}
+    out.results["second_derivative"] = {"hat": hat, "unhatted": unhatted, "classification": kind}
+    out.records = [{"quantity": "hat_xi_dd", **hat}, {"quantity": "xi_dd", **unhatted},
+                   {"quantity": "classification", "value": kind, "err": None}]
 
 
 def _cmd_bounds(args, cfg: EvalConfig, out: _Output) -> None:
     reports = analysis.critical_sign_certificates(cfg) + analysis.verify_negative_range(9, cfg)
-    out.rows = _report_rows(reports)
-    out.results["bounds"] = [
-        {
-            "quantity": r.quantity,
-            "bound_value": r.bound_value,
-            "direction": r.direction,
-            "conclusion_sign": r.conclusion_sign,
-            "threshold": r.threshold,
-            "holds": r.holds(),
-        }
-        for r in reports
-    ]
     for r in reports:
+        out.records.append({**asdict(r), "holds": r.holds()})
         mark = "ok" if r.holds() else "FAIL"
         thr = "" if r.threshold is None else f" (threshold {r.threshold:.6g})"
         out.line(f"[{mark}] {r.quantity}: {r.direction} bound {r.bound_value:.6g}{thr}")
+    out.results["bounds"] = out.records
 
 
 def _cmd_convexity(args, cfg: EvalConfig, out: _Output) -> None:
@@ -279,22 +262,16 @@ def _cmd_convexity(args, cfg: EvalConfig, out: _Output) -> None:
         mid_ok &= convexity.midpoint_convexity_xi(args.n, s, chart, b1, b2, cfg).holds
     checks.append(("midpoint_convexity", mid_ok, f"{args.samples} pairs"))
 
-    out.rows = [["check", "passed", "detail"]]
-    out.results["checks"] = []
     for name, passed, detail in checks:
         out.line(f"[{'ok' if passed else 'FAIL'}] {name} {detail}")
-        out.rows.append([name, str(passed), detail])
-        out.results["checks"].append({"check": name, "passed": passed, "detail": detail})
+        out.records.append({"check": name, "passed": passed, "detail": detail})
+    out.results["checks"] = out.records
 
 
 def _cmd_scan(args, cfg: EvalConfig, out: _Output) -> None:
     s = _resolve_s(args)
-    if args.chart == "standard":
-        chart = convexity.standard_chart(args.n)
-        if args.axes < chart.j:
-            chart = convexity.HyperplaneChart(chart.A[:, : args.axes])
-    else:
-        chart = regions.kratio_chart(args.n, min(args.axes, args.n - 1))
+    make = regions.kratio_chart if args.chart == "kratio" else convexity.standard_chart
+    chart = convexity.HyperplaneChart(make(args.n).A[:, : args.axes])
     grid = regions.scan(
         args.n, s, chart,
         bounds=[args.bounds] * chart.j,
@@ -317,7 +294,7 @@ def _cmd_scan(args, cfg: EvalConfig, out: _Output) -> None:
         "empty": conn.empty,
     }
     out.results["discrete_convexity"] = {"ok": conv.ok, "pairs_checked": conv.pairs_checked}
-    out.rows = [r.split(",") for r in regions.grid_to_csv(grid).strip().split("\n")]
+    out.records = regions.grid_records(grid)
 
 
 def _cmd_verify_min(args, cfg: EvalConfig, out: _Output) -> None:
@@ -327,16 +304,9 @@ def _cmd_verify_min(args, cfg: EvalConfig, out: _Output) -> None:
         f"[{'ok' if rep.holds else 'FAIL'}] minimum at equal scales: "
         f"{rep.samples} samples, {rep.failures} failures, min margin {rep.min_margin:.3g}"
     )
-    out.results["verify_min"] = {
-        "samples": rep.samples,
-        "failures": rep.failures,
-        "min_margin": rep.min_margin,
-        "holds": rep.holds,
-    }
-    out.rows = [
-        ["samples", "failures", "min_margin", "holds"],
-        [rep.samples, rep.failures, _fmt(rep.min_margin), str(rep.holds)],
-    ]
+    out.records = [{"samples": rep.samples, "failures": rep.failures,
+                    "min_margin": rep.min_margin, "holds": rep.holds}]
+    out.results["verify_min"] = out.records[0]
 
 
 _HANDLERS = {
@@ -351,38 +321,48 @@ _HANDLERS = {
 }
 
 
-def _emit(args, out: _Output, errors: list[str]) -> None:
+def _emit(args, out: _Output, errors: list[str]) -> bool:
+    """Write the output in the chosen format; False if --out cannot be written."""
     if args.fmt == "json":
         spec = {k: v for k, v in vars(args).items() if k not in ("fmt", "out") and v is not None}
         payload = {"spec": spec, "results": out.results, "errors": errors}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.fmt == "csv":
-        text = "\n".join(",".join(str(c) for c in row) for row in out.rows) + "\n"
+        header = out.header or (list(out.records[0]) if out.records else [])
+        buf = io.StringIO()  # the csv writer quotes a cell that holds a comma
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header] + [[_cell(r[k]) for k in header] for r in out.records])
+        text = buf.getvalue()
     else:
         text = "\n".join(out.lines) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write --out: {exc}\n")
+        return False
+    return True
 
 
 def run(args) -> int:
     out = _Output()
     errors: list[str] = []
-    cfg = EvalConfig(tol=args.tol)
+    code = EXIT_OK
     try:
-        _HANDLERS[args.command](args, cfg, out)
+        _HANDLERS[args.command](args, EvalConfig(tol=args.tol), out)
     except IndeterminateSignError as exc:
         errors.append(str(exc))
         out.indeterminate = True
     except (ValueError, RuntimeError) as exc:
         errors.append(str(exc))
         out.line(f"error: {exc}")
-        _emit(args, out, errors)
-        return EXIT_ERROR
-    _emit(args, out, errors)
-    return EXIT_INDETERMINATE if out.indeterminate else EXIT_OK
+        code = EXIT_ERROR
+    if code == EXIT_OK and out.indeterminate:
+        code = EXIT_INDETERMINATE
+    return code if _emit(args, out, errors) else EXIT_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

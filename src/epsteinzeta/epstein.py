@@ -516,6 +516,8 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
         if len(a) != n:
             raise DomainError(f"expected {n} scales, got {len(a)}")
         s = float(s)
+        if not math.isfinite(s):
+            raise DomainError(f"s must be finite, got {s}")
         _check_not_pole(n, s)
         recip = memo.get(a)
         if recip is None:
@@ -546,6 +548,8 @@ def z(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximati
     At negative integers the Gamma factor's pole forces an exact zero; s = 0
     has a finite limit that this package does not compute.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     sv = ScaleVector.ensure(scales)
     if s < 0 and s == round(s):
         return Approximation(0.0, 0.0)

@@ -33,7 +33,7 @@ __all__ = [
     "certify_discrete_convex",
     "DiscreteConvexityReport",
     "center_solution",
-    "grid_to_csv",
+    "grid_records",
     "grid_to_json",
 ]
 
@@ -306,24 +306,19 @@ def center_solution(chart: HyperplaneChart) -> np.ndarray | None:
     return b
 
 
-def grid_to_csv(grid: RegionGrid) -> str:
-    """RFC-4180-style rows `coord...,sign,value,err` with axis-name header."""
-    names = [f"b{i + 1}" for i in range(grid.chart.j)]
-    lines = [",".join(names + ["sign", "value", "err"])]
+def grid_records(grid: RegionGrid) -> list[dict]:
+    """One row per node in C order: chart coordinates b1 .. bj, then sign
+    ('-', '0' for indeterminate, '+'), value and err."""
     axes = grid.axes()
-    for idx in np.ndindex(*grid.steps):
-        coords = [f"{axes[d][idx[d]]:.17g}" for d in range(grid.chart.j)]
-        lines.append(
-            ",".join(
-                coords
-                + [
-                    _LABEL_CHARS[int(grid.labels[idx])],
-                    f"{grid.values[idx]:.17g}",
-                    f"{grid.errs[idx]:.17g}",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return [
+        {
+            **{f"b{d + 1}": float(axes[d][i]) for d, i in enumerate(idx)},
+            "sign": _LABEL_CHARS[int(grid.labels[idx])],
+            "value": float(grid.values[idx]),
+            "err": float(grid.errs[idx]),
+        }
+        for idx in np.ndindex(*grid.steps)
+    ]
 
 
 def grid_to_json(grid: RegionGrid) -> dict:

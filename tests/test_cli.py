@@ -1,9 +1,10 @@
+import csv
 import json
 import math
 
 import pytest
 
-from epsteinzeta.cli import EXIT_OK, EXIT_USAGE, main
+from epsteinzeta.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from epsteinzeta.specfun import riemann_zeta
 
 
@@ -167,3 +168,70 @@ def test_eval_error_exit_code(capsys):
     code = main(["eval", "--n", "4", "--s", "2"])  # pole at n/2
     capsys.readouterr()
     assert code == 1
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+SMALL_RUNS = {
+    "eval": ["eval", "--n", "3", "--s", "0.7", "--scales", "0.5,1,2"],
+    "interval": ["interval", "--n", "10"],
+    "interval-empty": ["interval", "--n", "5"],
+    "interval-sweep": ["interval", "--n", "3", "--sweep", "4"],
+    "table1": ["table1", "--tol", "1e-8"],
+    "second-deriv": ["second-deriv", "--n", "11"],
+    "bounds": ["bounds"],
+    "convexity": ["convexity", "--n", "3", "--s", "0.9", "--samples", "2"],
+    "scan": ["scan", "--n", "3", "--s", "0.7", "--grid", "5"],
+    "verify-min": ["verify-min", "--n", "3", "--s", "0.9", "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS.keys())
+def test_json_is_strict_and_csv_rows_have_header_width(argv, capsys):
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert strict_json(out)["errors"] == []
+    code, out = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == EXIT_OK
+    header, *rows = csv.reader(out.splitlines())
+    assert len(header) >= 3
+    assert all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("bad", [
+    ["eval", "--n", "2", "--s", "0.5", "--tol", "0"],
+    ["eval", "--n", "2", "--s", "0.5", "--tol", "inf"],
+    ["eval", "--n", "2", "--s", "0.5", "--tol", "nan"],
+    ["scan", "--n", "3", "--s", "0.7", "--axes", "0"],
+    ["scan", "--n", "3", "--s", "0.7", "--chart", "standard", "--axes", "-1"],
+    ["scan", "--n", "3", "--s", "0.7", "--grid", "0"],
+    ["interval", "--n", "3", "--sweep", "0"],
+    ["verify-min", "--n", "3", "--s", "0.9", "--samples", "0", "--format", "json"],
+    ["convexity", "--n", "3", "--s", "0.9", "--samples", "0"],
+])
+def test_bad_numeric_flags_are_usage_errors(bad, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(bad)
+    assert info.value.code == EXIT_USAGE
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_non_finite_s_is_an_evaluation_error(capsys):
+    code, out = run_cli(["eval", "--n", "2", "--s", "inf"], capsys)
+    assert code == EXIT_ERROR
+    assert out.startswith("error: ") and "finite" in out
+
+
+def test_unwritable_out_exits_cleanly(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code = main(["eval", "--n", "2", "--s", "0.5", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not target.exists()

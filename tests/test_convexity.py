@@ -10,6 +10,7 @@ from epsteinzeta import (
     JnInput,
     PrecisionError,
     ScaleVector,
+    XiValue,
     coefficient_positivity_check,
     det_jn,
     h_of_v,
@@ -22,6 +23,7 @@ from epsteinzeta import (
     verify_minimum_at_equal_scales,
     xi,
 )
+from epsteinzeta import convexity
 from epsteinzeta.convexity import assemble_jn, _c_coeff
 from epsteinzeta.specfun import theta
 
@@ -304,6 +306,22 @@ def test_minimum_at_equal_scales_small():
     report = verify_minimum_at_equal_scales(3, 0.9, samples=40, seed=1)
     assert report.holds
     assert report.min_margin > 0.0
+
+
+def test_minimum_counts_one_failure_per_draw(monkeypatch):
+    # every draw lies 1 below the base: far draws fail both tests, once each
+    def below_base(nodes, cfg):
+        return [XiValue(-float(i > 0), 1e-12, n, s) for i, (n, s, _) in enumerate(nodes)]
+
+    monkeypatch.setattr(convexity, "xi_many", below_base)
+    report = verify_minimum_at_equal_scales(3, 0.9, samples=5)
+    assert report.failures == 5
+    assert not report.holds
+
+
+def test_minimum_needs_two_dimensions():
+    with pytest.raises(DomainError):
+        verify_minimum_at_equal_scales(1, 0.2, samples=5)
 
 
 def test_minimum_base_point_equality():

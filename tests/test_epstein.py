@@ -11,6 +11,7 @@ from epsteinzeta import (
     PrecisionError,
     ScaleVector,
     SpecialPointError,
+    decide_signs,
     hat_xi,
     xi,
     xi_chowla_selberg,
@@ -57,6 +58,17 @@ def test_xi_pole_guards():
         xi(3, 1.5 - 1e-9, ScaleVector.unit(3))
     with pytest.raises(DomainError):
         xi(3, 0.7, ScaleVector.unit(4))
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_non_finite_s_is_a_domain_error(s):
+    unit = ScaleVector.unit(2)
+    with pytest.raises(DomainError, match="finite"):
+        xi(2, s, unit)
+    with pytest.raises(DomainError, match="finite"):
+        z(2, s, unit)
+    with pytest.raises(DomainError, match="finite"):
+        decide_signs([(2, 0.5, unit), (2, s, unit)])
 
 
 def test_z_matches_one_dimensional_zeta():

@@ -10,7 +10,7 @@ from epsteinzeta import (
     certify_connected,
     certify_discrete_convex,
     center_solution,
-    grid_to_csv,
+    grid_records,
     grid_to_json,
     kratio_chart,
     scan,
@@ -262,14 +262,13 @@ def test_center_cell_is_negative_when_region_nonempty():
 
 def test_csv_round_trip():
     grid = scan(2, 0.5, kratio_chart(2), [(-1.0, 1.0)], [5])
-    text = grid_to_csv(grid)
-    lines = text.strip().split("\n")
-    assert lines[0] == "b1,sign,value,err"
-    assert len(lines) == 6
-    for line in lines[1:]:
-        coord, sign, value, err = line.split(",")
-        assert sign in "+-0"
-        float(coord), float(value), float(err)
+    records = grid_records(grid)
+    assert ",".join(records[0]) == "b1,sign,value,err"
+    assert len(records) == 5
+    for rec in records:
+        assert list(rec) == ["b1", "sign", "value", "err"]
+        assert rec["sign"] in "+-0"
+        assert all(isinstance(rec[k], float) for k in ("b1", "value", "err"))
 
 
 def test_json_schema():
