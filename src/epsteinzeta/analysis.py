@@ -304,7 +304,11 @@ def hat_xi_second_derivative(
 
 def classify_critical_point(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> str:
     """'local_max' or 'local_min' of Xi_n at its symmetry point n/4."""
-    d2 = hat_xi_second_derivative(n, 0.5, cfg)
+    return _critical_point_kind(n, hat_xi_second_derivative(n, 0.5, cfg))
+
+
+def _critical_point_kind(n: int, d2: Approximation) -> str:
+    """The classification of n/4 by the sign of hat-Xi''_n(1/2) = d2."""
     if not d2.excludes_zero():
         raise IndeterminateSignError(
             f"second derivative at n={n} is {d2.value} with bound {d2.err}; sign undecided"

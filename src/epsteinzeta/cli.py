@@ -35,8 +35,8 @@ import numpy as np
 
 from . import analysis, convexity, regions
 from .config import EvalConfig
-from .epstein import ScaleVector, xi, xi_many, z
-from .errors import IndeterminateSignError, SpecialPointError
+from .epstein import ScaleVector, _z_from_xi, xi, xi_many
+from .errors import IndeterminateSignError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -162,12 +162,8 @@ def _resolve_s(args) -> float:
 def _cmd_eval(args, cfg: EvalConfig, out: _Output) -> None:
     s = _resolve_s(args)
     scales = ScaleVector(args.scales) if args.scales else ScaleVector.unit(args.n)
-    values = {"xi": xi(args.n, s, scales, cfg)}
-    try:
-        values["z"] = z(args.n, s, scales, cfg)
-    except SpecialPointError:
-        pass
-    for name, v in values.items():
+    value = xi(args.n, s, scales, cfg)
+    for name, v in (("xi", value), ("z", _z_from_xi(value, scales.V))):
         point = f"{name.capitalize()}_{args.n}({s}; {list(scales.a)})"
         out.line(f"{point} = {v.value:.12f} ± {v.err:.2e}")
         out.results[name] = {"value": v.value, "err": v.err}
@@ -209,7 +205,7 @@ def _cmd_second_deriv(args, cfg: EvalConfig, out: _Output) -> None:
     d2 = analysis.hat_xi_second_derivative(args.n, 0.5, cfg)
     chain = (args.n / 2.0) ** 2
     try:
-        kind = analysis.classify_critical_point(args.n, cfg)
+        kind = analysis._critical_point_kind(args.n, d2)
     except IndeterminateSignError:
         kind = "indeterminate"
         out.indeterminate = True
@@ -300,9 +296,13 @@ def _cmd_scan(args, cfg: EvalConfig, out: _Output) -> None:
 def _cmd_verify_min(args, cfg: EvalConfig, out: _Output) -> None:
     s = _resolve_s(args)
     rep = convexity.verify_minimum_at_equal_scales(args.n, s, args.samples, cfg, seed=args.seed)
+    margin = (
+        "no draw far from equal scales" if rep.min_margin is None
+        else f"min margin {rep.min_margin:.3g}"
+    )
     out.line(
         f"[{'ok' if rep.holds else 'FAIL'}] minimum at equal scales: "
-        f"{rep.samples} samples, {rep.failures} failures, min margin {rep.min_margin:.3g}"
+        f"{rep.samples} samples, {rep.failures} failures, {margin}"
     )
     out.records = [{"samples": rep.samples, "failures": rep.failures,
                     "min_margin": rep.min_margin, "holds": rep.holds}]

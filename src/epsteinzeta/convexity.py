@@ -351,7 +351,7 @@ class MinimumReport:
     s: float
     samples: int
     failures: int
-    min_margin: float  # smallest Xi(a) - Xi(1..1) over draws clear of the origin
+    min_margin: float | None  # smallest Xi(a) - Xi(1..1) over draws clear of the origin, if any
     holds: bool
 
 
@@ -368,6 +368,7 @@ def verify_minimum_at_equal_scales(
     coordinate balancing) and requires Xi(s; a) >= Xi(s; 1 .. 1) - 2 err for
     every draw, strictly so whenever the draw is at least 0.05 away from the
     equal-scale point in max log-coordinates.  A draw fails at most once.
+    min_margin is None when no draw is that far.
     """
     if n < 2:
         raise DomainError("minimum check needs n >= 2")
@@ -381,13 +382,13 @@ def verify_minimum_at_equal_scales(
         cfg,
     )
     failures = 0
-    min_margin = math.inf
+    margins = []
     for logs, value in zip(draws, values):
         gap = value.value - base.value
         combined = value.err + base.err
         far = float(np.abs(logs).max()) > 0.05
         if far:
-            min_margin = min(min_margin, gap)
+            margins.append(gap)
         # a far draw must also clear the base strictly; undecidable counts as failure
         if gap < -2.0 * combined or (far and gap <= combined):
             failures += 1
@@ -396,6 +397,6 @@ def verify_minimum_at_equal_scales(
         s=s,
         samples=samples,
         failures=failures,
-        min_margin=min_margin,
+        min_margin=min(margins, default=None),
         holds=failures == 0,
     )

@@ -67,8 +67,10 @@ _MAX_RADIUS = 2_000_000
 _MAX_POINTS = 60_000_000
 # lattice points per enumeration chunk of a batch; one larger lattice runs alone
 _CHUNK_POINTS = 1 << 13
-# radial tables up to this length are cheaper as dense binary powers
-_DENSE_COUNTS_MAX = 256
+# log of the largest double, and the log-room a sum of up to _MAX_POINTS
+# terms and its err arithmetic need below it
+_LOG_MAX = math.log(np.finfo(np.float64).max)
+_LOG_ROOM = math.log(64.0 * _MAX_POINTS)
 
 
 @dataclass(frozen=True)
@@ -121,31 +123,17 @@ class XiValue(Approximation):
 def _radial_counts(dim: int, mmax: int) -> np.ndarray:
     """Coefficients of theta(q)^dim up to q^mmax, as float64.
 
-    theta(q) = 1 + 2 sum_j q^{j^2} has about sqrt(mmax) terms.  Small tables
-    take binary powers through dense convolutions, O(mmax^2 log dim) in a few
-    numpy calls; longer ones take dim sparse products of O(mmax^{3/2}) each,
-    since dense squaring would cost O(mmax^2) per step.
-    Counts are exact integers; float64 loses exactness only beyond 2^53,
-    far above anything a truncated lattice sum needs.
+    theta(q) = 1 + 2 sum_j q^{j^2} has about sqrt(mmax) terms, so each of
+    the dim products costs O(mmax^{3/2}).  Tables are cached per (dim, mmax)
+    by `_radial_table`.  Counts are exact integers; float64 loses exactness
+    only beyond 2^53, far above anything a truncated lattice sum needs.
     """
     result = np.zeros(mmax + 1)
     result[0] = 1.0
-    if mmax > _DENSE_COUNTS_MAX:
-        for _ in range(dim):
-            twice = 2.0 * result
-            for j in range(1, math.isqrt(mmax) + 1):
-                result[j * j :] += twice[: mmax + 1 - j * j]
-        return result
-    power = np.zeros(mmax + 1)
-    power[0] = 1.0
-    power[np.arange(1, math.isqrt(mmax) + 1) ** 2] = 2.0
-    e = dim
-    while e:
-        if e & 1:
-            result = np.convolve(result, power)[: mmax + 1]
-        e >>= 1
-        if e:
-            power = np.convolve(power, power)[: mmax + 1]
+    for _ in range(dim):
+        twice = 2.0 * result
+        for j in range(1, math.isqrt(mmax) + 1):
+            result[j * j :] += twice[: mmax + 1 - j * j]
     return result
 
 
@@ -387,16 +375,48 @@ def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _check_range(beta: float, big_t: float, x_lo: float, weight: float) -> None:
+    """PrecisionError unless the kernel sum of order beta over pi Q in
+    [x_lo, T], weighted by `weight` (V of its scales) in Xi, stays within
+    double range.
+
+    beta > 0: gammaincc's scale Gamma(beta) and x^{-beta} <= x_lo^{-beta}
+    are finite, and so, with room for their sum, are the weighted terms,
+    at most weight Gamma(beta) x_lo^{-beta}.  beta < 0: the terms are small,
+    but x^{-beta} reaches T^{-beta} and the recurrence's x^{beta + j} reach
+    x_lo^beta.
+    """
+    log_lo = math.log(x_lo) if x_lo > 0.0 else -math.inf
+    if beta > 0:
+        lg = math.lgamma(beta)
+        top = max(lg, -beta * log_lo, math.log(weight) + lg - beta * log_lo + _LOG_ROOM)
+    else:
+        top = -beta * max(math.log(big_t), -log_lo)
+    if not top < _LOG_MAX:
+        raise PrecisionError(
+            f"kernel order {beta} overflows double precision on pi Q in [{x_lo:.3g}, {big_t:.3g}]"
+        )
+
+
 def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
     """The job of S(beta; a): order, group-count pattern, group scales, qmax =
     T/pi and tail bound at T = max(T0, 4|beta|); `memo` holds one engine call's
-    groups and `_choose_T` per (a, tol)."""
+    groups, `_choose_T` and range data per (a, tol).  PrecisionError if the
+    sum leaves double range (`_check_range`)."""
     entry = memo.get((a, tol))
     if entry is None:
         groups = _group_scales(a)
-        entry = memo[a, tol] = (*zip(*groups), *_choose_T(groups, tol))
-    scales, pattern, t0, c, theta_prod, tail = entry
+        t0, c, theta_prod, tail = _choose_T(groups, tol)
+        x_lo, weight = math.pi * min(a) ** 2, math.sqrt(math.prod(a))
+        # with T <= 1e6, x_lo >= 1e-6 and weight within e^{+-46}, an order of
+        # 1e-6 <= |beta| <= 16 (the pole guard keeps orders off 0) keeps every
+        # exponent of `_check_range` below 320: only larger 4|beta| need the check
+        free_t = 64.0 if t0 <= 1e6 and x_lo >= 1e-6 and 1e-20 <= weight <= 1e20 else 0.0
+        entry = memo[a, tol] = (*zip(*groups), t0, c, theta_prod, tail, x_lo, weight, free_t)
+    scales, pattern, t0, c, theta_prod, tail, x_lo, weight, free_t = entry
     big_t = 4.0 * abs(beta)
+    if big_t > free_t:
+        _check_range(beta, max(t0, big_t), x_lo, weight)
     if big_t > t0:
         return beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
     return beta, pattern, scales, t0 / math.pi, tail
@@ -508,7 +528,9 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
 
     S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) gets tol V/8, so that their
     V-weighted errors meet tol.  The call's memo holds each scale vector's
-    reciprocal and x_min next to the truncations."""
+    reciprocal and x_min next to the truncations.  A node whose kernel sums
+    leave double range raises PrecisionError before any lattice is
+    enumerated."""
     jobs, rows, memo = [], [], {}
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
@@ -552,13 +574,20 @@ def z(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximati
         raise DomainError(f"s must be finite, got {s}")
     sv = ScaleVector.ensure(scales)
     if s < 0 and s == round(s):
-        return Approximation(0.0, 0.0)
+        return Approximation(0.0, 0.0)  # no Xi needed
     if s == 0.0 or abs(s) < _POLE_GUARD:
         raise SpecialPointError(
             "Z_n at s = 0 is finite but requires the constant term; not provided"
         )
-    value_xi = xi(n, s, sv, cfg)
-    factor = sv.V * math.pi ** (-s) * math.gamma(s)
+    return _z_from_xi(xi(n, s, sv, cfg), sv.V)
+
+
+def _z_from_xi(value_xi: XiValue, volume: float) -> Approximation:
+    """Z_n(s; a) from Xi_n(s; a) and V, for s away from 0."""
+    s = value_xi.s
+    if s < 0 and s == round(s):
+        return Approximation(0.0, 0.0)
+    factor = volume * math.pi ** (-s) * math.gamma(s)
     value = value_xi.value / factor
     err = value_xi.err / abs(factor) + 4.0 * _EPS * abs(value)
     return Approximation(value, err)

@@ -8,13 +8,12 @@ evaluation.  All nodes are decided in one batched call (`decide_signs`),
 which refines only the nodes still undecided.  The negative region in these
 coordinates is convex, hence connected, and the certifiers check the discrete
 shadow of both facts on the sampled grid: one 2j-adjacency component, and no
-positive cell inside the convex hull of the negative cells.
+positive cell inside the convex hull of the negative cells, a test that is
+exact in every rank of the negatives' affine span.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,107 +181,70 @@ def certify_connected(grid: RegionGrid) -> ConnectivityReport:
 
 
 # ---------------------------------------------------------------------------
-# Discrete convexity via supercover segments
+# Discrete convexity via the exact hull in the affine span
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DiscreteConvexityReport:
     negative_cells: int
-    pairs_checked: int  # segments the pairwise test examined; 0 when the hull test decided
+    pairs_checked: int  # always 0: the hull test is exhaustive and examines no pairs
     ok: bool
     # (vertices, cell): a positive cell inside the hull of the negative
-    # vertices, which are the two ends of a segment through the cell
-    # (pairwise and 1-d tests) or the dim+1 corners of a Delaunay simplex
+    # vertices, which are the two ends of a collinear set or else the r+1
+    # corners of a simplex of the hull in its r-dimensional affine span
     witness: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None
 
 
-def _segment_lattice_points(a: tuple[int, ...], b: tuple[int, ...]):
-    """Lattice cells strictly between a and b on their connecting segment.
-
-    These are a + k (b - a)/g for k = 1 .. g-1 with g the gcd of the
-    coordinate differences; the only grid cells the open segment passes
-    through exactly.
-    """
-    diff = [bb - aa for aa, bb in zip(a, b)]
-    g = 0
-    for d in diff:
-        g = math.gcd(g, abs(d))
-    for k in range(1, g):
-        yield tuple(aa + k * d // g for aa, d in zip(a, diff))
-
-
 def certify_discrete_convex(grid_or_labels) -> DiscreteConvexityReport:
-    """Digital convexity of the negative cell set.
+    """Digital convexity: no positive cell inside the convex hull of the
+    negative cells, decided exactly in every rank.
 
-    The hull test checks that every grid cell inside the convex hull of the
-    negative cells is negative or indeterminate.  It is exhaustive, and it
-    subsumes the pairwise test, since every lattice cell lying exactly on a
-    segment between two negative cells lies in their hull.  A degenerate
-    (collinear or coplanar) set has no full-dimensional hull to triangulate;
-    there the pairwise test runs over every pair instead: each lattice cell
-    lying exactly on a segment between two negative cells is negative or
-    indeterminate.
-
-    A raster that tested cells merely clipped by segments would flag
-    boundary-skin cells of perfectly convex regions (their centers sit just
-    outside), so only exact lattice membership counts.  Accepts a RegionGrid
-    or a raw int8 label array (synthetic fixtures).
+    The rank r of the negatives' affine span comes from an SVD of their
+    offsets; the candidates are the positive cells of their bounding box on
+    that span.  r = 1 is an interval test along the line; otherwise the
+    hull's vertices, in span coordinates, are triangulated and every
+    candidate is located in one call.  Only exact lattice membership counts:
+    cells merely clipped by the hull would flag the boundary skin of a
+    convex region.  Accepts a RegionGrid or a raw int8 label array.
     """
     labels = grid_or_labels.labels if isinstance(grid_or_labels, RegionGrid) else grid_or_labels
-    negative = [tuple(int(v) for v in i) for i in np.argwhere(labels == NEGATIVE)]
-    if len(negative) < 2:
-        return DiscreteConvexityReport(len(negative), 0, True, None)
-    witness, checked = _hull_violation(labels, negative)
-    return DiscreteConvexityReport(len(negative), checked, witness is None, witness)
+    negative = np.argwhere(labels == NEGATIVE)
+    witness = _hull_witness(labels, negative) if len(negative) > 1 else None
+    return DiscreteConvexityReport(len(negative), 0, witness is None, witness)
 
 
-def _pairwise_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
-    """(witness, pairs examined): the first positive cell exactly on a segment
-    between two negative cells, over every pair."""
-    checked = 0
-    for a, b in itertools.combinations(negative, 2):
-        checked += 1
-        for cell in _segment_lattice_points(a, b):
-            if labels[cell] == POSITIVE:
-                return ((a, b), cell), checked
-    return None, checked
+def _hull_witness(labels: np.ndarray, negative: np.ndarray):
+    """(vertices, cell) for the first positive cell, in C order, inside the
+    hull of two or more negative cells, or None."""
+    origin = negative[0]
+    _, sing, vt = np.linalg.svd(negative - origin, full_matrices=False)
+    basis = vt[sing > 1e-9 * sing[0]]  # orthonormal rows spanning the offsets
+    points = (negative - origin) @ basis.T
+    lo, hi = negative.min(axis=0), negative.max(axis=0)
+    cells = np.argwhere(labels[tuple(slice(a, b + 1) for a, b in zip(lo, hi))] == POSITIVE) + lo
+    coords = (cells - origin) @ basis.T
+    # an off-span lattice cell lies at least 1/|m| from the span, m a nonzero
+    # integer vector of minors of the offsets: far above the projection's rounding
+    on_span = np.abs(cells - origin - coords @ basis).max(axis=1) < 1e-8
+    cells, coords = cells[on_span], coords[on_span]
+    if not len(cells):
+        return None
+    if len(basis) == 1:
+        t, x = points[:, 0], coords[:, 0]
+        hit = np.flatnonzero((x > t.min() - 1e-9) & (x < t.max() + 1e-9))[:1]
+        corners = [t.argmin(), t.argmax()]
+    else:
+        from scipy.spatial import ConvexHull, Delaunay
 
-
-def _hull_violation(labels: np.ndarray, negative: list[tuple[int, ...]]):
-    """(witness, pairs examined): the first positive cell inside the convex
-    hull of the negative cells, falling back to the pairwise test when the
-    hull is not full-dimensional."""
-    dim = labels.ndim
-    pts = np.array(negative, dtype=float)
-    if dim == 1:
-        lo, hi = int(pts.min()), int(pts.max())
-        for c in range(lo, hi + 1):
-            if labels[c] == POSITIVE:
-                return (((lo,), (hi,)), (c,)), 0
-        return None, 0
-    # a full-dimensional hull needs dim+1 affinely independent points
-    from scipy.spatial import Delaunay, QhullError
-
-    try:
-        tri = Delaunay(pts)
-    except QhullError:
-        return _pairwise_violation(labels, negative)
-    mins = pts.min(axis=0).astype(int)
-    maxs = pts.max(axis=0).astype(int)
-    candidates = [
-        idx
-        for idx in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(mins, maxs)))
-        if labels[idx] == POSITIVE
-    ]
-    if not candidates:
-        return None, 0
-    simplices = tri.find_simplex(np.array(candidates, dtype=float))
-    for idx, simplex in zip(candidates, simplices):
-        if simplex >= 0:
-            verts = tuple(tuple(int(v) for v in pts[k]) for k in tri.simplices[simplex])
-            return (verts, idx), 0
-    return None, 0
+        hull = ConvexHull(points).vertices
+        tri = Delaunay(points[hull])  # the hull's vertices triangulate all of it
+        simplex = tri.find_simplex(coords)
+        hit = np.flatnonzero(simplex >= 0)[:1]
+        corners = hull[tri.simplices[simplex[hit]]].ravel()
+    if not len(hit):
+        return None
+    return tuple(map(tuple, negative[corners].tolist())), tuple(cells[hit[0]].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,18 @@ def test_verify_min_command(capsys):
     assert payload["results"]["verify_min"]["holds"] is True
 
 
+def test_verify_min_without_a_far_draw_prints_no_infinity(capsys):
+    argv = ["verify-min", "--n", "2", "--s", "0.5", "--samples", "1", "--seed", "1"]
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == EXIT_OK
+    result = strict_json(out)["results"]["verify_min"]
+    assert result["min_margin"] is None and result["holds"] is True
+    code, out = run_cli(argv + ["--format", "csv"], capsys)
+    assert out.splitlines()[1] == "1,0,,True"
+    code, out = run_cli(argv, capsys)
+    assert "no draw far from equal scales" in out and "inf" not in out
+
+
 def test_convexity_command(capsys):
     code, out = run_cli(
         ["convexity", "--n", "3", "--s", "0.9", "--samples", "5", "--seed", "2"], capsys
@@ -168,6 +180,33 @@ def test_eval_error_exit_code(capsys):
     code = main(["eval", "--n", "4", "--s", "2"])  # pole at n/2
     capsys.readouterr()
     assert code == 1
+
+
+def test_order_past_double_range_is_an_evaluation_error(capsys):
+    for argv in (["eval", "--n", "2", "--s", "200"], ["second-deriv", "--n", "700"]):
+        code, out = run_cli(argv, capsys)
+        assert code == EXIT_ERROR
+        assert out.startswith("error: ") and "double precision" in out
+
+
+def test_eval_and_second_deriv_compute_each_quantity_once(monkeypatch, capsys):
+    from epsteinzeta import analysis, epstein
+
+    calls = []
+
+    def counted(target, name):
+        inner = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *a, **k: calls.append(name) or inner(*a, **k))
+
+    counted(epstein, "xi_many")
+    counted(analysis, "hat_xi_second_derivative")
+    code, out = run_cli(["eval", "--n", "3", "--s", "0.7", "--scales", "0.5,1,2"], capsys)
+    assert code == EXIT_OK and out.startswith("Xi_3(0.7;") and "\nZ_3(0.7;" in out
+    assert calls == ["xi_many"]
+    calls.clear()
+    code, out = run_cli(["second-deriv", "--n", "11"], capsys)
+    assert code == EXIT_OK and "local min" in out
+    assert calls == ["hat_xi_second_derivative"]
 
 
 def strict_json(text):

@@ -308,6 +308,13 @@ def test_minimum_at_equal_scales_small():
     assert report.min_margin > 0.0
 
 
+def test_minimum_margin_is_none_without_a_far_draw():
+    # the one draw at n = 2, seed 1 lies within 0.05 of the equal-scale point
+    report = verify_minimum_at_equal_scales(2, 0.5, samples=1, seed=1)
+    assert report.min_margin is None
+    assert report.holds and report.failures == 0
+
+
 def test_minimum_counts_one_failure_per_draw(monkeypatch):
     # every draw lies 1 below the base: far draws fail both tests, once each
     def below_base(nodes, cfg):

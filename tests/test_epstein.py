@@ -249,13 +249,32 @@ def test_lambda_vs_theta_product_quadrature():
         assert abs(ours.value - oracle) <= 1e-9 + v * e1 + e2 / v
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 10])
+def test_large_orders_are_finite_or_precision_errors(n):
+    # past |s| of about 115 the kernel of order n/2 - s or s leaves double
+    # range (x^{|beta|} at x <= T, or Gamma(beta)): those nodes raise
+    # PrecisionError up front, every other node is finite; no warning escapes
+    outcomes = set()
+    for s in np.concatenate([np.arange(100.0, 200.5, 0.75), -np.arange(100.0, 200.5, 0.75)]):
+        for scales in [ScaleVector.unit(n), ScaleVector([0.125, 8.0] + [1.0] * (n - 2))]:
+            try:
+                v = xi(n, float(s), scales)
+            except PrecisionError:
+                outcomes.add("rejected")
+                continue
+            assert math.isfinite(v.value) and math.isfinite(v.err), (n, s, scales)
+            outcomes.add("finite")
+    assert outcomes == {"finite", "rejected"}
+
+
 def test_precision_error_carries_bound():
     # the 2^-20 axis needs more steps than the lattice engine's per-axis cap
     with pytest.raises(PrecisionError):
         xi(2, 0.7, ScaleVector([2.0**20, 2.0**-20]))
 
 
-# the last two run the sparse products used past _DENSE_COUNTS_MAX entries
+# the last two are tables of a few hundred entries
 @pytest.mark.parametrize(
     "dim, mmax", [(1, 30), (2, 40), (3, 30), (4, 20), (5, 12), (2, 400), (3, 300)]
 )
@@ -352,7 +371,8 @@ def test_split_tail_bound_majorises_doubled_threshold(beta, a):
 
     memo = {}
     _, pattern, scales, qmax, bound = _job(beta, a, 1e-10, memo)
-    [(_, _, t0, c, _, tail0)] = memo.values()
+    [entry] = memo.values()
+    t0, c, _, tail0 = entry[2:6]
     big_t = math.pi * qmax
     assert big_t == pytest.approx(max(t0, 4.0 * abs(beta)), rel=1e-15)
     # the memo's tail bound at T0 is the job's unless the order sets T

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -226,7 +227,8 @@ def test_discrete_convex_hull_witness_names_the_simplex():
 
 
 def test_discrete_convex_collinear_sets_checked_pairwise():
-    # one column of negatives with a one-cell gap has no 2-d hull
+    # one column of negatives with a one-cell gap has no 2-d hull: the
+    # interval test along its line finds the gap between the two ends
     labels = np.full((13, 4), POSITIVE, dtype=np.int8)
     labels[2:5, 1] = NEGATIVE
     labels[6:8, 1] = NEGATIVE
@@ -236,13 +238,103 @@ def test_discrete_convex_collinear_sets_checked_pairwise():
     assert labels[a] == labels[b] == NEGATIVE
     assert labels[cell] == POSITIVE
     assert cell[1] == 1 and min(a[0], b[0]) < cell[0] < max(a[0], b[0])
-    # a gapless row of k negatives passes after examining all k(k-1)/2 pairs
+    # a gapless row of k negatives passes; no pairwise test remains
     k = 9
     row = np.full((5, k), POSITIVE, dtype=np.int8)
     row[2, :] = NEGATIVE
     report = certify_discrete_convex(row)
     assert report.ok
-    assert report.pairs_checked == k * (k - 1) // 2
+    assert report.pairs_checked == 0
+
+
+def test_discrete_convex_coplanar_triangle_in_3d():
+    # the triangle of the 2-d witness test, lying in the plane z = 0 of a
+    # 3-d grid: the set has no 3-d hull, and no segment between two of its
+    # cells meets a lattice cell, yet its triangle holds (1, 1, 0)
+    labels = np.full((4, 4, 2), POSITIVE, dtype=np.int8)
+    triangle = [(0, 0, 0), (2, 1, 0), (1, 3, 0)]
+    for cell in triangle:
+        labels[cell] = NEGATIVE
+    report = certify_discrete_convex(labels)
+    assert not report.ok
+    vertices, cell = report.witness
+    assert cell in [(1, 1, 0), (1, 2, 0)]
+    assert sorted(vertices) == sorted(triangle)
+
+
+def hull_oracle(negatives, cells):
+    """Which cells lie in the convex hull of the negatives (at most 8).
+
+    By Caratheodory a point of the hull lies in the simplex of some affinely
+    independent subset of at most dim + 1 negatives; each subset's
+    barycentric coordinates come from its Gram system, whose integer
+    determinant is 0 exactly when the subset is degenerate.
+    """
+    negatives = np.array(negatives, dtype=float)
+    cells = np.array(cells, dtype=float).reshape(-1, negatives.shape[1])
+    inside = np.zeros(len(cells), dtype=bool)
+    for k in range(2, min(len(negatives), negatives.shape[1] + 1) + 1):
+        for subset in itertools.combinations(negatives, k):
+            edges = (np.array(subset[1:]) - subset[0]).T
+            gram = edges.T @ edges
+            if abs(np.linalg.det(gram)) < 0.5:
+                continue
+            lam = np.linalg.solve(gram, edges.T @ (cells - subset[0]).T)
+            residual = np.abs(cells - subset[0] - (edges @ lam).T).max(axis=1)
+            inside |= (residual < 1e-9) & (lam.min(axis=0) > -1e-9) & (lam.sum(axis=0) < 1 + 1e-9)
+    return inside
+
+
+def seeded_negative_sets(count):
+    """(labels, kind): random, ball, collinear and coplanar sets of 2..8
+    negative cells in grids of dims 1-3, with scattered indeterminate cells."""
+    rng = np.random.default_rng(2024)
+    kinds = ["random", "ball", "collinear", "coplanar"]
+    for i in range(count):
+        dim = 1 + i % 3
+        kind = kinds[(i // 3) % 4]
+        shape = tuple(rng.integers(3, 7 if dim < 3 else 5, size=dim))
+        grid = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), axis=-1).reshape(-1, dim)
+        if kind == "ball":
+            center = rng.uniform(0, np.array(shape) - 1)
+            pool = grid[np.argsort(((grid - center) ** 2).sum(axis=1))[: rng.integers(2, 9)]]
+        elif kind == "collinear":
+            step = rng.integers(-2, 3, size=dim)
+            step[rng.integers(dim)] = rng.choice([-1, 1])
+            line = rng.choice(grid) + np.outer(np.arange(-6, 7), step)
+            pool = line[np.all((line >= 0) & (line < shape), axis=1)]
+            if len(pool) < 2:  # the step leaves the grid: take a row instead
+                pool = grid[np.all(grid[:, 1:] == grid[0, 1:], axis=1)]
+        elif kind == "coplanar" and dim == 3:
+            u, v = rng.integers(-1, 2, size=(2, 3))
+            ab = np.stack(np.meshgrid(np.arange(-4, 5), np.arange(-4, 5)), axis=-1).reshape(-1, 2)
+            plane = rng.choice(grid) + ab @ np.array([u, v])
+            pool = np.unique(plane[np.all((plane >= 0) & (plane < shape), axis=1)], axis=0)
+        else:
+            pool = grid
+        if len(pool) < 2:
+            pool = grid
+        picked = pool[rng.choice(len(pool), size=min(len(pool), rng.integers(2, 9)), replace=False)]
+        labels = np.where(rng.random(shape) < 0.15, INDETERMINATE, POSITIVE).astype(np.int8)
+        labels[tuple(picked.T)] = NEGATIVE
+        yield labels, kind
+
+
+def test_discrete_convex_matches_barycentric_oracle():
+    kinds = set()
+    for labels, kind in seeded_negative_sets(240):
+        negatives = np.argwhere(labels == NEGATIVE)
+        positives = np.argwhere(labels == POSITIVE)
+        report = certify_discrete_convex(labels)
+        kinds.add((labels.ndim, kind))
+        assert report.pairs_checked == 0
+        assert report.ok == (not hull_oracle(negatives, positives).any()), (kind, labels)
+        if not report.ok:
+            vertices, cell = report.witness
+            assert labels[cell] == POSITIVE
+            assert all(labels[v] == NEGATIVE for v in vertices)
+            assert hull_oracle(vertices, [cell])[0]
+    assert (3, "coplanar") in kinds and (3, "collinear") in kinds and (1, "random") in kinds
 
 
 def test_center_solution_standard_chart():
