@@ -34,7 +34,8 @@ bounds memory; a larger single lattice runs alone.  Each chunk makes one
 gammaincc call and sums each job by np.add.reduceat over its segment, whose
 pairwise summation keeps the flat rounding allowance 5e-15 sum|terms| on
 large lattices (np.bincount sums sequentially and would not).  A job's value
-and err do not depend on the batch it is evaluated in.
+and err do not depend on the batch it is evaluated in.  A sum past double
+range stops the engine with PrecisionError.
 
 `xi_many` evaluates many nodes in one engine call; `xi` is a batch of one.
 A flat loop makes each node's two jobs, S(s; a) and S(n/2 - s; 1/a), of one
@@ -67,10 +68,6 @@ _MAX_RADIUS = 2_000_000
 _MAX_POINTS = 60_000_000
 # lattice points per enumeration chunk of a batch; one larger lattice runs alone
 _CHUNK_POINTS = 1 << 13
-# log of the largest double, and the log-room a sum of up to _MAX_POINTS
-# terms and its err arithmetic need below it
-_LOG_MAX = math.log(np.finfo(np.float64).max)
-_LOG_ROOM = math.log(64.0 * _MAX_POINTS)
 
 
 @dataclass(frozen=True)
@@ -284,6 +281,8 @@ def _g_kernel(orders, x: np.ndarray, lens):
     beta = spread(orders)
     g = gammaincc(spread(shifted) if any(shifts) else beta, x)
     g *= spread([math.gamma(b) for b in shifted])
+    # x^{-beta} before the recurrence, so that its overflow stops the engine first
+    power = np.power(x, -beta)
     mag = None
     if max(shifts) > 0:
         ex = np.exp(-x)
@@ -296,8 +295,8 @@ def _g_kernel(orders, x: np.ndarray, lens):
             p = np.power(x[sel], b) * ex[sel]
             g[sel] = (g[sel] - p) / b
             mag[sel] = (mag[sel] + p) / np.abs(b)
-        mag *= np.power(x, -beta)
-    g *= np.power(x, -beta)
+        mag *= power
+    g *= power
     if min(shifts) < 0:
         sel = full(shifts) < 0
         g[sel] = expn(full([1 - int(b) if k < 0 else 0 for b, k in zip(orders, shifts)])[sel], x[sel])
@@ -375,48 +374,16 @@ def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _check_range(beta: float, big_t: float, x_lo: float, weight: float) -> None:
-    """PrecisionError unless the kernel sum of order beta over pi Q in
-    [x_lo, T], weighted by `weight` (V of its scales) in Xi, stays within
-    double range.
-
-    beta > 0: gammaincc's scale Gamma(beta) and x^{-beta} <= x_lo^{-beta}
-    are finite, and so, with room for their sum, are the weighted terms,
-    at most weight Gamma(beta) x_lo^{-beta}.  beta < 0: the terms are small,
-    but x^{-beta} reaches T^{-beta} and the recurrence's x^{beta + j} reach
-    x_lo^beta.
-    """
-    log_lo = math.log(x_lo) if x_lo > 0.0 else -math.inf
-    if beta > 0:
-        lg = math.lgamma(beta)
-        top = max(lg, -beta * log_lo, math.log(weight) + lg - beta * log_lo + _LOG_ROOM)
-    else:
-        top = -beta * max(math.log(big_t), -log_lo)
-    if not top < _LOG_MAX:
-        raise PrecisionError(
-            f"kernel order {beta} overflows double precision on pi Q in [{x_lo:.3g}, {big_t:.3g}]"
-        )
-
-
 def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
     """The job of S(beta; a): order, group-count pattern, group scales, qmax =
     T/pi and tail bound at T = max(T0, 4|beta|); `memo` holds one engine call's
-    groups, `_choose_T` and range data per (a, tol).  PrecisionError if the
-    sum leaves double range (`_check_range`)."""
+    groups and `_choose_T` per (a, tol)."""
     entry = memo.get((a, tol))
     if entry is None:
         groups = _group_scales(a)
-        t0, c, theta_prod, tail = _choose_T(groups, tol)
-        x_lo, weight = math.pi * min(a) ** 2, math.sqrt(math.prod(a))
-        # with T <= 1e6, x_lo >= 1e-6 and weight within e^{+-46}, an order of
-        # 1e-6 <= |beta| <= 16 (the pole guard keeps orders off 0) keeps every
-        # exponent of `_check_range` below 320: only larger 4|beta| need the check
-        free_t = 64.0 if t0 <= 1e6 and x_lo >= 1e-6 and 1e-20 <= weight <= 1e20 else 0.0
-        entry = memo[a, tol] = (*zip(*groups), t0, c, theta_prod, tail, x_lo, weight, free_t)
-    scales, pattern, t0, c, theta_prod, tail, x_lo, weight, free_t = entry
+        entry = memo[a, tol] = (*zip(*groups), *_choose_T(groups, tol))
+    scales, pattern, t0, c, theta_prod, tail = entry
     big_t = 4.0 * abs(beta)
-    if big_t > free_t:
-        _check_range(beta, max(t0, big_t), x_lo, weight)
     if big_t > t0:
         return beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
     return beta, pattern, scales, t0 / math.pi, tail
@@ -433,8 +400,20 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
 
     Each job sums over its own truncated lattice, so its results do not
     depend on the other jobs of the batch; jobs with one group-count pattern
-    share one enumeration and one kernel call per chunk.
+    share one enumeration and one kernel call per chunk.  Numpy's overflow
+    and invalid-operation flags raise here, as does math.gamma: a sum past
+    double range, through Gamma(beta), x^{+-beta}, the terms or their total,
+    raises PrecisionError, and a sum that completes is bit for bit the one
+    computed without the flags.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _bucket_sums(jobs)
+    except (FloatingPointError, OverflowError) as exc:
+        raise PrecisionError(f"a kernel sum overflows double precision ({exc})") from None
+
+
+def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
     values, errs = [0.0] * len(jobs), [0.0] * len(jobs)
     buckets: dict[tuple[int, ...], list[int]] = {}
     for i, job in enumerate(jobs):
@@ -529,8 +508,7 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
     S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) gets tol V/8, so that their
     V-weighted errors meet tol.  The call's memo holds each scale vector's
     reciprocal and x_min next to the truncations.  A node whose kernel sums
-    leave double range raises PrecisionError before any lattice is
-    enumerated."""
+    or Xi leave double range raises PrecisionError."""
     jobs, rows, memo = [], [], {}
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
@@ -553,8 +531,13 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
     out = []
     for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums):
         e2 = _reflected_err(n, s, v2, e2, x_min)
-        value = math.fsum((-v / s, -(1.0 / v) / (n / 2.0 - s), v * v1, v2 / v))
+        try:
+            value = math.fsum((-v / s, -(1.0 / v) / (n / 2.0 - s), v * v1, v2 / v))
+        except (OverflowError, ValueError):  # a partial sum or v * v1 is past double range
+            value = math.inf
         err = v * e1 + e2 / v + 4.0 * _EPS * (v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value))
+        if not err < math.inf:
+            raise PrecisionError(f"Xi_{n}({s}) overflows double precision")
         out.append(XiValue(value, err, n, s))
     return out
 

@@ -239,7 +239,7 @@ def _hull_witness(labels: np.ndarray, negative: np.ndarray):
 
         hull = ConvexHull(points).vertices
         tri = Delaunay(points[hull])  # the hull's vertices triangulate all of it
-        simplex = tri.find_simplex(coords)
+        simplex = tri.find_simplex(coords, tol=1e-9)  # off-hull cells lie >= 1/|det| out
         hit = np.flatnonzero(simplex >= 0)[:1]
         corners = hull[tri.simplices[simplex[hit]]].ravel()
     if not len(hit):

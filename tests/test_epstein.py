@@ -249,17 +249,33 @@ def test_lambda_vs_theta_product_quadrature():
         assert abs(ours.value - oracle) <= 1e-9 + v * e1 + e2 / v
 
 
+LARGE_S = np.concatenate([np.arange(100.0, 200.5, 0.75), -np.arange(100.0, 200.5, 0.75)])
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [2, 10])
-def test_large_orders_are_finite_or_precision_errors(n):
-    # past |s| of about 115 the kernel of order n/2 - s or s leaves double
-    # range (x^{|beta|} at x <= T, or Gamma(beta)): those nodes raise
-    # PrecisionError up front, every other node is finite; no warning escapes
+@pytest.mark.parametrize(
+    "n, scale_sets, s_values",
+    [
+        # past |s| of about 115 the kernel of order n/2 - s or s leaves double
+        # range (x^{|beta|} at x <= T, or Gamma(beta))
+        (2, [(1.0, 1.0), (0.125, 8.0)], LARGE_S),
+        (10, [(1.0,) * 10, (0.125, 8.0) + (1.0,) * 8], LARGE_S),
+        # V = 0.05^{21/2} is about e^-31: Gamma(s) x^{-s} at the smallest
+        # lattice value leaves double range from s = 86 on, though V times it would not
+        (21, [(0.05,) * 21], [85.0, 86.0, 86.5, 87.0]),
+        # V = 5^{1/2}: near s = 85.6 the kernel sum is finite but V times it is not
+        (2, [(0.05, 100.0)], [85.0, 85.54, 85.58, 85.62]),
+    ],
+    ids=["2", "10", "21-small-volume", "2-volume-times-sum"],
+)
+def test_large_orders_are_finite_or_precision_errors(n, scale_sets, s_values):
+    # nodes past double range raise PrecisionError, every other node is
+    # finite; no warning escapes
     outcomes = set()
-    for s in np.concatenate([np.arange(100.0, 200.5, 0.75), -np.arange(100.0, 200.5, 0.75)]):
-        for scales in [ScaleVector.unit(n), ScaleVector([0.125, 8.0] + [1.0] * (n - 2))]:
+    for s in s_values:
+        for scales in scale_sets:
             try:
-                v = xi(n, float(s), scales)
+                v = xi(n, float(s), ScaleVector(scales))
             except PrecisionError:
                 outcomes.add("rejected")
                 continue
@@ -371,8 +387,7 @@ def test_split_tail_bound_majorises_doubled_threshold(beta, a):
 
     memo = {}
     _, pattern, scales, qmax, bound = _job(beta, a, 1e-10, memo)
-    [entry] = memo.values()
-    t0, c, _, tail0 = entry[2:6]
+    [(_, _, t0, c, _, tail0)] = memo.values()
     big_t = math.pi * qmax
     assert big_t == pytest.approx(max(t0, 4.0 * abs(beta)), rel=1e-15)
     # the memo's tail bound at T0 is the job's unless the order sets T

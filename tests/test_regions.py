@@ -262,6 +262,20 @@ def test_discrete_convex_coplanar_triangle_in_3d():
     assert sorted(vertices) == sorted(triangle)
 
 
+@pytest.mark.parametrize("cell", [(20, 10), (20, 30), (0, 20)])
+def test_discrete_convex_finds_a_cell_on_a_long_hull_edge(cell):
+    # the lattice triangle (0, 0), (40, 20), (0, 40) of a 41x41 grid is
+    # negative but for one cell on an edge between two far corners
+    i, j = np.indices((41, 41))
+    labels = np.where((2 * j >= i) & (2 * j <= 80 - i), NEGATIVE, POSITIVE).astype(np.int8)
+    labels[cell] = POSITIVE
+    report = certify_discrete_convex(labels)
+    assert not report.ok
+    vertices, witness = report.witness
+    assert witness == cell
+    assert sorted(vertices) == [(0, 0), (0, 40), (40, 20)]
+
+
 def hull_oracle(negatives, cells):
     """Which cells lie in the convex hull of the negatives (at most 8).
 
