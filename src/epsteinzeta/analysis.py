@@ -2,27 +2,23 @@
 
 Covers the three computational pillars of that analysis:
 
-* positivity intervals: for n >= 10 the set where Xi_n > 0 is nonempty and,
-  as observed on every scanned grid, a single interval (gamma, n/2 - gamma)
-  symmetric about n/4; bisection pins gamma down to 1e-5 brackets;
+* positivity intervals: for n >= 10 the set where Xi_n > 0 is one interval
+  (gamma, n/2 - gamma) symmetric about n/4; signs are certified on the
+  continuum outside one bracket of width <= 1e-5, which pins gamma down;
 * negativity for n <= 9: a staircase of closed-form bounds certifies
   Xi_9 < 0 on all of (0, 9/4], monotonicity in the dimension carries it to
-  every n < 9, and a dense grid of Xi_n itself double-checks each case;
+  every n < 9, and the same continuum certificate of Xi_n checks each case;
 * extremum classification at the symmetry point n/4 through the second
   derivative in normalised coordinates.
-
-Every sign grid is decided in one batched call, `decide_signs`, which
-refines only the nodes still undecided.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .epstein import ScaleVector, XiValue, gamma_kernel_sum_d2, xi_many
+from .epstein import ScaleVector, XiValue, _kernel_parts, _xi_value, gamma_kernel_sum_d2, xi_many
 from .errors import AnalysisError, DomainError, IndeterminateSignError
 from .specfun import _EPS, Approximation, ibp_partial_sum
 
@@ -39,11 +35,7 @@ __all__ = [
     "large_scale_positivity",
 ]
 
-logger = logging.getLogger(__name__)
-
-_GRID_STEP = 1e-2
 _BRACKET_TARGET = 1e-5
-_MAX_GRID_POINTS = 10_000
 _REFINEMENTS = 3
 
 
@@ -113,71 +105,77 @@ def decide_signs(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[int, XiV
     ]
 
 
-def _decided(n: int, s: float, sign: int, value: XiValue) -> int:
-    if sign == 0:
-        raise IndeterminateSignError(
-            f"sign of Xi_{n}({s}) undecidable: value {value.value} within bound {value.err}"
-        )
-    return sign
-
-
 def decide_sign(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[int, XiValue]:
-    """Sign of Xi_n(s; a) with the error bound required to exclude zero.
-
-    Refines the tolerance tenfold up to three times before giving up.
-    """
+    """Sign of Xi_n(s; a) by `decide_signs`, with its evaluation; undecided raises."""
     [(sign, value)] = decide_signs([(n, s, scales)], cfg)
-    return _decided(n, s, sign, value), value
+    if sign == 0:
+        raise IndeterminateSignError(f"sign of Xi_{n}({s}) undecided: {value.value} +- {value.err}")
+    return sign, value
 
 
-def _unit_grid(n: int) -> list[float]:
-    """1e-4, then the 0.01-step grid up to and including n/4."""
-    count = int(round(n / 4.0 / _GRID_STEP))
-    if count + 1 > _MAX_GRID_POINTS:
-        raise AnalysisError(f"sign scan for n={n} needs more than {_MAX_GRID_POINTS} points")
-    return [1e-4] + [k * _GRID_STEP for k in range(1, count + 1)]
+def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float]]:
+    """Pieces (lo, hi, sign, bound) covering [0, n/4] in order: sign -1 under an
+    upper bound < 0, +1 over a lower bound > 0, else 0 with bound nan.
+
+    At unit scales Xi = pole + K with the pole part rising on (0, n/4] and K
+    convex and symmetric about n/4, so pole(lo) + K(hi) <= Xi <= pole(hi) + K(lo)
+    on [lo, hi].  Undecided pieces are halved down to _BRACKET_TARGET / 4, each
+    level's new ends in one engine call; where err rather than width keeps a
+    piece undecided, its ends are refined tenfold, up to _REFINEMENTS times.
+    """
+    unit = ScaleVector.unit(n)
+    parts, level = {}, {}  # per end: K terms, and the refinements they took
+    todo = {0.0: 0, n / 4.0: 0}  # end -> refinements to evaluate it at
+    pending, pieces = [(0.0, n / 4.0)], []
+    while pending:
+        for k in set(todo.values()):
+            at = [s for s in todo if todo[s] == k]
+            rows = _kernel_parts([(n, s, unit) for s in at], cfg.tighter(0.1**k))
+            parts.update((s, row[2:]) for s, row in zip(at, rows))
+        level.update(todo)
+        todo, split = {}, []
+        for lo, hi in pending:
+            refine = [s for s in (lo, hi) if level[s] < _REFINEMENTS]
+            upper = _xi_value(n, hi, *parts[lo])
+            lower = _xi_value(n, lo, *parts[hi]) if lo > 0 else XiValue(-math.inf, 0.0, n, lo)
+            if upper.value + upper.err < 0:
+                pieces.append((lo, hi, -1, upper.value + upper.err))
+            elif lower.value - lower.err > 0:
+                pieces.append((lo, hi, 1, lower.value - lower.err))
+            elif refine and upper.err + lower.err > upper.value - lower.value:
+                todo.update((s, level[s] + 1) for s in refine)
+                split.append((lo, hi))
+            elif hi - lo > _BRACKET_TARGET / 4:
+                mid = 0.5 * (lo + hi)
+                todo[mid] = max(level[lo], level[hi])
+                split += [(lo, mid), (mid, hi)]
+            else:
+                pieces.append((lo, hi, 0, math.nan))
+        pending = split
+    return sorted(pieces)
 
 
-def find_positive_interval(
-    n: int, cfg: EvalConfig = DEFAULT_CONFIG
-) -> SignInterval | None:
-    """Smallest sign change of Xi_n on (0, n/4], resolved by bisection.
+def find_positive_interval(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SignInterval | None:
+    """The positivity interval (gamma, n/2 - gamma) of Xi_n at unit scales.
 
     Returns None for n <= 9 after the negativity verification passes.  For
-    n >= 10 the left bracket end is verified negative (rather than trusted
-    from the pole expansion) and the point n/4 is verified positive.
+    n >= 10 the signs are certified negative on (0, lo] and positive on
+    [hi, n/4] around one bracket [lo, hi] of width <= 1e-5, whose midpoint is
+    gamma.  Any other sign pattern, a bracket reaching s = 0 included, raises
+    AnalysisError; a wider bracket IndeterminateSignError.
     """
     if n < 2:
         raise DomainError(f"interval search needs n >= 2, got {n}")
     if n <= 9:
         verify_negative_range(n, cfg)
         return None
-
-    unit = ScaleVector.unit(n)
-    grid = _unit_grid(n)
-    decided = decide_signs([(n, s, unit) for s in grid], cfg)
-    signs = [_decided(n, s, *d) for s, d in zip(grid, decided)]
-    if signs[0] >= 0:
-        raise AnalysisError(f"Xi_{n} unexpectedly nonnegative at s={grid[0]}")
-    if signs[-1] <= 0:
-        raise AnalysisError(f"Xi_{n} unexpectedly nonpositive at s=n/4={grid[-1]}")
-    flips = [i for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
-    if not flips:
-        raise AnalysisError(f"no sign change bracket found for n={n}")
-    if len(flips) > 1:
-        logger.warning(
-            "Xi_%d changes sign %d times on (0, n/4]; reporting the smallest; "
-            "the positive set has multiple components on this grid",
-            n,
-            len(flips),
-        )
-    lo, hi = grid[flips[0]], grid[flips[0] + 1]
-    while hi - lo > _BRACKET_TARGET:
-        mid = 0.5 * (lo + hi)
-        if decide_sign(n, mid, unit, cfg)[0] < 0:
-            lo = mid
-        else:
-            hi = mid
+    pieces = _sign_pieces(n, cfg)
+    signs = [sign for _, _, sign, _ in pieces]
+    if signs != sorted(signs) or signs[0] == 0 or signs[-1] <= 0:
+        raise AnalysisError(f"Xi_{n} is not certified negative, one bracket, then positive")
+    lo, hi = pieces[signs.count(-1) - 1][1], pieces[len(signs) - signs.count(1)][0]
+    if hi - lo > _BRACKET_TARGET:
+        raise IndeterminateSignError(f"sign of Xi_{n} undecided on [{lo}, {hi}] after refinement")
     gamma = 0.5 * (lo + hi)
     return SignInterval(n=n, gamma=gamma, mirror=n / 2.0 - gamma, bracket_width=hi - lo)
 
@@ -246,8 +244,8 @@ def verify_negative_range(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Boun
     those four sums is negative.  It covers every n < 9 as well, since
     Xi_n(s) = XiHat_n(2s/n) < XiHat_9(2s/n) = Xi_9(9s/n) is monotone in the
     dimension at fixed normalised argument, so the twelve stair reports are
-    the same for every n.  A dense 0.01-grid sign scan of Xi_n itself, with
-    error bounds excluding zero, is run as well.
+    the same for every n.  The continuum certificate of Xi_n itself
+    (`_sign_pieces`) is reported as well, by its largest upper bound.
     """
     if not 1 <= n <= 9:
         raise DomainError(f"negativity verification covers 1 <= n <= 9, got {n}")
@@ -261,16 +259,11 @@ def verify_negative_range(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Boun
             BoundReport(f"stair({lo},{hi}]", pole + kern, "upper", "negative", threshold=0.0)
         )
 
-    grid = _unit_grid(n)[1:]  # the 0.01-step grid; 1e-4 is trivially negative
-    unit = ScaleVector.unit(n)
-    decided = decide_signs([(n, s, unit) for s in grid], cfg)
-    for s, (sign, value) in zip(grid, decided):
-        if _decided(n, s, sign, value) > 0:
-            raise AnalysisError(f"Xi_{n}({s}) is not negative; negativity scan failed")
-    worst = max(value.value + value.err for _, value in decided)
-    reports.append(
-        BoundReport(f"grid_negativity_n{n}", worst, "upper", "negative", threshold=0.0)
-    )
+    pieces = _sign_pieces(n, cfg)
+    if any(sign >= 0 for _, _, sign, _ in pieces):
+        raise AnalysisError(f"Xi_{n} is not certified negative on all of (0, n/4]")
+    worst = max(bound for _, _, _, bound in pieces)
+    reports.append(BoundReport(f"continuum_negativity_n{n}", worst, "upper", "negative", 0.0))
     return reports
 
 

@@ -15,10 +15,10 @@ Exit codes: 0 success, 1 evaluation error or unwritable --out, 2 an
 indeterminate sign decision occurred, 64 usage error, including a --tol that
 is not positive and finite and a --grid, --samples, --sweep or --axes below 1.
 Output is plain text by default; --format csv/json emit machine-readable
-artifacts, both written from one list of records per command, in which every
-number carries its error bound.  Reruns with identical flags produce
-byte-identical output; the two sampling commands, convexity and verify-min,
-take their draws from --seed.
+artifacts from one list of records per command, every number with its error
+bound; csv writes each error to stderr as "error: <message>".  Reruns with
+identical flags produce byte-identical output; the two sampling commands,
+convexity and verify-min, take their draws from --seed.
 """
 
 from __future__ import annotations
@@ -328,6 +328,7 @@ def _emit(args, out: _Output, errors: list[str]) -> bool:
         payload = {"spec": spec, "results": out.results, "errors": errors}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.fmt == "csv":
+        sys.stderr.writelines(f"error: {message}\n" for message in errors)
         header = out.header or (list(out.records[0]) if out.records else [])
         buf = io.StringIO()  # the csv writer quotes a cell that holds a comma
         csv.writer(buf, lineterminator="\n").writerows(

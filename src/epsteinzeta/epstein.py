@@ -38,12 +38,12 @@ and err do not depend on the batch it is evaluated in.  A sum past double
 range stops the engine with PrecisionError.
 
 `xi_many` evaluates many nodes in one engine call; `xi` is a batch of one.
-A flat loop makes each node's two jobs, S(s; a) and S(n/2 - s; 1/a), of one
-bucket, and assembles the node from plain floats into its XiValue, the only
-object made per node.  The call's memo, which nothing outlives, holds per
-scale vector its reciprocal and smallest reciprocal lattice value, and per
-(scales, tol) the groups and truncation.  The one other way in is the
-order difference `gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
+A flat loop in `_kernel_parts` makes each node's two jobs, S(s; a) and
+S(n/2 - s; 1/a), of one bucket, and `_xi_value` adds the pole terms to their
+sum, which stays finite at the poles.  The call's memo, which nothing
+outlives, holds per scale vector its reciprocal and smallest reciprocal
+lattice value, and per (scales, tol) the groups and truncation.  The one
+other way in is `gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
 """
 
 from __future__ import annotations
@@ -479,10 +479,8 @@ def gamma_kernel_sum_d2(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -
 
 
 def _check_not_pole(n: int, s: float) -> None:
-    if abs(s) < _POLE_GUARD:
-        raise PoleError(f"s={s} is inside the guard band around the pole at 0")
-    if abs(s - n / 2.0) < _POLE_GUARD:
-        raise PoleError(f"s={s} is inside the guard band around the pole at n/2")
+    if min(abs(s), abs(s - n / 2.0)) < _POLE_GUARD:
+        raise PoleError(f"s={s} is inside the guard band around a pole of Xi_{n}")
 
 
 def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> float:
@@ -501,14 +499,10 @@ def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> 
     return err + abs(dbeta) * ((abs(value) + err) * math.log1p(max(beta, 1.0) / x_min))
 
 
-def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
-    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call;
-    each value and err is the one `xi` returns at that node, bit for bit.
-
-    S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) gets tol V/8, so that their
-    V-weighted errors meet tol.  The call's memo holds each scale vector's
-    reciprocal and x_min next to the truncations.  A node whose kernel sums
-    or Xi leave double range raises PrecisionError."""
+def _kernel_parts(nodes, cfg: EvalConfig) -> list[tuple]:
+    """(n, s, V, V S(s; a), S(n/2 - s; 1/a) / V, err) at every node (n, s, scales)
+    in one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
+    tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol."""
     jobs, rows, memo = [], [], {}
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
@@ -518,7 +512,6 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
         s = float(s)
         if not math.isfinite(s):
             raise DomainError(f"s must be finite, got {s}")
-        _check_not_pole(n, s)
         recip = memo.get(a)
         if recip is None:
             inv = tuple(1.0 / x for x in a)
@@ -528,18 +521,31 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
         rows.append((n, s, v, recip[1]))
     values, errs = _kernel_sums(jobs)
     sums = iter(zip(values, errs))
-    out = []
-    for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums):
-        e2 = _reflected_err(n, s, v2, e2, x_min)
-        try:
-            value = math.fsum((-v / s, -(1.0 / v) / (n / 2.0 - s), v * v1, v2 / v))
-        except (OverflowError, ValueError):  # a partial sum or v * v1 is past double range
-            value = math.inf
-        err = v * e1 + e2 / v + 4.0 * _EPS * (v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value))
-        if not err < math.inf:
-            raise PrecisionError(f"Xi_{n}({s}) overflows double precision")
-        out.append(XiValue(value, err, n, s))
-    return out
+    return [
+        (n, s, v, v * v1, v2 / v, v * e1 + _reflected_err(n, s, v2, e2, x_min) / v)
+        for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums)
+    ]
+
+
+def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:
+    """Xi's pole terms at s plus a kernel part k1 + k2 +- kerr of `_kernel_parts`."""
+    try:
+        value = math.fsum((-v / s, -(1.0 / v) / (n / 2.0 - s), k1, k2))
+    except (OverflowError, ValueError):  # a partial sum or V S(s; a) is past double range
+        value = math.inf
+    err = kerr + 4.0 * _EPS * (v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value))
+    if not err < math.inf:
+        raise PrecisionError(f"Xi_{n}({s}) overflows double precision")
+    return XiValue(value, err, n, s)
+
+
+def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
+    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call;
+    each value and err is the one `xi` returns at that node, bit for bit."""
+    nodes = list(nodes)
+    for n, s, _ in nodes:
+        _check_not_pole(n, float(s))
+    return [_xi_value(*row) for row in _kernel_parts(nodes, cfg)]
 
 
 def xi(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from epsteinzeta import (
+    AnalysisError,
     DomainError,
     EvalConfig,
     IndeterminateSignError,
@@ -39,13 +40,31 @@ def test_positive_interval_empty_for_nine():
     assert find_positive_interval(9) is None
 
 
-def test_interval_endpoint_brackets_a_sign_change():
-    interval = find_positive_interval(10)
+# 28 and 30 have gamma below 1e-4, where no node grid starting at 1e-4 sees it
+@pytest.mark.parametrize("n", [*range(10, 22), 28, 30])
+def test_interval_endpoint_brackets_a_sign_change(n):
+    interval = find_positive_interval(n)
     w = interval.bracket_width
-    left, lv = decide_sign(10, interval.gamma - w, ScaleVector.unit(10))
-    right, rv = decide_sign(10, interval.gamma + w, ScaleVector.unit(10))
+    assert w <= 1e-5
+    left, lv = decide_sign(n, interval.gamma - w, ScaleVector.unit(n))
+    right, rv = decide_sign(n, interval.gamma + w, ScaleVector.unit(n))
     assert left < 0 < right
     assert lv.excludes_zero() and rv.excludes_zero()
+
+
+def test_interval_whose_bracket_reaches_zero_is_an_error():
+    with pytest.raises(AnalysisError):
+        find_positive_interval(32)
+
+
+def test_sign_certificates_refine_a_coarse_tolerance():
+    # at tol 1e-3 the err of the kernel part, not the piece width, keeps the
+    # pieces next to gamma undecided until their ends are refined
+    coarse = find_positive_interval(10, EvalConfig(tol=1e-3))
+    fine = find_positive_interval(10)
+    assert coarse.bracket_width <= 1e-5
+    assert abs(coarse.gamma - fine.gamma) <= coarse.bracket_width + fine.bracket_width
+    assert all(r.holds() for r in verify_negative_range(9, EvalConfig(tol=1e-2)))
 
 
 def test_decide_sign_exhausts_its_refinements(monkeypatch):
@@ -135,8 +154,8 @@ _STAIR_NAMES = ["stair(0.0,0.95]", "stair(0.95,1.55]", "stair(1.55,2.0]", "stair
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_negative_range_small_dimensions(n):
     reports = verify_negative_range(n)
-    grid = next(r for r in reports if r.quantity.startswith("grid_negativity"))
-    assert grid.holds()
+    continuum = next(r for r in reports if r.quantity.startswith("continuum_negativity"))
+    assert continuum.holds()
     # the n = 9 stairs cover the continuum (0, n/4] for every n <= 9
     stairs = {r.quantity: r for r in reports if r.quantity.startswith("stair")}
     assert sorted(stairs) == sorted(_STAIR_NAMES)
@@ -147,7 +166,7 @@ def test_negative_range_small_dimensions(n):
 def test_negative_range_reports_stairs_and_grid(n):
     reports = verify_negative_range(n)
     certified = [r.quantity for r in reports if r.threshold is not None]
-    assert certified == _STAIR_NAMES + [f"grid_negativity_n{n}"]
+    assert certified == _STAIR_NAMES + [f"continuum_negativity_n{n}"]
     assert len(reports) == 13
     assert all(r.holds() for r in reports)
 

@@ -189,6 +189,15 @@ def test_order_past_double_range_is_an_evaluation_error(capsys):
         assert out.startswith("error: ") and "double precision" in out
 
 
+@pytest.mark.parametrize("s", ["200", "0"])
+def test_csv_evaluation_error_goes_to_stderr(s, capsys):
+    code = main(["eval", "--n", "2", "--s", s, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error: ")
+    assert "error" not in captured.out
+
+
 def test_eval_and_second_deriv_compute_each_quantity_once(monkeypatch, capsys):
     from epsteinzeta import analysis, epstein
 
