@@ -124,13 +124,14 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
     piece undecided, its ends are refined tenfold, up to _REFINEMENTS times.
     """
     unit = ScaleVector.unit(n)
+    memo = {}  # the truncation per tol, shared by every engine call of the run
     parts, level = {}, {}  # per end: K terms, and the refinements they took
     todo = {0.0: 0, n / 4.0: 0}  # end -> refinements to evaluate it at
     pending, pieces = [(0.0, n / 4.0)], []
     while pending:
         for k in set(todo.values()):
             at = [s for s in todo if todo[s] == k]
-            rows = _kernel_parts([(n, s, unit) for s in at], cfg.tighter(0.1**k))
+            rows = _kernel_parts([(n, s, unit) for s in at], cfg.tighter(0.1**k), memo)
             parts.update((s, row[2:]) for s, row in zip(at, rows))
         level.update(todo)
         todo, split = {}, []

@@ -356,6 +356,7 @@ def run(args) -> int:
         _HANDLERS[args.command](args, EvalConfig(tol=args.tol), out)
     except IndeterminateSignError as exc:
         errors.append(str(exc))
+        out.line(f"indeterminate: {exc}")
         out.indeterminate = True
     except (ValueError, RuntimeError) as exc:
         errors.append(str(exc))

@@ -31,19 +31,25 @@ representation counts for groups) are built once and whose lattices are
 enumerated together, each job's points contiguous with its origin, of weight
 zero, first.  Chunks of whole jobs hold at most `_CHUNK_POINTS` points, which
 bounds memory; a larger single lattice runs alone.  Each chunk makes one
-gammaincc call and sums each job by np.add.reduceat over its segment, whose
+kernel call and sums each job by np.add.reduceat over its segment, whose
 pairwise summation keeps the flat rounding allowance 5e-15 sum|terms| on
-large lattices (np.bincount sums sequentially and would not).  A job's value
-and err do not depend on the batch it is evaluated in.  A sum past double
-range stops the engine with PrecisionError.
+large lattices (np.bincount sums sequentially and would not).  A job of at
+least `_SERIES_POINTS` points whose series meets a 32nd of its tail bound
+takes, at its points x >= 16, the integration-by-parts series of the kernel
+in a few numpy multiply-adds, and its err gains the series remainder and
+rounding; every other point makes one gammaincc call per chunk.  A job's
+value and err do not depend on the batch it is evaluated in.  A sum past
+double range stops the engine with PrecisionError.
 
 `xi_many` evaluates many nodes in one engine call; `xi` is a batch of one.
 A flat loop in `_kernel_parts` makes each node's two jobs, S(s; a) and
 S(n/2 - s; 1/a), of one bucket, and `_xi_value` adds the pole terms to their
-sum, which stays finite at the poles.  The call's memo, which nothing
-outlives, holds per scale vector its reciprocal and smallest reciprocal
-lattice value, and per (scales, tol) the groups and truncation.  The one
-other way in is `gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
+sum, which stays finite at the poles.  The call's memo holds per scale
+vector its reciprocal and smallest reciprocal lattice value, and per
+(scales, tol) the groups and truncation; a caller that makes several engine
+calls, such as the sign certificates of `analysis`, may pass one memo to
+all of them.  The one other way in is `gamma_kernel_sum_d2` of
+`analysis.hat_xi_second_derivative`.
 """
 
 from __future__ import annotations
@@ -244,12 +250,100 @@ def _cuts(node: np.ndarray, lens: np.ndarray) -> list[tuple[int, int]]:
 # Vectorised incomplete-gamma kernel g(beta, x) = x^{-beta} Gamma(beta, x)
 # ---------------------------------------------------------------------------
 
+# the series takes the points x >= _SERIES_X of a job with at least
+# _SERIES_POINTS points, with at most _SERIES_TERMS + 1 terms; a smaller
+# job would pay more in planning than it saves
+_SERIES_X = 16.0
+_SERIES_POINTS = 2048
+_SERIES_TERMS = 40
 
-def _g_kernel(orders, x: np.ndarray, lens):
+
+def _series_plan(beta: float, weight: float, budget: float) -> tuple[int, float] | None:
+    """(m, bound) for the series of a job of order beta and weight sum `weight`,
+    or None if no order m <= _SERIES_TERMS meets `budget`.
+
+    m is the smallest order >= max(0, ceil(beta - 2)) whose bound is at most
+    budget.  The bound is the remainder weight |(beta-1)...(beta-m-1)|
+    X^{-m-2} e^{-X} at X = _SERIES_X, plus the rounding of the series terms:
+    term j of the sum passes through at most 5j + 5 roundings of unit
+    roundoff eps/2 (the rounded 1/x and its j powers, j coefficients
+    beta - i, three operations in each of j Horner steps, exp and the last
+    two products), so a point's error is at most
+    eps sum_j (3j + 3) |(beta-1)...(beta-j)| x^{-j} e^{-x}/x.  Both fall in
+    x, so at X they hold for all the job's points x >= X; 1 + 1e-12 covers
+    rounding the bound itself.
+    """
+    x = _SERIES_X
+    scale = weight * math.exp(-x) / x * (1.0 + 1e-12)
+    # |(beta-1)...(beta-j)| X^{-j} at j = m, and sum_{i<=m} (3i + 3) of those
+    term, rounding = 1.0, 3.0
+    for m in range(_SERIES_TERMS + 1):
+        omitted = term * abs(beta - (m + 1)) / x
+        bound = scale * (omitted + _EPS * rounding)
+        if m >= beta - 2.0 and bound <= budget:
+            return m, bound
+        term = omitted
+        rounding += (3 * m + 6) * term
+    return None
+
+
+def _g_kernel(orders, x: np.ndarray, lens, series=None):
     """(g, mag) with g(beta, x) = x^{-beta} Gamma(beta, x) at every point of x.
 
     The 1-d x is split into consecutive segments of lengths `lens`, one per
-    entry of `orders`.  One gammaincc call covers every point: an order
+    entry of `orders`.  `series` gives per segment a series order m or None
+    (the default: None for all).  The points x >= _SERIES_X of a segment with
+    an order take the integration-by-parts series
+
+        g(beta, x) = (e^{-x}/x) sum_{j=0..m} (beta-1)...(beta-j) x^{-j} + R_m,
+
+    |R_m| <= |(beta-1)...(beta-m-1)| x^{-m-2} e^{-x} for m >= beta - 2, by
+    m Horner steps g *= 1/x; g *= beta - j; g += 1 per point, so a scalar
+    and a per-point order round alike; `_series_plan` bounds R_m and the
+    rounding.  The other points go through `_gammaincc_kernel`; mag is |g|
+    at the series points.
+    """
+    if series is None or series.count(None) == len(series):
+        return _gammaincc_kernel(orders, x, lens)
+    top = max(m for m in series if m is not None)
+    sel = x >= _SERIES_X
+    if None in series:
+        sel &= np.array([m is not None for m in series]).repeat(lens)
+    # 1/x at the series points, 0 elsewhere, where the Horner steps leave 1
+    u = np.divide(1.0, x, out=np.zeros_like(x), where=sel)
+    g = np.ones_like(x)
+    # one (order, m) steps with scalar coefficients, else with one per point,
+    # 0 past a segment's own m
+    steps = {(b, m) for b, m in zip(orders, series) if m is not None}
+    beta = orders[series.index(top)] if len(steps) == 1 else None
+    for j in range(top, 0, -1):
+        if beta is not None:
+            coef = beta - j
+        else:
+            coef = np.array([b - j if m is not None and j <= m else 0.0
+                             for b, m in zip(orders, series)]).repeat(lens)
+        g *= u
+        g *= coef
+        g += 1.0
+    g *= u
+    # e^{-x} into the 1/x buffer: the series adds no third full-size array
+    np.negative(x, out=u)
+    np.exp(u, out=u)
+    g *= u
+    del u
+    sel = ~sel
+    counts = np.add.reduceat(sel, np.cumsum(lens) - lens, dtype=np.int64)
+    other, other_mag = _gammaincc_kernel(orders, x[sel], counts)
+    g[sel] = other
+    mag = None
+    if other_mag is not None:
+        mag = np.abs(g)
+        mag[sel] = other_mag
+    return g, mag
+
+
+def _gammaincc_kernel(orders, x: np.ndarray, lens):
+    """`_g_kernel` through one gammaincc call for every point: an order
     beta <= 0 enters it shifted to beta + k > 0 and comes down through
     Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b, except the integers -m,
     whose kernel is E_{m+1}(x) itself.  mag is x^{-beta} times that
@@ -376,8 +470,8 @@ def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, ...]:
 
 def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
     """The job of S(beta; a): order, group-count pattern, group scales, qmax =
-    T/pi and tail bound at T = max(T0, 4|beta|); `memo` holds one engine call's
-    groups and `_choose_T` per (a, tol)."""
+    T/pi and tail bound at T = max(T0, 4|beta|); `memo` holds the groups and
+    `_choose_T` per (a, tol)."""
     entry = memo.get((a, tol))
     if entry is None:
         groups = _group_scales(a)
@@ -428,8 +522,20 @@ def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
             w[starts] = 0.0
             chunk = members[first : first + len(counts)]
             orders = [jobs[i][0] for i in chunk]
+            # a job with enough points of its own plans its series from its
+            # order, weight sum (exact: the weights are integers) and tail
+            # alone, whatever the batch; the budget of a 32nd of the tail
+            # grows its err by at most that much
+            plans = series = None
+            if len(q) >= _SERIES_POINTS and counts.max() >= _SERIES_POINTS:
+                weights = np.add.reduceat(w, starts).tolist()
+                plans = [
+                    _series_plan(jobs[i][0], weight, jobs[i][4] / 32.0) if size >= _SERIES_POINTS else None
+                    for i, weight, size in zip(chunk, weights, counts.tolist())
+                ]
+                series = [plan and plan[0] for plan in plans]
             q *= math.pi
-            terms, mag = _g_kernel(orders, q, counts)
+            terms, mag = _g_kernel(orders, q, counts, series)
             terms *= w
             mags = None if mag is None else np.add.reduceat(mag * w, starts).tolist()
             del q, w, mag
@@ -444,6 +550,9 @@ def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
                 shifted = beta < 0 and beta != round(beta)
                 factor = math.floor(-beta) + 4.0 if shifted else 4.0 if beta <= 0 else 1.0
                 errs[i] = jobs[i][4] + 5e-15 * (big if shifted else m) * factor
+            for i, plan in zip(chunk, plans or ()):
+                if plan is not None:
+                    errs[i] += plan[1]  # the series remainder and rounding
     return values, errs
 
 
@@ -499,11 +608,13 @@ def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> 
     return err + abs(dbeta) * ((abs(value) + err) * math.log1p(max(beta, 1.0) / x_min))
 
 
-def _kernel_parts(nodes, cfg: EvalConfig) -> list[tuple]:
+def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tuple]:
     """(n, s, V, V S(s; a), S(n/2 - s; 1/a) / V, err) at every node (n, s, scales)
     in one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
-    tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol."""
-    jobs, rows, memo = [], [], {}
+    tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol.
+    `memo`, keyed on scales and on (scales, tol), may be shared by several calls."""
+    jobs, rows = [], []
+    memo = {} if memo is None else memo
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
         a, v = sv.a, sv.V

@@ -52,6 +52,40 @@ def test_interval_endpoint_brackets_a_sign_change(n):
     assert lv.excludes_zero() and rv.excludes_zero()
 
 
+# float.hex of the Table-1 gamma_10 .. gamma_21 at the default tol
+TABLE1_GAMMA_HEX = [
+    "0x1.1705880000000p+0", "0x1.47be280000000p-1", "0x1.971f900000000p-2",
+    "0x1.ff80f00000000p-3", "0x1.3fda100000000p-3", "0x1.8af2900000000p-4",
+    "0x1.df2a000000000p-5", "0x1.1cbde00000000p-5", "0x1.4ae8800000000p-6",
+    "0x1.77bb800000000p-7", "0x1.a0cc000000000p-8", "0x1.c395000000000p-9",
+]
+
+
+def test_sign_certificate_truncates_once_per_scales_and_tol(monkeypatch):
+    # one memo serves every engine call of a certificate run, so the
+    # truncation of the unit scales is computed once per tol reached
+    from epsteinzeta import epstein
+
+    keys = []
+    real = epstein._choose_T
+
+    def counted(groups, tol):
+        keys.append((tuple(groups), tol))
+        return real(groups, tol)
+
+    monkeypatch.setattr(epstein, "_choose_T", counted)
+    gammas = []
+    for n in range(10, 22):
+        start = len(keys)
+        gammas.append(find_positive_interval(n).gamma.hex())
+        assert len(keys) - start == len(set(keys[start:]))
+    assert gammas == TABLE1_GAMMA_HEX
+    # at tol 1e-3 the ends are refined to tighter tols, one key each
+    keys.clear()
+    find_positive_interval(10, EvalConfig(tol=1e-3))
+    assert len(keys) == len(set(keys)) > 1
+
+
 def test_interval_whose_bracket_reaches_zero_is_an_error():
     with pytest.raises(AnalysisError):
         find_positive_interval(32)

@@ -160,3 +160,27 @@ def test_unit_scale_grid_makes_one_truncation(monkeypatch):
     assert len(calls) == 1
     assert values == [_pair(xi(*node)) for node in nodes]
     assert len(calls) == 1 + len(nodes)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.lists(nodes(), min_size=1, max_size=10),
+    st.randoms(use_true_random=False),
+    st.sampled_from((1, 40)),
+)
+def test_series_jobs_bit_identical_alone_and_in_any_batch(batch, rnd, gate):
+    # with the series gate lowered, jobs of several orders and series orders
+    # share chunks, so one chunk mixes per-point series coefficients, scalar
+    # ones and gammaincc points; a job's value and err still do not depend on
+    # its batch, nor on the chunk cuts
+    batch = batch + [(6, 1.3, (0.7, 0.8, 1.0, 1.25, 0.5, 2.0))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epstein, "_SERIES_POINTS", gate)
+        rnd.shuffle(batch)
+        order = list(range(len(batch)))
+        rnd.shuffle(order)
+        shuffled = xi_many([batch[i] for i in order])
+        alone = [_pair(xi(*node)) for node in batch]
+        assert [_pair(shuffled[order.index(k)]) for k in range(len(batch))] == alone
+        mp.setattr(epstein, "_CHUNK_POINTS", 50)
+        assert [_pair(v) for v in xi_many(batch)] == alone

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from epsteinzeta.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
+from epsteinzeta.cli import EXIT_ERROR, EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, main
 from epsteinzeta.specfun import riemann_zeta
 
 
@@ -187,6 +187,13 @@ def test_order_past_double_range_is_an_evaluation_error(capsys):
         code, out = run_cli(argv, capsys)
         assert code == EXIT_ERROR
         assert out.startswith("error: ") and "double precision" in out
+
+
+def test_plain_indeterminate_sign_prints_its_message(capsys):
+    # at tol 1 the bracket stays wider than 1e-5 after every refinement
+    code, out = run_cli(["interval", "--n", "10", "--tol", "1"], capsys)
+    assert code == EXIT_INDETERMINATE
+    assert out.startswith("indeterminate: sign of Xi_10 undecided on [")
 
 
 @pytest.mark.parametrize("s", ["200", "0"])

@@ -440,3 +440,159 @@ def test_kernel_sum_err_covers_negative_order_recurrence(beta, a):
         for tol in (1e-9, 1e-13):
             [value], [err] = _kernel_sums([_job(beta, a, tol / 4.0, {})])
             assert abs(mpmath.mpf(value) - exact) <= err
+
+
+# ---------------------------------------------------------------------------
+# The integration-by-parts series of the kernel at x >= _SERIES_X
+# ---------------------------------------------------------------------------
+
+
+def _mp_kernel(beta, x):
+    """g(beta, x) = x^{-beta} Gamma(beta, x) at the working precision of mpmath."""
+    import mpmath
+
+    b = mpmath.mpf(beta)
+    return mpmath.gammainc(b, x) / x**b
+
+
+@pytest.mark.parametrize("beta", [2.25, 10.5, 0.7, -0.3, -2.5, 1.0, 4.0])
+def test_series_remainder_bound_at_points_just_above_the_switch(beta):
+    # each admissible order m of the series at points just above X, where
+    # its remainder bound |(beta-1)...(beta-m-1)| x^{-m-2} e^{-x} is largest,
+    # against 40-digit mpmath: the kernel is within that bound plus the
+    # rounding allowance eps sum_j (3j + 3) |(beta-1)...(beta-j)| x^{-j} e^{-x}/x
+    import mpmath
+
+    from epsteinzeta.epstein import _SERIES_X
+
+    x = _SERIES_X * (1.0 + np.array([0.0, 1e-15, 1e-9, 1e-6, 1e-3, 0.05]))
+    for m in range(max(0, math.ceil(beta - 2.0)), 16):
+        g, _ = _g_kernel([beta], x, [x.size], [m])
+        with mpmath.workdps(40):
+            for xv, gv in zip(x.tolist(), g.tolist()):
+                xm = mpmath.mpf(xv)
+                coefs = [mpmath.mpf(1)]
+                for j in range(1, m + 2):
+                    coefs.append(coefs[-1] * (beta - j))
+                scale = mpmath.exp(-xm) / xm
+                remainder = abs(coefs[m + 1]) * xm ** (-m - 1) * scale
+                rounding = 2.0**-52 * sum((3 * j + 3) * abs(c) * xm**-j for j, c in enumerate(coefs[:-1]))
+                assert abs(gv - _mp_kernel(beta, xm)) <= remainder + rounding * scale
+
+
+def _rep_counts(dim: int, mmax: int) -> list[int]:
+    """#{k in Z^dim : |k|^2 = m} for m <= mmax, by integer convolution."""
+    theta = [0] * (mmax + 1)
+    for j in range(-math.isqrt(mmax), math.isqrt(mmax) + 1):
+        theta[j * j] += 1
+    counts = [1] + [0] * mmax
+    for _ in range(dim):
+        counts = [sum(counts[i] * theta[m - i] for i in range(m + 1)) for m in range(mmax + 1)]
+    return counts
+
+
+def _lattice(a, xmax):
+    """(Q(k), weight) over k != 0 with pi Q(k) <= xmax, independent of the
+    engine: equal scales through representation counts, else a box over
+    k >= 0 with weight 2 per nonzero coordinate."""
+    if len(set(a)) == 1:
+        a2 = a[0] * a[0]
+        counts = _rep_counts(len(a), int(xmax / (math.pi * a2)))
+        return [(a2 * m, c) for m, c in enumerate(counts) if m and c and math.pi * a2 * m <= xmax]
+    box = [range(math.isqrt(int(xmax / (math.pi * c * c))) + 2) for c in a]
+    points = []
+    for k in itertools.product(*box):
+        q = sum((c * j) ** 2 for c, j in zip(a, k))
+        if any(k) and math.pi * q <= xmax:
+            points.append((q, 2 ** sum(j > 0 for j in k)))
+    return points
+
+
+_JUST_ABOVE = math.sqrt(16.0 * (1.0 + 1e-12) / (5.0 * math.pi))
+
+
+@pytest.mark.parametrize(
+    "beta, a, tol",
+    [
+        # three equal scales put the 24 points of |k|^2 = 5 just above X = 16
+        (2.25, (_JUST_ABOVE,) * 3, 1e-9),
+        (0.7, (_JUST_ABOVE,) * 3, 1e-9),
+        # the larger Table-1 order at n = 21; at unit scales its budget is
+        # not met at this tol, and the order 12.5 never is (see below)
+        (10.5, (1.2,) * 21, 1e-9),
+        (10.5, (1.5,) * 21, 1e-9),
+        # negative non-integer orders: the series needs no recurrence; -2.5
+        # meets its budget only on a small lattice at a loose tol
+        (-0.3, (0.9, 1.7), 1e-9),
+        (-0.3, (0.7, 0.9), 1e-9),
+        (-2.5, (0.7, 0.9), 1e-6),
+        # terminating integer orders
+        (1.0, (0.6, 0.8), 1e-9),
+        (4.0, (1.2,) * 21, 1e-9),
+    ],
+)
+def test_series_kernel_sum_err_covers_mpmath_reference(beta, a, tol, monkeypatch):
+    # with the point-count gate lowered, these small lattices take the series;
+    # against 40-digit mpmath sums over the same truncated lattice the error
+    # is within err less the tail bound, and over all of pi Q <= 120 within err
+    import mpmath
+
+    from epsteinzeta import epstein
+
+    real, plans = epstein._series_plan, []
+
+    def recorded(*args):
+        plans.append(real(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(epstein, "_SERIES_POINTS", 1)
+    monkeypatch.setattr(epstein, "_series_plan", recorded)
+    job = _job(beta, a, tol / 4.0, {})
+    [value], [err] = _kernel_sums([job])
+    assert len(plans) == 1 and plans[0] is not None
+    big_t = math.pi * job[3]
+    with mpmath.workdps(40):
+        inside = outside = mpmath.mpf(0)
+        for q, weight in _lattice(a, 120.0):
+            term = weight * _mp_kernel(beta, mpmath.pi * mpmath.mpf(q))
+            if q <= job[3]:
+                inside += term
+            else:
+                outside += term
+        assert abs(mpmath.mpf(value) - inside) <= err - job[4]
+        assert abs(mpmath.mpf(value) - inside - outside) <= err
+    # the lattice reaches past X, so some of its points took the series
+    assert math.pi * max(q for q, _ in _lattice(a, big_t)) > epstein._SERIES_X
+
+
+def test_integer_orders_terminate_with_zero_remainder():
+    # beta = 1 stops at m = 0 and beta = 4 at m = 3 with no remainder: even a
+    # zero budget is met, by the rounding term alone, which scales with the weight
+    from epsteinzeta.epstein import _series_plan
+
+    for beta, order in ((1.0, 0), (4.0, 3)):
+        m, bound = _series_plan(beta, 1.0, 1e-22)
+        assert m == order and 0.0 < bound <= 1e-22
+        assert _series_plan(beta, 1e6, 1e-22) is None
+        assert _series_plan(beta, 1e6, 1e-16)[0] == order
+
+
+@pytest.mark.parametrize(
+    "beta, a",
+    [
+        # T = 4 beta = 50 leaves a tail of about 1e-22, which no order meets
+        (12.5, (1.0,) * 21),
+        # past the series range: m >= beta - 2 > _SERIES_TERMS
+        (45.5, (2.0, 2.5)),
+    ],
+)
+def test_series_falls_back_to_gammaincc(beta, a, monkeypatch):
+    from epsteinzeta import epstein
+
+    job = _job(beta, a, 1e-9 / 4.0, {})
+    alone = _kernel_sums([job])
+    monkeypatch.setattr(epstein, "_SERIES_POINTS", 1)
+    _, pattern, scales, qmax, tail = job
+    [(_, w, _, _)] = list(epstein._enumerate(pattern, np.array(scales)[:, None], np.array([qmax])))
+    assert epstein._series_plan(beta, float(w.sum()), tail / 32.0) is None
+    assert _kernel_sums([job]) == alone
