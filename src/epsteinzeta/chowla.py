@@ -2,9 +2,12 @@
 
 Splits pi^{-s} Gamma(s) Z_n(s; a) into a leading Riemann-zeta term, a tower
 of n-1 lower-dimensional zeta terms, and an exponentially convergent double
-sum of modified Bessel K factors.  The route shares no lattice machinery with
-the incomplete-gamma evaluator, which makes agreement between the two a real
-consistency check rather than a tautology.
+sum of modified Bessel K factors.  Each tower level evaluates all of its
+Bessel arguments in one `specfun.bessel_k` call, a trapezoidal rule whose
+err stays within about 5 z eps of K, so the level's Bessel err is the
+coefficient-weighted sum of those.  The route shares no lattice machinery
+with the incomplete-gamma evaluator, which makes agreement between the two a
+real consistency check rather than a tautology.
 
 Generic s only: the expansion's Gamma and zeta factors hit poles at
 half-integer lattice points of s, where the two poles cancel in a limiting

@@ -74,6 +74,10 @@ _MAX_RADIUS = 2_000_000
 _MAX_POINTS = 60_000_000
 # lattice points per enumeration chunk of a batch; one larger lattice runs alone
 _CHUNK_POINTS = 1 << 13
+# orders up to this skip `_check_range`: on every lattice the caps admit,
+# x_min > T / _MAX_RADIUS^2 >= 2e-12, so x_min^{-18}, Gamma(18) and the
+# weights stay far inside double range
+_SAFE_ORDER = 18.0
 
 
 @dataclass(frozen=True)
@@ -471,7 +475,9 @@ def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, ...]:
 def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
     """The job of S(beta; a): order, group-count pattern, group scales, qmax =
     T/pi and tail bound at T = max(T0, 4|beta|); `memo` holds the groups and
-    `_choose_T` per (a, tol)."""
+    `_choose_T` per (a, tol).  A job of order past _SAFE_ORDER whose term at
+    the smallest lattice value leaves double range raises PrecisionError
+    here, before its tables are built."""
     entry = memo.get((a, tol))
     if entry is None:
         groups = _group_scales(a)
@@ -479,8 +485,40 @@ def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
     scales, pattern, t0, c, theta_prod, tail = entry
     big_t = 4.0 * abs(beta)
     if big_t > t0:
-        return beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
-    return beta, pattern, scales, t0 / math.pi, tail
+        job = beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
+    else:
+        job = beta, pattern, scales, t0 / math.pi, tail
+    if abs(beta) > _SAFE_ORDER:
+        _check_range(job)
+    return job
+
+
+def _overflow(exc: ArithmeticError) -> PrecisionError:
+    return PrecisionError(f"a kernel sum overflows double precision ({exc})")
+
+
+def _check_range(job: tuple) -> None:
+    """Raise `_kernel_sums`'s PrecisionError if the job's term at its smallest
+    lattice value x_min = pi min(scales)^2 overflows, computed as the engine
+    computes it there: the gammaincc kernel of that one point times its
+    weight r_count(1) = 2 count.  The enumeration admits x_min when
+    qmax / min(scales)^2 >= 1, and the series, which could take the point
+    instead, only x >= _SERIES_X.  An order the kernel rejects is left to
+    the engine, whose caps may stop the node first."""
+    beta, pattern, scales, qmax, _ = job
+    i = scales.index(min(scales))
+    a2 = scales[i] * scales[i]
+    x = a2 * math.pi
+    if qmax / a2 < 1.0 or x >= _SERIES_X:
+        return
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            g, _ = _gammaincc_kernel((beta,), np.array([x]), [1])
+            g *= 2.0 * pattern[i]
+    except (FloatingPointError, OverflowError) as exc:
+        raise _overflow(exc) from None
+    except DomainError:
+        return
 
 
 def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float) -> list[tuple]:
@@ -504,7 +542,7 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
         with np.errstate(over="raise", invalid="raise"):
             return _bucket_sums(jobs)
     except (FloatingPointError, OverflowError) as exc:
-        raise PrecisionError(f"a kernel sum overflows double precision ({exc})") from None
+        raise _overflow(exc) from None
 
 
 def _bucket_sums(jobs) -> tuple[list[float], list[float]]:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from epsteinzeta import (
@@ -8,8 +10,6 @@ from epsteinzeta import (
     NotGenericError,
     PrecisionError,
     ScaleVector,
-    chowla,
-    specfun,
     xi,
     xi_chowla_selberg,
 )
@@ -71,15 +71,7 @@ def test_non_generic_arguments_rejected(s):
         xi_chowla_selberg(4, s, ScaleVector.unit(4))
 
 
-def test_generic_sample_agreement(monkeypatch):
-    # record every Bessel call: one per tower level, over all of its terms
-    calls = []
-
-    def recording_bessel_k(nu, z, cfg):
-        calls.append(np.asarray(z))
-        return specfun.bessel_k(nu, z, cfg)
-
-    monkeypatch.setattr(chowla, "bessel_k", recording_bessel_k)
+def test_generic_sample_agreement():
     rng = np.random.default_rng(12)
     cfg = EvalConfig(tol=1e-10)
     done = 0
@@ -93,22 +85,34 @@ def test_generic_sample_agreement(monkeypatch):
         right = xi(n, s, scales, cfg)
         assert abs(left.value - right.value) <= left.err + right.err
         done += 1
-    switch = specfun._ASYMPTOTIC_SWITCH
-    assert any(z.min() <= switch < z.max() for z in calls)
+
+
+def generic_s(n: int):
+    """s in (-0.9, n/2 + 0.9) at least 0.02 from every multiple of 1/2: off
+    the poles and the non-generic arguments of the Chowla-Selberg route."""
+    return st.floats(-0.9, n / 2.0 + 0.9, exclude_min=True, exclude_max=True).filter(
+        lambda s: abs(s - round(2.0 * s) / 2.0) >= 0.02
+    )
 
 
 @st.composite
 def generic_points(draw, n: int):
-    """Scales 2^u with u in [-3, 3] in ascending order, and s in
-    (-0.9, n/2 + 0.9) at least 0.02 from every multiple of 1/2: off the poles
-    and the non-generic arguments of the Chowla-Selberg route."""
+    """Scales 2^u with u in [-3, 3] in ascending order, and a generic s."""
     a = sorted(2.0 ** u for u in draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
-    s = draw(
-        st.floats(-0.9, n / 2.0 + 0.9, exclude_min=True, exclude_max=True).filter(
-            lambda s: abs(s - round(2.0 * s) / 2.0) >= 0.02
-        )
-    )
-    return s, tuple(a)
+    return draw(generic_s(n)), tuple(a)
+
+
+@st.composite
+def extreme_points(draw, n: int):
+    """Scales 2^u with u in [-10, 10] in ascending order, of product one from
+    n = 2 on, and a generic s.  Product one keeps both lattices of xi small:
+    at volume 2^9 the dual lattice of (2^9, 2^9) needs a radial table past
+    xi's cap."""
+    u = draw(st.lists(st.floats(-10.0, 10.0), min_size=max(n - 1, 1), max_size=max(n - 1, 1)))
+    if n > 1:
+        u.append(-math.fsum(u))
+        assume(abs(u[-1]) <= 10.0)
+    return draw(generic_s(n)), tuple(sorted(2.0**x for x in u))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -122,3 +126,17 @@ def test_xi_agrees_with_chowla_selberg_and_under_reversed_scales(n, data):
     assert abs(ours.value - other.value) <= ours.err + other.err
     reversed_ = xi(n, s, a[::-1])
     assert abs(ours.value - reversed_.value) <= ours.err + reversed_.err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_xi_agrees_with_chowla_selberg_at_scales_up_to_two_to_the_ten(n, data):
+    # the ascending order keeps the Bessel sums to hundreds of terms
+    s, a = data.draw(extreme_points(n))
+    try:
+        other = xi_chowla_selberg(n, s, a)
+    except PrecisionError:  # more than chowla._MAX_TERMS Bessel terms
+        reject()
+    ours = xi(n, s, a)
+    assert abs(ours.value - other.value) <= ours.err + other.err

@@ -284,6 +284,19 @@ def test_large_orders_are_finite_or_precision_errors(n, scale_sets, s_values):
     assert outcomes == {"finite", "rejected"}
 
 
+def test_overflowing_term_is_rejected_before_any_table(monkeypatch):
+    # the 1/a lattice's term at x_min = pi 1e-4 overflows; its 0.01 scales
+    # would need a radial table of about 8e5 entries first
+    from epsteinzeta import epstein
+
+    def no_table(dim, mmax):
+        raise AssertionError(f"radial table ({dim}, {mmax}) built")
+
+    monkeypatch.setattr(epstein, "_radial_table", no_table)
+    with pytest.raises(PrecisionError, match="overflows double precision"):
+        xi(10, -58.43, ScaleVector((100.0,) * 10))
+
+
 def test_precision_error_carries_bound():
     # the 2^-20 axis needs more steps than the lattice engine's per-axis cap
     with pytest.raises(PrecisionError):

@@ -260,7 +260,7 @@ def test_incgamma_bound_rejects_small_x():
     "zval", [1.0, 2.0 * math.pi, np.array([1.0, 2.0 * math.pi, 29.9, 30.1, 35.0, 60.0])]
 )
 def test_bessel_k_half_order_closed_form(zval):
-    # K_{1/2}(z) = sqrt(pi / (2z)) e^{-z}; the array spans both branches
+    # K_{1/2}(z) = sqrt(pi / (2z)) e^{-z}; one array call equals its scalar calls
     expected = np.sqrt(math.pi / (2.0 * zval)) * np.exp(-zval)
     if np.ndim(zval) == 0:
         v = bessel_k(0.5, zval)
@@ -289,7 +289,7 @@ def test_bessel_k_zero_order_vs_quadrature_oracle():
     assert abs(v.value - oracle) <= 1e-9 + quad_err
 
 
-def test_bessel_k_asymptotic_branch():
+def test_bessel_k_oracle_at_z35():
     z = 35.0
     oracle, quad_err = quad(
         lambda u: math.exp(-z * math.cosh(u)) * math.cosh(1.3 * u),
@@ -302,11 +302,25 @@ def test_bessel_k_asymptotic_branch():
     assert abs(v.value - oracle) <= v.err + 1e-18 + quad_err
 
 
-def test_bessel_k_asymptotic_rounding_in_err():
-    # the expansion is about 4 eps off here, 5% more than an allowance of
-    # 4 eps |total| admits; the reference is mpmath.besselk at 50 digits
+def test_bessel_k_oracle_at_z41():
+    # the reference is mpmath.besselk at 50 digits
     v = bessel_k(1.0314815005156186, 41.5254098286656)
     assert abs(v.value - 1.814900380893020276585279e-19) <= v.err
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.1, 2.7, 4.2])
+def test_bessel_k_err_covers_mpmath_and_stays_tight(nu):
+    # err must hold, and must stay within 1e-13 of K so that the
+    # Chowla-Selberg cross-checks built on it keep their resolution
+    import mpmath
+
+    z = np.geomspace(0.02, 61.0, 40)
+    values, errs = bessel_k(nu, z)
+    with mpmath.workdps(30):
+        refs = [mpmath.besselk(nu, x) for x in z.tolist()]
+    for value, err, ref in zip(values.tolist(), errs.tolist(), refs):
+        assert abs(mpmath.mpf(value) - ref) <= err
+        assert err <= 1e-13 * ref
 
 
 def test_bessel_k_domain():
