@@ -97,9 +97,21 @@ class HyperplaneChart:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def scales(self, b) -> ScaleVector:
-        b = np.asarray(b, dtype=float).reshape(self.j)
-        return ScaleVector(np.exp(self.v + self.A @ b))
+    def scales(self, b):
+        """The ScaleVector exp(v + A b) at a chart point b of j coordinates,
+        or the list of them at the rows of an (N, j) array b.
+
+        v + A b is summed column by column, v + A[:, 0] b_0 + A[:, 1] b_1 + ...,
+        in the same IEEE operations for every row, so a row of a batch gives
+        the bits of the point alone.
+        """
+        b = np.asarray(b, dtype=float)
+        points = b.reshape(-1 if b.ndim == 2 else 1, self.j)
+        logs = np.repeat(self.v[None, :], len(points), axis=0)
+        for d in range(self.j):
+            logs += points[:, d, None] * self.A[:, d]
+        vectors = [ScaleVector(row) for row in np.exp(logs).tolist()]
+        return vectors if b.ndim == 2 else vectors[0]
 
 
 def standard_chart(n: int, v=None) -> HyperplaneChart:
@@ -299,7 +311,7 @@ def midpoint_convexity_xi(
     b1 = np.asarray(b1, dtype=float).reshape(chart.j)
     b2 = np.asarray(b2, dtype=float).reshape(chart.j)
     left, right, mid = xi_many(
-        [(n, s, chart.scales(b)) for b in (b1, b2, 0.5 * (b1 + b2))], cfg
+        [(n, s, scales) for scales in chart.scales(np.array([b1, b2, 0.5 * (b1 + b2)]))], cfg
     )
     slack = 0.5 * (left.value + right.value) - mid.value
     allowance = 0.5 * (left.err + right.err) + mid.err

@@ -20,7 +20,12 @@ Lattice sums are truncated at pi Q <= T with T chosen so that the tail bound
 falls below the configured tolerance; it holds for every split 0 < c < 1.
 T0 >= 8, the split c (from theta(t) <= 1 + t^{-1/2}) and the theta product
 (a closed-form majorant) depend on the scales and tol alone; a sum of order
-beta takes T = max(T0, 4|beta|).  Equal scales are summed radially through
+beta takes T = max(T0, 4|beta|).  An engine call computes them once per
+(scales, tol) key it has not met, in one array pass per group-count pattern
+over those keys; a call with fewer than `_VECTOR_KEYS` new keys runs the
+same operations on floats, key by key, where an array pass costs more.  Both
+forms take math's log, log1p and exp and sum in group order, so a key gets
+the same bits in either.  Equal scales are summed radially through
 exact representation counts: isotropic directions cost O(T) terms.
 
 Every kernel sum goes through one batched engine, `_kernel_sums`.  A job is
@@ -57,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expn, gammaincc
@@ -88,7 +94,7 @@ class ScaleVector:
     V: float
 
     def __init__(self, a) -> None:
-        vals = tuple(float(x) for x in a)
+        vals = tuple(map(float, a))
         if len(vals) == 0:
             raise DomainError("scale vector must be nonempty")
         if any(not (x > 0) or math.isinf(x) for x in vals):
@@ -159,6 +165,23 @@ def _group_scales(a: tuple[float, ...]) -> list[tuple[float, int]]:
     # ordered by count, so a and 1/a share one pattern of counts, then
     # largest scales first: their tables are shortest and prune hardest
     return sorted(groups.items(), key=lambda kv: (kv[1], -kv[0]))
+
+
+def _group_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_group_scales` of every row of a: (scales, counts), with row k's groups
+    in its first columns, in the same order, and count 0 after them."""
+    n = a.shape[1]
+    desc = -np.sort(-a, axis=1)
+    start = np.ones(desc.shape, dtype=bool)
+    start[:, 1:] = desc[:, 1:] != desc[:, :-1]
+    # a group's count runs from its first column to the next group's
+    at = np.arange(n)
+    following = np.full(desc.shape, n)
+    following[:, :-1] = np.minimum.accumulate(np.where(start, at, n)[:, :0:-1], axis=1)[:, ::-1]
+    counts = np.where(start, following - at, 0)
+    # by count, stably, so equal counts keep descending scales; non-groups last
+    order = np.argsort(np.where(start, counts, n + 1), axis=1, kind="stable")
+    return np.take_along_axis(desc, order, 1), np.take_along_axis(counts, order, 1)
 
 
 def _group_table(count: int, scale: np.ndarray, qmax: np.ndarray):
@@ -406,65 +429,147 @@ def _gammaincc_kernel(orders, x: np.ndarray, lens):
 # ---------------------------------------------------------------------------
 
 
-def _theta_product(groups: list[tuple[float, int]], c: float) -> float:
-    """A majorant of sum_k exp(-c pi Q(k)) = prod over groups of theta(c a^2)^count.
+class _Ops(NamedTuple):
+    """The elementary functions of `_truncation` on one kind of operand."""
+
+    log: Callable
+    log1p: Callable
+    exp: Callable
+    sqrt: Callable
+    high: Callable  # max
+    low: Callable  # min
+    where: Callable  # where(cond, x, y): x where cond holds, else y
+    every: Callable  # whether cond holds for every key
+
+
+def _column_op(f: Callable) -> Callable:
+    """f of every entry of a 1-d array, as a new array."""
+    return lambda x: np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+# the array form takes math's log, log1p and exp entry by entry, and + - * /
+# and sqrt are correctly rounded in numpy and Python alike, so a key gets the
+# bits of the float form in a column of any length, on any host; numpy's own
+# log, log1p and exp would run the columns faster but cost a single call
+# more, since on a Python float they take about three times math's time
+_FLOAT_OPS = _Ops(
+    math.log, math.log1p, math.exp, math.sqrt, max, min,
+    lambda cond, x, y: x if cond else y, bool,
+)
+_ARRAY_OPS = _Ops(
+    _column_op(math.log), _column_op(math.log1p), _column_op(math.exp), np.sqrt,
+    np.maximum, np.minimum, np.where, np.all,
+)
+
+
+def _theta_majorant(t, ops: _Ops = _FLOAT_OPS):
+    """A majorant of theta(t) = sum_k exp(-pi t k^2), within 6e-10 relative.
 
     As k^2 >= 3k - 2, theta(t) <= max(1, t^{-1/2}) (1 + 2q/(1 - q^3)) with
-    q = e^{-pi max(t, 1/t)}, within 6e-10 relative; 1 + 8 eps covers rounding."""
-    prod = 1.0
-    for a, count in groups:
-        t = c * a * a
-        q = math.exp(-math.pi * max(t, 1.0 / t))
-        prod *= (max(1.0, t**-0.5) * (1.0 + 2.0 * q / (1.0 - q**3)) * (1.0 + 8.0 * _EPS)) ** count
-    return prod
+    q = e^{-pi max(t, 1/t)}; 1 + 8 eps covers the rounding of t = c a^2, of
+    this expression and of one product by it."""
+    q = ops.exp(-math.pi * ops.high(t, 1.0 / t))
+    return ops.high(1.0, 1.0 / ops.sqrt(t)) * (1.0 + 2.0 * q / (1.0 - q * q * q)) * (1.0 + 8.0 * _EPS)
 
 
-def _tail_bound(big_t: float, c: float, theta_prod: float) -> float:
+def _tail_bound(big_t, c, theta_prod, ops: _Ops = _FLOAT_OPS):
     # For x = pi Q >= T >= max(8, 4|beta|) and any split 0 < c < 1:
     #   g(beta, x) <= 2 x^{-1} e^{-x} <= (2/T) e^{-(1-c)T} e^{-c x}
     # and sum_k e^{-c pi Q(k)} <= theta_prod.  The bound falls in T.
-    return (2.0 / big_t) * math.exp(-(1.0 - c) * big_t) * theta_prod
+    return (2.0 / big_t) * ops.exp(-(1.0 - c) * big_t) * theta_prod
 
 
-def _choose_split(groups: list[tuple[float, int]], tol: float) -> float:
-    """Split c minimising the threshold T at which the tail bound meets tol.
+def _truncation(scales, counts: tuple[int, ...], tol):
+    """(T0, c, theta_prod, tail) with T0 >= 8 and tail = _tail_bound(T0, c,
+    theta_prod) < tol, for the keys (scales, tol) of one group-count pattern.
 
-    Uses the majorant theta(t) <= 1 + t^{-1/2}, so log P(c) is about
-    h(c) = sum count log(1 + 1/(a sqrt c)).  The minimiser of
+    scales[g] is the scale of the g-th group, of counts[g] equal axes.  It
+    and tol are floats for one key, or arrays with one entry per key; the
+    same operations, summed in group order, give each key the same bits in
+    both forms and in any batch.
+
+    The split c comes from the majorant theta(t) <= 1 + t^{-1/2}, so log P(c)
+    is about h(c) = sum count log(1 + 1/(a sqrt c)).  The minimiser of
     T(c) = (log(2/(T tol)) + h(c)) / (1 - c) satisfies c = S(c) / (2T) with
-    S(c) = -2c h'(c) = sum count / (1 + a sqrt c); two fixed-point steps
-    from c = 1/2 land within 1% of the optimal T for n <= 10 and within 3%
-    for n <= 21.  c is capped at 1/2, which keeps _choose_T's iteration a
-    contraction.
+    S(c) = -2c h'(c) = sum count / (1 + a sqrt c); two fixed-point steps from
+    c = 1/2 land within 1% of the optimal T for n <= 10 and within 3% for
+    n <= 21.  c is capped at 1/2, so that phi below is a contraction.
+    theta_prod is the product of `_theta_majorant(c a^2)` over the axes.
+    The bound meets tol at the fixed point of
+    phi(T) = log(2 theta_prod / (T tol)) / (1 - c), |phi'| <= 1/4 on T >= 8,
+    whose odd iterates from a point below the crossing stay above it: three
+    steps of max(8, phi) from 8 give T0, doubled while the bound misses tol.
     """
+    ops = _ARRAY_OPS if isinstance(tol, np.ndarray) else _FLOAT_OPS
+    log, log1p, _, sqrt, high, low, where, every = ops
     c, big_t = 0.5, 8.0
     for _ in range(2):
-        r = math.sqrt(c)
-        h = math.fsum(count * math.log1p(1.0 / (a * r)) for a, count in groups)
-        big_t = max(8.0, (math.log(2.0 / (big_t * tol)) + h) / (1.0 - c))
-        c = min(0.5, math.fsum(count / (1.0 + a * r) for a, count in groups) / (2.0 * big_t))
-    return c
-
-
-def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, ...]:
-    """(T0, c, theta_prod, tail) with T0 >= 8 and tail = _tail_bound(T0, c, theta_prod) < tol."""
-    c = _choose_split(groups, tol)
-    theta_prod = _theta_product(groups, c)
-
-    # the crossing of the bound with tol is the fixed point of the
-    # contraction phi (|phi'| <= 1/4 on T >= 8), whose odd iterates from a
-    # point below the crossing stay above it
-    def phi(t: float) -> float:
-        return math.log(2.0 * theta_prod / (t * tol)) / (1.0 - c)
-
-    big_t = phi(8.0)
-    big_t = 8.0 if big_t <= 8.0 else phi(phi(big_t))
+        r = sqrt(c)
+        h = total = 0.0
+        for a, count in zip(scales, counts):
+            h = h + count * log1p(1.0 / (a * r))
+            total = total + count / (1.0 + a * r)
+        big_t = high(8.0, (log(2.0 / (big_t * tol)) + h) / (1.0 - c))
+        c = low(0.5, total / (2.0 * big_t))
+    theta_prod = 1.0
+    for a, count in zip(scales, counts):
+        factor = _theta_majorant(c * a * a, ops)
+        for _ in range(count):
+            theta_prod = theta_prod * factor
+    big_t = 8.0
+    for _ in range(3):
+        big_t = high(8.0, log(2.0 * theta_prod / (big_t * tol)) / (1.0 - c))
     for _ in range(60):
-        tail = _tail_bound(big_t, c, theta_prod)
-        if tail < tol:
+        tail = _tail_bound(big_t, c, theta_prod, ops)
+        met = tail < tol
+        if every(met):
             return big_t, c, theta_prod, tail
-        big_t *= 2.0
+        big_t = where(met, big_t, 2.0 * big_t)
     raise PrecisionError(f"no truncation threshold reaches tol={tol}")
+
+
+# an engine call with fewer new truncation keys groups and truncates them on
+# floats, key by key: the array pass costs more there
+_VECTOR_KEYS = 16
+
+
+def _truncate(keys, memo: dict) -> None:
+    """Put the groups and `_truncation` of (scales, tol) keys that `memo`
+    lacks into it, as (group scales, pattern, T0, c, theta_prod, tail): with
+    _VECTOR_KEYS or more distinct keys, in one array pass per group-count
+    pattern.  A truncation past double range, as from a scale whose square
+    leaves it, raises PrecisionError in both forms."""
+    new = list(dict.fromkeys(keys))
+    try:
+        if len(new) < _VECTOR_KEYS:
+            for a, tol in new:
+                scales, counts = zip(*_group_scales(a))
+                memo[a, tol] = (scales, counts, *_truncation(scales, counts, tol))
+        else:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                _truncate_rows(new, memo)
+    except ArithmeticError as exc:
+        raise PrecisionError(f"a truncation threshold overflows double precision ({exc})") from None
+
+
+def _truncate_rows(keys: list, memo: dict) -> None:
+    """`_truncate` of many new keys: grouped by `_group_rows` per dimension,
+    then one `_truncation` array pass per group-count pattern."""
+    dims: dict[int, list] = {}
+    for key in keys:
+        dims.setdefault(len(key[0]), []).append(key)
+    for members in dims.values():
+        scales, counts = _group_rows(np.array([a for a, _ in members]))
+        tols = np.array([tol for _, tol in members])
+        patterns: dict[tuple[int, ...], list[int]] = {}
+        for i, row in enumerate(counts.tolist()):
+            patterns.setdefault(tuple(row), []).append(i)
+        for row, rows in patterns.items():
+            pattern = row[: row.index(0)] if 0 in row else row
+            columns = np.ascontiguousarray(scales[rows, : len(pattern)].T)
+            result = zip(*(x.tolist() for x in _truncation(list(columns), pattern, tols[rows])))
+            for i, groups, entry in zip(rows, columns.T.tolist(), result):
+                memo[members[i]] = (tuple(groups), pattern, *entry)
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +578,19 @@ def _choose_T(groups: list[tuple[float, int]], tol: float) -> tuple[float, ...]:
 
 
 def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
-    """The job of S(beta; a): order, group-count pattern, group scales, qmax =
-    T/pi and tail bound at T = max(T0, 4|beta|); `memo` holds the groups and
-    `_choose_T` per (a, tol).  A job of order past _SAFE_ORDER whose term at
-    the smallest lattice value leaves double range raises PrecisionError
-    here, before its tables are built."""
-    entry = memo.get((a, tol))
-    if entry is None:
-        groups = _group_scales(a)
-        entry = memo[a, tol] = (*zip(*groups), *_choose_T(groups, tol))
+    """The `_job_of` S(beta; a) at tol, truncating (a, tol) into `memo` if
+    it lacks it."""
+    if (a, tol) not in memo:
+        _truncate([(a, tol)], memo)
+    return _job_of(beta, memo[a, tol])
+
+
+def _job_of(beta: float, entry: tuple) -> tuple:
+    """The job of S(beta; a) from the memo entry of (a, tol): order,
+    group-count pattern, group scales, qmax = T/pi and tail bound at
+    T = max(T0, 4|beta|).  A job of order past _SAFE_ORDER whose term at the
+    smallest lattice value leaves double range raises PrecisionError here,
+    before its tables are built."""
     scales, pattern, t0, c, theta_prod, tail = entry
     big_t = 4.0 * abs(beta)
     if big_t > t0:
@@ -651,7 +760,7 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
     in one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
     tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol.
     `memo`, keyed on scales and on (scales, tol), may be shared by several calls."""
-    jobs, rows = [], []
+    orders, keys, rows = [], [], []
     memo = {} if memo is None else memo
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
@@ -665,10 +774,13 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
         if recip is None:
             inv = tuple(1.0 / x for x in a)
             recip = memo[a] = inv, math.pi * min(inv) ** 2
-        jobs.append(_job(s, a, cfg.tol * (0.5 / v) / 4.0, memo))
-        jobs.append(_job(n / 2.0 - s, recip[0], cfg.tol * (0.5 * v) / 4.0, memo))
+        orders += [s, n / 2.0 - s]
+        keys += [(a, cfg.tol * (0.5 / v) / 4.0), (recip[0], cfg.tol * (0.5 * v) / 4.0)]
         rows.append((n, s, v, recip[1]))
-    values, errs = _kernel_sums(jobs)
+    missing = [key for key in keys if key not in memo]
+    if missing:
+        _truncate(missing, memo)
+    values, errs = _kernel_sums([_job_of(beta, memo[key]) for beta, key in zip(orders, keys)])
     sums = iter(zip(values, errs))
     return [
         (n, s, v, v * v1, v2 / v, v * e1 + _reflected_err(n, s, v2, e2, x_min) / v)

@@ -107,10 +107,9 @@ def scan(
         raise DomainError("bounds and steps must match the chart's free dimensions")
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps)]
     shape = tuple(steps)
-    nodes = [
-        (n, s, chart.scales(np.array([axes[d][idx[d]] for d in range(chart.j)])))
-        for idx in np.ndindex(*shape)
-    ]
+    # every node's chart point, in C order, and its scales from one chart call
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.j)
+    nodes = [(n, s, scales) for scales in chart.scales(points)]
     decided = decide_signs(nodes, cfg)  # sign 0, undecided, is INDETERMINATE
     labels = np.array([sign for sign, _ in decided], dtype=np.int8).reshape(shape)
     values = np.array([value.value for _, value in decided]).reshape(shape)
@@ -202,9 +201,10 @@ def certify_discrete_convex(grid_or_labels) -> DiscreteConvexityReport:
 
     The rank r of the negatives' affine span comes from an SVD of their
     offsets; the candidates are the positive cells of their bounding box on
-    that span.  r = 1 is an interval test along the line; otherwise the
-    hull's vertices, in span coordinates, are triangulated and every
-    candidate is located in one call.  Only exact lattice membership counts:
+    that span.  r = 1 is an interval test along the line; otherwise every
+    candidate is tested against the facet planes of the hull, in span
+    coordinates, in one product, and the hull's vertices are triangulated
+    only to name the simplex of a hit.  Only exact lattice membership counts:
     cells merely clipped by the hull would flag the boundary skin of a
     convex region.  Accepts a RegionGrid or a raw int8 label array.
     """
@@ -237,11 +237,16 @@ def _hull_witness(labels: np.ndarray, negative: np.ndarray):
     else:
         from scipy.spatial import ConvexHull, Delaunay
 
-        hull = ConvexHull(points).vertices
-        tri = Delaunay(points[hull])  # the hull's vertices triangulate all of it
-        simplex = tri.find_simplex(coords, tol=1e-9)  # off-hull cells lie >= 1/|det| out
-        hit = np.flatnonzero(simplex >= 0)[:1]
-        corners = hull[tri.simplices[simplex[hit]]].ravel()
+        hull = ConvexHull(points)
+        # inside iff on the inner side of every facet plane normal . x + offset = 0;
+        # an off-hull lattice cell lies at least 1/|integer normal| outside one
+        normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+        hit = np.flatnonzero((coords @ normals.T + offsets <= 1e-9).all(axis=1))[:1]
+        if len(hit):
+            # only a hit is triangulated, to name the simplex that holds it
+            tri = Delaunay(points[hull.vertices])
+            simplex = tri.find_simplex(coords[hit], tol=1e-9)
+            corners = hull.vertices[tri.simplices[simplex]].ravel()
     if not len(hit):
         return None
     return tuple(map(tuple, negative[corners].tolist())), tuple(cells[hit[0]].tolist())

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from epsteinzeta import (
@@ -67,13 +68,14 @@ def test_sign_certificate_truncates_once_per_scales_and_tol(monkeypatch):
     from epsteinzeta import epstein
 
     keys = []
-    real = epstein._choose_T
+    real = epstein._truncation
 
-    def counted(groups, tol):
-        keys.append((tuple(groups), tol))
-        return real(groups, tol)
+    def counted(scales, counts, tol):
+        columns = [np.ravel(x).tolist() for x in (*scales, tol)]
+        keys.extend((counts, *key) for key in zip(*columns))
+        return real(scales, counts, tol)
 
-    monkeypatch.setattr(epstein, "_choose_T", counted)
+    monkeypatch.setattr(epstein, "_truncation", counted)
     gammas = []
     for n in range(10, 22):
         start = len(keys)

@@ -61,16 +61,24 @@ def _pair(v):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(nodes(), min_size=1, max_size=12), st.randoms(use_true_random=False))
-def test_node_bit_identical_alone_and_in_any_batch(batch, rnd):
+@given(
+    st.lists(nodes(), min_size=1, max_size=12),
+    st.randoms(use_true_random=False),
+    st.sampled_from((1, epstein._VECTOR_KEYS)),
+)
+def test_node_bit_identical_alone_and_in_any_batch(batch, rnd, gate):
+    # at gate 1 every truncation key of a batch takes the array pass; a node
+    # alone takes the float form at the default gate
     batch = batch + [_EMPTY]
     rnd.shuffle(batch)
     alone = [_pair(xi(*node)) for node in batch]
-    assert [_pair(v) for v in xi_many(batch)] == alone
-    order = list(range(len(batch)))
-    rnd.shuffle(order)
-    shuffled = xi_many([batch[i] for i in order])
-    assert [_pair(shuffled[order.index(k)]) for k in range(len(batch))] == alone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epstein, "_VECTOR_KEYS", gate)
+        assert [_pair(v) for v in xi_many(batch)] == alone
+        order = list(range(len(batch)))
+        rnd.shuffle(order)
+        shuffled = xi_many([batch[i] for i in order])
+        assert [_pair(shuffled[order.index(k)]) for k in range(len(batch))] == alone
 
 
 def test_chunk_cuts_leave_results_bit_identical(monkeypatch):
@@ -147,19 +155,74 @@ def test_one_enumeration_per_bucket(monkeypatch):
 
 def test_unit_scale_grid_makes_one_truncation(monkeypatch):
     calls = []
-    real = epstein._choose_T
+    real = epstein._truncation
 
-    def counted(groups, tol):
-        calls.append(tol)
-        return real(groups, tol)
+    def counted(scales, counts, tol):
+        calls.extend(np.ravel(tol).tolist())  # one tol per key
+        return real(scales, counts, tol)
 
-    monkeypatch.setattr(epstein, "_choose_T", counted)
+    monkeypatch.setattr(epstein, "_truncation", counted)
     nodes = [(10, float(s), ScaleVector.unit(10)) for s in np.linspace(0.02, 4.98, 200)]
     values = [_pair(v) for v in xi_many(nodes)]
     # at V = 1 the unit scales and their reciprocals share one (scales, tol)
     assert len(calls) == 1
     assert values == [_pair(xi(*node)) for node in nodes]
     assert len(calls) == 1 + len(nodes)
+
+
+def _patterns(n: int, least: int = 1):
+    """Every group-count pattern of n axes, counts ascending."""
+    if n == 0:
+        yield ()
+    for count in range(least, n + 1):
+        for rest in _patterns(n - count, count):
+            yield (count, *rest)
+
+
+def test_group_rows_equal_group_scales():
+    # repeated draws from a few values make every mix of group counts
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        a = rng.choice(rng.uniform(0.1, 3.0, 4), size=(200, n))
+        scales, counts = epstein._group_rows(a)
+        for row, row_scales, row_counts in zip(a, scales.tolist(), counts.tolist()):
+            groups = _group_scales(tuple(row.tolist()))
+            assert list(zip(row_scales, row_counts))[: len(groups)] == groups
+            assert not any(row_counts[len(groups) :])
+
+
+def _doubling_key(scales, counts):
+    """The tol at which the tail bound at T = 8 meets tol in floating point,
+    where the threshold of three contraction steps misses tol and doubles."""
+    tol = 1e-3
+    for _ in range(40):
+        _, c, theta_prod, _ = epstein._truncation(scales, counts, tol)
+        tol, last = epstein._tail_bound(8.0, c, theta_prod), tol
+        if tol == last:
+            break
+    return tol
+
+
+def test_truncation_array_pass_equals_float_form_bit_for_bit():
+    rng = np.random.default_rng(16)
+    doubled = 0
+    for n in range(1, 13):
+        for counts in _patterns(n):
+            keys = 12
+            scales = np.exp(rng.uniform(-4.0, 4.0, (len(counts), keys)))
+            tols = np.exp(rng.uniform(math.log(1e-14), math.log(1e-2), keys))
+            if n <= 3:
+                scales[:, 0] = np.linspace(1.0, 0.5, len(counts))
+                tols[0] = _doubling_key(tuple(scales[:, 0].tolist()), counts)
+            columns = epstein._truncation(list(scales), counts, tols)
+            for k in range(keys):
+                one = epstein._truncation(tuple(scales[:, k].tolist()), counts, float(tols[k]))
+                assert tuple(x[k] for x in columns) == one
+                t0, c, theta_prod, tail = one
+                assert t0 >= 8.0 and 0.0 < c <= 0.5 and tail < tols[k]
+                # T0 = 16 is the doubled floor 8, where the bound misses tol
+                doubled += t0 == 16.0 and epstein._tail_bound(8.0, c, theta_prod) >= tols[k]
+    assert doubled
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

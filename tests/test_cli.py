@@ -183,7 +183,11 @@ def test_eval_error_exit_code(capsys):
 
 
 def test_order_past_double_range_is_an_evaluation_error(capsys):
-    for argv in (["eval", "--n", "2", "--s", "200"], ["second-deriv", "--n", "700"]):
+    for argv in (
+        ["eval", "--n", "2", "--s", "200"],
+        ["second-deriv", "--n", "700"],
+        ["eval", "--n", "1", "--s", "0.3", "--scales", "1e300"],
+    ):
         code, out = run_cli(argv, capsys)
         assert code == EXIT_ERROR
         assert out.startswith("error: ") and "double precision" in out

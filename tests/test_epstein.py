@@ -15,6 +15,7 @@ from epsteinzeta import (
     hat_xi,
     xi,
     xi_chowla_selberg,
+    xi_many,
     z,
 )
 from epsteinzeta.epstein import _g_kernel, _job, _kernel_sums
@@ -301,6 +302,13 @@ def test_precision_error_carries_bound():
     # the 2^-20 axis needs more steps than the lattice engine's per-axis cap
     with pytest.raises(PrecisionError):
         xi(2, 0.7, ScaleVector([2.0**20, 2.0**-20]))
+    # a scale whose square leaves double range stops the truncation, alone
+    # and in a batch that takes the array pass, with no warning
+    with pytest.raises(PrecisionError, match="truncation"):
+        xi(1, 0.3, ScaleVector([1e300]))
+    batch = [(3, 0.7, (1.0 + 0.01 * i, 1.0, 1.0)) for i in range(20)]
+    with pytest.raises(PrecisionError, match="truncation"):
+        xi_many(batch + [(2, 0.5, (1e160, 1e-160))])
 
 
 # the last two are tables of a few hundred entries
@@ -417,14 +425,13 @@ def test_split_tail_bound_majorises_doubled_threshold(beta, a):
 
 
 def test_theta_majorant_bounds_jtheta():
-    # _theta_product of one unit scale at split t is the theta majorant at t;
     # the reference is mpmath's jtheta at 30 digits
     import mpmath
 
-    from epsteinzeta.epstein import _theta_product
+    from epsteinzeta.epstein import _theta_majorant
 
     for t in np.geomspace(1e-3, 1e3, 61):
-        majorant = _theta_product([(1.0, 1)], float(t))
+        majorant = _theta_majorant(float(t))
         with mpmath.workdps(30):
             exact = mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * mpmath.mpf(float(t))))
             assert exact <= majorant <= (1 + mpmath.mpf(1e-9)) * exact

@@ -62,6 +62,18 @@ def test_kratio_chart_matches_ratio_parameterisation():
     assert scales.a[2] / scales.a[0] == pytest.approx(k3, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "chart", [kratio_chart(3), kratio_chart(10, 2), standard_chart(4, v=[0.3, -1.1, 0.5, 0.3])]
+)
+def test_chart_scales_batch_rows_equal_one_point_calls(chart):
+    points = np.random.default_rng(chart.n).uniform(-2.5, 2.5, (50, chart.j))
+    batch = chart.scales(points)
+    assert len(batch) == len(points)
+    for row, scales in zip(points, batch):
+        one = chart.scales(row)
+        assert (scales.a, scales.V) == (one.a, one.V)
+
+
 def test_single_cell_scan_at_origin():
     grid = scan(2, 0.5, kratio_chart(2), [(0.0, 0.0)], [1])
     assert grid.labels[(0,)] == NEGATIVE
@@ -189,6 +201,19 @@ def test_discrete_convex_disk():
     assert report.ok
     # a full-dimensional set is decided by the hull test alone
     assert report.pairs_checked == 0
+
+
+def test_discrete_convex_holds_without_triangulation(monkeypatch):
+    # the facet test decides a convex set; Delaunay only names a witness
+    import scipy.spatial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Delaunay called on a convex set")
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", refuse)
+    assert certify_discrete_convex(disk_labels()).ok
+    grid = scan(3, 0.7, kratio_chart(3), [(-2.0, 2.0)] * 2, [21, 21])
+    assert certify_discrete_convex(grid).ok
 
 
 def test_discrete_convex_l_shape_fails_with_witness():
