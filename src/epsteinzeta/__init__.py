@@ -46,7 +46,6 @@ from .epstein import (
 )
 from .errors import (
     AnalysisError,
-    BoundInapplicableError,
     DomainError,
     IndeterminateSignError,
     NotGenericError,
@@ -67,7 +66,6 @@ from .regions import (
 from .specfun import (
     Approximation,
     bessel_k,
-    incgamma_bound,
     riemann_zeta,
     theta,
     theta_log_derivatives,
@@ -88,7 +86,6 @@ __all__ = [
     "theta",
     "theta_log_derivatives",
     "riemann_zeta",
-    "incgamma_bound",
     "bessel_k",
     "xi",
     "xi_many",
@@ -123,7 +120,6 @@ __all__ = [
     "DomainError",
     "PoleError",
     "SpecialPointError",
-    "BoundInapplicableError",
     "NotGenericError",
     "PrecisionError",
     "IndeterminateSignError",

@@ -165,8 +165,6 @@ def find_positive_interval(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SignInte
     gamma.  Any other sign pattern, a bracket reaching s = 0 included, raises
     AnalysisError; a wider bracket IndeterminateSignError.
     """
-    if n < 2:
-        raise DomainError(f"interval search needs n >= 2, got {n}")
     if n <= 9:
         verify_negative_range(n, cfg)
         return None
@@ -212,7 +210,7 @@ def _pole_part_dim9(s: float) -> float:
     return -1.0 / s - 1.0 / (4.5 - s)
 
 
-def critical_sign_certificates(cfg: EvalConfig = DEFAULT_CONFIG) -> list[BoundReport]:
+def critical_sign_certificates() -> list[BoundReport]:
     """Closed-form certificates for Xi_9(9/4) < 0 and Xi_10(5/2) > 0.
 
     Xi_9(9/4) = -8/9 + 2 S with S the order-9/4 kernel sum; S is bounded

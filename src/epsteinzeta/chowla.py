@@ -124,7 +124,7 @@ def chowla_selberg_terms(
         norms = np.repeat(norms, reps)
         pa = p * a[j]
         coeffs = (4.0 / prod_a) * (norms / pa) ** nu
-        kv, kerr = bessel_k(nu, 2.0 * math.pi * pa * norms, cfg)
+        kv, kerr = bessel_k(nu, 2.0 * math.pi * pa * norms)
         bessel_terms.extend((coeffs * kv).tolist())
         err += float(coeffs @ kerr)
     bessel_tail = math.fsum(bessel_terms)

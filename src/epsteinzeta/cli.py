@@ -11,9 +11,10 @@ Subcommands map one-to-one onto the library's analysis entry points:
     scan          sign-region grid scan over a hyperplane chart
     verify-min    randomised minimum-at-equal-scales check
 
-Exit codes: 0 success, 1 evaluation error or unwritable --out, 2 an
-indeterminate sign decision occurred, 64 usage error, including a --tol that
-is not positive and finite and a --grid, --samples, --sweep or --axes below 1.
+Exit codes: 0 success, 1 evaluation error (an --axes above n - 1 included)
+or unwritable --out, 2 an indeterminate sign decision occurred, 64 usage
+error, including a --tol that is not positive and finite and a --grid,
+--samples, --sweep or --axes below 1.
 Output is plain text by default; --format csv/json emit machine-readable
 artifacts from one list of records per command, every number with its error
 bound; csv writes each error to stderr as "error: <message>".  Reruns with
@@ -36,7 +37,7 @@ import numpy as np
 from . import analysis, convexity, regions
 from .config import EvalConfig
 from .epstein import ScaleVector, _z_from_xi, xi, xi_many
-from .errors import IndeterminateSignError
+from .errors import DomainError, IndeterminateSignError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -220,7 +221,7 @@ def _cmd_second_deriv(args, cfg: EvalConfig, out: _Output) -> None:
 
 
 def _cmd_bounds(args, cfg: EvalConfig, out: _Output) -> None:
-    reports = analysis.critical_sign_certificates(cfg) + analysis.verify_negative_range(9, cfg)
+    reports = analysis.critical_sign_certificates() + analysis.verify_negative_range(9, cfg)
     for r in reports:
         out.records.append({**asdict(r), "holds": r.holds()})
         mark = "ok" if r.holds() else "FAIL"
@@ -267,7 +268,10 @@ def _cmd_convexity(args, cfg: EvalConfig, out: _Output) -> None:
 def _cmd_scan(args, cfg: EvalConfig, out: _Output) -> None:
     s = _resolve_s(args)
     make = regions.kratio_chart if args.chart == "kratio" else convexity.standard_chart
-    chart = convexity.HyperplaneChart(make(args.n).A[:, : args.axes])
+    full = make(args.n).A
+    if args.axes > full.shape[1]:
+        raise DomainError(f"free dimensions must be in 1..{full.shape[1]}, got {args.axes}")
+    chart = convexity.HyperplaneChart(full[:, : args.axes])
     grid = regions.scan(
         args.n, s, chart,
         bounds=[args.bounds] * chart.j,

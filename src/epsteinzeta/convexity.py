@@ -117,6 +117,8 @@ class HyperplaneChart:
 def standard_chart(n: int, v=None) -> HyperplaneChart:
     """The n x (n-1) chart [I; -1 .. -1]: free log-scales with the last
     coordinate balancing the sum."""
+    if n < 2:
+        raise DomainError("standard chart needs n >= 2")
     A = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
     return HyperplaneChart(A, v)
 
@@ -376,29 +378,26 @@ def verify_minimum_at_equal_scales(
 ) -> MinimumReport:
     """Randomised check that equal scales minimise Xi at fixed volume.
 
-    Draws product-one scale vectors (log a_i uniform on [-1, 1], last
-    coordinate balancing) and requires Xi(s; a) >= Xi(s; 1 .. 1) - 2 err for
-    every draw, strictly so whenever the draw is at least 0.05 away from the
-    equal-scale point in max log-coordinates.  A draw fails at most once.
+    Draws product-one scale vectors through `standard_chart` (log a_i
+    uniform on [-1, 1], last coordinate balancing) and requires
+    Xi(s; a) >= Xi(s; 1 .. 1) - 2 err for every draw, strictly so whenever
+    the draw is at least 0.05 away from the equal-scale point in max
+    log-coordinates.  A draw fails at most once.
     min_margin is None when no draw is that far.
     """
     if n < 2:
         raise DomainError("minimum check needs n >= 2")
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(samples):
-        logs = rng.uniform(-1.0, 1.0, size=n - 1)
-        draws.append(np.append(logs, -logs.sum()))
+    b = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, n - 1))
+    # a draw's log-scales are b and the balancing -sum(b)
+    fars = np.maximum(np.abs(b).max(axis=1), np.abs(b.sum(axis=1))) > 0.05
     base, *values = xi_many(
-        [(n, s, ScaleVector.unit(n))] + [(n, s, ScaleVector(np.exp(logs))) for logs in draws],
-        cfg,
+        [(n, s, scales) for scales in [ScaleVector.unit(n), *standard_chart(n).scales(b)]], cfg
     )
     failures = 0
     margins = []
-    for logs, value in zip(draws, values):
+    for far, value in zip(fars.tolist(), values):
         gap = value.value - base.value
         combined = value.err + base.err
-        far = float(np.abs(logs).max()) > 0.05
         if far:
             margins.append(gap)
         # a far draw must also clear the base strictly; undecidable counts as failure

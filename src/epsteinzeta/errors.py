@@ -13,10 +13,6 @@ class SpecialPointError(ValueError):
     """Point where the function is finite but not computed by this package."""
 
 
-class BoundInapplicableError(ValueError):
-    """Closed-form bound requested outside its range of validity."""
-
-
 class NotGenericError(ValueError):
     """Expansion parameter collides with a pole of a Gamma or zeta factor."""
 

@@ -131,51 +131,43 @@ class ConnectivityReport:
     empty: bool
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent[p]
-            x = p
-            p = self.parent[x]
-        return x
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def certify_connected(grid: RegionGrid) -> ConnectivityReport:
-    """Union-find over 2j-neighbour adjacency of the negative cells.
+    """Components of the negative cells under 2j-neighbour adjacency.
 
     Indeterminate cells act as wildcards: they may join two negative patches
-    but never count as negative themselves.
+    but never count as negative themselves.  Every member cell (negative or
+    indeterminate) starts labelled with its own flat index; each round it
+    takes the least label across its faces with other members, then every
+    label is replaced by the label of the cell it names.  Labels only fall
+    and always name a member of the same component, so once no label moves
+    each component carries one label, and the components are the distinct
+    labels under the negative cells.
     """
     labels = grid.labels
     member = (labels == NEGATIVE) | (labels == INDETERMINATE)
-    uf = _UnionFind()
-    shape = labels.shape
-    for idx in np.ndindex(*shape):
-        if not member[idx]:
-            continue
-        uf.find(idx)
-        for d in range(len(shape)):
-            if idx[d] + 1 < shape[d]:
-                nxt = idx[:d] + (idx[d] + 1,) + idx[d + 1 :]
-                if member[nxt]:
-                    uf.union(idx, nxt)
-    negative = [tuple(i) for i in np.argwhere(labels == NEGATIVE)]
-    roots = {uf.find(i) for i in negative}
+    size = labels.size
+    # non-members hold the sentinel size, which names itself at the end
+    ids = np.append(np.where(member.ravel(), np.arange(size), size), size)
+    while True:
+        least = ids.copy()
+        cells, old = least[:-1].reshape(labels.shape), ids[:-1].reshape(labels.shape)
+        for axis in range(labels.ndim):
+            head = (slice(None),) * axis + (slice(None, -1),)
+            tail = (slice(None),) * axis + (slice(1, None),)
+            np.minimum(cells[head], old[tail], out=cells[head], where=member[head])
+            np.minimum(cells[tail], old[head], out=cells[tail], where=member[tail])
+        least = least[least]
+        if np.array_equal(least, ids):
+            break
+        ids = least
+    negative = labels.ravel() == NEGATIVE
+    components = len(np.unique(ids[:-1][negative]))
     return ConnectivityReport(
-        negative_cells=len(negative),
+        negative_cells=int(negative.sum()),
         indeterminate_cells=int(np.sum(labels == INDETERMINATE)),
-        components=len(roots),
-        connected=len(roots) <= 1,
-        empty=len(negative) == 0,
+        components=components,
+        connected=components <= 1,
+        empty=not negative.any(),
     )
 
 

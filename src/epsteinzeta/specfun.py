@@ -1,14 +1,15 @@
 """Self-contained real-argument special functions with tracked error bounds.
 
 Provides the theta function theta(t) = sum_k exp(-pi t k^2) and its first two
-t-derivatives, the Riemann zeta function for real argument, closed-form
-partial-sum upper/lower bounds on the upper incomplete gamma function
-Gamma(beta, x), and the modified Bessel function K_nu(z) over a float or an
-array of z, by one trapezoidal rule for every z > 0 whose error bound comes
-from the strip of analyticity of its integrand.  Gamma(beta, x) itself is
-evaluated by the lattice engine through scipy (epstein._g_kernel).
+t-derivatives, the Riemann zeta function for real argument, the
+integration-by-parts partial sum behind the closed-form bounds of the sign
+certificates on the upper incomplete gamma function Gamma(beta, x), and the
+modified Bessel function K_nu(z) over a float or an array of z, by one
+trapezoidal rule for every z > 0 whose error bound comes from the strip of
+analyticity of its integrand.  Gamma(beta, x) itself is evaluated by the
+lattice engine through scipy (epstein._g_kernel).
 
-Every tolerance-driven routine returns an :class:`Approximation` (bessel_k on
+theta, riemann_zeta and bessel_k return an :class:`Approximation` (bessel_k on
 an array: arrays of values and errors): a double precision value paired with
 an absolute error bound derived from the truncation analysis of the series or
 quadrature used.  The bounds are truncation bounds plus small roundoff
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .errors import BoundInapplicableError, DomainError, PoleError, PrecisionError
+from .errors import DomainError, PoleError, PrecisionError
 
 __all__ = [
     "Approximation",
@@ -31,7 +32,6 @@ __all__ = [
     "theta_with_derivatives",
     "theta_log_derivatives",
     "riemann_zeta",
-    "incgamma_bound",
     "bessel_k",
 ]
 
@@ -235,26 +235,17 @@ def riemann_zeta(s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
 # ---------------------------------------------------------------------------
 
 
-def incgamma_bound(beta: float, x: float, side: str) -> float:
-    """Closed-form partial-sum bound on Gamma(beta, x) from integration by parts.
-
-    x^{beta-1} e^{-x} sum_{j<=m} prod_{i=1..j}(beta - i) / x^j
-    is an upper bound for m = floor(beta) and a lower bound for
-    m = floor(beta) + 1.  Requires beta > 0 and x > beta so that the partial
-    sums form a positive decreasing sequence of brackets.
-    """
-    if side not in ("upper", "lower"):
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    if not beta > 0:
-        raise BoundInapplicableError(f"bound needs beta > 0, got {beta}")
-    if not x > beta:
-        raise BoundInapplicableError(f"bound needs x > beta, got x={x}, beta={beta}")
-    m = math.floor(beta) + (0 if side == "upper" else 1)
-    return x ** (beta - 1.0) * math.exp(-x) * ibp_partial_sum(beta, x, m)
-
-
 def ibp_partial_sum(beta: float, x: float, m: int) -> float:
-    """sum_{j=0..m} prod_{i=1..j}(beta - i) / x^j (the bracketed factor above)."""
+    """sum_{j=0..m} prod_{i=1..j}(beta - i) / x^j, from integration by parts.
+
+    Gamma(beta, x) is x^{beta-1} e^{-x} times this sum plus the remainder
+    prod_{i=1..m+1}(beta - i) Gamma(beta - m - 1, x), which has the sign of
+    its last factor.  So for every beta >= 0 and x > 0, x^{beta-1} e^{-x}
+    times the sum bounds Gamma(beta, x) from above at m = floor(beta) and
+    from below at m = floor(beta) + 1, exactly at integer beta.  The sign
+    certificates of `analysis` take the upper bound at beta in [0, 4.5] and
+    x in {pi, 2 pi}.
+    """
     total = 1.0
     prod = 1.0
     for j in range(1, m + 1):
@@ -355,7 +346,7 @@ def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, strip + tail + rounding
 
 
-def bessel_k(nu: float, z, cfg: EvalConfig = DEFAULT_CONFIG):
+def bessel_k(nu: float, z):
     """Modified Bessel function of the second kind, K_nu(z), z > 0, real nu.
 
     ``z`` is a float or an array.  A float gives an :class:`Approximation`;
@@ -376,8 +367,8 @@ def bessel_k(nu: float, z, cfg: EvalConfig = DEFAULT_CONFIG):
     12 to 17 nodes from z = 10 up and 69 to 85 at z = 1e-4 for |nu| <= 4.2;
     err adds those two bounds and the rounding of the nodes' terms and their
     sum.  The condition number of e^{-z cosh u} in its argument sets the
-    rounding part, about 5 z eps of K, so ``cfg`` is not consulted: every
-    tolerance gets this accuracy.
+    rounding part, about 5 z eps of K, so there is no tolerance to choose:
+    every call gets this accuracy.
 
     Evenness in the order is structural: the rule sees the order only
     through |nu|, so K_{-nu} = K_nu by construction.

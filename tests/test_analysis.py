@@ -41,6 +41,10 @@ def test_positive_interval_empty_for_nine():
     assert find_positive_interval(9) is None
 
 
+def test_positive_interval_empty_for_one():
+    assert find_positive_interval(1) is None
+
+
 # 28 and 30 have gamma below 1e-4, where no node grid starting at 1e-4 sees it
 @pytest.mark.parametrize("n", [*range(10, 22), 28, 30])
 def test_interval_endpoint_brackets_a_sign_change(n):

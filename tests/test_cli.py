@@ -56,6 +56,9 @@ def test_interval_empty_for_small_n(capsys):
     code, out = run_cli(["interval", "--n", "5", "--format", "json"], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["results"]["interval"] is None
+    code, out = run_cli(["interval", "--n", "1"], capsys)
+    assert code == EXIT_OK
+    assert out == "n=1: empty (Xi_1 < 0 on the whole critical range)\n"
 
 
 def test_interval_sweep_columns(capsys):
@@ -278,6 +281,22 @@ def test_bad_numeric_flags_are_usage_errors(bad, capsys):
         main(bad)
     assert info.value.code == EXIT_USAGE
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chart", ["kratio", "standard"])
+def test_scan_axes_beyond_the_chart_is_an_evaluation_error(chart, capsys):
+    argv = ["scan", "--n", "3", "--s", "0.7", "--chart", chart, "--axes", "5", "--grid", "3"]
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == EXIT_ERROR
+    payload = strict_json(out)
+    assert payload["errors"] == ["free dimensions must be in 1..2, got 5"]
+    assert payload["results"] == {}
+
+
+def test_convexity_at_one_dimension_is_an_evaluation_error(capsys):
+    code, out = run_cli(["convexity", "--n", "1", "--s", "0.2", "--samples", "2"], capsys)
+    assert code == EXIT_ERROR
+    assert out == "error: standard chart needs n >= 2\n"
 
 
 def test_non_finite_s_is_an_evaluation_error(capsys):

@@ -276,6 +276,8 @@ def test_chart_validation():
     chart = standard_chart(3)
     assert chart.j == 2
     assert np.allclose(chart.A.sum(axis=0), 0.0)
+    with pytest.raises(DomainError, match="standard chart needs n >= 2"):
+        standard_chart(1)
 
 
 def test_midpoint_at_symmetric_pair_touches_minimum():
@@ -324,6 +326,27 @@ def test_minimum_counts_one_failure_per_draw(monkeypatch):
     report = verify_minimum_at_equal_scales(3, 0.9, samples=5)
     assert report.failures == 5
     assert not report.holds
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_minimum_draws_match_one_draw_per_sample(n, monkeypatch):
+    # one (samples, n - 1) draw through the chart gives the bits of drawing
+    # each sample alone and balancing it by -sum; from n = 9 the chart's
+    # sequential sum and numpy's pairwise sum may part by an ulp
+    seen = []
+
+    def record(nodes, cfg):
+        seen.extend(scales.a for _, _, scales in nodes)
+        return [XiValue(0.0, 0.0, n, 0.4)] * len(nodes)
+
+    monkeypatch.setattr(convexity, "xi_many", record)
+    verify_minimum_at_equal_scales(n, 0.4, samples=7, seed=3)
+    rng = np.random.default_rng(3)
+    expected = [(1.0,) * n]
+    for _ in range(7):
+        logs = rng.uniform(-1.0, 1.0, size=n - 1)
+        expected.append(tuple(np.exp(np.append(logs, -logs.sum())).tolist()))
+    assert seen == expected
 
 
 def test_minimum_needs_two_dimensions():

@@ -196,6 +196,65 @@ def test_connected_two_blobs():
     assert not report.connected
 
 
+def bfs_components(labels):
+    """Components holding a negative cell, by breadth-first search over the
+    negative and indeterminate cells."""
+    member = labels != POSITIVE
+    seen = np.zeros(labels.shape, dtype=bool)
+    count = 0
+    for start in map(tuple, np.argwhere(labels == NEGATIVE)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = [start]
+        while queue:
+            cell = queue.pop()
+            for axis in range(labels.ndim):
+                for step in (-1, 1):
+                    nxt = list(cell)
+                    nxt[axis] += step
+                    nxt = tuple(nxt)
+                    if 0 <= nxt[axis] < labels.shape[axis] and member[nxt] and not seen[nxt]:
+                        seen[nxt] = True
+                        queue.append(nxt)
+    return count
+
+
+def test_connected_matches_breadth_first_search():
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        ndim = 1 + trial % 4
+        shape = tuple(rng.integers(1, (30, 10, 6, 4)[ndim - 1], size=ndim, endpoint=True))
+        weights = rng.dirichlet(np.ones(3))
+        labels = rng.choice(
+            np.array([NEGATIVE, INDETERMINATE, POSITIVE], dtype=np.int8), size=shape, p=weights
+        )
+        report = certify_connected_from_labels(labels)
+        expected = bfs_components(labels)
+        assert report.components == expected, labels
+        assert report.connected == (expected <= 1)
+        assert report.negative_cells == np.sum(labels == NEGATIVE)
+        assert report.indeterminate_cells == np.sum(labels == INDETERMINATE)
+        assert report.empty == (report.negative_cells == 0)
+
+
+def test_connected_serpentine():
+    # one snake through every other row of a 41x41 grid: the slowest shape
+    # for label propagation, and one indeterminate bend still joins it
+    labels = np.full((41, 41), POSITIVE, dtype=np.int8)
+    labels[::2] = NEGATIVE
+    labels[1::4, -1] = NEGATIVE
+    labels[3::4, 0] = NEGATIVE
+    labels[19, labels[19] == NEGATIVE] = INDETERMINATE
+    report = certify_connected_from_labels(labels)
+    assert bfs_components(labels) == 1
+    assert report.components == 1 and report.connected
+    labels[21, -1] = POSITIVE  # cut the snake at the bend after row 20
+    assert bfs_components(labels) == 2
+    assert certify_connected_from_labels(labels).components == 2
+
+
 def test_discrete_convex_disk():
     report = certify_discrete_convex(disk_labels())
     assert report.ok

@@ -6,17 +6,16 @@ from scipy.integrate import quad
 
 from epsteinzeta import (
     Approximation,
-    BoundInapplicableError,
     DomainError,
     PoleError,
     bessel_k,
-    incgamma_bound,
     riemann_zeta,
     theta,
     theta_log_derivatives,
 )
+from epsteinzeta.analysis import _STAIRS
 from epsteinzeta.epstein import _g_kernel
-from epsteinzeta.specfun import theta_with_derivatives
+from epsteinzeta.specfun import ibp_partial_sum, theta_with_derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +199,29 @@ def test_incomplete_gamma_vs_quadrature_oracle():
     assert abs(v - oracle) <= 1e-10 + quad_err
 
 
+def ibp_bound(beta, x, m):
+    """x^{beta-1} e^{-x} times the partial sum: above Gamma(beta, x) at
+    m = floor(beta), below it at m = floor(beta) + 1."""
+    return x ** (beta - 1.0) * math.exp(-x) * ibp_partial_sum(beta, x, m)
+
+
 def test_incomplete_gamma_sandwiched_by_bounds():
     beta, x = 9.0 / 4.0, math.pi
     v = upper_incomplete_gamma(beta, x)
-    assert incgamma_bound(beta, x, "lower") <= v <= incgamma_bound(beta, x, "upper")
+    assert ibp_bound(beta, x, 3) <= v <= ibp_bound(beta, x, 2)
 
 
 def test_incomplete_gamma_grid_recurrence_and_sandwich():
-    # Gamma(beta+1, x) = beta Gamma(beta, x) + x^beta e^{-x}
+    # Gamma(beta+1, x) = beta Gamma(beta, x) + x^beta e^{-x}; the sandwich
+    # holds for every x > 0, x <= beta included
     for beta in np.arange(0.25, 6.01, 0.5):
-        for x in np.arange(beta + 0.5, 20.0, 1.7):
+        m = math.floor(beta)
+        for x in np.arange(0.3, 20.0, 1.7):
             left = upper_incomplete_gamma(beta + 1.0, x)
             right = beta * upper_incomplete_gamma(beta, x) + x**beta * math.exp(-x)
             assert left == pytest.approx(right, rel=1e-10)
             v = upper_incomplete_gamma(beta, x)
-            assert incgamma_bound(beta, x, "lower") <= v <= incgamma_bound(beta, x, "upper")
+            assert ibp_bound(beta, x, m + 1) <= v <= ibp_bound(beta, x, m)
 
 
 @pytest.mark.parametrize("beta", [-2.5, -1.0, 0.0, -0.3])
@@ -234,21 +241,32 @@ def test_incomplete_gamma_nonpositive_order(beta):
 
 def test_incgamma_bound_degenerate_at_integer_order():
     # floor(1) term has factor beta - 1 = 0, killing everything past j = 0
-    assert incgamma_bound(1.0, 5.0, "upper") == pytest.approx(math.exp(-5.0), rel=1e-14)
-    assert incgamma_bound(1.0, 5.0, "lower") == pytest.approx(math.exp(-5.0), rel=1e-14)
+    assert ibp_bound(1.0, 5.0, 1) == pytest.approx(math.exp(-5.0), rel=1e-14)
+    assert ibp_bound(1.0, 5.0, 2) == pytest.approx(math.exp(-5.0), rel=1e-14)
 
 
 def test_incgamma_bound_hand_expansion():
     x = math.pi
-    expected = x**1.5 * math.exp(-x) * (1.0 + 1.5 / x + 0.75 / x**2)
-    assert incgamma_bound(2.5, x, "upper") == pytest.approx(expected, rel=1e-14)
+    expected = 1.0 + 1.5 / x + 0.75 / x**2
+    assert ibp_partial_sum(2.5, x, 2) == pytest.approx(expected, rel=1e-14)
 
 
-def test_incgamma_bound_rejects_small_x():
-    with pytest.raises(BoundInapplicableError):
-        incgamma_bound(4.5, math.pi, "upper")
-    with pytest.raises(BoundInapplicableError):
-        incgamma_bound(-1.0, 5.0, "lower")
+def test_ibp_bounds_hold_at_the_stairs_inputs():
+    # every order the n <= 9 certificates bound, at both of their arguments:
+    # x <= beta at (4.5, pi) and (3.55, pi), and beta = 0
+    import mpmath
+
+    betas = {lo for lo, _ in _STAIRS} | {4.5 - lo for lo, _ in _STAIRS} | {2.25, 2.5}
+    assert min(betas) == 0.0 and max(betas) == 4.5 and len(betas) == 9
+    with mpmath.workdps(40):
+        for beta in sorted(betas):
+            for x in (math.pi, 2.0 * math.pi):
+                exact = mpmath.gammainc(mpmath.mpf(beta), mpmath.mpf(x))
+                # each bound's double evaluation rounds by a few eps of it
+                slack = 4.0 * 2.0**-52 * exact
+                m = math.floor(beta)
+                assert ibp_bound(beta, x, m) >= exact - slack, (beta, x)
+                assert ibp_bound(beta, x, m + 1) <= exact + slack, (beta, x)
 
 
 # ---------------------------------------------------------------------------
