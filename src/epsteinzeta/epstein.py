@@ -47,14 +47,17 @@ value and err do not depend on the batch it is evaluated in.  A sum past
 double range stops the engine with PrecisionError.
 
 `xi_many` evaluates many nodes in one engine call; `xi` is a batch of one.
-A flat loop in `_kernel_parts` makes each node's two jobs, S(s; a) and
-S(n/2 - s; 1/a), of one bucket, and `_xi_value` adds the pole terms to their
-sum, which stays finite at the poles.  The call's memo holds per scale
-vector its reciprocal and smallest reciprocal lattice value, and per
-(scales, tol) the groups and truncation; a caller that makes several engine
-calls, such as the sign certificates of `analysis`, may pass one memo to
-all of them.  The one other way in is `gamma_kernel_sum_d2` of
-`analysis.hat_xi_second_derivative`.
+A flat loop in `_kernel_parts` makes each distinct node's two jobs,
+S(s; a) and S(n/2 - s; 1/a), of one bucket, and `_xi_value` adds the pole
+terms to their sum, which stays finite at the poles.  A job sees the scales
+only through their groups, so a node is keyed on (s, sorted scales, V): one
+the call has met reuses the first one's parts, bit for bit, and the mirror
+nodes of a symmetric chart cost one evaluation.  The call's memo holds per
+sorted scale vector its reciprocal and smallest reciprocal lattice value,
+and per (sorted scales or their reciprocals, tol) the groups and
+truncation; a caller that makes several engine calls, such as the sign
+certificates of `analysis`, may pass one memo to all of them.  The one
+other way in is `gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
 """
 
 from __future__ import annotations
@@ -759,33 +762,42 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
     """(n, s, V, V S(s; a), S(n/2 - s; 1/a) / V, err) at every node (n, s, scales)
     in one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
     tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol.
-    `memo`, keyed on scales and on (scales, tol), may be shared by several calls."""
-    orders, keys, rows = [], [], []
+    A job sees its scales only through their groups, so nodes of equal s, sorted
+    scales and V have equal parts: the first of them makes the two jobs, and
+    the others reuse its parts.  `memo`, keyed on sorted scales and on
+    (sorted scales or their reciprocals, tol), may be shared by several calls."""
+    orders, keys, rows, at = [], [], [], []
     memo = {} if memo is None else memo
+    first: dict[tuple, int] = {}  # (s, sorted scales, V) -> its row
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
-        a, v = sv.a, sv.V
-        if len(a) != n:
-            raise DomainError(f"expected {n} scales, got {len(a)}")
+        if len(sv) != n:
+            raise DomainError(f"expected {n} scales, got {len(sv)}")
         s = float(s)
         if not math.isfinite(s):
             raise DomainError(f"s must be finite, got {s}")
-        recip = memo.get(a)
-        if recip is None:
-            inv = tuple(1.0 / x for x in a)
-            recip = memo[a] = inv, math.pi * min(inv) ** 2
-        orders += [s, n / 2.0 - s]
-        keys += [(a, cfg.tol * (0.5 / v) / 4.0), (recip[0], cfg.tol * (0.5 * v) / 4.0)]
-        rows.append((n, s, v, recip[1]))
+        a, v = tuple(sorted(sv.a)), sv.V
+        row = first.setdefault((s, a, v), len(rows))
+        if row == len(rows):
+            recip = memo.get(a)
+            if recip is None:
+                inv = tuple(1.0 / x for x in a)
+                recip = memo[a] = inv, math.pi * min(inv) ** 2
+            orders += [s, n / 2.0 - s]
+            keys += [(a, cfg.tol * (0.5 / v) / 4.0), (recip[0], cfg.tol * (0.5 * v) / 4.0)]
+            rows.append((n, s, v, recip[1]))
+        at.append((n, s, row))
     missing = [key for key in keys if key not in memo]
     if missing:
         _truncate(missing, memo)
     values, errs = _kernel_sums([_job_of(beta, memo[key]) for beta, key in zip(orders, keys)])
     sums = iter(zip(values, errs))
-    return [
-        (n, s, v, v * v1, v2 / v, v * e1 + _reflected_err(n, s, v2, e2, x_min) / v)
+    parts = [
+        (v, v * v1, v2 / v, v * e1 + _reflected_err(n, s, v2, e2, x_min) / v)
         for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums)
     ]
+    # each node keeps its own s, which may be the -0.0 of a folded 0.0
+    return [(n, s, *parts[row]) for n, s, row in at]
 
 
 def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:

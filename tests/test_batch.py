@@ -68,8 +68,11 @@ def _pair(v):
 )
 def test_node_bit_identical_alone_and_in_any_batch(batch, rnd, gate):
     # at gate 1 every truncation key of a batch takes the array pass; a node
-    # alone takes the float form at the default gate
-    batch = batch + [_EMPTY]
+    # alone takes the float form at the default gate.  Repeated nodes and
+    # nodes with permuted scales share their parts with the first of them
+    repeats = [rnd.choice(batch) for _ in range(3)]
+    permuted = [(n, s, tuple(rnd.sample(a, n))) for n, s, a in repeats]
+    batch = batch + repeats + permuted + [_EMPTY]
     rnd.shuffle(batch)
     alone = [_pair(xi(*node)) for node in batch]
     with pytest.MonkeyPatch.context() as mp:
