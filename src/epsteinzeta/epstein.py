@@ -50,14 +50,15 @@ double range stops the engine with PrecisionError.
 A flat loop in `_kernel_parts` makes each distinct node's two jobs,
 S(s; a) and S(n/2 - s; 1/a), of one bucket, and `_xi_value` adds the pole
 terms to their sum, which stays finite at the poles.  A job sees the scales
-only through their groups, so a node is keyed on (s, sorted scales, V): one
-the call has met reuses the first one's parts, bit for bit, and the mirror
-nodes of a symmetric chart cost one evaluation.  The call's memo holds per
-sorted scale vector its reciprocal and smallest reciprocal lattice value,
-and per (sorted scales or their reciprocals, tol) the groups and
-truncation; a caller that makes several engine calls, such as the sign
-certificates of `analysis`, may pass one memo to all of them.  The one
-other way in is `gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
+only through their groups, and V is a product over the sorted scales, so a
+node is keyed on (s, sorted scales): one the call has met reuses the first
+one's parts, bit for bit, and the mirror nodes of a symmetric chart cost
+one evaluation.  The call's memo holds per sorted scale vector its
+reciprocal and smallest reciprocal lattice value, and per (sorted scales or
+their reciprocals, tol) the groups and truncation; a caller that makes
+several engine calls, such as the sign certificates of `analysis`, may pass
+one memo to all of them.  The one other way in is `gamma_kernel_sum_d2` of
+`analysis.hat_xi_second_derivative`.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ _SAFE_ORDER = 18.0
 
 @dataclass(frozen=True)
 class ScaleVector:
-    """Positive scales (a_1 .. a_n) with the cached volume V = sqrt(prod a_i)."""
+    """Positive scales (a_1 .. a_n) with the cached volume V = sqrt(prod a_i).
+
+    The product runs over the sorted scales, so V, like Xi, does not depend
+    on their order, bit for bit."""
 
     a: tuple[float, ...]
     V: float
@@ -103,7 +107,7 @@ class ScaleVector:
         if any(not (x > 0) or math.isinf(x) for x in vals):
             raise DomainError(f"all scales must be positive finite reals, got {vals}")
         object.__setattr__(self, "a", vals)
-        object.__setattr__(self, "V", math.sqrt(math.prod(vals)))
+        object.__setattr__(self, "V", math.sqrt(math.prod(sorted(vals))))
 
     def __len__(self) -> int:
         return len(self.a)
@@ -762,13 +766,14 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
     """(n, s, V, V S(s; a), S(n/2 - s; 1/a) / V, err) at every node (n, s, scales)
     in one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
     tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol.
-    A job sees its scales only through their groups, so nodes of equal s, sorted
-    scales and V have equal parts: the first of them makes the two jobs, and
-    the others reuse its parts.  `memo`, keyed on sorted scales and on
-    (sorted scales or their reciprocals, tol), may be shared by several calls."""
+    A job sees its scales only through their groups, and V is a product over
+    the sorted scales, so nodes of equal s and sorted scales have equal parts: the
+    first of them makes the two jobs, and the others reuse its parts.  `memo`,
+    keyed on sorted scales and on (sorted scales or their reciprocals, tol),
+    may be shared by several calls."""
     orders, keys, rows, at = [], [], [], []
     memo = {} if memo is None else memo
-    first: dict[tuple, int] = {}  # (s, sorted scales, V) -> its row
+    first: dict[tuple, int] = {}  # (s, sorted scales) -> its row
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
         if len(sv) != n:
@@ -777,7 +782,7 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
         if not math.isfinite(s):
             raise DomainError(f"s must be finite, got {s}")
         a, v = tuple(sorted(sv.a)), sv.V
-        row = first.setdefault((s, a, v), len(rows))
+        row = first.setdefault((s, a), len(rows))
         if row == len(rows):
             recip = memo.get(a)
             if recip is None:

@@ -173,6 +173,26 @@ def test_unit_scale_grid_makes_one_truncation(monkeypatch):
     assert len(calls) == 1 + len(nodes)
 
 
+def test_symmetric_chart_evaluates_each_distinct_node_once(monkeypatch):
+    jobs = []
+    real = epstein._kernel_sums
+
+    def counted(batch):
+        jobs.extend(batch)
+        return real(batch)
+
+    monkeypatch.setattr(epstein, "_kernel_sums", counted)
+    chart = kratio_chart(3)
+    grid = scan(3, 0.7, chart, [(-2.0, 2.0)] * 2, [41, 41])
+    # of the 1681 nodes, 760 are distinct as sorted scale vectors: mirror
+    # nodes share their two jobs, and so their bits
+    distinct = {tuple(sorted(chart.scales([x, y]).a)) for x in grid.axes()[0] for y in grid.axes()[1]}
+    assert len(distinct) == 760
+    assert len(jobs) <= 2 * len(distinct)
+    for field in (grid.labels, grid.values, grid.errs):
+        assert np.array_equal(field, field.T)
+
+
 def _patterns(n: int, least: int = 1):
     """Every group-count pattern of n axes, counts ascending."""
     if n == 0:

@@ -183,13 +183,18 @@ def test_homogeneity_random_sample():
 
 
 def test_permutation_invariance():
+    # V and both kernel sums see the scales only as a sorted vector, so xi is
+    # invariant bit for bit; draws from a few values repeat some scales
     rng = np.random.default_rng(3)
-    base = [0.7, 1.4, 0.9, 1.1]
-    ref = xi(4, 1.3, ScaleVector(base))
-    for _ in range(5):
-        perm = rng.permutation(4)
-        shuffled = xi(4, 1.3, ScaleVector([base[i] for i in perm]))
-        assert abs(ref.value - shuffled.value) <= ref.err + shuffled.err
+    for n in range(1, 11):
+        base = rng.choice(np.exp(rng.uniform(-1.0, 1.0, 4)), size=n).tolist()
+        s = float(rng.uniform(0.1, n / 2.0 - 0.1))
+        ref = xi(n, s, ScaleVector(base))
+        for _ in range(3):
+            perm = ScaleVector([base[i] for i in rng.permutation(n)])
+            assert perm.V == ScaleVector(base).V
+            shuffled = xi(n, s, perm)
+            assert (shuffled.value, shuffled.err) == (ref.value, ref.err)
 
 
 def direct_series_oracle(n, s, radius):
