@@ -131,8 +131,7 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
     while pending:
         for k in set(todo.values()):
             at = [s for s in todo if todo[s] == k]
-            rows = _kernel_parts([(n, s, unit) for s in at], cfg.tighter(0.1**k), memo)
-            parts.update((s, row[2:]) for s, row in zip(at, rows))
+            parts.update(zip(at, _kernel_parts([(n, s, unit) for s in at], cfg.tighter(0.1**k), memo)))
         level.update(todo)
         todo, split = {}, []
         for lo, hi in pending:

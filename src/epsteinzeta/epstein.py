@@ -64,7 +64,7 @@ one memo to all of them.  The one other way in is `gamma_kernel_sum_d2` of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -94,11 +94,12 @@ _SAFE_ORDER = 18.0
 class ScaleVector:
     """Positive scales (a_1 .. a_n) with the cached volume V = sqrt(prod a_i).
 
-    The product runs over the sorted scales, so V, like Xi, does not depend
-    on their order, bit for bit."""
+    The product runs over the scales in ascending order, kept as `ascending`,
+    so V, like Xi, does not depend on their order, bit for bit."""
 
     a: tuple[float, ...]
     V: float
+    ascending: tuple[float, ...] = field(repr=False, compare=False)
 
     def __init__(self, a) -> None:
         vals = tuple(map(float, a))
@@ -106,8 +107,10 @@ class ScaleVector:
             raise DomainError("scale vector must be nonempty")
         if any(not (x > 0) or math.isinf(x) for x in vals):
             raise DomainError(f"all scales must be positive finite reals, got {vals}")
+        ascending = tuple(sorted(vals))
         object.__setattr__(self, "a", vals)
-        object.__setattr__(self, "V", math.sqrt(math.prod(sorted(vals))))
+        object.__setattr__(self, "V", math.sqrt(math.prod(ascending)))
+        object.__setattr__(self, "ascending", ascending)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -763,25 +766,25 @@ def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> 
 
 
 def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tuple]:
-    """(n, s, V, V S(s; a), S(n/2 - s; 1/a) / V, err) at every node (n, s, scales)
-    in one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
+    """(V, V S(s; a), S(n/2 - s; 1/a) / V, err) at every node (n, s, scales) in
+    one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
     tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol.
     A job sees its scales only through their groups, and V is a product over
-    the sorted scales, so nodes of equal s and sorted scales have equal parts: the
-    first of them makes the two jobs, and the others reuse its parts.  `memo`,
-    keyed on sorted scales and on (sorted scales or their reciprocals, tol),
-    may be shared by several calls."""
+    the sorted scales, so nodes of equal s and sorted scales have equal parts:
+    the first of them makes the two jobs, and the others reuse its parts.
+    `memo`, keyed on sorted scales and on (sorted scales or their reciprocals,
+    tol), may be shared by several calls."""
     orders, keys, rows, at = [], [], [], []
     memo = {} if memo is None else memo
     first: dict[tuple, int] = {}  # (s, sorted scales) -> its row
     for n, s, scales in nodes:
         sv = ScaleVector.ensure(scales)
-        if len(sv) != n:
-            raise DomainError(f"expected {n} scales, got {len(sv)}")
+        a, v = sv.ascending, sv.V
+        if len(a) != n:
+            raise DomainError(f"expected {n} scales, got {len(a)}")
         s = float(s)
         if not math.isfinite(s):
             raise DomainError(f"s must be finite, got {s}")
-        a, v = tuple(sorted(sv.a)), sv.V
         row = first.setdefault((s, a), len(rows))
         if row == len(rows):
             recip = memo.get(a)
@@ -791,7 +794,7 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
             orders += [s, n / 2.0 - s]
             keys += [(a, cfg.tol * (0.5 / v) / 4.0), (recip[0], cfg.tol * (0.5 * v) / 4.0)]
             rows.append((n, s, v, recip[1]))
-        at.append((n, s, row))
+        at.append(row)
     missing = [key for key in keys if key not in memo]
     if missing:
         _truncate(missing, memo)
@@ -801,8 +804,7 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
         (v, v * v1, v2 / v, v * e1 + _reflected_err(n, s, v2, e2, x_min) / v)
         for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums)
     ]
-    # each node keeps its own s, which may be the -0.0 of a folded 0.0
-    return [(n, s, *parts[row]) for n, s, row in at]
+    return [parts[row] for row in at]
 
 
 def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:
@@ -823,7 +825,8 @@ def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
     nodes = list(nodes)
     for n, s, _ in nodes:
         _check_not_pole(n, float(s))
-    return [_xi_value(*row) for row in _kernel_parts(nodes, cfg)]
+    parts = _kernel_parts(nodes, cfg)
+    return [_xi_value(n, float(s), *part) for (n, s, _), part in zip(nodes, parts)]
 
 
 def xi(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:

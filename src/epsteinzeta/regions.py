@@ -5,11 +5,15 @@ A scan labels every node of a rectangular grid in chart coordinates with the
 sign of Xi there; a sign is only asserted when the error bound excludes zero,
 otherwise the node is marked indeterminate and keeps its tightest
 evaluation.  All nodes are decided in one batched call (`decide_signs`),
-which refines only the nodes still undecided.  The negative region in these
-coordinates is convex, hence connected, and the certifiers check the discrete
-shadow of both facts on the sampled grid: one 2j-adjacency component, and no
-positive cell inside the convex hull of the negative cells, a test that is
-exact in every rank of the negatives' affine span.
+which refines only the nodes still undecided.  Xi is symmetric in the
+scales and the engine evaluates each distinct sorted scale vector once per
+call, so mirror nodes of a symmetric chart, such as those across the
+diagonal of a `kratio_chart` grid, cost one evaluation and get the same
+bits.  The negative region in these coordinates is convex, hence connected,
+and the certifiers check the discrete shadow of both facts on the sampled
+grid: one 2j-adjacency component, and no positive cell inside the convex
+hull of the negative cells, a test that is exact in every rank of the
+negatives' affine span.
 """
 
 from __future__ import annotations

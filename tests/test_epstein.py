@@ -27,6 +27,7 @@ REF_XI_10 = 0.205903040487
 def test_scale_vector_volume_cache():
     sv = ScaleVector([1.3, 0.7, 2.1])
     assert sv.V == pytest.approx(math.sqrt(1.3 * 0.7 * 2.1), rel=1e-14)
+    assert sv.ascending == (0.7, 1.3, 2.1) and sv.a == (1.3, 0.7, 2.1)
     with pytest.raises(DomainError):
         ScaleVector([1.0, -2.0])
     with pytest.raises(DomainError):
