@@ -787,6 +787,8 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
             raise DomainError(f"s must be finite, got {s}")
         row = first.setdefault((s, a), len(rows))
         if row == len(rows):
+            if not 0.0 < v < math.inf:
+                raise PrecisionError(f"the volume of the scales {a} leaves double range")
             recip = memo.get(a)
             if recip is None:
                 inv = tuple(1.0 / x for x in a)

@@ -315,6 +315,10 @@ def test_precision_error_carries_bound():
     batch = [(3, 0.7, (1.0 + 0.01 * i, 1.0, 1.0)) for i in range(20)]
     with pytest.raises(PrecisionError, match="truncation"):
         xi_many(batch + [(2, 0.5, (1e160, 1e-160))])
+    # a product of the scales past double range, above or below
+    for a in ((1e200, 1e200), (1e200, 1e200, 1e-200, 1e-200), (2.0**-540, 2.0**540) * 2):
+        with pytest.raises(PrecisionError, match="volume"):
+            xi(len(a), 0.3, ScaleVector(a))
 
 
 # the last two are tables of a few hundred entries
