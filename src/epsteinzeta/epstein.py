@@ -86,7 +86,7 @@ _MAX_POINTS = 60_000_000
 _CHUNK_POINTS = 1 << 13
 # orders up to this skip `_check_range`: on every lattice the caps admit,
 # x_min > T / _MAX_RADIUS^2 >= 2e-12, so x_min^{-18}, Gamma(18) and the
-# weights stay far inside double range
+# weights stay far inside double range; negative orders never leave it
 _SAFE_ORDER = 18.0
 
 
@@ -381,10 +381,11 @@ def _g_kernel(orders, x: np.ndarray, lens, series=None):
 
 def _gammaincc_kernel(orders, x: np.ndarray, lens):
     """`_g_kernel` through one gammaincc call for every point: an order
-    beta <= 0 enters it shifted to beta + k > 0 and comes down through
-    Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b, except the integers -m,
-    whose kernel is E_{m+1}(x) itself.  mag is x^{-beta} times that
-    recurrence run on (|Gamma(b + 1, x)| + x^b e^{-x}) / |b| if any order is
+    beta <= 0 enters it shifted to b0 = beta + k in (0, 1] and comes down
+    through g(b, x) = (x g(b + 1, x) - e^{-x}) / b (DLMF 8.8.2 divided by
+    x^{b+1}), except the integers -m, whose kernel is E_{m+1}(x) itself.  No
+    step leaves double range: g(b, x) <= e^{-x} / |b| for b < 0.  mag is that
+    recurrence run on (x |g(b + 1, x)| + e^{-x}) / |b| if any order is
     shifted, else None: it exceeds |g| by about 2 (x + 1) / |b| where b nears 0.
     """
     # one order for all points (a lone large lattice) stays a scalar, which
@@ -409,25 +410,22 @@ def _gammaincc_kernel(orders, x: np.ndarray, lens):
                 raise DomainError(f"kernel order beta={b} too close to a nonpositive integer")
         shifted.append(b + k if k >= 0 else 1.0)
         shifts.append(k)
-    beta = spread(orders)
-    g = gammaincc(spread(shifted) if any(shifts) else beta, x)
+    start = spread(shifted)
+    g = gammaincc(start, x)
     g *= spread([math.gamma(b) for b in shifted])
-    # x^{-beta} before the recurrence, so that its overflow stops the engine first
-    power = np.power(x, -beta)
+    g *= np.power(x, -start)
     mag = None
     if max(shifts) > 0:
         ex = np.exp(-x)
         mag = np.abs(g)
-        steps, betas = full(shifts), full(orders)
+        beta, steps, betas = spread(orders), full(shifts), full(orders)
         for j in range(max(shifts) - 1, -1, -1):
             # one order steps every point with a scalar order, without masks
             sel = slice(None) if uniform else steps > j
             b = (beta if uniform else betas[sel]) + j
-            p = np.power(x[sel], b) * ex[sel]
-            g[sel] = (g[sel] - p) / b
-            mag[sel] = (mag[sel] + p) / np.abs(b)
-        mag *= power
-    g *= power
+            xs = x[sel]
+            g[sel] = (xs * g[sel] - ex[sel]) / b
+            mag[sel] = (xs * mag[sel] + ex[sel]) / np.abs(b)
     if min(shifts) < 0:
         sel = full(shifts) < 0
         g[sel] = expn(full([1 - int(b) if k < 0 else 0 for b, k in zip(orders, shifts)])[sel], x[sel])
@@ -598,46 +596,30 @@ def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
 def _job_of(beta: float, entry: tuple) -> tuple:
     """The job of S(beta; a) from the memo entry of (a, tol): order,
     group-count pattern, group scales, qmax = T/pi and tail bound at
-    T = max(T0, 4|beta|).  A job of order past _SAFE_ORDER whose term at the
-    smallest lattice value leaves double range raises PrecisionError here,
-    before its tables are built."""
+    T = max(T0, 4|beta|)."""
     scales, pattern, t0, c, theta_prod, tail = entry
     big_t = 4.0 * abs(beta)
     if big_t > t0:
-        job = beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
-    else:
-        job = beta, pattern, scales, t0 / math.pi, tail
-    if abs(beta) > _SAFE_ORDER:
-        _check_range(job)
-    return job
-
-
-def _overflow(exc: ArithmeticError) -> PrecisionError:
-    return PrecisionError(f"a kernel sum overflows double precision ({exc})")
+        return beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
+    return beta, pattern, scales, t0 / math.pi, tail
 
 
 def _check_range(job: tuple) -> None:
-    """Raise `_kernel_sums`'s PrecisionError if the job's term at its smallest
-    lattice value x_min = pi min(scales)^2 overflows, computed as the engine
-    computes it there: the gammaincc kernel of that one point times its
-    weight r_count(1) = 2 count.  The enumeration admits x_min when
+    """Compute the job's term at its smallest lattice value x_min =
+    pi min(scales)^2 as the engine computes it there, under the engine's
+    flags, so that a term past double range raises before any table is
+    built: the gammaincc kernel of that one point times its weight
+    r_count(1) = 2 count.  The enumeration admits x_min when
     qmax / min(scales)^2 >= 1, and the series, which could take the point
-    instead, only x >= _SERIES_X.  An order the kernel rejects is left to
-    the engine, whose caps may stop the node first."""
+    instead, only x >= _SERIES_X.  Only `_kernel_sums` calls it, for orders
+    past _SAFE_ORDER: a negative order's kernel is at most e^{-x}/|beta|."""
     beta, pattern, scales, qmax, _ = job
     i = scales.index(min(scales))
     a2 = scales[i] * scales[i]
     x = a2 * math.pi
-    if qmax / a2 < 1.0 or x >= _SERIES_X:
-        return
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            g, _ = _gammaincc_kernel((beta,), np.array([x]), [1])
-            g *= 2.0 * pattern[i]
-    except (FloatingPointError, OverflowError) as exc:
-        raise _overflow(exc) from None
-    except DomainError:
-        return
+    if qmax / a2 >= 1.0 and x < _SERIES_X:
+        g, _ = _gammaincc_kernel((beta,), np.array([x]), [1])
+        g *= 2.0 * pattern[i]
 
 
 def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float) -> list[tuple]:
@@ -653,15 +635,20 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
     depend on the other jobs of the batch; jobs with one group-count pattern
     share one enumeration and one kernel call per chunk.  Numpy's overflow
     and invalid-operation flags raise here, as does math.gamma: a sum past
-    double range, through Gamma(beta), x^{+-beta}, the terms or their total,
+    double range, through Gamma(beta), x^{-beta}, the terms or their total,
     raises PrecisionError, and a sum that completes is bit for bit the one
-    computed without the flags.
+    computed without the flags.  A job of order past _SAFE_ORDER first passes
+    `_check_range`, so that one whose term at x_min overflows stops the call
+    before its tables are built.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
+            for job in jobs:
+                if job[0] > _SAFE_ORDER:
+                    _check_range(job)
             return _bucket_sums(jobs)
     except (FloatingPointError, OverflowError) as exc:
-        raise _overflow(exc) from None
+        raise PrecisionError(f"a kernel sum overflows double precision ({exc})") from None
 
 
 def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
