@@ -657,6 +657,13 @@ def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
     for i, job in enumerate(jobs):
         buckets.setdefault(job[1], []).append(i)
     for pattern, members in buckets.items():
+        # x = pi Q is rounded: a^2, m a^2, the level sums (the first adds 0)
+        # and the product by fl(pi) put it within (G + 3) u relative for G
+        # groups, u = eps/2, and as x d/dx log g = -beta - e^{-x}/g a term
+        # moves by up to (|beta| + x + 1) times that; delta (|beta| + 1)
+        # with delta = (G + 3) eps covers the points x <= |beta| + 1, where
+        # a large order's mass lies, and 5e-15 covers x (G + 3) u otherwise
+        delta = (len(pattern) + 3) * _EPS
         scales = np.array([jobs[i][2] for i in members]).T
         qmax = np.array([jobs[i][3] for i in members])
         for q, w, first, counts in _enumerate(pattern, scales, qmax):
@@ -693,7 +700,8 @@ def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
                 # pays k + 3 (summation, gammaincc, k steps, power) on its magnitudes
                 shifted = beta < 0 and beta != round(beta)
                 factor = math.floor(-beta) + 4.0 if shifted else 4.0 if beta <= 0 else 1.0
-                errs[i] = jobs[i][4] + 5e-15 * (big if shifted else m) * factor
+                rounding = 5e-15 * factor + delta * (abs(beta) + 1.0)
+                errs[i] = jobs[i][4] + rounding * (big if shifted else m)
             for i, plan in zip(chunk, plans or ()):
                 if plan is not None:
                     errs[i] += plan[1]  # the series remainder and rounding

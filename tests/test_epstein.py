@@ -263,8 +263,9 @@ LARGE_S = np.concatenate([np.arange(100.0, 200.5, 0.75), -np.arange(100.0, 200.5
 @pytest.mark.parametrize(
     "n, scale_sets, s_values",
     [
-        # past |s| of about 115 the kernel of order n/2 - s or s leaves double
-        # range (x^{|beta|} at x <= T, or Gamma(beta))
+        # the positive one of the orders n/2 - s and s leaves double range
+        # through Gamma(beta) x_min^{-beta}: at unit scales past |s| of about
+        # 171, where Gamma(beta) does, and sooner at a small scale
         (2, [(1.0, 1.0), (0.125, 8.0)], LARGE_S),
         (10, [(1.0,) * 10, (0.125, 8.0) + (1.0,) * 8], LARGE_S),
         # V = 0.05^{21/2} is about e^-31: Gamma(s) x^{-s} at the smallest
@@ -302,6 +303,54 @@ def test_overflowing_term_is_rejected_before_any_table(monkeypatch):
     monkeypatch.setattr(epstein, "_radial_table", no_table)
     with pytest.raises(PrecisionError, match="overflows double precision"):
         xi(10, -58.43, ScaleVector((100.0,) * 10))
+
+
+def _mp_xi(s, terms):
+    """pi^{-s} Gamma(s) times `terms`, at 40 digits, for a closed-form Xi."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        return mpmath.pi**-s * mpmath.gamma(s) * terms(s)
+
+
+@pytest.mark.parametrize("s, a", [(-100.3, 0.01), (120.3, 1.0), (160.7, 1.0)])
+def test_large_orders_match_one_dimensional_closed_form(s, a):
+    # Xi_1(s; a) = sqrt(a) pi^{-s} Gamma(s) 2 a^{-2s} zeta(2s); the order
+    # -100.3 has x_min = pi 1e-4, where x^{100.3} alone leaves double range
+    import mpmath
+
+    v = xi(1, s, ScaleVector((a,)))
+    am = mpmath.mpf(a)
+    exact = _mp_xi(s, lambda s: mpmath.sqrt(am) * 2 * am ** (-2 * s) * mpmath.zeta(2 * s))
+    assert math.isfinite(v.err) and abs(v.value - exact) <= v.err
+
+
+@pytest.mark.parametrize("s", [150.0, -150.0])
+def test_large_orders_match_square_lattice_closed_form(s):
+    # Z_2(s; 1, 1) = 4 zeta(s) L(s, chi_4), and Xi(s) = Xi(1 - s)
+    import mpmath
+
+    v = xi(2, s, ScaleVector.unit(2))
+    exact = _mp_xi(max(s, 1 - s), lambda s: 4 * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, 0, -1]))
+    assert math.isfinite(v.err) and abs(v.value - exact) <= v.err
+
+
+def test_negative_order_kernel_stays_in_double_range():
+    # g(-100.3, x) <= e^{-x} / 100.3 although x^{100.3} overflows at this x;
+    # the kernel steps g itself, so no intermediate leaves double range
+    import mpmath
+
+    from epsteinzeta.epstein import _gammaincc_kernel
+
+    beta, x = -100.3, math.pi * 1e-4
+    with np.errstate(over="raise", invalid="raise"):
+        [g], [mag] = _gammaincc_kernel((beta,), np.array([x]), [1])
+    assert math.isfinite(g) and 0.0 < g <= mag
+    # the allowance `_kernel_sums` charges a shifted order per unit magnitude
+    allowance = 5e-15 * (math.floor(-beta) + 4.0) * mag
+    with mpmath.workdps(40):
+        assert abs(g - _mp_kernel(beta, mpmath.mpf(x))) <= allowance
 
 
 def test_precision_error_carries_bound():
@@ -383,6 +432,40 @@ def test_err_covers_rounded_reflected_order():
     s = 0.9698635322674956
     v = xi(10, s, ScaleVector((2.0**10, 2.0**-10) + (1.0,) * 8))
     assert abs(v.value - 2.2783887763942010e23) <= v.err
+
+
+def _mp_xi_direct(s, a):
+    """Xi_n(s; a) for n <= 2 and s >= 8 at 40 digits: V pi^{-s} Gamma(s) times
+    zeta(2s) in closed form for n = 1, else the Dirichlet series over the
+    Q <= rho min(a)^2 with rho^{s-1} = 1e22, whose tail is below 1e-20 of it."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        am = [mpmath.mpf(x) for x in a]
+        if len(a) == 1:
+            z = 2 * am[0] ** (-2 * mpmath.mpf(s)) * mpmath.zeta(2 * mpmath.mpf(s))
+        else:
+            cap = min(a) ** 2 * 10.0 ** (22.0 / (s - 1.0))
+            terms = []
+            for i in range(int(math.sqrt(cap) / a[0]) + 1):
+                for j in range(int(math.sqrt(cap) / a[1]) + 1):
+                    if (i or j) and (a[0] * i) ** 2 + (a[1] * j) ** 2 <= cap:
+                        q = (am[0] * i) ** 2 + (am[1] * j) ** 2
+                        terms.append((2 - (i == 0)) * (2 - (j == 0)) * q ** -mpmath.mpf(s))
+            z = mpmath.fsum(terms)
+        return mpmath.sqrt(mpmath.fprod(am)) * _mp_xi(s, lambda _: z)
+
+
+def test_err_covers_rounding_of_x_at_large_orders():
+    # x = pi Q is rounded, and a term of order beta moves by about
+    # (|beta| + x + 1) times its relative rounding, so err must grow with |s|
+    rng = np.random.default_rng(19)
+    for lo, hi in ((8, 20), (20, 40), (40, 70), (70, 100), (100, 115), (115, 140), (140, 170)):
+        for n in (1, 2, 1, 2):
+            s = float(rng.uniform(lo, hi))
+            a = tuple(np.exp(rng.uniform(-0.5, 0.5, n)).tolist())
+            v = xi(n, s, ScaleVector(a))
+            assert abs(v.value - _mp_xi_direct(s, a)) <= v.err, (n, s, a)
 
 
 def split_cases():
