@@ -7,7 +7,10 @@ Bessel arguments in one `specfun.bessel_k` call, a trapezoidal rule whose
 err stays within about 5 z eps of K, so the level's Bessel err is the
 coefficient-weighted sum of those.  The route shares no lattice machinery
 with the incomplete-gamma evaluator, which makes agreement between the two a
-real consistency check rather than a tautology.
+real consistency check rather than a tautology.  The expansion takes the
+scales in ascending order, so that, like `xi`, its value is the same bit for
+bit in any order of the scales, and so is its cost: the smallest scale
+leads, which keeps the Bessel sums short.
 
 Generic s only: the expansion's Gamma and zeta factors hit poles at
 half-integer lattice points of s, where the two poles cancel in a limiting
@@ -23,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, _check_not_pole
-from .errors import NotGenericError, PrecisionError
+from .errors import DomainError, NotGenericError, PrecisionError
 from .specfun import bessel_k, riemann_zeta
 
 __all__ = ["CSTerms", "chowla_selberg_terms", "xi_chowla_selberg"]
@@ -81,15 +84,16 @@ def chowla_selberg_terms(
 ) -> CSTerms:
     """Assemble the expansion of pi^{-s} Gamma(s) Z_n(s; a) term group by group.
 
-    Scales are used in the order given; the expansion is not termwise
-    symmetric in them even though its total is permutation invariant.
+    The expansion runs over the scales in ascending order, whatever order
+    they are given in: its total is symmetric in them, its cost is not, and
+    the smallest scales first keep the Bessel sums short.
     """
     sv = ScaleVector.ensure(scales)
     if len(sv) != n:
-        raise NotGenericError(f"expected {n} scales, got {len(sv)}")
+        raise DomainError(f"expected {n} scales, got {len(sv)}")
     _check_not_pole(n, s)
     _check_generic(n, s)
-    a = sv.a
+    a = sv.ascending
     err = 0.0
 
     z2s = riemann_zeta(2.0 * s, cfg)

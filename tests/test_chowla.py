@@ -6,6 +6,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from epsteinzeta import (
+    DomainError,
     EvalConfig,
     NotGenericError,
     PrecisionError,
@@ -31,12 +32,20 @@ def test_cross_check_anisotropic():
 
 
 def test_permutation_of_scales():
-    # the expansion is asymmetric term by term, but its total is not
+    # the expansion is asymmetric term by term, so it takes the scales in
+    # ascending order: every order gives the same bits
     base = [1.0, 1.5, 0.7]
     ref = xi_chowla_selberg(3, 1.1, ScaleVector(base))
     for perm in ([1.5, 0.7, 1.0], [0.7, 1.0, 1.5]):
         other = xi_chowla_selberg(3, 1.1, ScaleVector(perm))
-        assert abs(ref.value - other.value) <= ref.err + other.err
+        assert (other.value, other.err) == (ref.value, ref.err)
+
+
+def test_wrong_number_of_scales_is_a_domain_error():
+    with pytest.raises(DomainError, match="expected 3 scales"):
+        xi_chowla_selberg(3, 1.1, ScaleVector([1.0, 1.5]))
+    with pytest.raises(DomainError, match="expected 2 scales"):
+        chowla_selberg_terms(2, 0.7, ScaleVector([1.0, 1.5, 0.7]))
 
 
 def test_bessel_tail_positive():
@@ -60,9 +69,13 @@ def test_one_dimensional_reduces_to_zeta_term():
 
 
 def test_oversized_bessel_sum_raises():
-    # the 1/1024 axis would need about 2e7 Bessel terms
-    with pytest.raises(PrecisionError):
-        xi_chowla_selberg(2, 0.7, ScaleVector([1024.0, 1.0 / 1024.0]))
+    # the last tower level of seven unit scales would need 8,417,361 terms
+    with pytest.raises(PrecisionError, match="8417361 terms"):
+        xi_chowla_selberg(7, 1.3, ScaleVector.unit(7))
+    # in ascending order the 1/1024 axis leads and the sum stays short
+    a = ScaleVector([1024.0, 1.0 / 1024.0])
+    left, right = xi_chowla_selberg(2, 0.7, a), xi(2, 0.7, a)
+    assert abs(left.value - right.value) <= left.err + right.err
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
