@@ -307,10 +307,9 @@ def _critical_point_kind(n: int, d2: Approximation) -> str:
     return "local_max" if d2.value < 0 else "local_min"
 
 
-def large_scale_positivity(
-    n: int, s: float, axis: int, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
-    """Smallest power-of-two value of a_axis (others at 1) making Xi positive.
+def large_scale_positivity(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """Smallest power-of-two value of one scale (the others at 1) making Xi
+    positive; Xi is symmetric in the scales, so every axis gives it.
 
     Doubling search; the sign at each probe must exclude zero.  Failure to
     turn positive by 2^60 contradicts the large-anisotropy positivity
@@ -320,17 +319,13 @@ def large_scale_positivity(
         raise DomainError("anisotropy search needs n >= 2")
     if not 0.0 < s < n / 2.0:
         raise DomainError(f"s must lie in the critical range (0, {n / 2}), got {s}")
-    if not 1 <= axis <= n:
-        raise DomainError(f"axis must be in 1..{n}, got {axis}")
     a = 2.0
     while a <= 2.0**60:
-        scales = [1.0] * n
-        scales[axis - 1] = a
-        sign, _ = decide_sign(n, s, ScaleVector(scales), cfg)
+        sign, _ = decide_sign(n, s, ScaleVector((a,) + (1.0,) * (n - 1)), cfg)
         if sign > 0:
             return a
         a *= 2.0
     raise AnalysisError(
-        f"Xi_{n}({s}) still negative at a_{axis} = 2^60; this contradicts the "
+        f"Xi_{n}({s}) still negative at a scale of 2^60; this contradicts the "
         "large-anisotropy positivity guarantee and indicates a bug"
     )

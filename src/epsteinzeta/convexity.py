@@ -224,12 +224,9 @@ def assemble_jn(inp: JnInput) -> np.ndarray:
 
 
 def jn_closed_form(alphas) -> float:
-    """prod_i (alpha_i - 1) + sum_i prod_{j != i} (alpha_j - 1)."""
-    d = [a - 1.0 for a in alphas]
-    terms = [math.prod(d)]
-    for i in range(len(d)):
-        terms.append(math.prod(d[:i] + d[i + 1 :]))
-    return math.fsum(terms)
+    """prod_i (alpha_i - 1) + sum_i prod_{j != i} (alpha_j - 1): `det_jn` with
+    every weight 1, the all-ones matrix with diagonal alphas."""
+    return det_jn(JnInput(tuple(alphas), (1.0,) * len(alphas)))
 
 
 def jn_recursion(alphas) -> float:

@@ -241,7 +241,7 @@ def test_classification(n, expected):
 
 
 def test_large_scale_positivity_exists():
-    threshold = large_scale_positivity(2, 0.5, 1)
+    threshold = large_scale_positivity(2, 0.5)
     assert math.isfinite(threshold) and threshold >= 2.0
 
 
@@ -251,18 +251,10 @@ def test_large_scale_positivity_dimension_nine():
     assert unit.value < 0
     big = xi(9, 9.0 / 4.0, ScaleVector([2.0**10] + [1.0] * 8))
     assert big.value > 0
-    threshold = large_scale_positivity(9, 9.0 / 4.0, 1)
+    threshold = large_scale_positivity(9, 9.0 / 4.0)
     assert threshold <= 2.0**10
-
-
-def test_large_scale_threshold_axis_symmetric():
-    t1 = large_scale_positivity(3, 0.7, 1)
-    t2 = large_scale_positivity(3, 0.7, 2)
-    assert t1 == t2
 
 
 def test_large_scale_domain():
     with pytest.raises(DomainError):
-        large_scale_positivity(3, 2.0, 1)
-    with pytest.raises(DomainError):
-        large_scale_positivity(3, 0.7, 4)
+        large_scale_positivity(3, 2.0)
