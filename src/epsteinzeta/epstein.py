@@ -38,13 +38,15 @@ zero, first.  Chunks of whole jobs hold at most `_CHUNK_POINTS` points, which
 bounds memory; a larger single lattice runs alone.  Each chunk makes one
 kernel call and sums each job by np.add.reduceat over its segment, whose
 pairwise summation keeps the flat rounding allowance 5e-15 sum|terms| on
-large lattices (np.bincount sums sequentially and would not).  A job of at
+large lattices (np.bincount sums sequentially and would not); the rounding
+of x = pi Q adds (G + 3) eps (|beta| + 1) sum|terms| for G groups.  A job of at
 least `_SERIES_POINTS` points whose series meets a 32nd of its tail bound
 takes, at its points x >= 16, the integration-by-parts series of the kernel
 in a few numpy multiply-adds, and its err gains the series remainder and
 rounding; every other point makes one gammaincc call per chunk.  A job's
 value and err do not depend on the batch it is evaluated in.  A sum past
-double range stops the engine with PrecisionError.
+double range stops the engine with PrecisionError; only a positive order
+can leave it, since a negative order's kernel is at most e^{-x}/|beta|.
 
 `xi_many` evaluates many nodes in one engine call; `xi` is a batch of one.
 A flat loop in `_kernel_parts` makes each distinct node's two jobs,
