@@ -662,9 +662,9 @@ def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
         # x = pi Q is rounded: a^2, m a^2, the level sums (the first adds 0)
         # and the product by fl(pi) put it within (G + 3) u relative for G
         # groups, u = eps/2, and as x d/dx log g = -beta - e^{-x}/g a term
-        # moves by up to (|beta| + x + 1) times that; delta (|beta| + 1)
-        # with delta = (G + 3) eps covers the points x <= |beta| + 1, where
-        # a large order's mass lies, and 5e-15 covers x (G + 3) u otherwise
+        # moves by up to (|beta| + x + 1) times that.  delta (|beta| + 1),
+        # delta = (G + 3) eps, covers the points x <= |beta| + 1, which carry
+        # a large order's mass; at small orders the flat 5e-15 takes x
         delta = (len(pattern) + 3) * _EPS
         scales = np.array([jobs[i][2] for i in members]).T
         qmax = np.array([jobs[i][3] for i in members])

@@ -440,20 +440,20 @@ def _mp_xi_direct(s, a):
     Q <= rho min(a)^2 with rho^{s-1} = 1e22, whose tail is below 1e-20 of it."""
     import mpmath
 
-    with mpmath.workdps(40):
-        am = [mpmath.mpf(x) for x in a]
+    am = [mpmath.mpf(x) for x in a]
+    cap = min(a) ** 2 * 10.0 ** (22.0 / (s - 1.0))
+
+    def z(s):
         if len(a) == 1:
-            z = 2 * am[0] ** (-2 * mpmath.mpf(s)) * mpmath.zeta(2 * mpmath.mpf(s))
-        else:
-            cap = min(a) ** 2 * 10.0 ** (22.0 / (s - 1.0))
-            terms = []
-            for i in range(int(math.sqrt(cap) / a[0]) + 1):
-                for j in range(int(math.sqrt(cap) / a[1]) + 1):
-                    if (i or j) and (a[0] * i) ** 2 + (a[1] * j) ** 2 <= cap:
-                        q = (am[0] * i) ** 2 + (am[1] * j) ** 2
-                        terms.append((2 - (i == 0)) * (2 - (j == 0)) * q ** -mpmath.mpf(s))
-            z = mpmath.fsum(terms)
-        return mpmath.sqrt(mpmath.fprod(am)) * _mp_xi(s, lambda _: z)
+            return 2 * am[0] ** (-2 * s) * mpmath.zeta(2 * s)
+        return mpmath.fsum(
+            (2 - (i == 0)) * (2 - (j == 0)) * ((am[0] * i) ** 2 + (am[1] * j) ** 2) ** -s
+            for i in range(int(math.sqrt(cap) / a[0]) + 1)
+            for j in range(int(math.sqrt(cap) / a[1]) + 1)
+            if (i or j) and (a[0] * i) ** 2 + (a[1] * j) ** 2 <= cap
+        )
+
+    return _mp_xi(s, lambda s: mpmath.sqrt(mpmath.fprod(am)) * z(s))
 
 
 def test_err_covers_rounding_of_x_at_large_orders():
