@@ -17,8 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, EvalConfig
-from .epstein import ScaleVector, XiValue, _kernel_parts, _xi_value, gamma_kernel_sum_d2, xi_many
+from .epstein import (
+    ScaleVector,
+    XiValue,
+    _dimensions,
+    _kernel_parts,
+    _xi_rows,
+    _xi_value,
+    gamma_kernel_sum_d2,
+)
 from .errors import AnalysisError, DomainError, IndeterminateSignError
 from .specfun import _EPS, Approximation, ibp_partial_sum
 
@@ -82,27 +92,40 @@ class BoundReport:
 
 
 def decide_signs(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[int, XiValue]]:
-    """Sign of Xi_n(s; a) at every node (n, s, scales), with its evaluation.
-
-    All nodes are evaluated in one batched call; the tolerance is then
-    refined tenfold, up to three times, on the nodes whose error bound does
-    not yet exclude zero.  A node still undecided gets sign 0 and keeps its
-    tightest evaluation.
-    """
+    """Sign of Xi_n(s; a) at every node (n, s, scales), with its evaluation,
+    by `_decide_rows` per dimension."""
     nodes = list(nodes)
-    values = xi_many(nodes, cfg)
-    pending = [i for i, v in enumerate(values) if not v.excludes_zero()]
+    decided: list = [None] * len(nodes)
+    for n, (at, s, a) in _dimensions(nodes).items():
+        signs, values, rows = _decide_rows(n, s, a, cfg)
+        for i, row in zip(at, rows):
+            decided[i] = signs[row], values[row]
+    return decided
+
+
+def _decide_rows(n: int, s, a, cfg: EvalConfig) -> tuple[list[int], list[XiValue], list[int]]:
+    """(signs, values, at): the sign of Xi_n and its evaluation at each
+    distinct row of the nodes (n, s[i], a[i]), as `_xi_rows` finds them, and
+    the row of each node.
+
+    All rows are evaluated in one batched call; the tolerance is then refined
+    tenfold, up to three times, on the rows whose error bound does not yet
+    exclude zero.  A row still undecided gets sign 0 and keeps its tightest
+    evaluation.  The caller checks the poles.
+    """
+    s_rows, a_rows, values, at = _xi_rows(n, s, a, cfg)
+    pending = [r for r, v in enumerate(values) if not v.excludes_zero()]
     c = cfg
     for _ in range(_REFINEMENTS):
         if not pending:
             break
         c = c.tighter(0.1)
-        for i, v in zip(pending, xi_many([nodes[i] for i in pending], c)):
-            values[i] = v
-        pending = [i for i in pending if not values[i].excludes_zero()]
-    return [
-        ((1 if v.value > 0 else -1) if v.excludes_zero() else 0, v) for v in values
-    ]
+        _, _, refined, rows = _xi_rows(n, np.take(s_rows, pending), np.take(a_rows, pending, axis=0), c)
+        for r, row in zip(pending, rows):
+            values[r] = refined[row]
+        pending = [r for r in pending if not values[r].excludes_zero()]
+    signs = [(1 if v.value > 0 else -1) if v.excludes_zero() else 0 for v in values]
+    return signs, values, at
 
 
 def decide_sign(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[int, XiValue]:
@@ -131,7 +154,8 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
     while pending:
         for k in set(todo.values()):
             at = [s for s in todo if todo[s] == k]
-            parts.update(zip(at, _kernel_parts([(n, s, unit) for s in at], cfg.tighter(0.1**k), memo)))
+            _, _, row_parts, rows = _kernel_parts(n, at, [unit] * len(at), cfg.tighter(0.1**k), memo)
+            parts.update(zip(at, [row_parts[row] for row in rows]))
         level.update(todo)
         todo, split = {}, []
         for lo, hi in pending:

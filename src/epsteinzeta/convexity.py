@@ -99,19 +99,22 @@ class HyperplaneChart:
 
     def scales(self, b):
         """The ScaleVector exp(v + A b) at a chart point b of j coordinates,
-        or the list of them at the rows of an (N, j) array b.
+        or the list of them at the rows of an (N, j) array b."""
+        b = np.asarray(b, dtype=float)
+        vectors = [ScaleVector(row) for row in self._rows(b.reshape(-1, self.j)).tolist()]
+        return vectors if b.ndim == 2 else vectors[0]
+
+    def _rows(self, points: np.ndarray) -> np.ndarray:
+        """exp(v + A b) at every row b of the (N, j) array points, as an (N, n) array.
 
         v + A b is summed column by column, v + A[:, 0] b_0 + A[:, 1] b_1 + ...,
         in the same IEEE operations for every row, so a row of a batch gives
         the bits of the point alone.
         """
-        b = np.asarray(b, dtype=float)
-        points = b.reshape(-1 if b.ndim == 2 else 1, self.j)
         logs = np.repeat(self.v[None, :], len(points), axis=0)
         for d in range(self.j):
             logs += points[:, d, None] * self.A[:, d]
-        vectors = [ScaleVector(row) for row in np.exp(logs).tolist()]
-        return vectors if b.ndim == 2 else vectors[0]
+        return np.exp(logs)
 
 
 def standard_chart(n: int, v=None) -> HyperplaneChart:

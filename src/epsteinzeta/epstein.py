@@ -538,48 +538,47 @@ def _truncation(scales, counts: tuple[int, ...], tol):
     raise PrecisionError(f"no truncation threshold reaches tol={tol}")
 
 
-# an engine call with fewer new truncation keys groups and truncates them on
-# floats, key by key: the array pass costs more there
-_VECTOR_KEYS = 16
-
-
 def _truncate(keys, memo: dict) -> None:
-    """Put the groups and `_truncation` of (scales, tol) keys that `memo`
-    lacks into it, as (group scales, pattern, T0, c, theta_prod, tail): with
-    _VECTOR_KEYS or more distinct keys, in one array pass per group-count
-    pattern.  A truncation past double range, as from a scale whose square
-    leaves it, raises PrecisionError in both forms."""
-    new = list(dict.fromkeys(keys))
+    """Put the groups and `_truncation` of the (scales, tol) keys that `memo`
+    lacks into it, on floats, as (group scales, pattern, T0, c, theta_prod,
+    tail).  A truncation past double range, as from a scale whose square
+    leaves it, raises PrecisionError."""
     try:
-        if len(new) < _VECTOR_KEYS:
-            for a, tol in new:
-                scales, counts = zip(*_group_scales(a))
-                memo[a, tol] = (scales, counts, *_truncation(scales, counts, tol))
-        else:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                _truncate_rows(new, memo)
+        for a, tol in dict.fromkeys(keys):
+            scales, counts = zip(*_group_scales(a))
+            memo[a, tol] = (scales, counts, *_truncation(scales, counts, tol))
     except ArithmeticError as exc:
         raise PrecisionError(f"a truncation threshold overflows double precision ({exc})") from None
 
 
-def _truncate_rows(keys: list, memo: dict) -> None:
-    """`_truncate` of many new keys: grouped by `_group_rows` per dimension,
-    then one `_truncation` array pass per group-count pattern."""
-    dims: dict[int, list] = {}
-    for key in keys:
-        dims.setdefault(len(key[0]), []).append(key)
-    for members in dims.values():
-        scales, counts = _group_rows(np.array([a for a, _ in members]))
-        tols = np.array([tol for _, tol in members])
-        patterns: dict[tuple[int, ...], list[int]] = {}
-        for i, row in enumerate(counts.tolist()):
-            patterns.setdefault(tuple(row), []).append(i)
-        for row, rows in patterns.items():
-            pattern = row[: row.index(0)] if 0 in row else row
-            columns = np.ascontiguousarray(scales[rows, : len(pattern)].T)
-            result = zip(*(x.tolist() for x in _truncation(list(columns), pattern, tols[rows])))
-            for i, groups, entry in zip(rows, columns.T.tolist(), result):
-                memo[members[i]] = (tuple(groups), pattern, *entry)
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, at): the distinct rows of the 2-d array x in lexicographic
+    order and the index in rows of each row of x, as np.unique(x, axis=0,
+    return_inverse=True) finds them; np.lexsort takes a fifth of the time of
+    its sort over a structured view."""
+    order = np.lexsort(x.T[::-1])
+    x = x[order]
+    new = np.empty(len(x), dtype=bool)
+    new[:1] = True
+    np.any(x[1:] != x[:-1], axis=1, out=new[1:])
+    at = np.empty(len(x), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return x[new], at
+
+
+def _truncate_rows(scales: np.ndarray, tols: np.ndarray):
+    """`_truncate` of the keys (scales[k], tols[k]) in one `_truncation` array
+    pass per group-count pattern, to be run under raising numpy flags:
+    (patterns, pattern, groups, T0, c, theta_prod, tail) with key k of
+    pattern patterns[pattern[k]], whose group scales lead row k of groups."""
+    groups, counts = _group_rows(scales)
+    rows, pattern = _distinct(counts)
+    patterns = [tuple(count for count in row if count) for row in rows.tolist()]
+    entry = np.empty((4, len(tols)))
+    for p, counts in enumerate(patterns):
+        keys = np.flatnonzero(pattern == p)
+        entry[:, keys] = _truncation(list(groups[keys, : len(counts)].T), counts, tols[keys])
+    return patterns, pattern, groups, *entry
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +745,9 @@ def _check_not_pole(n: int, s: float) -> None:
         raise PoleError(f"s={s} is inside the guard band around a pole of Xi_{n}")
 
 
-def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> float:
-    """The err of S(n/2 - s; 1/a) = value +- err plus the rounding of its order.
+def _reflected_err(n: int, s, value, err, x_min, ops: _Ops = _FLOAT_OPS):
+    """The err of S(n/2 - s; 1/a) = value +- err plus the rounding of its order,
+    on floats or, with `_ARRAY_OPS`, on columns of the same bits.
 
     The order beta = fl(n/2 - s) is off by dbeta, recovered exactly by TwoSum.
     dS/dbeta sums dg/dbeta = integral_1^inf t^{beta-1} log t e^{-xt} dt > 0; by
@@ -759,40 +759,67 @@ def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> 
     half = n / 2.0
     beta = half - s
     dbeta = (half - (beta - (beta - half))) + (-s - (beta - half))
-    return err + abs(dbeta) * ((abs(value) + err) * math.log1p(max(beta, 1.0) / x_min))
+    return err + abs(dbeta) * ((abs(value) + err) * ops.log1p(ops.high(beta, 1.0) / x_min))
 
 
-def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tuple]:
-    """(V, V S(s; a), S(n/2 - s; 1/a) / V, err) at every node (n, s, scales) in
-    one engine call, finite at s = 0 (the E_1 kernel) and n/2.  S(s; a) gets
-    tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol.
-    A job sees its scales only through their groups, and V is a product over
-    the sorted scales, so nodes of equal s and sorted scales have equal parts:
-    the first of them makes the two jobs, and the others reuse its parts.
-    `memo`, keyed on sorted scales and on (sorted scales or their reciprocals,
-    tol), may be shared by several calls."""
+# an engine call with fewer nodes takes the float form, node by node: the
+# array form's fixed cost is more than its savings there
+_VECTOR_KEYS = 16
+
+
+def _kernel_parts(n: int, s, a, cfg: EvalConfig, memo: dict | None = None) -> tuple:
+    """(s_rows, a_rows, parts, at) for the nodes (n, s[i], a[i]) of one
+    dimension in one engine call, finite at s = 0 (the E_1 kernel) and n/2.
+
+    A job sees the scales only through their groups, and V is a product over
+    the sorted scales, so the nodes are evaluated once per distinct row
+    (s, sorted scales): s_rows and a_rows hold the rows, parts[r] = (V,
+    V S(s; a), S(n/2 - s; 1/a) / V, err) is row r's, and at[i] is node i's row.
+    S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their
+    V-weighted errors meet tol.  The scales a[i] are sequences, ScaleVectors
+    or the rows of an (N, n) array.
+
+    With fewer than `_VECTOR_KEYS` nodes the float form keys each node on
+    (s, sorted scales) and keeps in `memo` per sorted scale vector its
+    reciprocals and x_min, and per (sorted scales or their reciprocals, tol)
+    the groups and truncation; a caller of many such calls, such as the sign
+    certificates of `analysis`, may pass one memo to all of them.  Larger
+    calls take the array form, `_row_parts`, which gives every row the same
+    bits.
+    """
+    if len(s) < _VECTOR_KEYS:
+        return _float_parts(n, s, a, cfg, {} if memo is None else memo)
+    return _row_parts(n, s, a, cfg)
+
+
+def _float_parts(n: int, s, a, cfg: EvalConfig, memo: dict) -> tuple:
+    """`_kernel_parts` on floats, node by node."""
+    s = s.tolist() if isinstance(s, np.ndarray) else s
+    a = a.tolist() if isinstance(a, np.ndarray) else a
     orders, keys, rows, at = [], [], [], []
-    memo = {} if memo is None else memo
+    s_rows, a_rows = [], []
     first: dict[tuple, int] = {}  # (s, sorted scales) -> its row
-    for n, s, scales in nodes:
+    for x, scales in zip(s, a):
         sv = ScaleVector.ensure(scales)
-        a, v = sv.ascending, sv.V
-        if len(a) != n:
-            raise DomainError(f"expected {n} scales, got {len(a)}")
-        s = float(s)
-        if not math.isfinite(s):
-            raise DomainError(f"s must be finite, got {s}")
-        row = first.setdefault((s, a), len(rows))
+        asc, v = sv.ascending, sv.V
+        if len(asc) != n:
+            raise DomainError(f"expected {n} scales, got {len(asc)}")
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError(f"s must be finite, got {x}")
+        row = first.setdefault((x, asc), len(rows))
         if row == len(rows):
             if not 0.0 < v < math.inf:
-                raise PrecisionError(f"the volume of the scales {a} leaves double range")
-            recip = memo.get(a)
+                raise PrecisionError(f"the volume of the scales {asc} leaves double range")
+            recip = memo.get(asc)
             if recip is None:
-                inv = tuple(1.0 / x for x in a)
-                recip = memo[a] = inv, math.pi * min(inv) ** 2
-            orders += [s, n / 2.0 - s]
-            keys += [(a, cfg.tol * (0.5 / v) / 4.0), (recip[0], cfg.tol * (0.5 * v) / 4.0)]
-            rows.append((n, s, v, recip[1]))
+                inv = tuple(1.0 / y for y in asc)
+                recip = memo[asc] = inv, _smallest_value(min(inv))
+            orders += [x, n / 2.0 - x]
+            keys += [(asc, cfg.tol * (0.5 / v) / 4.0), (recip[0], cfg.tol * (0.5 * v) / 4.0)]
+            rows.append((v, recip[1]))
+            s_rows.append(x)
+            a_rows.append(asc)
         at.append(row)
     missing = [key for key in keys if key not in memo]
     if missing:
@@ -800,10 +827,88 @@ def _kernel_parts(nodes, cfg: EvalConfig, memo: dict | None = None) -> list[tupl
     values, errs = _kernel_sums([_job_of(beta, memo[key]) for beta, key in zip(orders, keys)])
     sums = iter(zip(values, errs))
     parts = [
-        (v, v * v1, v2 / v, v * e1 + _reflected_err(n, s, v2, e2, x_min) / v)
-        for (n, s, v, x_min), (v1, e1), (v2, e2) in zip(rows, sums, sums)
+        (v, v * v1, v2 / v, v * e1 + _reflected_err(n, x, v2, e2, x_min) / v)
+        for x, (v, x_min), (v1, e1), (v2, e2) in zip(s_rows, rows, sums, sums)
     ]
-    return [parts[row] for row in at]
+    return s_rows, a_rows, parts, at
+
+
+def _smallest_value(inv_min: float) -> float:
+    """x_min = pi min(1/a)^2, the smallest lattice value of the reciprocal
+    sum, squared by float pow in both forms: numpy's square may part from it
+    by an ulp."""
+    try:
+        return math.pi * inv_min**2
+    except OverflowError:
+        raise PrecisionError(f"the reciprocal scale {inv_min} squared leaves double range") from None
+
+
+def _row_parts(n: int, s, a, cfg: EvalConfig) -> tuple:
+    """`_kernel_parts` on arrays: one row per distinct (s, sorted scales) by
+    np.unique, V as a column-by-column product (the sequential product over
+    the ascending scales of math.prod), reciprocals, x_min and tols by the
+    float form's IEEE operations, and one `_truncate_rows` pass over the
+    distinct truncation keys."""
+    s = np.asarray(s, dtype=float).reshape(-1)
+    if not isinstance(a, np.ndarray):
+        a = [x.a if isinstance(x, ScaleVector) else x for x in a]
+        for x in a:
+            if len(x) != n:
+                raise DomainError(f"expected {n} scales, got {len(x)}")
+    a = np.asarray(a, dtype=float).reshape(len(s), -1)
+    if a.shape[1] != n or n == 0:
+        raise DomainError(f"expected {n} scales, got {a.shape[1]}")
+    bad = ~((a > 0.0) & (a < math.inf)).all(axis=1)
+    if bad.any():
+        raise DomainError(f"all scales must be positive finite reals, got {tuple(a[bad][0].tolist())}")
+    if not np.isfinite(s).all():
+        raise DomainError(f"s must be finite, got {s[~np.isfinite(s)][0]}")
+    rows, at = _distinct(np.column_stack((s, np.sort(a, axis=1))))
+    s_rows, a_rows = rows[:, 0], rows[:, 1:]
+    v = a_rows[:, 0]
+    with np.errstate(over="ignore", under="ignore"):
+        for k in range(1, n):
+            v = v * a_rows[:, k]
+    v = np.sqrt(v)
+    bad = ~((v > 0.0) & (v < math.inf))
+    if bad.any():
+        raise PrecisionError(f"the volume of the scales {tuple(a_rows[bad][0].tolist())} leaves double range")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # the reciprocals in ascending order, so that unit scales and
+            # their reciprocals share one key
+            recip = 1.0 / a_rows[:, ::-1]
+            x_min = np.fromiter(map(_smallest_value, recip[:, 0].tolist()), float, len(v))
+            keys = np.concatenate((
+                np.column_stack((a_rows, cfg.tol * (0.5 / v) / 4.0)),
+                np.column_stack((recip, cfg.tol * (0.5 * v) / 4.0)),
+            ))
+            keys, key_at = _distinct(keys)
+            patterns, pattern, groups, t0, c, theta_prod, tail = _truncate_rows(keys[:, :-1], keys[:, -1])
+    except ArithmeticError as exc:
+        raise PrecisionError(f"a truncation threshold overflows double precision ({exc})") from None
+    # the jobs S(s; a) of every row, then S(n/2 - s; 1/a), as `_job_of` makes them
+    orders = np.concatenate((s_rows, n / 2.0 - s_rows))
+    t0, c, theta_prod, tail = t0[key_at], c[key_at], theta_prod[key_at], tail[key_at]
+    big_t = 4.0 * np.abs(orders)
+    over = big_t > t0
+    qmax = np.where(over, big_t, t0) / math.pi
+    tail[over] = _tail_bound(big_t[over], c[over], theta_prod[over], _ARRAY_OPS)
+    counts = [patterns[p] for p in pattern.tolist()]
+    scales = [tuple(row[: len(k)]) for row, k in zip(groups.tolist(), counts)]
+    keyed = key_at.tolist()
+    values, errs = _kernel_sums([
+        (beta, counts[k], scales[k], q, t)
+        for beta, k, q, t in zip(orders.tolist(), keyed, qmax.tolist(), tail.tolist())
+    ])
+    values, errs = np.array(values), np.array(errs)
+    r = len(v)
+    # inf and nan pass on to `_xi_value`, as in float arithmetic
+    with np.errstate(all="ignore"):
+        k1, k2 = v * values[:r], values[r:] / v
+        kerr = v * errs[:r] + _reflected_err(n, s_rows, values[r:], errs[r:], x_min, _ARRAY_OPS) / v
+    parts = list(zip(v.tolist(), k1.tolist(), k2.tolist(), kerr.tolist()))
+    return s_rows.tolist(), a_rows, parts, at.tolist()
 
 
 def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:
@@ -818,14 +923,38 @@ def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> 
     return XiValue(value, err, n, s)
 
 
-def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
-    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call;
-    each value and err is the one `xi` returns at that node, bit for bit."""
-    nodes = list(nodes)
+def _xi_rows(n: int, s, a, cfg: EvalConfig) -> tuple:
+    """(s_rows, a_rows, values, at): `_kernel_parts` with the XiValue of each
+    distinct row in place of its parts.  The caller checks the poles."""
+    s_rows, a_rows, parts, at = _kernel_parts(n, s, a, cfg)
+    return s_rows, a_rows, [_xi_value(n, x, *part) for x, part in zip(s_rows, parts)], at
+
+
+def _dimensions(nodes) -> dict[int, tuple[list[int], list[float], list]]:
+    """The nodes (n, s, scales) per dimension n: their indices, s and scales.
+    A node inside the guard band of a pole raises PoleError first."""
     for n, s, _ in nodes:
         _check_not_pole(n, float(s))
-    parts = _kernel_parts(nodes, cfg)
-    return [_xi_value(n, float(s), *part) for (n, s, _), part in zip(nodes, parts)]
+    dims: dict[int, tuple[list[int], list[float], list]] = {}
+    for i, (n, s, scales) in enumerate(nodes):
+        at, ss, aa = dims.setdefault(n, ([], [], []))
+        at.append(i)
+        ss.append(float(s))
+        aa.append(scales)
+    return dims
+
+
+def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
+    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call per
+    dimension; each value and err is the one `xi` returns at that node, bit
+    for bit."""
+    nodes = list(nodes)
+    values: list = [None] * len(nodes)
+    for n, (at, s, a) in _dimensions(nodes).items():
+        _, _, rows, row_at = _xi_rows(n, s, a, cfg)
+        for i, row in zip(at, row_at):
+            values[i] = rows[row]
+    return values
 
 
 def xi(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:

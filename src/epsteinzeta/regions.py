@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import decide_signs
+from .analysis import _decide_rows
 from .config import DEFAULT_CONFIG, EvalConfig
 from .convexity import HyperplaneChart
+from .epstein import _check_not_pole
 from .errors import DomainError
 
 __all__ = [
@@ -111,13 +112,14 @@ def scan(
         raise DomainError("bounds and steps must match the chart's free dimensions")
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps)]
     shape = tuple(steps)
+    _check_not_pole(n, s)
     # every node's chart point, in C order, and its scales from one chart call
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.j)
-    nodes = [(n, s, scales) for scales in chart.scales(points)]
-    decided = decide_signs(nodes, cfg)  # sign 0, undecided, is INDETERMINATE
-    labels = np.array([sign for sign, _ in decided], dtype=np.int8).reshape(shape)
-    values = np.array([value.value for _, value in decided]).reshape(shape)
-    errs = np.array([value.err for _, value in decided]).reshape(shape)
+    # one sign per distinct row; sign 0, undecided, is INDETERMINATE
+    signs, decided, at = _decide_rows(n, np.full(len(points), s), chart._rows(points), cfg)
+    labels = np.array(signs, dtype=np.int8)[at].reshape(shape)
+    values = np.array([value.value for value in decided])[at].reshape(shape)
+    errs = np.array([value.err for value in decided])[at].reshape(shape)
     return RegionGrid(chart, n, s, bounds, steps, labels, values, errs)
 
 

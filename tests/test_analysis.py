@@ -113,13 +113,13 @@ def test_decide_sign_exhausts_its_refinements(monkeypatch):
     from epsteinzeta import analysis
 
     tols = []
-    many = analysis.xi_many
+    rows = analysis._xi_rows
 
-    def counting(nodes, cfg):
+    def counting(n, s, a, cfg):
         tols.append(cfg.tol)
-        return many(nodes, cfg)
+        return rows(n, s, a, cfg)
 
-    monkeypatch.setattr(analysis, "xi_many", counting)
+    monkeypatch.setattr(analysis, "_xi_rows", counting)
     node = (10, 1.0899267578125, ScaleVector.unit(10))
     cfgs = [EvalConfig(tol=1.0)]
     for _ in range(3):

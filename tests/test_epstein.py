@@ -363,7 +363,12 @@ def test_precision_error_carries_bound():
         xi(1, 0.3, ScaleVector([1e300]))
     batch = [(3, 0.7, (1.0 + 0.01 * i, 1.0, 1.0)) for i in range(20)]
     with pytest.raises(PrecisionError, match="truncation"):
-        xi_many(batch + [(2, 0.5, (1e160, 1e-160))])
+        xi_many(batch + [(3, 0.5, (1e160, 1e-160, 1.0))])
+    # the smallest lattice value pi min(1/a)^2 past double range, in the
+    # float form and in the array form
+    for count in (1, 16):
+        with pytest.raises(PrecisionError, match="reciprocal"):
+            xi_many([(1, 0.3, (1e-155,))] * count)
     # a product of the scales past double range, above or below
     for a in ((1e200, 1e200), (1e200, 1e200, 1e-200, 1e-200), (2.0**-540, 2.0**540) * 2):
         with pytest.raises(PrecisionError, match="volume"):
