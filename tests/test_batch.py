@@ -67,9 +67,10 @@ def _pair(v):
     st.sampled_from((1, epstein._VECTOR_KEYS)),
 )
 def test_node_bit_identical_alone_and_in_any_batch(batch, rnd, gate):
-    # at gate 1 every truncation key of a batch takes the array pass; a node
-    # alone takes the float form at the default gate.  Repeated nodes and
-    # nodes with permuted scales share their parts with the first of them
+    # at gate 1 every batch takes the array form, and at the default gate
+    # these batches, split by dimension, mostly take the float form, as a node
+    # alone does.  Repeated nodes and nodes with permuted scales share their
+    # parts with the first of them
     repeats = [rnd.choice(batch) for _ in range(3)]
     permuted = [(n, s, tuple(rnd.sample(a, n))) for n, s, a in repeats]
     batch = batch + repeats + permuted + [_EMPTY]

@@ -7,6 +7,7 @@ import pytest
 from epsteinzeta import (
     DomainError,
     EvalConfig,
+    PrecisionError,
     ScaleVector,
     certify_connected,
     certify_discrete_convex,
@@ -80,13 +81,39 @@ def test_single_cell_scan_at_origin():
     assert grid.values[(0,)] == pytest.approx(xi(2, 0.5, ScaleVector.unit(2)).value)
 
 
-def test_scan_values_equal_xi_bit_for_bit():
-    chart = kratio_chart(3)
-    grid = scan(3, 0.7, chart, [(-2.0, 2.0)] * 2, [5, 5])
+# a scan of at least epstein._VECTOR_KEYS nodes takes the array form, and
+# with the gate above its size the float form; a node alone takes the float
+# form.  The kratio grids are symmetric, so mirror nodes repeat a sorted
+# scale vector; the flat second axis of the last grid repeats every vector
+_SCANS = [
+    (3, 0.7, kratio_chart(3), [(-2.0, 2.0)] * 2, [5, 5]),
+    (10, 2.5, kratio_chart(10, 2), [(-2.0, 2.0)] * 2, [5, 5]),
+    (4, 0.9, kratio_chart(4, 2), [(-1.5, 1.0), (0.3, 0.3)], [7, 3]),
+]
+
+
+@pytest.mark.parametrize("gate", [None, 10**6])
+@pytest.mark.parametrize("n, s, chart, bounds, steps", _SCANS)
+def test_scan_values_equal_xi_bit_for_bit(n, s, chart, bounds, steps, gate, monkeypatch):
+    from epsteinzeta import epstein
+
+    if gate is not None:
+        monkeypatch.setattr(epstein, "_VECTOR_KEYS", gate)
+    grid = scan(n, s, chart, bounds, steps)
+    monkeypatch.undo()
     axes = grid.axes()
     for idx in np.ndindex(*grid.steps):
-        v = xi(3, 0.7, chart.scales([axes[0][idx[0]], axes[1][idx[1]]]))
-        assert (grid.values[idx], grid.errs[idx]) == (v.value, v.err)
+        v = xi(n, s, chart.scales([axis[i] for axis, i in zip(axes, idx)]))
+        sign = (1 if v.value > 0 else -1) if v.excludes_zero() else 0
+        assert (grid.labels[idx], grid.values[idx], grid.errs[idx]) == (sign, v.value, v.err)
+
+
+@pytest.mark.parametrize("steps", [[1, 1], [3, 3], [5, 5]])
+def test_scan_past_double_range_is_a_precision_error(steps):
+    # the scales e^{+-533} of these chart points have squares past double
+    # range: the truncation stops in both forms, with no numpy warning
+    with pytest.raises(PrecisionError):
+        scan(3, 0.7, kratio_chart(3), [(700.0, 800.0)] * 2, steps)
 
 
 def test_scan_keeps_tightest_evaluation_of_undecided_node():
