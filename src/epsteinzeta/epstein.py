@@ -21,12 +21,11 @@ falls below the configured tolerance; it holds for every split 0 < c < 1.
 T0 >= 8, the split c (from theta(t) <= 1 + t^{-1/2}) and the theta product
 (a closed-form majorant) depend on the scales and tol alone; a sum of order
 beta takes T = max(T0, 4|beta|).  An engine call computes them once per
-(scales, tol) key it has not met, in one array pass per group-count pattern
-over those keys; a call with fewer than `_VECTOR_KEYS` new keys runs the
-same operations on floats, key by key, where an array pass costs more.  Both
-forms take math's log, log1p and exp and sum in group order, so a key gets
-the same bits in either.  Equal scales are summed radially through
-exact representation counts: isotropic directions cost O(T) terms.
+distinct (scales, tol) key, in one array pass per group-count pattern over
+those keys, or on floats, key by key, in a call of fewer than `_VECTOR_KEYS`
+nodes.  Both forms take math's log, log1p and exp and sum in group order, so
+a key gets the same bits in either.  Equal scales are summed radially
+through exact representation counts: isotropic directions cost O(T) terms.
 
 Every kernel sum goes through one batched engine, `_kernel_sums`.  A job is
 one kernel sum, (order, scales, tol); the orders of one difference quotient
@@ -37,30 +36,40 @@ enumerated together, each job's points contiguous with its origin, of weight
 zero, first.  Chunks of whole jobs hold at most `_CHUNK_POINTS` points, which
 bounds memory; a larger single lattice runs alone.  Each chunk makes one
 kernel call and sums each job by np.add.reduceat over its segment, whose
-pairwise summation keeps the flat rounding allowance 5e-15 sum|terms| on
-large lattices (np.bincount sums sequentially and would not); the rounding
-of x = pi Q adds (G + 3) eps (|beta| + 1) sum|terms| for G groups.  A job of at
-least `_SERIES_POINTS` points whose series meets a 32nd of its tail bound
-takes, at its points x >= 16, the integration-by-parts series of the kernel
-in a few numpy multiply-adds, and its err gains the series remainder and
-rounding; every other point makes one gammaincc call per chunk.  A job's
+pairwise summation errs by less than 5e-15 sum|terms| on large lattices
+(np.bincount sums sequentially and would not).  The rounding allowance of a
+job, `_kernel_allowance` sum|terms| at the order of its gammaincc call, is a
+swept bound of the kernel's relative error with a margin for the summation;
+the rounding of x = pi Q adds (G + 3) eps (|beta| + 1) sum|terms| for G
+groups.  A job of at least `_SERIES_POINTS` points whose series meets a
+32nd of its tail bound takes, at its points x >= 16, the
+integration-by-parts series of the kernel in a few numpy multiply-adds, and
+its err gains the series remainder and rounding; every other point makes
+one gammaincc call per chunk.  A job's
 value and err do not depend on the batch it is evaluated in.  A sum past
 double range stops the engine with PrecisionError; only a positive order
 can leave it, since a negative order's kernel is at most e^{-x}/|beta|.
 
-`xi_many` evaluates many nodes in one engine call; `xi` is a batch of one.
-A flat loop in `_kernel_parts` makes each distinct node's two jobs,
-S(s; a) and S(n/2 - s; 1/a), of one bucket, and `_xi_value` adds the pole
-terms to their sum, which stays finite at the poles.  A job sees the scales
-only through their groups, and V is a product over the sorted scales, so a
-node is keyed on (s, sorted scales): one the call has met reuses the first
-one's parts, bit for bit, and the mirror nodes of a symmetric chart cost
-one evaluation.  The call's memo holds per sorted scale vector its
-reciprocal and smallest reciprocal lattice value, and per (sorted scales or
-their reciprocals, tol) the groups and truncation; a caller that makes
-several engine calls, such as the sign certificates of `analysis`, may pass
-one memo to all of them.  The one other way in is `gamma_kernel_sum_d2` of
-`analysis.hat_xi_second_derivative`.
+Every node goes through `_kernel_parts`, one engine call per dimension n,
+which takes the nodes as a row of s values and their scales.  A job sees
+the scales only through their groups, and V is a product over the sorted
+scales, so the call evaluates each distinct row (s, sorted scales) once:
+repeated nodes share its bits, and the mirror nodes of a symmetric chart
+cost one evaluation.  Each row makes two jobs, S(s; a) and S(n/2 - s; 1/a),
+of one bucket, and `_xi_value` adds the pole terms to their sum, which stays
+finite at the poles.  A call of `_VECTOR_KEYS` or more nodes works on
+arrays (`_row_parts`): it sorts the scale rows, finds the distinct rows by
+one lexsort, and computes V, the reciprocals, the truncation keys, the job
+thresholds and the parts column by column, with no Python object per node
+until the XiValue of each distinct row.  A smaller call loops over its
+nodes on floats with the same IEEE operations (`_float_parts`), so a node
+gets the same bits in either form.  Its memo holds per sorted scale vector
+the reciprocals and smallest reciprocal lattice value, and per (sorted
+scales or their reciprocals, tol) the groups and truncation; a caller of many
+small calls, such as the sign certificates of `analysis`, may pass one memo
+to all of them.  `xi_many` and `xi` (a batch of one), `analysis.decide_signs`
+and `regions.scan` all evaluate through it.  The one other way in is
+`gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
 """
 
 from __future__ import annotations
@@ -652,6 +661,26 @@ def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
         raise PrecisionError(f"a kernel sum overflows double precision ({exc})") from None
 
 
+def _kernel_allowance(b: float) -> float:
+    """The relative error allowance of the terms of gammaincc order b > 0 in
+    `_gammaincc_kernel`, with their pairwise summation.
+
+    It is 1.5 times the largest relative error of the kernel against 30-digit
+    mpmath over a sweep of b in (0, 2] by 0.005 (by 0.001 on [0.48, 0.52]),
+    (2, 10] by 0.05 and (10, 170] by 1, at 550 points x in [1e-6, 30], 300 of
+    them on [0.2, 4], where scipy's gammaincc changes method: 9.3e-14 on
+    (0.48, 0.52], from scipy's series just above order 1/2; 1.8e-14 elsewhere
+    on (0, 1.5]; 1.05e-14 on (1.5, 2]; 5.3e-15 on (2, 10]; 9e-15 above.  The
+    margin leaves at least 2.6e-15, 24 units of roundoff, for the summation.
+    Past x = 30 the error grows like x eps, on terms below e^{-30}/30.
+    """
+    if 0.48 < b <= 0.52:
+        return 1.4e-13
+    if b <= 1.5:
+        return 2.7e-14
+    return 1.6e-14 if b <= 2.0 or b > 10.0 else 8e-15
+
+
 def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
     values, errs = [0.0] * len(jobs), [0.0] * len(jobs)
     buckets: dict[tuple[int, ...], list[int]] = {}
@@ -663,7 +692,7 @@ def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
         # groups, u = eps/2, and as x d/dx log g = -beta - e^{-x}/g a term
         # moves by up to (|beta| + x + 1) times that.  delta (|beta| + 1),
         # delta = (G + 3) eps, covers the points x <= |beta| + 1, which carry
-        # a large order's mass; at small orders the flat 5e-15 takes x
+        # a large order's mass; at small orders the kernel allowance takes x
         delta = (len(pattern) + 3) * _EPS
         scales = np.array([jobs[i][2] for i in members]).T
         qmax = np.array([jobs[i][3] for i in members])
@@ -697,12 +726,19 @@ def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
             for i, beta, total, m, big in zip(chunk, orders, sums, mass, mags or mass):
                 values[i] = total
                 # terms share one sign except far outside the critical strip, so
-                # pairwise summation costs a few ulps of the mass; a shifted order
-                # pays k + 3 (summation, gammaincc, k steps, power) on its magnitudes
-                shifted = beta < 0 and beta != round(beta)
-                factor = math.floor(-beta) + 4.0 if shifted else 4.0 if beta <= 0 else 1.0
-                rounding = 5e-15 * factor + delta * (abs(beta) + 1.0)
-                errs[i] = jobs[i][4] + rounding * (big if shifted else m)
+                # the kernel's relative error and pairwise summation cost a few
+                # ulps of the mass: `_kernel_allowance` at the gammaincc order,
+                # which a shifted order pays on its magnitudes with 5e-15 for
+                # each of its k steps; E_{m+1} pays 4 x 5e-15
+                if beta > 0:
+                    rounding = _kernel_allowance(beta)
+                elif beta == round(beta):
+                    rounding = 2e-14
+                else:
+                    steps = math.floor(-beta) + 1.0
+                    rounding = _kernel_allowance(beta + steps) + 5e-15 * steps
+                    m = big
+                errs[i] = jobs[i][4] + (rounding + delta * (abs(beta) + 1.0)) * m
             for i, plan in zip(chunk, plans or ()):
                 if plan is not None:
                     errs[i] += plan[1]  # the series remainder and rounding

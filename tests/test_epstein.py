@@ -473,6 +473,51 @@ def test_err_covers_rounding_of_x_at_large_orders():
             assert abs(v.value - _mp_xi_direct(s, a)) <= v.err, (n, s, a)
 
 
+def _mp_xi_lattice(n, s, a, cut=80.0):
+    """Xi_n(s; a) at 30 digits from its incomplete-gamma form, each kernel
+    sum over the lattice points pi Q <= cut (a tail below 1e-30 for these
+    nodes), with exact pi and exact orders; k and -k share one term."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        am = [mpmath.mpf(x) for x in a]
+        volume = mpmath.sqrt(mpmath.fprod(am))
+
+        def kernel_sum(beta, c):
+            total = mpmath.mpf(0)
+            reach = [range(int(math.sqrt(cut / math.pi) / float(x)) + 2) for x in c]
+            for k in itertools.product(*reach):
+                x = mpmath.pi * mpmath.fsum((ci * ki) ** 2 for ci, ki in zip(c, k))
+                if any(k) and x <= cut:
+                    total += 2 ** sum(map(bool, k)) * mpmath.gammainc(beta, x) / x**beta
+            return total
+
+        s = mpmath.mpf(s)
+        half = mpmath.mpf(n) / 2
+        return (
+            -volume / s
+            - 1 / (volume * (half - s))
+            + volume * kernel_sum(s, am)
+            + kernel_sum(half - s, [1 / x for x in am]) / volume
+        )
+
+
+@pytest.mark.parametrize(
+    "n, s, a, tol",
+    [
+        # near order 1/2 scipy's gammaincc errs by up to 2.9e-14 relative
+        (2, 0.5, (0.5, 2.0), 1e-15),
+        (2, 0.5, (0.5, 2.0), 1e-14),
+        (3, 0.5, (0.5, 1.0, 2.0), 1e-15),
+        (2, 0.6, (0.5, 2.0), 1e-15),
+        (2, 0.4, (1.0, 1.0), 1e-15),
+    ],
+)
+def test_err_covers_kernel_error_at_tight_tol(n, s, a, tol):
+    v = xi(n, s, ScaleVector(a), EvalConfig(tol=tol))
+    assert abs(v.value - float(_mp_xi_lattice(n, s, a))) <= v.err
+
+
 def split_cases():
     rng = np.random.default_rng(20240611)
     for n in range(1, 10):
