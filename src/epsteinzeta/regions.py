@@ -4,11 +4,12 @@ discrete-convexity certification of the negative region.
 A scan labels every node of a rectangular grid in chart coordinates with the
 sign of Xi there; a sign is only asserted when the error bound excludes zero,
 otherwise the node is marked indeterminate and keeps its tightest
-evaluation.  All nodes are decided in one batched call (`decide_signs`),
-which refines only the nodes still undecided.  Xi is symmetric in the
-scales and the engine evaluates each distinct sorted scale vector once per
-call, so mirror nodes of a symmetric chart, such as those across the
-diagonal of a `kratio_chart` grid, cost one evaluation and get the same
+evaluation.  The chart gives the scales of all nodes as one array, and one
+batched engine call decides them (`analysis._decide_rows`), refining only
+the rows still undecided, with no Python object per node.  Xi is symmetric
+in the scales and the engine evaluates each distinct sorted scale vector
+once per call, so mirror nodes of a symmetric chart, such as those across
+the diagonal of a `kratio_chart` grid, cost one evaluation and get the same
 bits.  The negative region in these coordinates is convex, hence connected,
 and the certifiers check the discrete shadow of both facts on the sampled
 grid: one 2j-adjacency component, and no positive cell inside the convex
@@ -101,7 +102,12 @@ def scan(
     steps,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> RegionGrid:
-    """Label the sign of Xi_n(s; chart(b)) at every grid node."""
+    """Label the sign of Xi_n(s; chart(b)) at every grid node.
+
+    The nodes' scales exp(v + A b) come from the chart as one (N, n) array,
+    and `analysis._decide_rows` decides each distinct sorted scale vector
+    once, refining the undecided ones; every node gets the bits of `xi` at
+    its scales, or of its tightest refinement."""
     if chart.n != n:
         raise DomainError(f"chart is {chart.n}-dimensional, expected {n}")
     if not 0.0 < s < n / 2.0:
