@@ -62,7 +62,7 @@ arrays (`_row_parts`): it sorts the scale rows, finds the distinct rows by
 one lexsort, and computes V, the reciprocals, the truncation keys, the job
 thresholds and the parts column by column, with no Python object per node
 until the XiValue of each distinct row.  A smaller call loops over its
-nodes on floats with the same IEEE operations (`_float_parts`), so a node
+nodes on floats with the same IEEE operations in `_kernel_parts` itself, so a node
 gets the same bits in either form.  Its memo holds per sorted scale vector
 the reciprocals and smallest reciprocal lattice value, and per (sorted
 scales or their reciprocals, tol) the groups and truncation; a caller of many
@@ -823,13 +823,9 @@ def _kernel_parts(n: int, s, a, cfg: EvalConfig, memo: dict | None = None) -> tu
     calls take the array form, `_row_parts`, which gives every row the same
     bits.
     """
-    if len(s) < _VECTOR_KEYS:
-        return _float_parts(n, s, a, cfg, {} if memo is None else memo)
-    return _row_parts(n, s, a, cfg)
-
-
-def _float_parts(n: int, s, a, cfg: EvalConfig, memo: dict) -> tuple:
-    """`_kernel_parts` on floats, node by node."""
+    if len(s) >= _VECTOR_KEYS:
+        return _row_parts(n, s, a, cfg)
+    memo = {} if memo is None else memo
     s = s.tolist() if isinstance(s, np.ndarray) else s
     a = a.tolist() if isinstance(a, np.ndarray) else a
     orders, keys, rows, at = [], [], [], []
@@ -969,13 +965,13 @@ def _xi_rows(n: int, s, a, cfg: EvalConfig) -> tuple:
 def _dimensions(nodes) -> dict[int, tuple[list[int], list[float], list]]:
     """The nodes (n, s, scales) per dimension n: their indices, s and scales.
     A node inside the guard band of a pole raises PoleError first."""
-    for n, s, _ in nodes:
-        _check_not_pole(n, float(s))
     dims: dict[int, tuple[list[int], list[float], list]] = {}
     for i, (n, s, scales) in enumerate(nodes):
+        s = float(s)
+        _check_not_pole(n, s)
         at, ss, aa = dims.setdefault(n, ([], [], []))
         at.append(i)
-        ss.append(float(s))
+        ss.append(s)
         aa.append(scales)
     return dims
 
