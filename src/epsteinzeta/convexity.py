@@ -101,7 +101,8 @@ class HyperplaneChart:
         """The ScaleVector exp(v + A b) at a chart point b of j coordinates,
         or the list of them at the rows of an (N, j) array b."""
         b = np.asarray(b, dtype=float)
-        vectors = [ScaleVector(row) for row in self._rows(b.reshape(-1, self.j)).tolist()]
+        points = b.reshape(-1 if b.ndim == 2 else 1, self.j)
+        vectors = [ScaleVector(row) for row in self._rows(points).tolist()]
         return vectors if b.ndim == 2 else vectors[0]
 
     def _rows(self, points: np.ndarray) -> np.ndarray:

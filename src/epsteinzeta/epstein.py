@@ -45,10 +45,10 @@ groups.  A job of at least `_SERIES_POINTS` points whose series meets a
 32nd of its tail bound takes, at its points x >= 16, the
 integration-by-parts series of the kernel in a few numpy multiply-adds, and
 its err gains the series remainder and rounding; every other point makes
-one gammaincc call per chunk.  A job's
-value and err do not depend on the batch it is evaluated in.  A sum past
-double range stops the engine with PrecisionError; only a positive order
-can leave it, since a negative order's kernel is at most e^{-x}/|beta|.
+one gammaincc call per chunk.  A job's value and err do not depend on the
+batch it is evaluated in.  A sum past double range stops the engine with
+PrecisionError; only a positive order can leave it, since a negative
+order's kernel is at most e^{-x}/|beta|.
 
 Every node goes through `_kernel_parts`, one engine call per dimension n,
 which takes the nodes as a row of s values and their scales.  A job sees
@@ -62,12 +62,12 @@ arrays (`_row_parts`): it sorts the scale rows, finds the distinct rows by
 one lexsort, and computes V, the reciprocals, the truncation keys, the job
 thresholds and the parts column by column, with no Python object per node
 until the XiValue of each distinct row.  A smaller call loops over its
-nodes on floats with the same IEEE operations in `_kernel_parts` itself, so a node
-gets the same bits in either form.  Its memo holds per sorted scale vector
-the reciprocals and smallest reciprocal lattice value, and per (sorted
-scales or their reciprocals, tol) the groups and truncation; a caller of many
-small calls, such as the sign certificates of `analysis`, may pass one memo
-to all of them.  `xi_many` and `xi` (a batch of one), `analysis.decide_signs`
+nodes on floats with the same IEEE operations, so a node gets the same bits
+in either form.  Its memo holds per sorted scale vector the reciprocals and
+smallest reciprocal lattice value, and per (sorted scales or their
+reciprocals, tol) the groups and truncation; a caller of many small calls,
+such as the sign certificates of `analysis`, may pass one memo to all of
+them.  `xi_many` and `xi` (a batch of one), `analysis.decide_signs`
 and `regions.scan` all evaluate through it.  The one other way in is
 `gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
 """
@@ -877,7 +877,7 @@ def _smallest_value(inv_min: float) -> float:
 
 def _row_parts(n: int, s, a, cfg: EvalConfig) -> tuple:
     """`_kernel_parts` on arrays: one row per distinct (s, sorted scales) by
-    np.unique, V as a column-by-column product (the sequential product over
+    `_distinct`, V as a column-by-column product (the sequential product over
     the ascending scales of math.prod), reciprocals, x_min and tols by the
     float form's IEEE operations, and one `_truncate_rows` pass over the
     distinct truncation keys."""
@@ -928,10 +928,9 @@ def _row_parts(n: int, s, a, cfg: EvalConfig) -> tuple:
     tail[over] = _tail_bound(big_t[over], c[over], theta_prod[over], _ARRAY_OPS)
     counts = [patterns[p] for p in pattern.tolist()]
     scales = [tuple(row[: len(k)]) for row, k in zip(groups.tolist(), counts)]
-    keyed = key_at.tolist()
     values, errs = _kernel_sums([
         (beta, counts[k], scales[k], q, t)
-        for beta, k, q, t in zip(orders.tolist(), keyed, qmax.tolist(), tail.tolist())
+        for beta, k, q, t in zip(orders.tolist(), key_at.tolist(), qmax.tolist(), tail.tolist())
     ])
     values, errs = np.array(values), np.array(errs)
     r = len(v)
@@ -964,7 +963,8 @@ def _xi_rows(n: int, s, a, cfg: EvalConfig) -> tuple:
 
 def _dimensions(nodes) -> dict[int, tuple[list[int], list[float], list]]:
     """The nodes (n, s, scales) per dimension n: their indices, s and scales.
-    A node inside the guard band of a pole raises PoleError first."""
+    A node inside the guard band of a pole raises PoleError, before any node
+    is evaluated."""
     dims: dict[int, tuple[list[int], list[float], list]] = {}
     for i, (n, s, scales) in enumerate(nodes):
         s = float(s)
