@@ -147,14 +147,13 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
     piece undecided, its ends are refined tenfold, up to _REFINEMENTS times.
     """
     unit = ScaleVector.unit(n)
-    memo = {}  # the truncation per tol, shared by every engine call of the run
     parts, level = {}, {}  # per end: K terms, and the refinements they took
     todo = {0.0: 0, n / 4.0: 0}  # end -> refinements to evaluate it at
     pending, pieces = [(0.0, n / 4.0)], []
     while pending:
         for k in set(todo.values()):
             at = [s for s in todo if todo[s] == k]
-            _, _, row_parts, rows = _kernel_parts(n, at, [unit] * len(at), cfg.tighter(0.1**k), memo)
+            _, _, row_parts, rows = _kernel_parts(n, at, [unit] * len(at), cfg.tighter(0.1**k))
             parts.update(zip(at, [row_parts[row] for row in rows]))
         level.update(todo)
         todo, split = {}, []
@@ -300,9 +299,10 @@ def hat_xi_second_derivative(
     """Second derivative of the normalised Xi at s_hat in (0, 1).
 
     The pole part differentiates in closed form to
-    -(4/n)(1/s^3 + 1/(1-s)^3); each lattice kernel's log^2-weighted integral
-    is realised as a second central difference in the order of the
-    incomplete-gamma kernel over one shared lattice, once at the symmetry point.
+    -(4/n)(1/s^3 + 1/(1-s)^3); each kernel sum's second derivative in the
+    order is its theta integral weighted by (log t)^2, evaluated by the
+    engine's rule with its own strip bound (`gamma_kernel_sum_d2`), once at
+    the symmetry point.
     """
     if not 0.0 < s_hat < 1.0:
         raise DomainError(f"normalised argument must lie in (0, 1), got {s_hat}")

@@ -5,8 +5,8 @@ of n-1 lower-dimensional zeta terms, and an exponentially convergent double
 sum of modified Bessel K factors.  Each tower level evaluates all of its
 Bessel arguments in one `specfun.bessel_k` call, a trapezoidal rule whose
 err stays within about 5 z eps of K, so the level's Bessel err is the
-coefficient-weighted sum of those.  The route shares no lattice machinery
-with the incomplete-gamma evaluator, which makes agreement between the two a
+coefficient-weighted sum of those.  The route shares nothing with the
+theta-integral rule of `epstein`, which makes agreement between the two a
 real consistency check rather than a tautology.  The expansion takes the
 scales in ascending order, so that, like `xi`, its value is the same bit for
 bit in any order of the scales, and so is its cost: the smallest scale
@@ -52,13 +52,13 @@ def _check_generic(n: int, s: float) -> None:
         if abs(2.0 * s - j - 1.0) < 2.0 * _GUARD:
             raise NotGenericError(
                 f"s={s}: zeta factor at 2s-{j} collides with the pole at 1; "
-                "use the lattice evaluator for this point"
+                "use epstein.xi for this point"
             )
         d = s - j / 2.0
         if d < 0.5 and abs(d - round(d)) < _GUARD and round(d) <= 0:
             raise NotGenericError(
                 f"s={s}: Gamma factor at s-{j}/2 collides with a pole; "
-                "use the lattice evaluator for this point"
+                "use epstein.xi for this point"
             )
 
 

@@ -1,4 +1,4 @@
-"""Evaluation configuration shared by the series and lattice-sum engines."""
+"""Evaluation configuration shared by the series and the theta-integral rule."""
 
 from __future__ import annotations
 

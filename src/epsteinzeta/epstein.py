@@ -4,83 +4,42 @@ The Xi-function of the positive scales (a_1 .. a_n) at real s is
 
     Xi_n(s; a) = -V/s - (1/V)/(n/2 - s) + V * S(s; a) + (1/V) * S(n/2 - s; 1/a)
 
-with V = sqrt(prod a_i) and
+with V = sqrt(prod a_i) and the theta integral of the paper's continuation
 
-    S(beta; c) = sum_{k in Z^n, k != 0} (pi Q_c(k))^{-beta} Gamma(beta, pi Q_c(k)),
-    Q_c(k) = sum_i (c_i k_i)^2,
+    S(beta; c) = integral_1^inf t^{beta-1} (prod_i theta(c_i^2 t) - 1) dt,
 
-the closed incomplete-gamma form of the theta-integral continuation.  The
-representation converges for every real s away from the simple poles at 0 and
-n/2, which is what makes sign analysis inside the critical range possible.
+finite for every real beta, so Xi is finite away from its poles at 0 and n/2.
+Equal scales form one group, one theta series each, summed in three terms
+after theta(x) = x^{-1/2} theta(1/x).
 
-Lattice sums are truncated at pi Q <= T with T chosen so that the tail bound
+`_theta_sums` evaluates many sums at once by the trapezoidal rule in u with
+t = 1 + exp(u - e^{-u}), whose error the strip of analyticity of the
+integrand bounds (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1), as
+`specfun.bessel_k` does for K_nu.  Each sum picks its strip, step and nodes
+from its order, scales and tolerance alone, so its value and err do not
+depend on the batch; the err adds the strip bound, the omitted nodes and the
+rounding, all proven there.  Sums are kept in logs, with log V added before
+the exponential, so Xi is returned whenever it and its err are in range.
 
-    (2/T) e^{-(1-c)T} prod_groups theta(c a^2)^count
-
-falls below the configured tolerance; it holds for every split 0 < c < 1.
-T0 >= 8, the split c (from theta(t) <= 1 + t^{-1/2}) and the theta product
-(a closed-form majorant) depend on the scales and tol alone; a sum of order
-beta takes T = max(T0, 4|beta|).  An engine call computes them once per
-distinct (scales, tol) key, in one array pass per group-count pattern over
-those keys, or on floats, key by key, in a call of fewer than `_VECTOR_KEYS`
-nodes.  Both forms take math's log, log1p and exp and sum in group order, so
-a key gets the same bits in either.  Equal scales are summed radially
-through exact representation counts: isotropic directions cost O(T) terms.
-
-Every kernel sum goes through one batched engine, `_kernel_sums`.  A job is
-one kernel sum, (order, scales, tol); the orders of one difference quotient
-share one T, so their truncations cancel.  Jobs with one pattern of group
-counts share a bucket, whose integer tables (squares for single axes,
-representation counts for groups) are built once and whose lattices are
-enumerated together, each job's points contiguous with its origin, of weight
-zero, first.  Chunks of whole jobs hold at most `_CHUNK_POINTS` points, which
-bounds memory; a larger single lattice runs alone.  Each chunk makes one
-kernel call and sums each job by np.add.reduceat over its segment, whose
-pairwise summation errs by less than 5e-15 sum|terms| on large lattices
-(np.bincount sums sequentially and would not).  The rounding allowance of a
-job, `_kernel_allowance` sum|terms| at the order of its gammaincc call, is a
-swept bound of the kernel's relative error with a margin for the summation;
-the rounding of x = pi Q adds (G + 3) eps (|beta| + 1) sum|terms| for G
-groups.  A job of at least `_SERIES_POINTS` points whose series meets a
-32nd of its tail bound takes, at its points x >= 16, the
-integration-by-parts series of the kernel in a few numpy multiply-adds, and
-its err gains the series remainder and rounding; every other point makes
-one gammaincc call per chunk.  A job's value and err do not depend on the
-batch it is evaluated in.  A sum past double range stops the engine with
-PrecisionError; only a positive order can leave it, since a negative
-order's kernel is at most e^{-x}/|beta|.
-
-Every node goes through `_kernel_parts`, one engine call per dimension n,
-which takes the nodes as a row of s values and their scales.  A job sees
-the scales only through their groups, and V is a product over the sorted
-scales, so the call evaluates each distinct row (s, sorted scales) once:
-repeated nodes share its bits, and the mirror nodes of a symmetric chart
-cost one evaluation.  Each row makes two jobs, S(s; a) and S(n/2 - s; 1/a),
-of one bucket, and `_xi_value` adds the pole terms to their sum, which stays
-finite at the poles.  A call of `_VECTOR_KEYS` or more nodes works on
-arrays (`_row_parts`): it sorts the scale rows, finds the distinct rows by
-one lexsort, and computes V, the reciprocals, the truncation keys, the job
-thresholds and the parts column by column, with no Python object per node
-until the XiValue of each distinct row.  A smaller call loops over its
-nodes on floats with the same IEEE operations, so a node gets the same bits
-in either form.  Its memo holds per sorted scale vector the reciprocals and
-smallest reciprocal lattice value, and per (sorted scales or their
-reciprocals, tol) the groups and truncation; a caller of many small calls,
-such as the sign certificates of `analysis`, may pass one memo to all of
-them.  `xi_many` and `xi` (a batch of one), `analysis.decide_signs`
-and `regions.scan` all evaluate through it.  The one other way in is
-`gamma_kernel_sum_d2` of `analysis.hat_xi_second_derivative`.
+Every node goes through `_kernel_parts`, one engine call per dimension,
+which evaluates each distinct row (s, sorted scales) once: V is a product
+over the sorted scales, so repeated nodes share bits, and the mirror nodes
+of a symmetric chart cost one evaluation.  A row makes two sums, S(s; a) at
+tol/(8V) and S(n/2 - s; 1/a) at tol V/8.  `xi_many`, `xi`,
+`analysis.decide_signs` and `regions.scan` evaluate through it;
+`gamma_kernel_sum_d2` takes the same rule with the weight (log t)^2.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from math import ceil, exp, expm1, floor, inf, log, log1p, sqrt
 
 import numpy as np
-from scipy.special import expn, gammaincc
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError, PoleError, PrecisionError, SpecialPointError
@@ -89,16 +48,6 @@ from .specfun import _EPS, Approximation
 __all__ = ["EvalConfig", "ScaleVector", "XiValue", "xi", "xi_many", "z", "hat_xi"]
 
 _POLE_GUARD = 1e-6
-# hard caps on the integer steps along one lattice direction (and per-group
-# table sizes) and on the enumerated lattice; past them PrecisionError
-_MAX_RADIUS = 2_000_000
-_MAX_POINTS = 60_000_000
-# lattice points per enumeration chunk of a batch; one larger lattice runs alone
-_CHUNK_POINTS = 1 << 13
-# orders up to this skip `_check_range`: on every lattice the caps admit,
-# x_min > T / _MAX_RADIUS^2 >= 2e-12, so x_min^{-18}, Gamma(18) and the
-# weights stay far inside double range; negative orders never leave it
-_SAFE_ORDER = 18.0
 
 
 @dataclass(frozen=True)
@@ -150,630 +99,336 @@ class XiValue(Approximation):
 
 
 # ---------------------------------------------------------------------------
-# Representation counts: r_dim(m) = #{k in Z^dim : |k|^2 = m}
+# The theta-integral rule
 # ---------------------------------------------------------------------------
 
 
-def _radial_counts(dim: int, mmax: int) -> np.ndarray:
-    """Coefficients of theta(q)^dim up to q^mmax, as float64.
+def _strip_kappa(d: float) -> float:
+    """kappa > 0 with Re t >= kappa (1 + |t - 1|) for t = 1 + exp(u - e^{-u})
+    on the strip |Im u| <= d < pi/2.
 
-    theta(q) = 1 + 2 sum_j q^{j^2} has about sqrt(mmax) terms, so each of
-    the dim products costs O(mmax^{3/2}).  Tables are cached per (dim, mmax)
-    by `_radial_table`.  Counts are exact integers; float64 loses exactness
-    only beyond 2^53, far above anything a truncated lattice sum needs.
+    At u = -log w + iy, zeta = |t - 1| = e^{-w cos y}/w and t - 1 = zeta e^{i phi}
+    with phi = y + w sin y, so Re t / (1 + zeta) = 1 - Z (1 - cos phi) with
+    Z = zeta / (1 + zeta).  Both Z and 1 - cos min(phi, pi) grow with |y|, so
+    |y| = d is the worst case; there Z falls and phi grows with w.  On each
+    cell [w_k, w_{k+1}] of a geometric grid the loss is at most
+    Z(w_k) (1 - cos min(phi(w_{k+1}), pi)), below the grid at most
+    1 - cos phi(w_0) and above it at most 2 Z(w_K); kappa is one minus the
+    largest, less a margin for their rounding.
     """
-    result = np.zeros(mmax + 1)
-    result[0] = 1.0
-    for _ in range(dim):
-        twice = 2.0 * result
-        for j in range(1, math.isqrt(mmax) + 1):
-            result[j * j :] += twice[: mmax + 1 - j * j]
-    return result
+    cos_d, sin_d = math.cos(d), math.sin(d)
+    w = np.geomspace(1e-6, 200.0, 4000)
+    zeta = np.exp(-w * cos_d) / w
+    share = zeta / (1.0 + zeta)
+    bend = 1.0 - np.cos(np.minimum(d + w * sin_d, math.pi))
+    loss = max(float((share[:-1] * bend[1:]).max()), 1.0 - math.cos(d + w[0] * sin_d), 2.0 * float(share[-1]))
+    return (1.0 - loss) * (1.0 - 1e-12)
 
 
-@lru_cache(maxsize=None)
-def _radial_table(dim: int, mmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, r_dim(m)) over the m <= mmax that are sums of dim squares."""
-    counts = _radial_counts(dim, mmax)
-    keep = counts > 0
-    return np.arange(mmax + 1, dtype=np.float64)[keep], counts[keep]
-
-
-def _group_scales(a: tuple[float, ...]) -> list[tuple[float, int]]:
-    groups: dict[float, int] = {}
-    for x in a:
-        groups[x] = groups.get(x, 0) + 1
-    # ordered by count, so a and 1/a share one pattern of counts, then
-    # largest scales first: their tables are shortest and prune hardest
-    return sorted(groups.items(), key=lambda kv: (kv[1], -kv[0]))
-
-
-def _group_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_group_scales` of every row of a: (scales, counts), with row k's groups
-    in its first columns, in the same order, and count 0 after them."""
-    n = a.shape[1]
-    desc = -np.sort(-a, axis=1)
-    start = np.ones(desc.shape, dtype=bool)
-    start[:, 1:] = desc[:, 1:] != desc[:, :-1]
-    # a group's count runs from its first column to the next group's
-    at = np.arange(n)
-    following = np.full(desc.shape, n)
-    following[:, :-1] = np.minimum.accumulate(np.where(start, at, n)[:, :0:-1], axis=1)[:, ::-1]
-    counts = np.where(start, following - at, 0)
-    # by count, stably, so equal counts keep descending scales; non-groups last
-    order = np.argsort(np.where(start, counts, n + 1), axis=1, kind="stable")
-    return np.take_along_axis(desc, order, 1), np.take_along_axis(counts, order, 1)
-
-
-def _group_table(count: int, scale: np.ndarray, qmax: np.ndarray):
-    """Sorted (m, weight) table of one group level, shared by a bucket's jobs.
-
-    m runs over the sums of `count` integer squares with scale^2 m <= qmax for
-    some job, weight over their representation counts; a single axis takes
-    m = k^2, k >= 0, with weight 2 off the origin.
-    """
-    if count == 1:
-        kmax = int(np.floor(np.sqrt(qmax) / scale).max())
-        if kmax + 1 > _MAX_RADIUS:
-            raise PrecisionError(f"per-axis range {kmax} exceeds {_MAX_RADIUS}")
-        ks = np.arange(kmax + 1, dtype=np.float64)
-        w = np.full(kmax + 1, 2.0)
-        w[0] = 1.0
-        return ks * ks, w
-    mmax = int(np.floor(qmax / (scale * scale)).max())
-    if mmax + 1 > _MAX_RADIUS:
-        raise PrecisionError(f"radial table size {mmax} exceeds {_MAX_RADIUS}")
-    return _radial_table(count, mmax)
-
-
-def _enumerate(pattern: tuple[int, ...], scales: np.ndarray, qmax: np.ndarray):
-    """Lattice points Q(k) <= qmax[j] of every job j of one bucket.
-
-    scales[level, j] is job j's scale in the level-th group of `pattern`.
-    Yields chunks (q, w, first, counts) of the whole jobs first, first + 1,
-    ..., each job's counts[i] points contiguous with its origin first; a
-    chunk holds at most _CHUNK_POINTS points unless it is a single job.
-    """
-    tables = [_group_table(count, scales[level], qmax) for level, count in enumerate(pattern)]
-    a2 = scales * scales
-
-    def expand(level: int, q, w, node, lens=None):
-        while True:
-            m, weight = tables[level]
-            # one job: its qmax and scale are scalars, else one per partial
-            at = node[0] if node[0] == node[-1] else node
-            a2p = a2[level][at]
-            if lens is None:
-                # per-partial admissible prefix of the (sorted) shared table
-                lens = m.searchsorted((qmax[at] - q) / a2p, side="right")
-            cuts = _cuts(node, lens)
-            if len(cuts) > 1:
-                for lo, hi in cuts:
-                    yield from expand(level, q[lo:hi], w[lo:hi], node[lo:hi], lens[lo:hi])
-                return
-            idx = np.arange(int(lens.sum()))
-            idx -= (lens.cumsum() - lens).repeat(lens)
-            nq, nw = m[idx], weight[idx]
-            del idx
-            nq *= a2p if np.ndim(a2p) == 0 else a2p.repeat(lens)
-            nq += q.repeat(lens)
-            nw *= w.repeat(lens)
-            level += 1
-            if level == len(tables):
-                break
-            q, w, node, lens = nq, nw, node.repeat(lens), None
-        first = int(node[0])
-        # points per job; float sums of integers, exact far beyond _MAX_POINTS
-        counts = np.bincount(node - first, weights=lens).astype(np.int64)
-        del q, w, node, a2p, lens
-        yield nq, nw, first, counts
-
-    jobs = len(qmax)
-    yield from expand(0, np.zeros(jobs), np.ones(jobs), np.arange(jobs, dtype=np.int32))
-
-
-def _cuts(node: np.ndarray, lens: np.ndarray) -> list[tuple[int, int]]:
-    """Partial-index ranges of whole jobs whose expansions fit _CHUNK_POINTS."""
-    total = int(lens.sum())
-    if total <= _CHUNK_POINTS or node[0] == node[-1]:
-        if total > _MAX_POINTS:
-            raise PrecisionError(
-                f"lattice enumeration would need {total} points (cap {_MAX_POINTS})"
-            )
-        return [(0, len(lens))]
-    first = int(node[0])
-    sizes = np.bincount(node - first, weights=lens).astype(np.int64)
-    starts = node.searchsorted(np.arange(first, first + len(sizes)))
-    cuts, lo, acc = [], 0, 0
-    for at, size in zip(starts.tolist(), sizes.tolist()):
-        if acc and acc + size > _CHUNK_POINTS:
-            cuts.append((lo, at))
-            lo, acc = at, 0
-        acc += size
-    cuts.append((lo, len(lens)))
-    return cuts
-
-
-# ---------------------------------------------------------------------------
-# Vectorised incomplete-gamma kernel g(beta, x) = x^{-beta} Gamma(beta, x)
-# ---------------------------------------------------------------------------
-
-# the series takes the points x >= _SERIES_X of a job with at least
-# _SERIES_POINTS points, with at most _SERIES_TERMS + 1 terms; a smaller
-# job would pay more in planning than it saves
-_SERIES_X = 16.0
-_SERIES_POINTS = 2048
-_SERIES_TERMS = 40
-
-
-def _series_plan(beta: float, weight: float, budget: float) -> tuple[int, float] | None:
-    """(m, bound) for the series of a job of order beta and weight sum `weight`,
-    or None if no order m <= _SERIES_TERMS meets `budget`.
-
-    m is the smallest order >= max(0, ceil(beta - 2)) whose bound is at most
-    budget.  The bound is the remainder weight |(beta-1)...(beta-m-1)|
-    X^{-m-2} e^{-X} at X = _SERIES_X, plus the rounding of the series terms:
-    term j of the sum passes through at most 5j + 5 roundings of unit
-    roundoff eps/2 (the rounded 1/x and its j powers, j coefficients
-    beta - i, three operations in each of j Horner steps, exp and the last
-    two products), so a point's error is at most
-    eps sum_j (3j + 3) |(beta-1)...(beta-j)| x^{-j} e^{-x}/x.  Both fall in
-    x, so at X they hold for all the job's points x >= X; 1 + 1e-12 covers
-    rounding the bound itself.
-    """
-    x = _SERIES_X
-    scale = weight * math.exp(-x) / x * (1.0 + 1e-12)
-    # |(beta-1)...(beta-j)| X^{-j} at j = m, and sum_{i<=m} (3i + 3) of those
-    term, rounding = 1.0, 3.0
-    for m in range(_SERIES_TERMS + 1):
-        omitted = term * abs(beta - (m + 1)) / x
-        bound = scale * (omitted + _EPS * rounding)
-        if m >= beta - 2.0 and bound <= budget:
-            return m, bound
-        term = omitted
-        rounding += (3 * m + 6) * term
-    return None
-
-
-def _g_kernel(orders, x: np.ndarray, lens, series=None):
-    """(g, mag) with g(beta, x) = x^{-beta} Gamma(beta, x) at every point of x.
-
-    The 1-d x is split into consecutive segments of lengths `lens`, one per
-    entry of `orders`.  `series` gives per segment a series order m or None
-    (the default: None for all).  The points x >= _SERIES_X of a segment with
-    an order take the integration-by-parts series
-
-        g(beta, x) = (e^{-x}/x) sum_{j=0..m} (beta-1)...(beta-j) x^{-j} + R_m,
-
-    |R_m| <= |(beta-1)...(beta-m-1)| x^{-m-2} e^{-x} for m >= beta - 2, by
-    m Horner steps g *= 1/x; g *= beta - j; g += 1 per point, so a scalar
-    and a per-point order round alike; `_series_plan` bounds R_m and the
-    rounding.  The other points go through `_gammaincc_kernel`; mag is |g|
-    at the series points.
-    """
-    if series is None or series.count(None) == len(series):
-        return _gammaincc_kernel(orders, x, lens)
-    top = max(m for m in series if m is not None)
-    sel = x >= _SERIES_X
-    if None in series:
-        sel &= np.array([m is not None for m in series]).repeat(lens)
-    # 1/x at the series points, 0 elsewhere, where the Horner steps leave 1
-    u = np.divide(1.0, x, out=np.zeros_like(x), where=sel)
-    g = np.ones_like(x)
-    # one (order, m) steps with scalar coefficients, else with one per point,
-    # 0 past a segment's own m
-    steps = {(b, m) for b, m in zip(orders, series) if m is not None}
-    beta = orders[series.index(top)] if len(steps) == 1 else None
-    for j in range(top, 0, -1):
-        if beta is not None:
-            coef = beta - j
-        else:
-            coef = np.array([b - j if m is not None and j <= m else 0.0
-                             for b, m in zip(orders, series)]).repeat(lens)
-        g *= u
-        g *= coef
-        g += 1.0
-    g *= u
-    # e^{-x} into the 1/x buffer: the series adds no third full-size array
-    np.negative(x, out=u)
-    np.exp(u, out=u)
-    g *= u
-    del u
-    sel = ~sel
-    counts = np.add.reduceat(sel, np.cumsum(lens) - lens, dtype=np.int64)
-    other, other_mag = _gammaincc_kernel(orders, x[sel], counts)
-    g[sel] = other
-    mag = None
-    if other_mag is not None:
-        mag = np.abs(g)
-        mag[sel] = other_mag
-    return g, mag
-
-
-def _gammaincc_kernel(orders, x: np.ndarray, lens):
-    """`_g_kernel` through one gammaincc call for every point: an order
-    beta <= 0 enters it shifted to b0 = beta + k in (0, 1] and comes down
-    through g(b, x) = (x g(b + 1, x) - e^{-x}) / b (DLMF 8.8.2 divided by
-    x^{b+1}), except the integers -m, whose kernel is E_{m+1}(x) itself.  No
-    step leaves double range: g(b, x) <= e^{-x} / |b| for b < 0.  mag is that
-    recurrence run on (x |g(b + 1, x)| + e^{-x}) / |b| if any order is
-    shifted, else None: it exceeds |g| by about 2 (x + 1) / |b| where b nears 0.
-    """
-    # one order for all points (a lone large lattice) stays a scalar, which
-    # saves the per-point order arrays; the results are bit-equal
-    uniform = min(orders) == max(orders)
-
-    def spread(values):
-        return np.float64(values[0]) if uniform else np.array(values).repeat(lens)
-
-    def full(values):
-        return np.broadcast_to(spread(values), x.shape)
-
-    shifted, shifts = [], []
-    for b in orders:
-        if b > 0:
-            k = 0
-        elif b == round(b):
-            k = -1  # E_{m+1}; its gammaincc slot takes the harmless order 1
-        else:
-            k = int(math.floor(-b)) + 1  # smallest shift making beta + k > 0
-            if min(abs(b + j) for j in range(k)) < 1e-8:
-                raise DomainError(f"kernel order beta={b} too close to a nonpositive integer")
-        shifted.append(b + k if k >= 0 else 1.0)
-        shifts.append(k)
-    start = spread(shifted)
-    g = gammaincc(start, x)
-    g *= spread([math.gamma(b) for b in shifted])
-    g *= np.power(x, -start)
-    mag = None
-    if max(shifts) > 0:
-        ex = np.exp(-x)
-        mag = np.abs(g)
-        beta, steps, betas = spread(orders), full(shifts), full(orders)
-        for j in range(max(shifts) - 1, -1, -1):
-            # one order steps every point with a scalar order, without masks
-            sel = slice(None) if uniform else steps > j
-            b = (beta if uniform else betas[sel]) + j
-            xs = x[sel]
-            g[sel] = (xs * g[sel] - ex[sel]) / b
-            mag[sel] = (xs * mag[sel] + ex[sel]) / np.abs(b)
-    if min(shifts) < 0:
-        sel = full(shifts) < 0
-        g[sel] = expn(full([1 - int(b) if k < 0 else 0 for b, k in zip(orders, shifts)])[sel], x[sel])
-    return g, mag
-
-
-# ---------------------------------------------------------------------------
-# Truncation threshold from the theta-product tail bound
-# ---------------------------------------------------------------------------
-
-
-class _Ops(NamedTuple):
-    """The elementary functions of `_truncation` on one kind of operand."""
-
-    log: Callable
-    log1p: Callable
-    exp: Callable
-    sqrt: Callable
-    high: Callable  # max
-    low: Callable  # min
-    where: Callable  # where(cond, x, y): x where cond holds, else y
-    every: Callable  # whether cond holds for every key
-
-
-def _column_op(f: Callable) -> Callable:
-    """f of every entry of a 1-d array, as a new array."""
-    return lambda x: np.fromiter(map(f, x.tolist()), float, x.size)
-
-
-# the array form takes math's log, log1p and exp entry by entry, and + - * /
-# and sqrt are correctly rounded in numpy and Python alike, so a key gets the
-# bits of the float form in a column of any length, on any host; numpy's own
-# log, log1p and exp would run the columns faster but cost a single call
-# more, since on a Python float they take about three times math's time
-_FLOAT_OPS = _Ops(
-    math.log, math.log1p, math.exp, math.sqrt, max, min,
-    lambda cond, x, y: x if cond else y, bool,
+# the strips |Im u| < d a sum may take, with -log kappa(d), -log cos d and
+# log(1 - kappa(d)); the strip bound grows like kappa^{-(1 + |beta - 1|)},
+# and the smallest 1 + |beta - 1| at which each narrower strip takes the
+# fewest nodes, h = 2 pi d / (36 + (1 + |beta - 1|) (-log kappa) - log cos d)
+_STRIPS = tuple(
+    (d, -math.log(k), -math.log(math.cos(d)), math.log1p(-k))
+    for d, k in ((d, _strip_kappa(d)) for d in (1.2 * 0.8**r for r in range(10)))
 )
-_ARRAY_OPS = _Ops(
-    _column_op(math.log), _column_op(math.log1p), _column_op(math.exp), np.sqrt,
-    np.maximum, np.minimum, np.where, np.all,
-)
+_KAPPA0 = math.exp(-_STRIPS[0][1])
+_RUNG = np.argmin([(36.0 + np.geomspace(1.0, 1e4, 4000) * k + c) / d for d, k, c, _ in _STRIPS], axis=0)
+_RUNG_KEYS = [float(np.geomspace(1.0, 1e4, 4000)[np.argmax(_RUNG >= r)]) for r in range(1, _RUNG.max() + 1)]
+_LOG_EPS, _LOG2, _PI, _TWO_PI = math.log(_EPS), math.log(2.0), math.pi, 2.0 * math.pi
+# steps are multiples of _STEP_UNIT, so every node u = k h is exact; log h per step count
+_STEP_UNIT = 2.0**-10
+_LOG_STEPS = [-inf] + [math.log(k * _STEP_UNIT) for k in range(1, 1025)]
+# no node has pi c_0^2 t past 700, where e^{-pi x} leaves the normal range;
+# a sum with pi c_0^2 past 350 has no nodes
+_X_CAP = 700.0 / math.pi
+# nodes per evaluation block, which bounds the temporaries of a long call
+_BLOCK = 1 << 12
+_KEYS: dict[tuple, tuple] = {}  # see `_key_data`
 
 
-def _theta_majorant(t, ops: _Ops = _FLOAT_OPS):
-    """A majorant of theta(t) = sum_k exp(-pi t k^2), within 6e-10 relative.
+def _log_theta(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, log(Theta - 1)) with L = log Theta, Theta = prod_g theta(x_g)^{m_g}
+    over the last axis of x, summed in its order.
 
-    As k^2 >= 3k - 2, theta(t) <= max(1, t^{-1/2}) (1 + 2q/(1 - q^3)) with
-    q = e^{-pi max(t, 1/t)}; 1 + 8 eps covers the rounding of t = c a^2, of
-    this expression and of one product by it."""
-    q = ops.exp(-math.pi * ops.high(t, 1.0 / t))
-    return ops.high(1.0, 1.0 / ops.sqrt(t)) * (1.0 + 2.0 * q / (1.0 - q * q * q)) * (1.0 + 8.0 * _EPS)
-
-
-def _tail_bound(big_t, c, theta_prod, ops: _Ops = _FLOAT_OPS):
-    # For x = pi Q >= T >= max(8, 4|beta|) and any split 0 < c < 1:
-    #   g(beta, x) <= 2 x^{-1} e^{-x} <= (2/T) e^{-(1-c)T} e^{-c x}
-    # and sum_k e^{-c pi Q(k)} <= theta_prod.  The bound falls in T.
-    return (2.0 / big_t) * ops.exp(-(1.0 - c) * big_t) * theta_prod
-
-
-def _truncation(scales, counts: tuple[int, ...], tol):
-    """(T0, c, theta_prod, tail) with T0 >= 8 and tail = _tail_bound(T0, c,
-    theta_prod) < tol, for the keys (scales, tol) of one group-count pattern.
-
-    scales[g] is the scale of the g-th group, of counts[g] equal axes.  It
-    and tol are floats for one key, or arrays with one entry per key; the
-    same operations, summed in group order, give each key the same bits in
-    both forms and in any batch.
-
-    The split c comes from the majorant theta(t) <= 1 + t^{-1/2}, so log P(c)
-    is about h(c) = sum count log(1 + 1/(a sqrt c)).  The minimiser of
-    T(c) = (log(2/(T tol)) + h(c)) / (1 - c) satisfies c = S(c) / (2T) with
-    S(c) = -2c h'(c) = sum count / (1 + a sqrt c); two fixed-point steps from
-    c = 1/2 land within 1% of the optimal T for n <= 10 and within 3% for
-    n <= 21.  c is capped at 1/2, so that phi below is a contraction.
-    theta_prod is the product of `_theta_majorant(c a^2)` over the axes.
-    The bound meets tol at the fixed point of
-    phi(T) = log(2 theta_prod / (T tol)) / (1 - c), |phi'| <= 1/4 on T >= 8,
-    whose odd iterates from a point below the crossing stay above it: three
-    steps of max(8, phi) from 8 give T0, doubled while the bound misses tol.
+    log theta(x) = log1p(2q (1 + q^3 (1 + q^5))) with q = e^{-pi max(x, 1/x)},
+    less log(x)/2 below x = 1, as theta(x) = x^{-1/2} theta(1/x); the omitted
+    2 sum_{k >= 4} q^{k^2} is below e^{-15 pi} of 2q.  Where no x is below 1
+    the reflection is skipped: it would subtract zeros.
     """
-    ops = _ARRAY_OPS if isinstance(tol, np.ndarray) else _FLOAT_OPS
-    log, log1p, _, sqrt, high, low, where, every = ops
-    c, big_t = 0.5, 8.0
-    for _ in range(2):
-        r = sqrt(c)
-        h = total = 0.0
-        for a, count in zip(scales, counts):
-            h = h + count * log1p(1.0 / (a * r))
-            total = total + count / (1.0 + a * r)
-        big_t = high(8.0, (log(2.0 / (big_t * tol)) + h) / (1.0 - c))
-        c = low(0.5, total / (2.0 * big_t))
-    theta_prod = 1.0
-    for a, count in zip(scales, counts):
-        factor = _theta_majorant(c * a * a, ops)
-        for _ in range(count):
-            theta_prod = theta_prod * factor
-    big_t = 8.0
-    for _ in range(3):
-        big_t = high(8.0, log(2.0 * theta_prod / (big_t * tol)) / (1.0 - c))
-    for _ in range(60):
-        tail = _tail_bound(big_t, c, theta_prod, ops)
-        met = tail < tol
-        if every(met):
-            return big_t, c, theta_prod, tail
-        big_t = where(met, big_t, 2.0 * big_t)
-    raise PrecisionError(f"no truncation threshold reaches tol={tol}")
+    low = x.min() < 1.0
+    q = np.exp((np.maximum(x, 1.0 / x) if low else x) * -math.pi)
+    q3 = q * q * q
+    lth = np.log1p((q3 * (q3 * q * q + 1.0) + 1.0) * q * 2.0)
+    if low:
+        lth -= 0.5 * np.minimum(np.log(x), 0.0)
+    lth *= m
+    big_l = np.add.accumulate(lth, axis=-1)[..., -1] if lth.shape[-1] > 1 else lth[..., 0]
+    if big_l.max() <= 700.0:
+        return big_l, np.log(np.expm1(big_l))
+    # log(e^L - 1) = L in double precision past L = 700, where e^L overflows
+    top = np.minimum(big_l, 700.0)
+    return big_l, np.log(np.expm1(top)) + (big_l - top)
 
 
-def _truncate(keys, memo: dict) -> None:
-    """Put the groups and `_truncation` of the (scales, tol) keys that `memo`
-    lacks into it, on floats, as (group scales, pattern, T0, c, theta_prod,
-    tail).  A truncation past double range, as from a scale whose square
-    leaves it, raises PrecisionError."""
-    try:
-        for a, tol in dict.fromkeys(keys):
-            scales, counts = zip(*_group_scales(a))
-            memo[a, tol] = (scales, counts, *_truncation(scales, counts, tol))
-    except ArithmeticError as exc:
-        raise PrecisionError(f"a truncation threshold overflows double precision ({exc})") from None
+def _key_data(keys) -> None:
+    """Put into _KEYS (emptied past 2^14 keys) the data of each group key
+    (scales, counts) it lacks: c_0^2, lam = pi c_0^2, log bounds on
+    Theta(1) - 1 (P1) and Theta(kappa_0) - 1 from above and Theta(2) - 1 from
+    below, rounding coefficients, whether the sum has no nodes, the cap on
+    t - 1, log(2 m_0 / lam) and the squared scales.  The upper bounds take
+    Theta(t) - 1 <= (Theta(s) - 1) e^{-lam (t - s)}, s = min(t, 100/lam), each
+    term falling at least at the rate of the smallest Q = c_0^2."""
+    missing = [key for key in dict.fromkeys(keys) if key not in _KEYS]
+    if not missing:
+        return
+    if len(_KEYS) + len(missing) > 1 << 14:
+        _KEYS.clear()
+    width = max(len(counts) for _, counts in missing)
+    c2 = np.array([sc + (1.0,) * (width - len(sc)) for sc, _ in missing], dtype=float) ** 2
+    m = np.array([ct + (0,) * (width - len(ct)) for _, ct in missing], dtype=float)
+    at = np.minimum(100.0 / math.pi / c2[:, :1] * [1.0, math.inf, 1.0], [1.0, 2.0, _KAPPA0])
+    with np.errstate(divide="ignore"):
+        lg, ex = _log_theta(c2[:, None, :] * at[:, :, None], m[:, None, :])
+    c0, lg, lam, n, m0 = c2[:, 0], lg[:, 0], math.pi * c2[:, 0], m.sum(axis=1), m[:, 0]
+    log_p1 = ex[:, 0] - lam * (1.0 - at[:, 0]) + 1e-12
+    small = (m * (c2 < 1.0)).sum(axis=1)
+    # the sensitivity of log(Theta - 1) to x: per unit of x_0, and fixed
+    amp = 3.4 * (1.0 + lg)
+    spread = 0.12 * (n / m0 - 1.0) * amp + np.where(small > 0.0, 3.6 * n + 6.6 * small, 0.0)
+    base = ((m > 0.0).sum(axis=1) + 8.0) * (1.0 + lg) + 13.0 * small + 2.5 * np.abs(log_p1) + 25.0
+    columns = (
+        c0, lam, log_p1, ex[:, 2] - lam * (_KAPPA0 - at[:, 2]) + 1e-12, ex[:, 1] - 1e-9, amp, spread, base,
+        c0 >= 0.5 * _X_CAP, _X_CAP / c0 - 1.0, np.log(2.0 * m0 / lam), np.log(lam),
+    )
+    for key, row, squares in zip(missing, zip(*(column.tolist() for column in columns)), c2.tolist()):
+        _KEYS[key] = (*row, tuple(squares[: len(key[1])]))
 
 
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, at): the distinct rows of the 2-d array x in lexicographic
-    order and the index in rows of each row of x, as np.unique(x, axis=0,
-    return_inverse=True) finds them; np.lexsort takes a fifth of the time of
-    its sort over a structured view."""
-    order = np.lexsort(x.T[::-1])
-    x = x[order]
-    new = np.empty(len(x), dtype=bool)
-    new[:1] = True
-    np.any(x[1:] != x[:-1], axis=1, out=new[1:])
-    at = np.empty(len(x), dtype=np.intp)
-    at[order] = np.cumsum(new) - 1
-    return x[new], at
+def _plan(beta: float, tol: float, key: tuple, squared_log: bool) -> tuple:
+    """The rule for one sum: (h, k_lo, k_hi, beta - 1, log I+, log tails,
+    eps P, R, log J, log strip factor, -log kappa) with nodes u = k h for
+    k_lo <= k <= k_hi, none if every node would lie past _X_CAP, and the
+    bounds of `_theta_sums`; the step and the ends only aim at tol."""
+    c0, lam, log_p1, log_tk, log_t2, amp, spread, base, dead, cap, log_pair, log_lam, _ = key
+    bm1 = beta - 1.0
+    b, low = (bm1, 0.0) if bm1 > 0.0 else (0.0, bm1)
+    # I <= P1 int_1^inf t^b e^{-lam (t - 1)} dt, log t under its tangent at tp
+    tp = (b + sqrt(b)) / lam if b > 0.0 else 0.0
+    if tp > 1.0:
+        log_tp = log(tp)
+        log_i = log_p1 + b * (log_tp - 1.0 + 1.0 / tp) - log(lam - b / tp)
+    else:
+        tp, log_tp = 1.0, 0.0
+        log_i = log_p1 - (log(lam - b) if b > 0.0 else log_lam)
+    if dead:
+        return 1.0, 0, -1, 0.0, log_i
+    d, loss, sec, log_1mk = _STRIPS[bisect_right(_RUNG_KEYS, 1.0 + abs(bm1))]
+    log_a = (b + 1.0) * loss + sec
+    log_j = log_1mk - low * loss + log_tk
+    # the strip term within tol/2, or eps I where that is larger, with I above
+    # its part on [1, 2] and that of the points +-e_0 on [tp, tp + 1/lam]
+    log_tol = log(tol)
+    aim = log_tol - (log_i if log_i > log_j else log_j)
+    if aim < _LOG_EPS + 2.0:
+        log_lo = max(log_t2 + low * _LOG2, log_pair + bm1 * log_tp - lam * tp - 1.0 + low * log1p(1.0 / (lam * tp)))
+        log_tol = max(log_tol, _LOG_EPS + log_lo)
+        aim = max(aim, _LOG_EPS + log_lo - max(log_lo, log_j))
+    cost = log_a - (aim if aim < 0.0 else 0.0) + 3.0 * _LOG2  # e_h A <= 1/8 at any tol
+    steps = int(_TWO_PI / _STEP_UNIT * d / (cost if cost > _LOG2 else _LOG2))
+    steps = 1 if steps < 1 else 1024 if steps > 1024 else steps
+    h, log_h = steps * _STEP_UNIT, _LOG_STEPS[steps]
+    # the tails within tol/32 each: on the left t - 1 <= 1 and log(t - 1) +
+    # log1p(w) = -w + log(1 + 1/w) at u = -log w; on the right t - 1 = z with
+    # lam z - b log1p z - log z = gap + log 2 and u - e^{-u} = log z, by Newton
+    # steps from below, where they stay; past lam z = 2 the right bound falls
+    gap = log_p1 + log_h - log_tol + 3.5
+    w = gap + b * _LOG2
+    u_lo = -log(w) if w > 1.0 else 0.0
+    g = gap + _LOG2 if gap > 1.0 else 1.0 + _LOG2
+    z = (g + 2.0 * b + log(g / lam + 1.0)) / lam
+    z = (g + b * log1p(z) + log(z)) / lam
+    z = z if z * lam > 2.0 else 2.0 / lam
+    z = z if z < cap else cap
+    y = log(z)
+    if z >= 1.0:
+        u = y + 1.0 / (z + 1.0)
+    else:
+        u = -log(1.0 - y)
+        for _ in range(2):
+            e = exp(-u)
+            u += (y - u + e) / (1.0 + e)
+    k_lo = ceil((u_lo if u_lo < u else u) / h)
+    k_hi = floor(u / h) + (1 if z < cap else 0)  # a node past the end, unless it is the cap
+    k_hi = k_hi if k_hi > k_lo else k_lo
+    # right of u = (k_hi + 1) h, Theta - 1 <= P1 e^{-lam (t - 1)}, log t (and
+    # log log t) lie under their tangents in t, and psi = log(t - 1) +
+    # log1p(w), concave and rising with psi' = 1 + w^2/(1 + w), is at most u
+    u = (k_hi + 1) * h
+    w = exp(-u)
+    e = exp(u - w)
+    lt = log1p(e)
+    g, bb = log_p1 + b * lt + u - lam * e, b
+    if squared_log:
+        g, bb = g + 2.0 * log(lt), bb + 2.0 / lt
+    slope = 1.0 + w * w / (1.0 + w) - (lam - bb / (1.0 + e)) * e * (1.0 + w)
+    tails = log_h + g - log(-expm1(h * slope)) if slope < 0.0 else inf
+    # left of u = (k_lo - 1) h, t^{beta - 1} <= t^b, log t <= t - 1 = e,
+    # Theta - 1 <= P1 and psi <= -w + 1/w
+    u = (k_lo - 1) * h
+    w = exp(-u)
+    e = exp(u - w)
+    g = log_p1 + b * e - w + 1.0 / w + (2.0 * (u - w) if squared_log else 0.0)
+    g = log_h + g - log(-expm1(-h * (1.0 + w * w / (1.0 + w))))
+    tails = (tails if tails > g else g) + _LOG2 + 1e-9
+    # w is now at the node before the first, above the first's
+    u = k_hi * h
+    grow = (u if u > 0.0 else 0.0) / 2.0 + 6.0
+    fixed = (
+        abs(bm1) * (grow + 3.0 * (u + 1.0 if u > 0.0 else 1.0)) + spread * grow + base + 0.45 * (k_hi - k_lo + 1)
+        + 2.5 * (3.0 * w + abs(k_lo * h) + u) + (2.0 * grow if squared_log else 0.0)
+    )
+    # log 2 A / (e^{2 pi d/h} - 1), ea, and ea - log(1 - e^ea); with
+    # (log t)^2 the strip term is divided by 1 - 2 e^ea
+    # (-log(1 - e^-y) and -log(1 - e^ea) are below 2e-13 past y = 30 and below ea = -30)
+    y = _TWO_PI * d / h
+    ea = log_a + _LOG2 - (y - 2e-13 if y > 30.0 else log(expm1(y)))
+    if squared_log:
+        ea += _LOG2
+    factor = (ea + 2e-13 if ea < -30.0 else ea - log(-expm1(ea))) if ea < 0.0 else inf
+    factor -= _LOG2 if squared_log else 0.0
+    return h, k_lo, k_hi, bm1, log_i, tails, (1.25 * fixed + 4.0) * _EPS, 1.25 * _EPS * (amp * grow + 2.5 * _PI), log_j, factor, loss
+def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tuple[list[float], list[float]]:
+    """(log values, log errs) of S(beta; c) = int_1^inf t^{beta-1} (Theta(t) - 1) dt,
+    Theta(t) = prod_g theta(c_g^2 t)^{m_g}, for the sums (orders[j], scales[j],
+    counts[j], tols[j]): ascending group scales, their counts and a
+    tolerance; with squared_log, of d^2 S / d beta^2, weighted by (log t)^2.
 
+    With t = 1 + exp(u - e^{-u}), S = int f du over the real line, f =
+    t^{beta-1} (Theta(t) - 1) t'(u), t'(u) = (t - 1)(1 + e^{-u}), and T_h =
+    h sum_k f(k h).  On the line Im u = y, |y| <= d <= 1.2, zeta = |t - 1| =
+    e^{x - e^{-x} cos y} rises from 0 to infinity in x, Re t >= kappa (1 + zeta)
+    (`_strip_kappa`), |t| <= 1 + zeta, |t'| dx <= dzeta / cos d, |t^{beta-1}|
+    = |t|^{beta-1}, and term by term |Theta(t) - 1| <= Theta(Re t) - 1, which
+    falls in Re t; with rho = kappa (1 + zeta) the line integral of |f| is at
+    most M = A (I + J), A = kappa^{-max(beta, 1)} / cos d, I = S and
+    J = int_kappa^1 rho^{beta-1} (Theta(rho) - 1) drho <= (1 - kappa)
+    max(1, kappa^{beta-1}) (Theta(kappa_0) - 1).  So (Trefethen & Weideman,
+    SIAM Review 56, 2014, Thm 5.1) |S - T_h| <= e_h M, e_h = 2/(e^{2 pi d/h} - 1),
+    and with I <= T + err this is at most e_h A (T + J + rest)/(1 - e_h A).
+    With (log t)^2, |log t|^2 <= (log(1 + zeta) - log kappa)^2 + pi^2/4 makes
+    M = A (2 I2 + (8 l^2 + pi^2/4) I + (4 l^2 + pi^2/4) J), l = -log kappa,
+    with I within the plain sum's err.
 
-def _truncate_rows(scales: np.ndarray, tols: np.ndarray):
-    """`_truncate` of the keys (scales[k], tols[k]) in one `_truncation` array
-    pass per group-count pattern, to be run under raising numpy flags:
-    (patterns, pattern, groups, T0, c, theta_prod, tail) with key k of
-    pattern patterns[pattern[k]], whose group scales lead row k of groups."""
-    groups, counts = _group_rows(scales)
-    rows, pattern = _distinct(counts)
-    patterns = [tuple(count for count in row if count) for row in rows.tolist()]
-    entry = np.empty((4, len(tols)))
-    for p, counts in enumerate(patterns):
-        keys = np.flatnonzero(pattern == p)
-        entry[:, keys] = _truncation(list(groups[keys, : len(counts)].T), counts, tols[keys])
-    return patterns, pattern, groups, *entry
-
-
-# ---------------------------------------------------------------------------
-# The batched kernel-sum engine
-# ---------------------------------------------------------------------------
-
-
-def _job(beta: float, a: tuple[float, ...], tol: float, memo: dict) -> tuple:
-    """The `_job_of` S(beta; a) at tol, truncating (a, tol) into `memo` if
-    it lacks it."""
-    if (a, tol) not in memo:
-        _truncate([(a, tol)], memo)
-    return _job_of(beta, memo[a, tol])
-
-
-def _job_of(beta: float, entry: tuple) -> tuple:
-    """The job of S(beta; a) from the memo entry of (a, tol): order,
-    group-count pattern, group scales, qmax = T/pi and tail bound at
-    T = max(T0, 4|beta|)."""
-    scales, pattern, t0, c, theta_prod, tail = entry
-    big_t = 4.0 * abs(beta)
-    if big_t > t0:
-        return beta, pattern, scales, big_t / math.pi, _tail_bound(big_t, c, theta_prod)
-    return beta, pattern, scales, t0 / math.pi, tail
-
-
-def _check_range(job: tuple) -> None:
-    """Compute the job's term at its smallest lattice value x_min =
-    pi min(scales)^2 as the engine computes it there, under the engine's
-    flags, so that a term past double range raises before any table is
-    built: the gammaincc kernel of that one point times its weight
-    r_count(1) = 2 count.  The enumeration admits x_min when
-    qmax / min(scales)^2 >= 1, and the series, which could take the point
-    instead, only x >= _SERIES_X.  Only `_kernel_sums` calls it, for orders
-    past _SAFE_ORDER: a negative order's kernel is at most e^{-x}/|beta|."""
-    beta, pattern, scales, qmax, _ = job
-    i = scales.index(min(scales))
-    a2 = scales[i] * scales[i]
-    x = a2 * math.pi
-    if qmax / a2 >= 1.0 and x < _SERIES_X:
-        g, _ = _gammaincc_kernel((beta,), np.array([x]), [1])
-        g *= 2.0 * pattern[i]
-
-
-def _jobs(orders: tuple[float, ...], a: tuple[float, ...], tol: float) -> list[tuple]:
-    """Jobs of all orders over a at one T, the largest |order|'s: differences cancel the tail."""
-    _, *shared = _job(max(orders, key=abs), a, tol, {})
-    return [(beta, *shared) for beta in orders]
-
-
-def _kernel_sums(jobs) -> tuple[list[float], list[float]]:
-    """(values, errs) of S(beta; a) for every `_jobs` job, in job order.
-
-    Each job sums over its own truncated lattice, so its results do not
-    depend on the other jobs of the batch; jobs with one group-count pattern
-    share one enumeration and one kernel call per chunk.  Numpy's overflow
-    and invalid-operation flags raise here, as does math.gamma: a sum past
-    double range, through Gamma(beta), x^{-beta}, the terms or their total,
-    raises PrecisionError, and a sum that completes is bit for bit the one
-    computed without the flags.  A job of order past _SAFE_ORDER first passes
-    `_check_range`, so that one whose term at x_min overflows stops the call
-    before its tables are built.
+    The omitted nodes are bounded in `_plan`.  Every term is positive, so
+    rounding is relative, eps (P + R c_0^2 t) per node: u = k h is exact;
+    t is off by at most max(u, 0)/2 + 3 units; log(Theta - 1) moves by at
+    most 3.4 (1 + L) (x_0 + 0.12 (n/m_0 - 1)) per unit of relative error in
+    x, plus 3.6 n + 6.6 n_small if a scale is below 1, and its sums and
+    logs add (G + 8)(1 + L) + 13 n_small; (beta - 1) log t, log t'(u), the
+    shift by the largest log term and the pairwise sums add the rest of P.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for job in jobs:
-                if job[0] > _SAFE_ORDER:
-                    _check_range(job)
-            return _bucket_sums(jobs)
-    except (FloatingPointError, OverflowError) as exc:
-        raise PrecisionError(f"a kernel sum overflows double precision ({exc})") from None
+    keys = list(zip(scales, counts))
+    _key_data(keys)
+    plans = [_plan(beta, tol, _KEYS[key], False) for beta, tol, key in zip(orders, tols, keys)]
+    sizes = [plan[2] - plan[1] + 1 for plan in plans]
+    if sum(sizes) <= _BLOCK and min(sizes) > 0 and not squared_log:
+        found = _evaluate(plans, keys, sizes, None)
+        return [value for value, _ in found], [err for _, err in found]
+    values = [(-inf, plan[4] + 1e-12) for plan in plans]  # no nodes: zero within I+
+    block, size = [], 0
+    for j, plan in enumerate(plans):
+        if sizes[j] > 0:
+            block.append(j)
+            size += sizes[j]
+        if block and (size >= _BLOCK or j == len(plans) - 1):
+            squared = [_plan(orders[i], tols[i], _KEYS[keys[i]], True) for i in block] if squared_log else None
+            found = _evaluate([plans[i] for i in block], [keys[i] for i in block], [sizes[i] for i in block], squared)
+            for i, value in zip(block, found):
+                values[i] = value
+            block, size = [], 0
+    return [value for value, _ in values], [err for _, err in values]
 
 
-def _kernel_allowance(b: float) -> float:
-    """The relative error allowance of the terms of gammaincc order b > 0 in
-    `_gammaincc_kernel`, with their pairwise summation.
+def _evaluate(plans, keys, sizes, squared) -> list[tuple[float, float]]:
+    """(log value, log err) of the sums with these plans, group keys and node
+    counts; with `squared`, their plans for the (log t)^2 weight."""
+    h, _, _, _, _, tails, fixed, _, log_j, factor, loss = np.array(plans).T
+    starts = list(accumulate(sizes, initial=0))
+    at = np.repeat(np.arange(len(plans)), sizes)
+    # per node: k less its index, h, beta - 1 and 1.25 eps R
+    node = np.array([(p[1] - start, p[0], p[3], p[7]) for p, start in zip(plans, starts)])[at]
+    starts = starts[:-1]
+    u = np.arange(len(at), dtype=float)
+    u += node[:, 0]
+    u *= node[:, 1]
+    w = np.exp(-u)
+    v = u - w
+    e = np.exp(v)
+    lt = np.log1p(e)
+    if keys.count(keys[0]) == len(keys):  # one key: its row for every node
+        x = np.multiply.outer(e + 1.0, _KEYS[keys[0]][-1])
+        m = np.array(keys[0][1], dtype=float)
+    else:
+        width = max(len(counts) for _, counts in keys)
+        x = np.array([_KEYS[key][-1] + (_KEYS[key][0],) * (width - len(key[1])) for key in keys], dtype=float)[at]
+        x *= (e + 1.0)[:, None]
+        m = np.array([ct + (0,) * (width - len(ct)) for _, ct in keys], dtype=float)[at]
+    _, lf = _log_theta(x, m)
+    lf += node[:, 2] * lt
+    lf += v
+    lf += np.log1p(w)
+    weight = node[:, 3] * x[:, 0]
+    if squared is not None:
+        log_t0, rnd0 = _node_sums(lf.copy(), starts, at, weight, h, fixed)
+        base0 = np.logaddexp(tails, rnd0)
+        err0 = np.logaddexp(factor + np.logaddexp(np.logaddexp(log_t0, log_j), base0), base0)
+        lf += 2.0 * np.log(lt)
+        _, _, _, _, _, tails, fixed, _, _, factor, _ = np.array(squared).T
+    log_t, rnd = _node_sums(lf, starts, at, weight, h, fixed)
+    base = np.logaddexp(tails, rnd)
+    if squared is None:
+        strip = np.logaddexp(np.logaddexp(log_t, log_j), base)
+    else:
+        strip = np.logaddexp(
+            np.logaddexp(_LOG2 + np.logaddexp(log_t, base), np.log(4.0 * loss**2 + _PI**2 / 4.0) + log_j),
+            np.log(8.0 * loss**2 + _PI**2 / 4.0) + np.logaddexp(log_t0, err0),
+        )
+    return list(zip(log_t.tolist(), np.logaddexp(factor + strip, base).tolist()))
 
-    It is 1.5 times the largest relative error of the kernel against 30-digit
-    mpmath over a sweep of b in (0, 2] by 0.005 (by 0.001 on [0.48, 0.52]),
-    (2, 10] by 0.05 and (10, 170] by 1, at 550 points x in [1e-6, 30], 300 of
-    them on [0.2, 4], where scipy's gammaincc changes method: 9.3e-14 on
-    (0.48, 0.52], from scipy's series just above order 1/2; 1.8e-14 elsewhere
-    on (0, 1.5]; 1.05e-14 on (1.5, 2]; 5.3e-15 on (2, 10]; 9e-15 above.  The
-    margin leaves at least 2.6e-15, 24 units of roundoff, for the summation.
-    Past x = 30 the error grows like x eps, on terms below e^{-30}/30.
-    """
-    if 0.48 < b <= 0.52:
-        return 1.4e-13
-    if b <= 1.5:
-        return 2.7e-14
-    return 1.6e-14 if b <= 2.0 or b > 10.0 else 8e-15
 
-
-def _bucket_sums(jobs) -> tuple[list[float], list[float]]:
-    values, errs = [0.0] * len(jobs), [0.0] * len(jobs)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, job in enumerate(jobs):
-        buckets.setdefault(job[1], []).append(i)
-    for pattern, members in buckets.items():
-        # x = pi Q is rounded: a^2, m a^2, the level sums (the first adds 0)
-        # and the product by fl(pi) put it within (G + 3) u relative for G
-        # groups, u = eps/2, and as x d/dx log g = -beta - e^{-x}/g a term
-        # moves by up to (|beta| + x + 1) times that.  delta (|beta| + 1),
-        # delta = (G + 3) eps, covers the points x <= |beta| + 1, which carry
-        # a large order's mass; at small orders the kernel allowance takes x
-        delta = (len(pattern) + 3) * _EPS
-        scales = np.array([jobs[i][2] for i in members]).T
-        qmax = np.array([jobs[i][3] for i in members])
-        for q, w, first, counts in _enumerate(pattern, scales, qmax):
-            starts = np.cumsum(counts) - counts
-            # the origin's term is zero: it keeps every segment nonempty
-            q[starts] = 1.0
-            w[starts] = 0.0
-            chunk = members[first : first + len(counts)]
-            orders = [jobs[i][0] for i in chunk]
-            # a job with enough points of its own plans its series from its
-            # order, weight sum (exact: the weights are integers) and tail
-            # alone, whatever the batch; the budget of a 32nd of the tail
-            # grows its err by at most that much
-            plans = series = None
-            if len(q) >= _SERIES_POINTS and counts.max() >= _SERIES_POINTS:
-                weights = np.add.reduceat(w, starts).tolist()
-                plans = [
-                    _series_plan(jobs[i][0], weight, jobs[i][4] / 32.0) if size >= _SERIES_POINTS else None
-                    for i, weight, size in zip(chunk, weights, counts.tolist())
-                ]
-                series = [plan and plan[0] for plan in plans]
-            q *= math.pi
-            terms, mag = _g_kernel(orders, q, counts, series)
-            terms *= w
-            mags = None if mag is None else np.add.reduceat(mag * w, starts).tolist()
-            del q, w, mag
-            sums = np.add.reduceat(terms, starts).tolist()
-            # terms of a positive order are nonnegative: there the sum is the mass
-            mass = sums if min(orders) > 0 else np.add.reduceat(np.abs(terms), starts).tolist()
-            for i, beta, total, m, big in zip(chunk, orders, sums, mass, mags or mass):
-                values[i] = total
-                # terms share one sign except far outside the critical strip, so
-                # the kernel's relative error and pairwise summation cost a few
-                # ulps of the mass: `_kernel_allowance` at the gammaincc order,
-                # which a shifted order pays on its magnitudes with 5e-15 for
-                # each of its k steps; E_{m+1} pays 4 x 5e-15
-                if beta > 0:
-                    rounding = _kernel_allowance(beta)
-                elif beta == round(beta):
-                    rounding = 2e-14
-                else:
-                    steps = math.floor(-beta) + 1.0
-                    rounding = _kernel_allowance(beta + steps) + 5e-15 * steps
-                    m = big
-                errs[i] = jobs[i][4] + (rounding + delta * (abs(beta) + 1.0)) * m
-            for i, plan in zip(chunk, plans or ()):
-                if plan is not None:
-                    errs[i] += plan[1]  # the series remainder and rounding
-    return values, errs
+def _node_sums(lf, starts, at, weight, h, fixed):
+    """(log T, log rounding) per sum from the nodes' log terms lf, which it
+    spends, and their rounding weights: T = h sum e^lf, and the rounding
+    h sum e^lf weight + T (fixed + eps |log T|)."""
+    top = np.maximum.reduceat(lf, starts)
+    lf -= top[at]
+    f = np.exp(lf, out=lf)
+    total = np.add.reduceat(f, starts)
+    f *= weight
+    rounding = np.add.reduceat(f, starts)
+    log_t = np.log(h * total)
+    log_t += top
+    rounding += (np.abs(log_t) * _EPS + fixed) * total
+    return log_t, top + np.log(h * rounding)
 
 
 # ---------------------------------------------------------------------------
-# Kernel sums and the public operations
+# The public operations
 # ---------------------------------------------------------------------------
-
-# order step of the second difference in gamma_kernel_sum_d2
-_D2_STEP = 1e-3
 
 
 def gamma_kernel_sum_d2(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
-    """d^2 S(beta; a) / d beta^2, a central difference of step h = _D2_STEP in the order.
-
-    The three orders share one lattice, so the truncation tails cancel to
-    first order instead of being amplified by 1/h^2.  The second
-    derivative equals the log^2-weighted kernel sum
-    sum_k integral_1^inf t^{beta-1} (log t)^2 exp(-pi Q(k) t) dt.
-    """
-    sv = ScaleVector.ensure(scales)
-    h = _D2_STEP
-    orders = (float(beta), float(beta + h), float(beta - h))
-    (f0, fp, fm), (e0, _, _) = _kernel_sums(_jobs(orders, sv.a, cfg.tol / 4.0))
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    # residual tail after cancellation, roundoff amplified by 1/h^2, and
-    # the h^2 truncation of the difference quotient
-    err = (
-        e0
-        + 4.0 * _EPS * (abs(fp) + 2.0 * abs(f0) + abs(fm)) / (h * h)
-        + 0.2 * h * h * abs(d2)
-    )
-    return Approximation(d2, err)
+    """d^2 S(beta; a) / d beta^2 = integral_1^inf t^{beta-1} (log t)^2 (Theta(t) - 1) dt,
+    by the rule of `_theta_sums` at tol/4, with its strip bound carried by a
+    bound on |log t|^2 in the strip."""
+    (group_scales, counts), _, _ = _scale_data(ScaleVector.ensure(scales).ascending)
+    [value], [err] = _theta_sums([float(beta)], [group_scales], [counts], [cfg.tol / 4.0], squared_log=True)
+    value, err = _scaled(value, err, 0.0)
+    if not err < math.inf:
+        raise PrecisionError(f"the second derivative of S at order {beta} overflows double precision")
+    return Approximation(value, err)
 
 
 def _check_not_pole(n: int, s: float) -> None:
@@ -781,13 +436,13 @@ def _check_not_pole(n: int, s: float) -> None:
         raise PoleError(f"s={s} is inside the guard band around a pole of Xi_{n}")
 
 
-def _reflected_err(n: int, s, value, err, x_min, ops: _Ops = _FLOAT_OPS):
-    """The err of S(n/2 - s; 1/a) = value +- err plus the rounding of its order,
-    on floats or, with `_ARRAY_OPS`, on columns of the same bits.
+def _reflected_err(n: int, s: float, value: float, err: float, x_min: float) -> float:
+    """The err of S(n/2 - s; 1/a) = value +- err plus the rounding of its order.
 
     The order beta = fl(n/2 - s) is off by dbeta, recovered exactly by TwoSum.
-    dS/dbeta sums dg/dbeta = integral_1^inf t^{beta-1} log t e^{-xt} dt > 0; by
-    Jensen, dg/dbeta <= g log(g(beta+1, x) / g(beta, x)) <= g log(1 + max(beta, 1)/x),
+    dS/dbeta sums dg/dbeta = integral_1^inf t^{beta-1} log t e^{-xt} dt > 0 over
+    the lattice values x = pi Q(k); by Jensen,
+    dg/dbeta <= g log(g(beta+1, x) / g(beta, x)) <= g log(1 + max(beta, 1)/x),
     so |dS/dbeta| <= (value + err) log(1 + max(beta, 1)/x_min) with x_min =
     pi min(1/a)^2 the smallest lattice value.  At strong anisotropy the factor
     log(1/x_min) amplifies the half-ulp of dbeta well past the roundoff allowance.
@@ -795,45 +450,53 @@ def _reflected_err(n: int, s, value, err, x_min, ops: _Ops = _FLOAT_OPS):
     half = n / 2.0
     beta = half - s
     dbeta = (half - (beta - (beta - half))) + (-s - (beta - half))
-    return err + abs(dbeta) * ((abs(value) + err) * ops.log1p(ops.high(beta, 1.0) / x_min))
+    return err + abs(dbeta) * ((abs(value) + err) * math.log1p(max(beta, 1.0) / x_min))
 
 
-# an engine call with fewer nodes takes the float form, node by node: the
-# array form's fixed cost is more than its savings there
-_VECTOR_KEYS = 16
+def _groups(asc: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The distinct scales of an ascending scale tuple and their counts."""
+    scales = tuple(dict.fromkeys(asc))
+    return scales, (1,) * len(asc) if len(scales) == len(asc) else tuple(map(asc.count, scales))
 
 
-def _kernel_parts(n: int, s, a, cfg: EvalConfig, memo: dict | None = None) -> tuple:
+@lru_cache(maxsize=1 << 12)
+def _scale_data(asc: tuple[float, ...]) -> tuple:
+    """The groups of the ascending scales and of their reciprocals, and x_min
+    of `_reflected_err`; PrecisionError if a scale or a reciprocal squared
+    leaves double range."""
+    inv = tuple(1.0 / y for y in reversed(asc))
+    for what, y in (("scale", asc[-1]), ("reciprocal scale", inv[-1])):
+        if not y * y < math.inf:
+            raise PrecisionError(f"the {what} {y} squared overflows double precision")
+    return _groups(asc), _groups(inv), _smallest_value(inv[0])
+
+
+def _scaled(log_value: float, log_err: float, shift: float) -> tuple[float, float]:
+    """(e^{log_value + shift}, its err): e^{log_err + shift} plus the rounding
+    of the exponent and of log V in shift; inf past double range."""
+    try:
+        value = math.exp(log_value + shift)
+        err = math.exp(log_err + shift)
+    except OverflowError:
+        return math.inf, math.inf
+    if value == 0.0:  # a sum whose every node lies past the cap
+        return value, err
+    return value, err + _EPS * (abs(log_value + shift) + abs(shift) + 2.0) * value
+
+
+def _kernel_parts(n: int, s, a, cfg: EvalConfig) -> tuple:
     """(s_rows, a_rows, parts, at) for the nodes (n, s[i], a[i]) of one
-    dimension in one engine call, finite at s = 0 (the E_1 kernel) and n/2.
-
-    A job sees the scales only through their groups, and V is a product over
-    the sorted scales, so the nodes are evaluated once per distinct row
-    (s, sorted scales): s_rows and a_rows hold the rows, parts[r] = (V,
-    V S(s; a), S(n/2 - s; 1/a) / V, err) is row r's, and at[i] is node i's row.
-    S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) tol V/8, so that their
-    V-weighted errors meet tol.  The scales a[i] are sequences, ScaleVectors
-    or the rows of an (N, n) array.
-
-    With fewer than `_VECTOR_KEYS` nodes the float form keys each node on
-    (s, sorted scales) and keeps in `memo` per sorted scale vector its
-    reciprocals and x_min, and per (sorted scales or their reciprocals, tol)
-    the groups and truncation; a caller of many such calls, such as the sign
-    certificates of `analysis`, may pass one memo to all of them.  Larger
-    calls take the array form, `_row_parts`, which gives every row the same
-    bits.
-    """
-    if len(s) >= _VECTOR_KEYS:
-        return _row_parts(n, s, a, cfg)
-    memo = {} if memo is None else memo
+    dimension in one engine call, finite at s = 0 and n/2: the distinct rows
+    (s, sorted scales), row r's parts (V, V S(s; a), S(n/2 - s; 1/a) / V, err)
+    and node i's row.  S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) tol V/8, so
+    that their V-weighted errors meet tol.  The scales a[i] are sequences,
+    ScaleVectors or the rows of an (N, n) array.  A volume past double range,
+    or a scale or reciprocal whose square is, raises PrecisionError per node."""
     s = s.tolist() if isinstance(s, np.ndarray) else s
-    a = a.tolist() if isinstance(a, np.ndarray) else a
-    orders, keys, rows, at = [], [], [], []
-    s_rows, a_rows = [], []
+    orders, scales, counts, tols = [], [], [], []
+    rows, s_rows, a_rows, at = [], [], [], []
     first: dict[tuple, int] = {}  # (s, sorted scales) -> its row
-    for x, scales in zip(s, a):
-        sv = ScaleVector.ensure(scales)
-        asc, v = sv.ascending, sv.V
+    for x, asc in zip(s, _ascending(n, a)):
         if len(asc) != n:
             raise DomainError(f"expected {n} scales, got {len(asc)}")
         x = float(x)
@@ -841,105 +504,46 @@ def _kernel_parts(n: int, s, a, cfg: EvalConfig, memo: dict | None = None) -> tu
             raise DomainError(f"s must be finite, got {x}")
         row = first.setdefault((x, asc), len(rows))
         if row == len(rows):
+            v = math.sqrt(math.prod(asc))  # as ScaleVector takes it
             if not 0.0 < v < math.inf:
                 raise PrecisionError(f"the volume of the scales {asc} leaves double range")
-            recip = memo.get(asc)
-            if recip is None:
-                inv = tuple(1.0 / y for y in asc)
-                recip = memo[asc] = inv, _smallest_value(min(inv))
+            (g1, m1), (g2, m2), x_min = _scale_data(asc)
             orders += [x, n / 2.0 - x]
-            keys += [(asc, cfg.tol * (0.5 / v) / 4.0), (recip[0], cfg.tol * (0.5 * v) / 4.0)]
-            rows.append((v, recip[1]))
+            scales += [g1, g2]
+            counts += [m1, m2]
+            tols += [cfg.tol * (0.5 / v) / 4.0, cfg.tol * (0.5 * v) / 4.0]
+            rows.append((v, x_min))
             s_rows.append(x)
             a_rows.append(asc)
         at.append(row)
-    missing = [key for key in keys if key not in memo]
-    if missing:
-        _truncate(missing, memo)
-    values, errs = _kernel_sums([_job_of(beta, memo[key]) for beta, key in zip(orders, keys)])
-    sums = iter(zip(values, errs))
-    parts = [
-        (v, v * v1, v2 / v, v * e1 + _reflected_err(n, x, v2, e2, x_min) / v)
-        for x, (v, x_min), (v1, e1), (v2, e2) in zip(s_rows, rows, sums, sums)
-    ]
+    values, errs = _theta_sums(orders, scales, counts, tols)
+    parts = []
+    for r, (x, (v, x_min)) in enumerate(zip(s_rows, rows)):
+        shift = math.log(v)
+        k1, e1 = _scaled(values[2 * r], errs[2 * r], shift)
+        k2, e2 = _scaled(values[2 * r + 1], errs[2 * r + 1], -shift)
+        parts.append((v, k1, k2, e1 + _reflected_err(n, x, k2, e2, x_min)))
     return s_rows, a_rows, parts, at
 
 
-def _smallest_value(inv_min: float) -> float:
-    """x_min = pi min(1/a)^2, the smallest lattice value of the reciprocal
-    sum, squared by float pow in both forms: numpy's square may part from it
-    by an ulp."""
-    try:
-        return math.pi * inv_min**2
-    except OverflowError:
-        raise PrecisionError(f"the reciprocal scale {inv_min} squared leaves double range") from None
-
-
-def _row_parts(n: int, s, a, cfg: EvalConfig) -> tuple:
-    """`_kernel_parts` on arrays: one row per distinct (s, sorted scales) by
-    `_distinct`, V as a column-by-column product (the sequential product over
-    the ascending scales of math.prod), reciprocals, x_min and tols by the
-    float form's IEEE operations, and one `_truncate_rows` pass over the
-    distinct truncation keys."""
-    s = np.asarray(s, dtype=float).reshape(-1)
+def _ascending(n: int, a):
+    """The ascending scales of each node: a holds sequences, ScaleVectors or
+    the rows of an (N, n) array, which is checked and sorted as a whole."""
     if not isinstance(a, np.ndarray):
-        a = [x.a if isinstance(x, ScaleVector) else x for x in a]
-        for x in a:
-            if len(x) != n:
-                raise DomainError(f"expected {n} scales, got {len(x)}")
-    a = np.asarray(a, dtype=float).reshape(len(s), -1)
+        return (ScaleVector.ensure(vector).ascending for vector in a)
+    a = np.asarray(a, dtype=float).reshape(len(a), -1)
     if a.shape[1] != n or n == 0:
         raise DomainError(f"expected {n} scales, got {a.shape[1]}")
     bad = ~((a > 0.0) & (a < math.inf)).all(axis=1)
     if bad.any():
         raise DomainError(f"all scales must be positive finite reals, got {tuple(a[bad][0].tolist())}")
-    if not np.isfinite(s).all():
-        raise DomainError(f"s must be finite, got {s[~np.isfinite(s)][0]}")
-    rows, at = _distinct(np.column_stack((s, np.sort(a, axis=1))))
-    s_rows, a_rows = rows[:, 0], rows[:, 1:]
-    v = a_rows[:, 0]
-    with np.errstate(over="ignore", under="ignore"):
-        for k in range(1, n):
-            v = v * a_rows[:, k]
-    v = np.sqrt(v)
-    bad = ~((v > 0.0) & (v < math.inf))
-    if bad.any():
-        raise PrecisionError(f"the volume of the scales {tuple(a_rows[bad][0].tolist())} leaves double range")
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            # the reciprocals in ascending order, so that unit scales and
-            # their reciprocals share one key
-            recip = 1.0 / a_rows[:, ::-1]
-            x_min = np.fromiter(map(_smallest_value, recip[:, 0].tolist()), float, len(v))
-            keys = np.concatenate((
-                np.column_stack((a_rows, cfg.tol * (0.5 / v) / 4.0)),
-                np.column_stack((recip, cfg.tol * (0.5 * v) / 4.0)),
-            ))
-            keys, key_at = _distinct(keys)
-            patterns, pattern, groups, t0, c, theta_prod, tail = _truncate_rows(keys[:, :-1], keys[:, -1])
-    except ArithmeticError as exc:
-        raise PrecisionError(f"a truncation threshold overflows double precision ({exc})") from None
-    # the jobs S(s; a) of every row, then S(n/2 - s; 1/a), as `_job_of` makes them
-    orders = np.concatenate((s_rows, n / 2.0 - s_rows))
-    t0, c, theta_prod, tail = t0[key_at], c[key_at], theta_prod[key_at], tail[key_at]
-    big_t = 4.0 * np.abs(orders)
-    over = big_t > t0
-    qmax = np.where(over, big_t, t0) / math.pi
-    tail[over] = _tail_bound(big_t[over], c[over], theta_prod[over], _ARRAY_OPS)
-    counts = [patterns[p] for p in pattern.tolist()]
-    scales = [tuple(row[: len(k)]) for row, k in zip(groups.tolist(), counts)]
-    values, errs = _kernel_sums([
-        (beta, counts[k], scales[k], q, t)
-        for beta, k, q, t in zip(orders.tolist(), key_at.tolist(), qmax.tolist(), tail.tolist())
-    ])
-    values, errs = np.array(values), np.array(errs)
-    r = len(v)
-    # inf and nan pass on to `_xi_value`, as in float arithmetic
-    with np.errstate(all="ignore"):
-        k1, k2 = v * values[:r], values[r:] / v
-        kerr = v * errs[:r] + _reflected_err(n, s_rows, values[r:], errs[r:], x_min, _ARRAY_OPS) / v
-    parts = list(zip(v.tolist(), k1.tolist(), k2.tolist(), kerr.tolist()))
-    return s_rows.tolist(), a_rows, parts, at.tolist()
+    return map(tuple, np.sort(a, axis=1).tolist())
+
+
+def _smallest_value(inv_min: float) -> float:
+    """x_min = pi min(1/a)^2, the smallest lattice value of the reciprocal sum;
+    `_scale_data` checks that the largest reciprocal squared is finite."""
+    return math.pi * inv_min**2
 
 
 def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:
@@ -1017,10 +621,18 @@ def _z_from_xi(value_xi: XiValue, volume: float) -> Approximation:
     s = value_xi.s
     if s < 0 and s == round(s):
         return Approximation(0.0, 0.0)
-    factor = volume * math.pi ** (-s) * math.gamma(s)
-    value = value_xi.value / factor
-    err = value_xi.err / abs(factor) + 4.0 * _EPS * abs(value)
-    return Approximation(value, err)
+    try:
+        factor = volume * math.pi ** (-s) * math.gamma(s)
+    except OverflowError:
+        factor = math.inf
+    if 0.0 < abs(factor) < math.inf:
+        value = value_xi.value / factor
+        return Approximation(value, value_xi.err / abs(factor) + 4.0 * _EPS * abs(value))
+    # the factor past double range: divide in logs; Gamma(s) < 0 where floor(s) is odd
+    log_factor = math.log(volume) - s * math.log(math.pi) + math.lgamma(s)
+    scale = math.exp(-log_factor) * (-1.0 if math.floor(s) % 2 else 1.0)
+    value = value_xi.value * scale
+    return Approximation(value, value_xi.err * abs(scale) + 8.0 * _EPS * (abs(log_factor) + 4.0) * abs(value))
 
 
 def hat_xi(n: int, s_hat: float, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:

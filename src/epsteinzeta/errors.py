@@ -18,7 +18,7 @@ class NotGenericError(ValueError):
 
 
 class PrecisionError(RuntimeError):
-    """Requested tolerance not reachable within configured truncation limits.
+    """A result or its error bound past double range, or a tolerance out of reach.
 
     Carries the error bound that was actually achieved in ``achieved``.
     """

@@ -6,8 +6,9 @@ integration-by-parts partial sum behind the closed-form bounds of the sign
 certificates on the upper incomplete gamma function Gamma(beta, x), and the
 modified Bessel function K_nu(z) over a float or an array of z, by one
 trapezoidal rule for every z > 0 whose error bound comes from the strip of
-analyticity of its integrand.  Gamma(beta, x) itself is evaluated by the
-lattice engine through scipy (epstein._g_kernel).
+analyticity of its integrand.  The engine (epstein._theta_sums) applies the
+same kind of rule to the theta integrals of Xi, so no incomplete gamma
+function is evaluated.
 
 theta, riemann_zeta and bessel_k return an :class:`Approximation` (bessel_k on
 an array: arrays of values and errors): a double precision value paired with
@@ -37,7 +38,7 @@ __all__ = [
 
 _EPS = 2.2204460492503131e-16
 # Keep theta-series errors close to roundoff so downstream error budgets are
-# dominated by lattice tails.
+# dominated by the tolerances of the evaluations that use them.
 _SERIES_FLOOR = 1e-17
 # riemann_zeta(s) for -1e-6 < s < 0 is zeta(0) + s zeta'(0), within 1.01 s^2;
 # the functional equation's err there grows like 4e-17/|s| (4e-11 at -1e-6)

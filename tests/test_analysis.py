@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from epsteinzeta import (
@@ -66,30 +65,27 @@ TABLE1_GAMMA_HEX = [
 ]
 
 
-def test_sign_certificate_truncates_once_per_scales_and_tol(monkeypatch):
-    # one memo serves every engine call of a certificate run, so the
-    # truncation of the unit scales is computed once per tol reached
+def test_sign_certificate_plans_its_key_once(monkeypatch):
+    # the planning data of the unit scales is computed once and serves
+    # every engine call of every certificate run, at every tol
     from epsteinzeta import epstein
 
-    keys = []
-    real = epstein._truncation
+    planned = []
+    real = epstein._log_theta
 
-    def counted(scales, counts, tol):
-        columns = [np.ravel(x).tolist() for x in (*scales, tol)]
-        keys.extend((counts, *key) for key in zip(*columns))
-        return real(scales, counts, tol)
+    def counted(x, m):
+        if x.ndim == 3:
+            planned.append(x.shape)
+        return real(x, m)
 
-    monkeypatch.setattr(epstein, "_truncation", counted)
-    gammas = []
-    for n in range(10, 22):
-        start = len(keys)
-        gammas.append(find_positive_interval(n).gamma.hex())
-        assert len(keys) - start == len(set(keys[start:]))
+    monkeypatch.setattr(epstein, "_log_theta", counted)
+    epstein._KEYS.clear()
+    gammas = [find_positive_interval(n).gamma.hex() for n in range(10, 22)]
     assert gammas == TABLE1_GAMMA_HEX
-    # at tol 1e-3 the ends are refined to tighter tols, one key each
-    keys.clear()
+    # one key per dimension
+    assert len(planned) == 12
     find_positive_interval(10, EvalConfig(tol=1e-3))
-    assert len(keys) == len(set(keys)) > 1
+    assert len(planned) == 12
 
 
 def test_interval_whose_bracket_reaches_zero_is_an_error():

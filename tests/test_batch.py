@@ -1,6 +1,6 @@
-"""The batched lattice engine: a node's value and err do not depend on the
-batch it is evaluated in, and the per-node reductions keep their rounding
-allowance."""
+"""The batched theta-integral rule: a node's value and err do not depend on
+the batch it is evaluated in, nor on the evaluation blocks of the batch, and
+the per-sum reductions stay within their err."""
 
 import math
 
@@ -18,35 +18,27 @@ from epsteinzeta import (
     xi_many,
 )
 from epsteinzeta import epstein
-from epsteinzeta.epstein import (
-    _enumerate,
-    _g_kernel,
-    _group_scales,
-    _job,
-    _jobs,
-    _kernel_sums,
-)
+from epsteinzeta.epstein import _groups, _theta_sums
 from epsteinzeta.specfun import riemann_zeta
 
 # repeated values make mixed group patterns such as (1, 2) or (1, 1, 3)
 _SCALES = (1.0, 0.5, 2.0, 0.8, 1.25, 0.7)
-# pi * 1024^2 lies far above any threshold T, so S(0.3; 1024) has no points
+# pi * 1024^2 t lies past the rule's cap from t = 1 on, so S(0.3; 1024) is
+# zero within its bound
 _EMPTY = (1, 0.3, (1024.0,))
 
 
 def _regular(n: int, s: float) -> bool:
-    """Off the poles, and neither order within 1e-6 of a nonpositive integer."""
-    if abs(s) < 1e-3 or abs(s - n / 2.0) < 1e-3:
-        return False
-    return all(b > 0 or abs(b - round(b)) > 1e-6 for b in (s, n / 2.0 - s))
+    """Off the poles."""
+    return abs(s) >= 1e-3 and abs(s - n / 2.0) >= 1e-3
 
 
 @st.composite
 def nodes(draw):
     n = draw(st.integers(1, 6))
     a = tuple(draw(st.lists(st.sampled_from(_SCALES), min_size=n, max_size=n)))
-    # s < 0 and s > n/2 give orders beta <= 0; the integers -1 and n/2 + 1
-    # give the order -1 itself, whose kernel is E_2
+    # s < 0 and s > n/2 give orders beta <= 0, the integers -1 and n/2 + 1
+    # the order -1 itself
     s = draw(
         st.one_of(
             st.floats(-1.5, n / 2.0 + 1.5).filter(lambda s: _regular(n, s)),
@@ -64,20 +56,20 @@ def _pair(v):
 @given(
     st.lists(nodes(), min_size=1, max_size=12),
     st.randoms(use_true_random=False),
-    st.sampled_from((1, epstein._VECTOR_KEYS)),
+    st.sampled_from((1, epstein._BLOCK)),
 )
 def test_node_bit_identical_alone_and_in_any_batch(batch, rnd, gate):
-    # at gate 1 every batch takes the array form, and at the default gate
-    # these batches, split by dimension, mostly take the float form, as a node
-    # alone does.  Repeated nodes and nodes with permuted scales share their
-    # parts with the first of them
+    # at gate 1 every sum is a block of its own, and at the default gate
+    # these batches, split by dimension, are one block each, as a node alone
+    # is.  Repeated nodes and nodes with permuted scales share their parts
+    # with the first of them
     repeats = [rnd.choice(batch) for _ in range(3)]
     permuted = [(n, s, tuple(rnd.sample(a, n))) for n, s, a in repeats]
     batch = batch + repeats + permuted + [_EMPTY]
     rnd.shuffle(batch)
     alone = [_pair(xi(*node)) for node in batch]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(epstein, "_VECTOR_KEYS", gate)
+        mp.setattr(epstein, "_BLOCK", gate)
         assert [_pair(v) for v in xi_many(batch)] == alone
         order = list(range(len(batch)))
         rnd.shuffle(order)
@@ -89,16 +81,24 @@ def test_chunk_cuts_leave_results_bit_identical(monkeypatch):
     chart = kratio_chart(3)
     batch = [(3, 0.7, chart.scales([x, y])) for x in (-1.5, 0.0, 0.8) for y in (-0.4, 0.0, 1.9)]
     whole = [_pair(v) for v in xi_many(batch)]
-    # a budget below every lattice: each job is a chunk of its own
-    monkeypatch.setattr(epstein, "_CHUNK_POINTS", 50)
+    # a block below every sum: each sum is evaluated in a block of its own
+    monkeypatch.setattr(epstein, "_BLOCK", 5)
     assert [_pair(v) for v in xi_many(batch)] == whole
 
 
+def _rule(beta, a, tol):
+    """S(beta; a) and its err by the rule, alone."""
+    group_scales, counts = _groups(tuple(sorted(a)))
+    [value], [err] = _theta_sums([beta], [group_scales], [counts], [tol])
+    return math.exp(value), math.exp(err)
+
+
 def test_empty_lattice_sums_to_zero():
-    assert _kernel_sums([_job(0.3, (1024.0,), EvalConfig().tol / 4.0, {})])[0] == [0.0]
-    # followed in its bucket by a nonempty job, whose first term it must not take
-    values, _ = _kernel_sums(_jobs((0.3,), (1024.0,), 1e-10) + _jobs((0.3,), (1.0,), 1e-10))
-    assert values == [0.0, _kernel_sums([_job(0.3, (1.0,), 4e-10 / 4.0, {})])[0][0]]
+    # every node of S(0.3; 1024) lies past the cap: the sum is zero, with
+    # the bound on it as err, alone and followed by a sum with nodes
+    assert _rule(0.3, (1024.0,), EvalConfig().tol / 4.0)[0] == 0.0
+    values, _ = _theta_sums([0.3, 0.3], [(1024.0,), (1.0,)], [(1,), (1,)], [1e-10, 1e-10])
+    assert values == [-math.inf, math.log(_rule(0.3, (1.0,), 1e-10)[0])]
     # Xi_1(s; a) = V pi^-s Gamma(s) 2 zeta(2s) a^-2s with V = sqrt(a)
     n, s, (a,) = _EMPTY
     v = xi(n, s, (a,))
@@ -108,85 +108,40 @@ def test_empty_lattice_sums_to_zero():
 
 
 def test_reduction_within_rounding_allowance_on_large_lattice():
-    # the engine's pairwise per-segment sums against exactly rounded sums of
-    # the same terms, on a lattice of over 1e5 points, for two orders on one
-    # shared lattice in a bucket with a small job
-    orders = (0.7, -0.4)
-    big = _jobs(orders, (0.03, 0.04, 0.05), 1e-10)
-    values, _ = _kernel_sums(_jobs((1.1,), (1.0, 2.0, 0.5), 1e-10) + big)
-    _, pattern, scales, qmax, _ = big[0]
-    [(q, w, _, counts)] = list(_enumerate(pattern, np.array([[x] for x in scales]), np.array([qmax])))
-    assert counts[0] >= 100_000
-    x, w = math.pi * q[1:], w[1:]  # the origin carries no term
-    for value, beta in zip(values[1:], orders):
-        terms = w * _g_kernel([beta], x, [x.size])[0]
-        assert abs(value - math.fsum(terms)) <= 5e-15 * math.fsum(np.abs(terms))
-
-
-def test_difference_orders_share_one_lattice():
-    # the orders of a second difference share T, hence qmax and the tail
-    # bound, so the difference quotient cancels their truncation
-    b, h = 2.25, 1e-3
-    jobs = _jobs((b, b + h, b - h), (1.0,) * 9, 1e-10)
-    assert [job[0] for job in jobs] == [b, b + h, b - h]
-    assert len({job[1:] for job in jobs}) == 1
-
-
-def test_one_enumeration_per_bucket(monkeypatch):
-    calls = []
-    real = epstein._enumerate
-
-    def counted(pattern, scales, qmax):
-        calls.append(pattern)
-        return real(pattern, scales, qmax)
-
-    monkeypatch.setattr(epstein, "_enumerate", counted)
-    xi(10, 2.5, ScaleVector.unit(10))
-    xi(10, 2.5, kratio_chart(10, 2).scales([0.3, -0.6]))
-    # a and 1/a share a pattern, so one xi enumerates once
-    assert calls == [(10,), (1, 1, 8)]
-    calls.clear()
-    chart = kratio_chart(3)
-    grid = scan(3, 0.7, chart, [(-1.0, 1.0)] * 2, [5, 5])
-    assert not (grid.labels == 0).any()  # no refinement pass
-    patterns = {
-        tuple(count for _, count in _group_scales(chart.scales([x, y]).a))
-        for x in grid.axes()[0]
-        for y in grid.axes()[1]
-    }
-    assert sorted(calls) == sorted(patterns)
-
-
-def test_unit_scale_grid_makes_one_truncation(monkeypatch):
-    calls = []
-    real = epstein._truncation
-
-    def counted(scales, counts, tol):
-        calls.extend(np.ravel(tol).tolist())  # one tol per key
-        return real(scales, counts, tol)
-
-    monkeypatch.setattr(epstein, "_truncation", counted)
-    nodes = [(10, float(s), ScaleVector.unit(10)) for s in np.linspace(0.02, 4.98, 200)]
-    values = [_pair(v) for v in xi_many(nodes)]
-    # at V = 1 the unit scales and their reciprocals share one (scales, tol)
-    assert len(calls) == 1
-    assert values == [_pair(xi(*node)) for node in nodes]
-    assert len(calls) == 1 + len(nodes)
+    # small scales make the lattice sum long and the rule's sums wide: the
+    # per-sum pairwise reductions against exactly rounded sums of the same
+    # node terms, recomputed here, for two orders next to a small sum in
+    # one block, are within the err
+    a = (0.03, 0.04, 0.05)
+    key = _groups(a)
+    orders = [1.1, 0.7, -0.4]
+    values, errs = _theta_sums(orders, [(0.5, 1.0, 2.0), *[key[0]] * 2], [(1, 1, 1), *[key[1]] * 2], [1e-10] * 3)
+    for value, err, beta in zip(values[1:], errs[1:], orders[1:]):
+        h, k_lo, k_hi = epstein._plan(beta, 1e-10, epstein._KEYS[key], False)[:3]
+        assert k_hi - k_lo > 60
+        u = np.arange(k_lo, k_hi + 1) * h
+        w = np.exp(-u)
+        e = np.exp(u - w)
+        x = np.array([c * c for c in key[0]]) * (1.0 + e)[:, None]
+        _, lf = epstein._log_theta(x, np.array([key[1]], dtype=float))
+        lf += (beta - 1.0) * np.log1p(e) + (u - w) + np.log1p(w)
+        exact = h * math.fsum(np.exp(lf).tolist())
+        assert abs(math.exp(value) - exact) <= math.exp(err)
 
 
 def test_symmetric_chart_evaluates_each_distinct_node_once(monkeypatch):
     jobs = []
-    real = epstein._kernel_sums
+    real = epstein._theta_sums
 
-    def counted(batch):
-        jobs.extend(batch)
-        return real(batch)
+    def counted(orders, *rest, **kw):
+        jobs.extend(orders)
+        return real(orders, *rest, **kw)
 
-    monkeypatch.setattr(epstein, "_kernel_sums", counted)
+    monkeypatch.setattr(epstein, "_theta_sums", counted)
     chart = kratio_chart(3)
     grid = scan(3, 0.7, chart, [(-2.0, 2.0)] * 2, [41, 41])
     # of the 1681 nodes, 760 are distinct as sorted scale vectors: mirror
-    # nodes share their two jobs, and so their bits
+    # nodes share their two sums, and so their bits
     distinct = {tuple(sorted(chart.scales([x, y]).a)) for x in grid.axes()[0] for y in grid.axes()[1]}
     assert len(distinct) == 760
     assert len(jobs) <= 2 * len(distinct)
@@ -194,80 +149,51 @@ def test_symmetric_chart_evaluates_each_distinct_node_once(monkeypatch):
         assert np.array_equal(field, field.T)
 
 
-def _patterns(n: int, least: int = 1):
-    """Every group-count pattern of n axes, counts ascending."""
-    if n == 0:
-        yield ()
-    for count in range(least, n + 1):
-        for rest in _patterns(n - count, count):
-            yield (count, *rest)
-
-
-def test_group_rows_equal_group_scales():
+def test_groups_are_runs_of_equal_scales():
     # repeated draws from a few values make every mix of group counts
     rng = np.random.default_rng(12)
     for n in range(1, 13):
-        a = rng.choice(rng.uniform(0.1, 3.0, 4), size=(200, n))
-        scales, counts = epstein._group_rows(a)
-        for row, row_scales, row_counts in zip(a, scales.tolist(), counts.tolist()):
-            groups = _group_scales(tuple(row.tolist()))
-            assert list(zip(row_scales, row_counts))[: len(groups)] == groups
-            assert not any(row_counts[len(groups) :])
+        for row in rng.choice(rng.uniform(0.1, 3.0, 4), size=(200, n)).tolist():
+            asc = tuple(sorted(row))
+            scales, counts = _groups(asc)
+            assert list(scales) == sorted(set(row)) and sum(counts) == n
+            assert [asc.count(x) for x in scales] == list(counts)
 
 
-def _doubling_key(scales, counts):
-    """The tol at which the tail bound at T = 8 meets tol in floating point,
-    where the threshold of three contraction steps misses tol and doubles."""
-    tol = 1e-3
-    for _ in range(40):
-        _, c, theta_prod, _ = epstein._truncation(scales, counts, tol)
-        tol, last = epstein._tail_bound(8.0, c, theta_prod), tol
-        if tol == last:
-            break
-    return tol
+def test_unit_scale_grid_evaluates_its_key_once(monkeypatch):
+    calls = []
+    real = epstein._log_theta
 
+    def counted(x, m):
+        calls.append(x.shape)
+        return real(x, m)
 
-def test_truncation_array_pass_equals_float_form_bit_for_bit():
-    rng = np.random.default_rng(16)
-    doubled = 0
-    for n in range(1, 13):
-        for counts in _patterns(n):
-            keys = 12
-            scales = np.exp(rng.uniform(-4.0, 4.0, (len(counts), keys)))
-            tols = np.exp(rng.uniform(math.log(1e-14), math.log(1e-2), keys))
-            if n <= 3:
-                scales[:, 0] = np.linspace(1.0, 0.5, len(counts))
-                tols[0] = _doubling_key(tuple(scales[:, 0].tolist()), counts)
-            columns = epstein._truncation(list(scales), counts, tols)
-            for k in range(keys):
-                one = epstein._truncation(tuple(scales[:, k].tolist()), counts, float(tols[k]))
-                assert tuple(x[k] for x in columns) == one
-                t0, c, theta_prod, tail = one
-                assert t0 >= 8.0 and 0.0 < c <= 0.5 and tail < tols[k]
-                # T0 = 16 is the doubled floor 8, where the bound misses tol
-                doubled += t0 == 16.0 and epstein._tail_bound(8.0, c, theta_prod) >= tols[k]
-    assert doubled
+    monkeypatch.setattr(epstein, "_log_theta", counted)
+    epstein._KEYS.clear()
+    nodes = [(10, float(s), ScaleVector.unit(10)) for s in np.linspace(0.02, 4.98, 200)]
+    values = [_pair(v) for v in xi_many(nodes)]
+    # the unit scales are their own reciprocals: one key, planned once
+    planned = [shape for shape in calls if shape[1:] == (3, 1)]
+    assert len(planned) == 1
+    assert values == [_pair(xi(*node)) for node in nodes]
+    assert [shape for shape in calls if shape[1:] == (3, 1)] == planned
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    st.lists(nodes(), min_size=1, max_size=10),
+    st.lists(st.tuples(st.floats(-3.0, 12.0), st.lists(st.sampled_from(_SCALES), min_size=1, max_size=6)), min_size=1, max_size=10),
     st.randoms(use_true_random=False),
     st.sampled_from((1, 40)),
 )
-def test_series_jobs_bit_identical_alone_and_in_any_batch(batch, rnd, gate):
-    # with the series gate lowered, jobs of several orders and series orders
-    # share chunks, so one chunk mixes per-point series coefficients, scalar
-    # ones and gammaincc points; a job's value and err still do not depend on
-    # its batch, nor on the chunk cuts
-    batch = batch + [(6, 1.3, (0.7, 0.8, 1.0, 1.25, 0.5, 2.0))]
+def test_theta_sums_bit_identical_alone_and_in_any_batch(jobs, rnd, gate):
+    # sums of several orders and group patterns share blocks, and a block
+    # cut anywhere; a sum's value and err do not depend on its batch
+    jobs = [(beta, *_groups(tuple(sorted(a)))) for beta, a in jobs] + [(1.3, (0.5, 0.7, 1.0), (1, 2, 3))]
+    alone = [_theta_sums([beta], [sc], [ct], [1e-10]) for beta, sc, ct in jobs]
+    alone = [(values[0], errs[0]) for values, errs in alone]
+    order = list(range(len(jobs)))
+    rnd.shuffle(order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(epstein, "_SERIES_POINTS", gate)
-        rnd.shuffle(batch)
-        order = list(range(len(batch)))
-        rnd.shuffle(order)
-        shuffled = xi_many([batch[i] for i in order])
-        alone = [_pair(xi(*node)) for node in batch]
-        assert [_pair(shuffled[order.index(k)]) for k in range(len(batch))] == alone
-        mp.setattr(epstein, "_CHUNK_POINTS", 50)
-        assert [_pair(v) for v in xi_many(batch)] == alone
+        mp.setattr(epstein, "_BLOCK", gate)
+        values, errs = _theta_sums(*map(list, zip(*[jobs[i] for i in order])), [1e-10] * len(jobs))
+        assert [(values[order.index(k)], errs[order.index(k)]) for k in range(len(jobs))] == alone

@@ -187,8 +187,8 @@ def test_eval_error_exit_code(capsys):
 
 def test_order_past_double_range_is_an_evaluation_error(capsys):
     for argv in (
-        ["eval", "--n", "2", "--s", "200"],
-        ["second-deriv", "--n", "700"],
+        ["eval", "--n", "2", "--s", "250"],
+        ["second-deriv", "--n", "1400"],
         ["eval", "--n", "1", "--s", "0.3", "--scales", "1e300"],
     ):
         code, out = run_cli(argv, capsys)
@@ -203,7 +203,7 @@ def test_plain_indeterminate_sign_prints_its_message(capsys):
     assert out.startswith("indeterminate: sign of Xi_10 undecided on [")
 
 
-@pytest.mark.parametrize("s", ["200", "0"])
+@pytest.mark.parametrize("s", ["250", "0"])
 def test_csv_evaluation_error_goes_to_stderr(s, capsys):
     code = main(["eval", "--n", "2", "--s", s, "--format", "csv"])
     captured = capsys.readouterr()

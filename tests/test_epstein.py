@@ -18,7 +18,7 @@ from epsteinzeta import (
     xi_many,
     z,
 )
-from epsteinzeta.epstein import _g_kernel, _job, _kernel_sums
+from epsteinzeta.epstein import _groups, _log_theta, _theta_sums
 
 REF_XI_9 = -0.065884758538
 REF_XI_10 = 0.205903040487
@@ -268,9 +268,9 @@ LARGE_S = np.concatenate([np.arange(100.0, 200.5, 0.75), -np.arange(100.0, 200.5
         # 171, where Gamma(beta) does, and sooner at a small scale
         (2, [(1.0, 1.0), (0.125, 8.0)], LARGE_S),
         (10, [(1.0,) * 10, (0.125, 8.0) + (1.0,) * 8], LARGE_S),
-        # V = 0.05^{21/2} is about e^-31: Gamma(s) x^{-s} at the smallest
-        # lattice value leaves double range from s = 86 on, though V times it would not
-        (21, [(0.05,) * 21], [85.0, 86.0, 86.5, 87.0]),
+        # V = 0.05^{21/2} is about e^-31, and V S(s; a) leaves double range
+        # between s = 87 (about 3.0e301) and s = 89 (about 3.7e309)
+        (21, [(0.05,) * 21], [85.0, 86.0, 89.0, 90.0]),
         # V = 5^{1/2}: near s = 85.6 the kernel sum is finite but V times it is not
         (2, [(0.05, 100.0)], [85.0, 85.54, 85.58, 85.62]),
     ],
@@ -292,17 +292,14 @@ def test_large_orders_are_finite_or_precision_errors(n, scale_sets, s_values):
     assert outcomes == {"finite", "rejected"}
 
 
-def test_overflowing_term_is_rejected_before_any_table(monkeypatch):
-    # the 1/a lattice's term at x_min = pi 1e-4 overflows; its 0.01 scales
-    # would need a radial table of about 8e5 entries first
-    from epsteinzeta import epstein
-
-    def no_table(dim, mmax):
-        raise AssertionError(f"radial table ({dim}, {mmax}) built")
-
-    monkeypatch.setattr(epstein, "_radial_table", no_table)
+def test_overflowing_term_is_rejected_before_any_table():
+    # Xi_10(-58.43; 100 .. 100) is 5.72e299 and is returned; at s = -80 V S
+    # of the 1/a sum leaves double range, which is a PrecisionError from
+    # the sum's log, after no more work than a node inside the range
+    value = xi(10, -58.43, ScaleVector((100.0,) * 10))
+    assert value.value == pytest.approx(5.7224e299, rel=1e-4)
     with pytest.raises(PrecisionError, match="overflows double precision"):
-        xi(10, -58.43, ScaleVector((100.0,) * 10))
+        xi(10, -80.0, ScaleVector((100.0,) * 10))
 
 
 def _mp_xi(s, terms):
@@ -337,35 +334,40 @@ def test_large_orders_match_square_lattice_closed_form(s):
 
 
 def test_negative_order_kernel_stays_in_double_range():
-    # g(-100.3, x) <= e^{-x} / 100.3 although x^{100.3} overflows at this x;
-    # the kernel steps g itself, so no intermediate leaves double range
+    # the theta integral of order -100.3 at c = 0.01, whose first lattice
+    # value is x_min = pi 1e-4, where x^{100.3} alone leaves double range:
+    # the rule sums logs, and its value and err stay finite and cover the
+    # 1-d closed form 2 (pi c^2)^{-beta} Gamma(beta) zeta(2 beta) c^{...}
     import mpmath
 
-    from epsteinzeta.epstein import _gammaincc_kernel
-
-    beta, x = -100.3, math.pi * 1e-4
-    with np.errstate(over="raise", invalid="raise"):
-        [g], [mag] = _gammaincc_kernel((beta,), np.array([x]), [1])
-    assert math.isfinite(g) and 0.0 < g <= mag
-    # the allowance `_kernel_sums` charges a shifted order per unit magnitude
-    allowance = 5e-15 * (math.floor(-beta) + 4.0) * mag
+    beta, c = -100.3, 0.01
+    [value], [err] = _theta_sums([beta], [(c,)], [(1,)], [1e-10])
+    value, err = math.exp(value), math.exp(err)
+    assert math.isfinite(value) and 0.0 < err < 1e-9
     with mpmath.workdps(40):
-        assert abs(g - _mp_kernel(beta, mpmath.mpf(x))) <= allowance
+        # Xi_1(s; c) = sqrt(c) pi^{-s} Gamma(s) 2 c^{-2s} zeta(2s) = V S(s; c)
+        # - V/s - (1/V)/(1/2 - s) + S(1/2 - s; 1/c)/V, and the last sum, of
+        # order 100.8 over the scale 100, is below e^{-30000}
+        s, cm = mpmath.mpf(beta), mpmath.mpf(c)
+        volume = mpmath.sqrt(cm)
+        xi_1 = _mp_xi(beta, lambda s: volume * 2 * cm ** (-2 * s) * mpmath.zeta(2 * s))
+        exact = (xi_1 + volume / s + 1 / (volume * (mpmath.mpf(0.5) - s))) / volume
+        assert abs(value - exact) <= err
 
 
 def test_precision_error_carries_bound():
-    # the 2^-20 axis needs more steps than the lattice engine's per-axis cap
-    with pytest.raises(PrecisionError):
-        xi(2, 0.7, ScaleVector([2.0**20, 2.0**-20]))
-    # a scale whose square leaves double range stops the truncation, alone
-    # and in a batch that takes the array pass, with no warning
-    with pytest.raises(PrecisionError, match="truncation"):
+    # the 2^+-20 axes need no lattice: their sums are theta integrals like
+    # any other, and the node is finite within its err of Chowla-Selberg
+    v = xi(2, 0.7, ScaleVector([2.0**20, 2.0**-20]))
+    assert math.isfinite(v.value) and math.isfinite(v.err)
+    # a scale whose square leaves double range is a PrecisionError of that
+    # node, alone and in a batch, with no warning
+    with pytest.raises(PrecisionError, match="squared"):
         xi(1, 0.3, ScaleVector([1e300]))
     batch = [(3, 0.7, (1.0 + 0.01 * i, 1.0, 1.0)) for i in range(20)]
-    with pytest.raises(PrecisionError, match="truncation"):
+    with pytest.raises(PrecisionError, match="squared"):
         xi_many(batch + [(3, 0.5, (1e160, 1e-160, 1.0))])
-    # the smallest lattice value pi min(1/a)^2 past double range, in the
-    # float form and in the array form
+    # the reciprocal of the smallest scale squared past double range
     for count in (1, 16):
         with pytest.raises(PrecisionError, match="reciprocal"):
             xi_many([(1, 0.3, (1e-155,))] * count)
@@ -375,22 +377,39 @@ def test_precision_error_carries_bound():
             xi(len(a), 0.3, ScaleVector(a))
 
 
+def test_precision_error_message_does_not_depend_on_the_batch():
+    # one node past double range raises the same message alone and among
+    # 20 copies of itself
+    node = (2, 0.5, (1e160, 1e-160))
+    messages = []
+    for batch in ([node], [node] * 20):
+        with pytest.raises(PrecisionError) as raised:
+            xi_many(batch)
+        messages.append(str(raised.value))
+    with pytest.raises(PrecisionError) as raised:
+        xi(*node)
+    assert messages == [str(raised.value)] * 2
+    assert "squared overflows double precision" in messages[0]
+
+
 # the last two are tables of a few hundred entries
 @pytest.mark.parametrize(
     "dim, mmax", [(1, 30), (2, 40), (3, 30), (4, 20), (5, 12), (2, 400), (3, 300)]
 )
 def test_radial_counts_match_enumeration(dim, mmax):
-    import itertools
-
-    from epsteinzeta.epstein import _radial_counts
-
-    r = math.isqrt(mmax)
-    brute = np.zeros(mmax + 1)
-    for k in itertools.product(range(-r, r + 1), repeat=dim):
-        m = sum(x * x for x in k)
-        if m <= mmax:
-            brute[m] += 1
-    assert np.array_equal(_radial_counts(dim, mmax), brute)
+    # `dim` equal scales form one group, whose theta product theta(x)^dim
+    # must equal the lattice sum over Z^dim, enumerated point by point, at
+    # x on both sides of the reflection x = 1
+    for x in (4.0 / mmax, 0.5, 1.0, 1.7):
+        r = math.isqrt(int(40.0 / (math.pi * x))) + 2
+        squares = np.arange(-r, r + 1, dtype=float) ** 2
+        norms = squares
+        for _ in range(dim - 1):
+            norms = np.add.outer(norms, squares)
+        brute = math.fsum(np.exp(-math.pi * x * norms).ravel().tolist())
+        big_l, log_excess = _log_theta(np.array([[x]]), np.array([[float(dim)]]))
+        assert math.exp(big_l[0]) == pytest.approx(brute, rel=4e-15 * dim)
+        assert math.exp(log_excess[0]) == pytest.approx(brute - 1.0, rel=1e-13 * dim / (1.0 - 1.0 / brute))
 
 
 def test_anisotropic_grouping_matches_plain_enumeration():
@@ -547,49 +566,85 @@ def test_default_tol_agrees_with_tight_reference(n, s, a):
     ],
 )
 def test_split_tail_bound_majorises_doubled_threshold(beta, a):
-    from epsteinzeta.epstein import _enumerate
+    # the rule's bound on its omitted nodes, left of its first node and
+    # right of its last, against those nodes summed at 30 digits from
+    # mpmath's jtheta until they fall below 1e-40 of the sum
+    import mpmath
 
-    memo = {}
-    _, pattern, scales, qmax, bound = _job(beta, a, 1e-10, memo)
-    [(_, _, t0, c, _, tail0)] = memo.values()
-    big_t = math.pi * qmax
-    assert big_t == pytest.approx(max(t0, 4.0 * abs(beta)), rel=1e-15)
-    # the memo's tail bound at T0 is the job's unless the order sets T
-    assert (bound == tail0) == (4.0 * abs(beta) <= t0)
-    assert 0.0 < c <= 0.5
-    assert bound < 1e-10
-    # one job enumerated alone: a single chunk, origin included
-    [(q, w, _, _)] = list(_enumerate(pattern, np.array(scales)[:, None], np.array([2.0 * qmax])))
-    x = math.pi * q
-    beyond = x > big_t
-    g, _ = _g_kernel([beta], x[beyond], [int(beyond.sum())])
-    tail = float(np.sum(w[beyond] * g))
-    assert 0.0 < tail <= bound
+    from epsteinzeta import epstein
+
+    key = _groups(tuple(sorted(a)))
+    epstein._key_data([key])
+    h, k_lo, k_hi, *_, = plan = epstein._plan(beta, 1e-10, epstein._KEYS[key], False)
+    with mpmath.workdps(30):
+
+        def node(k):
+            u = mpmath.mpf(k) * h
+            w = mpmath.exp(-u)
+            t = 1 + mpmath.exp(u - w)
+            excess = mpmath.expm1(mpmath.fsum(m * _mp_log_theta(c * c * t) for c, m in zip(*key)))
+            return h * t ** (beta - 1) * excess * (t - 1) * (1 + w)
+
+        omitted = mpmath.mpf(0)
+        for ks in (range(k_lo - 1, k_lo - 80, -1), range(k_hi + 1, k_hi + 400)):
+            for k in ks:
+                term = node(k)
+                omitted += term
+                if term < omitted * mpmath.mpf(10) ** -40:
+                    break
+        assert omitted > 0 and mpmath.log(omitted) <= plan[5]
+
+
+def _mp_log_theta(x):
+    """log theta(x) at the working precision of mpmath, from its series at
+    x >= 1, so theta - 1 suffers no cancellation, and reflected below."""
+    import mpmath
+
+    if x >= 1:
+        q = mpmath.exp(-mpmath.pi * x)
+        return mpmath.log1p(2 * mpmath.fsum(q ** (j * j) for j in range(1, 12)))
+    return mpmath.log(mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi / x)) / mpmath.sqrt(x))
 
 
 def test_theta_majorant_bounds_jtheta():
-    # the reference is mpmath's jtheta at 30 digits
+    # the planning bounds of a group key: P1 >= Theta(1) - 1 and the bound
+    # on Theta(kappa_0) - 1 from above, log(Theta(2) - 1) from below, against
+    # mpmath's jtheta at 30 digits, from tiny to huge scales
     import mpmath
 
-    from epsteinzeta.epstein import _theta_majorant
+    from epsteinzeta import epstein
 
-    for t in np.geomspace(1e-3, 1e3, 61):
-        majorant = _theta_majorant(float(t))
+    for a in ((1.0,) * 10, (0.5, 1.0, 2.0), (2.0**-10, 1.0, 2.0**10), (7.0, 9.0), (0.01,) * 3, (30.0,)):
+        key = _groups(tuple(sorted(a)))
+        epstein._key_data([key])
+        data = epstein._KEYS[key]
         with mpmath.workdps(30):
-            exact = mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * mpmath.mpf(float(t))))
-            assert exact <= majorant <= (1 + mpmath.mpf(1e-9)) * exact
+
+            def excess(t):
+                return mpmath.expm1(mpmath.fsum(m * _mp_log_theta(mpmath.mpf(c) ** 2 * t) for c, m in zip(*key)))
+
+            assert mpmath.log(excess(1)) <= data[2]
+            assert mpmath.log(excess(epstein._KAPPA0)) <= data[3]
+            assert data[4] <= mpmath.log(excess(2))
 
 
-# the last three lie just below a nonpositive integer, where one recurrence
-# step cancels; the two before them lie just above one
+def _rule(beta, a, tol):
+    """S(beta; a) and its err by the theta-integral rule of the engine."""
+    group_scales, counts = _groups(tuple(sorted(a)))
+    [value], [err] = _theta_sums([float(beta)], [group_scales], [counts], [tol])
+    return math.exp(value), math.exp(err)
+
+
+# the last three lie just below a nonpositive integer, the two before them
+# just above one
 @pytest.mark.parametrize(
     "beta", [-0.3, -1.7, -2.5, -3.6, -5.5, -1 + 3e-7, -3 + 1e-5, -1 - 1e-4, -2 - 1e-6, -2 - 2e-8]
 )
 @pytest.mark.parametrize("a", [(1.8,), (2.5,), (3.0, 3.0), (0.9, 1.7)])
 def test_kernel_sum_err_covers_negative_order_recurrence(beta, a):
-    # the backward recurrence of _g_kernel at beta < 0 is off by up to 8e-8
-    # relative per term; the sum-level err must still cover the error.  The
-    # reference is a 40-digit mpmath lattice sum over a box past pi Q = 120
+    # negative orders, some next to a nonpositive integer, where the
+    # incomplete-gamma form needed a recurrence: the rule's err must cover
+    # a 40-digit mpmath lattice sum over a box past pi Q = 120
     import mpmath
 
     box = [range(math.isqrt(int(120 / (math.pi * x * x))) + 2) for x in a]
@@ -601,12 +656,12 @@ def test_kernel_sum_err_covers_negative_order_recurrence(beta, a):
                 x = mpmath.pi * mpmath.fsum((mpmath.mpf(c) * j) ** 2 for c, j in zip(a, k))
                 exact += 2 ** sum(j > 0 for j in k) * mpmath.gammainc(b, x) / x**b
         for tol in (1e-9, 1e-13):
-            [value], [err] = _kernel_sums([_job(beta, a, tol / 4.0, {})])
+            value, err = _rule(beta, a, tol / 4.0)
             assert abs(mpmath.mpf(value) - exact) <= err
 
 
 # ---------------------------------------------------------------------------
-# The integration-by-parts series of the kernel at x >= _SERIES_X
+# The err of the rule against mpmath lattice sums
 # ---------------------------------------------------------------------------
 
 
@@ -620,27 +675,16 @@ def _mp_kernel(beta, x):
 
 @pytest.mark.parametrize("beta", [2.25, 10.5, 0.7, -0.3, -2.5, 1.0, 4.0])
 def test_series_remainder_bound_at_points_just_above_the_switch(beta):
-    # each admissible order m of the series at points just above X, where
-    # its remainder bound |(beta-1)...(beta-m-1)| x^{-m-2} e^{-x} is largest,
-    # against 40-digit mpmath: the kernel is within that bound plus the
-    # rounding allowance eps sum_j (3j + 3) |(beta-1)...(beta-j)| x^{-j} e^{-x}/x
+    # scales just above and below 1 put c^2 t on both sides of the switch
+    # x = 1 of log theta from the first node on; the rule's err covers a
+    # 40-digit mpmath lattice sum over pi Q <= 120
     import mpmath
 
-    from epsteinzeta.epstein import _SERIES_X
-
-    x = _SERIES_X * (1.0 + np.array([0.0, 1e-15, 1e-9, 1e-6, 1e-3, 0.05]))
-    for m in range(max(0, math.ceil(beta - 2.0)), 16):
-        g, _ = _g_kernel([beta], x, [x.size], [m])
+    for a in ((1.0 + 1e-9,) * 3, (1.0 - 1e-9, 1.0 + 1e-9)):
+        value, err = _rule(beta, a, 1e-12)
         with mpmath.workdps(40):
-            for xv, gv in zip(x.tolist(), g.tolist()):
-                xm = mpmath.mpf(xv)
-                coefs = [mpmath.mpf(1)]
-                for j in range(1, m + 2):
-                    coefs.append(coefs[-1] * (beta - j))
-                scale = mpmath.exp(-xm) / xm
-                remainder = abs(coefs[m + 1]) * xm ** (-m - 1) * scale
-                rounding = 2.0**-52 * sum((3 * j + 3) * abs(c) * xm**-j for j, c in enumerate(coefs[:-1]))
-                assert abs(gv - _mp_kernel(beta, xm)) <= remainder + rounding * scale
+            exact = mpmath.fsum(w * _mp_kernel(beta, mpmath.pi * mpmath.mpf(q)) for q, w in _lattice(a, 120.0))
+            assert abs(mpmath.mpf(value) - exact) <= err
 
 
 def _rep_counts(dim: int, mmax: int) -> list[int]:
@@ -677,85 +721,68 @@ _JUST_ABOVE = math.sqrt(16.0 * (1.0 + 1e-12) / (5.0 * math.pi))
 @pytest.mark.parametrize(
     "beta, a, tol",
     [
-        # three equal scales put the 24 points of |k|^2 = 5 just above X = 16
+        # three equal scales put the 24 points of |k|^2 = 5 at x just above 16
         (2.25, (_JUST_ABOVE,) * 3, 1e-9),
         (0.7, (_JUST_ABOVE,) * 3, 1e-9),
-        # the larger Table-1 order at n = 21; at unit scales its budget is
-        # not met at this tol, and the order 12.5 never is (see below)
+        # the larger Table-1 order at n = 21
         (10.5, (1.2,) * 21, 1e-9),
         (10.5, (1.5,) * 21, 1e-9),
-        # negative non-integer orders: the series needs no recurrence; -2.5
-        # meets its budget only on a small lattice at a loose tol
+        # negative non-integer orders
         (-0.3, (0.9, 1.7), 1e-9),
         (-0.3, (0.7, 0.9), 1e-9),
         (-2.5, (0.7, 0.9), 1e-6),
-        # terminating integer orders
+        # integer orders
         (1.0, (0.6, 0.8), 1e-9),
         (4.0, (1.2,) * 21, 1e-9),
     ],
 )
-def test_series_kernel_sum_err_covers_mpmath_reference(beta, a, tol, monkeypatch):
-    # with the point-count gate lowered, these small lattices take the series;
-    # against 40-digit mpmath sums over the same truncated lattice the error
-    # is within err less the tail bound, and over all of pi Q <= 120 within err
+def test_series_kernel_sum_err_covers_mpmath_reference(beta, a, tol):
+    # against 40-digit mpmath sums over all of pi Q <= 120 the rule is
+    # within its err, and that err meets tol
     import mpmath
 
-    from epsteinzeta import epstein
-
-    real, plans = epstein._series_plan, []
-
-    def recorded(*args):
-        plans.append(real(*args))
-        return plans[-1]
-
-    monkeypatch.setattr(epstein, "_SERIES_POINTS", 1)
-    monkeypatch.setattr(epstein, "_series_plan", recorded)
-    job = _job(beta, a, tol / 4.0, {})
-    [value], [err] = _kernel_sums([job])
-    assert len(plans) == 1 and plans[0] is not None
-    big_t = math.pi * job[3]
+    value, err = _rule(beta, a, tol / 4.0)
+    assert err <= tol
     with mpmath.workdps(40):
-        inside = outside = mpmath.mpf(0)
-        for q, weight in _lattice(a, 120.0):
-            term = weight * _mp_kernel(beta, mpmath.pi * mpmath.mpf(q))
-            if q <= job[3]:
-                inside += term
-            else:
-                outside += term
-        assert abs(mpmath.mpf(value) - inside) <= err - job[4]
-        assert abs(mpmath.mpf(value) - inside - outside) <= err
-    # the lattice reaches past X, so some of its points took the series
-    assert math.pi * max(q for q, _ in _lattice(a, big_t)) > epstein._SERIES_X
+        exact = mpmath.fsum(w * _mp_kernel(beta, mpmath.pi * mpmath.mpf(q)) for q, w in _lattice(a, 120.0))
+        assert abs(mpmath.mpf(value) - exact) <= err
 
 
 def test_integer_orders_terminate_with_zero_remainder():
-    # beta = 1 stops at m = 0 and beta = 4 at m = 3 with no remainder: even a
-    # zero budget is met, by the rounding term alone, which scales with the weight
-    from epsteinzeta.epstein import _series_plan
+    # at integer orders the kernel is a finite sum, g(m, x) = e^{-x}
+    # sum_{j < m} (m - 1)!/(m - 1 - j)! x^{-j - 1}: the rule's err covers it
+    import mpmath
 
-    for beta, order in ((1.0, 0), (4.0, 3)):
-        m, bound = _series_plan(beta, 1.0, 1e-22)
-        assert m == order and 0.0 < bound <= 1e-22
-        assert _series_plan(beta, 1e6, 1e-22) is None
-        assert _series_plan(beta, 1e6, 1e-16)[0] == order
+    for beta, a in ((1.0, (0.6, 0.8)), (4.0, (1.0, 1.0, 1.0)), (2.0, (0.5, 2.0))):
+        value, err = _rule(beta, a, 1e-13)
+        m = int(beta)
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(0)
+            for q, w in _lattice(a, 120.0):
+                x = mpmath.pi * mpmath.mpf(q)
+                exact += w * mpmath.exp(-x) * mpmath.fsum(
+                    mpmath.factorial(m - 1) / mpmath.factorial(m - 1 - j) * x ** (-j - 1) for j in range(m)
+                )
+            assert abs(mpmath.mpf(value) - exact) <= err
 
 
 @pytest.mark.parametrize(
     "beta, a",
     [
-        # T = 4 beta = 50 leaves a tail of about 1e-22, which no order meets
+        # the order 12.5 at n = 21 and a large order on a small lattice
         (12.5, (1.0,) * 21),
-        # past the series range: m >= beta - 2 > _SERIES_TERMS
         (45.5, (2.0, 2.5)),
     ],
 )
-def test_series_falls_back_to_gammaincc(beta, a, monkeypatch):
-    from epsteinzeta import epstein
+def test_series_falls_back_to_gammaincc(beta, a):
+    # large orders: the rule's err covers the mpmath lattice sum, and the
+    # value does not depend on the batch the sum is evaluated in
+    import mpmath
 
-    job = _job(beta, a, 1e-9 / 4.0, {})
-    alone = _kernel_sums([job])
-    monkeypatch.setattr(epstein, "_SERIES_POINTS", 1)
-    _, pattern, scales, qmax, tail = job
-    [(_, w, _, _)] = list(epstein._enumerate(pattern, np.array(scales)[:, None], np.array([qmax])))
-    assert epstein._series_plan(beta, float(w.sum()), tail / 32.0) is None
-    assert _kernel_sums([job]) == alone
+    value, err = _rule(beta, a, 1e-9 / 4.0)
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(w * _mp_kernel(beta, mpmath.pi * mpmath.mpf(q)) for q, w in _lattice(a, 200.0))
+        assert abs(mpmath.mpf(value) - exact) <= err
+    group_scales, counts = _groups(tuple(sorted(a)))
+    values, errs = _theta_sums([beta, 0.7, beta], [group_scales, (1.0,), group_scales], [counts, (3,), counts], [1e-9 / 4.0, 1e-9, 1e-9 / 4.0])
+    assert (math.exp(values[0]), math.exp(errs[0])) == (value, err) == (math.exp(values[2]), math.exp(errs[2]))

@@ -97,8 +97,9 @@ def test_scan_values_equal_xi_bit_for_bit():
 
     for n, s, chart, bounds, steps in _SCANS:
         grids = [scan(n, s, chart, bounds, steps)]
+        # one block per sum cuts the scan's batch everywhere
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(epstein, "_VECTOR_KEYS", 10**6)
+            mp.setattr(epstein, "_BLOCK", 1)
             grids.append(scan(n, s, chart, bounds, steps))
         axes = grids[0].axes()
         for idx in np.ndindex(*steps):
@@ -111,7 +112,7 @@ def test_scan_values_equal_xi_bit_for_bit():
 @pytest.mark.parametrize("steps", [[1, 1], [3, 3], [5, 5]])
 def test_scan_past_double_range_is_a_precision_error(steps):
     # the scales e^{+-533} of these chart points have squares past double
-    # range: the truncation stops in both forms, with no numpy warning
+    # range: the scan stops, with no numpy warning
     with pytest.raises(PrecisionError):
         scan(3, 0.7, kratio_chart(3), [(700.0, 800.0)] * 2, steps)
 
