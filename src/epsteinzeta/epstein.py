@@ -289,9 +289,9 @@ def _plan(beta: float, tol: float, key: tuple, squared_log: bool) -> tuple:
         abs(bm1) * (grow + 3.0 * (u + 1.0 if u > 0.0 else 1.0)) + spread * grow + base + 0.45 * (k_hi - k_lo + 1)
         + 2.5 * (3.0 * w + abs(k_lo * h) + u) + (2.0 * grow if squared_log else 0.0)
     )
-    # log 2 A / (e^{2 pi d/h} - 1), ea, and ea - log(1 - e^ea); with
-    # (log t)^2 the strip term is divided by 1 - 2 e^ea
-    # (-log(1 - e^-y) and -log(1 - e^ea) are below 2e-13 past y = 30 and below ea = -30)
+    # ea = log 2 A / (e^{2 pi d/h} - 1) and the factor ea - log(1 - e^ea), with
+    # 2 e^ea for (log t)^2; log(1 - e^-y) and log(1 - e^ea) lie within 2e-13
+    # of 0 past y = 30 and below ea = -30
     y = _TWO_PI * d / h
     ea = log_a + _LOG2 - (y - 2e-13 if y > 30.0 else log(expm1(y)))
     if squared_log:
@@ -354,13 +354,13 @@ def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tupl
 def _evaluate(plans, keys, sizes, squared) -> list[tuple[float, float]]:
     """(log value, log err) of the sums with these plans, group keys and node
     counts; with `squared`, their plans for the (log t)^2 weight."""
-    h, _, _, _, _, tails, fixed, _, log_j, factor, loss = np.array(plans).T
     starts = list(accumulate(sizes, initial=0))
-    at = np.repeat(np.arange(len(plans)), sizes)
-    # per node: k less its index, h, beta - 1 and 1.25 eps R
-    node = np.array([(p[1] - start, p[0], p[3], p[7]) for p, start in zip(plans, starts)])[at]
+    # per sum: k less the index of its first node, h, beta - 1, 1.25 eps R; and its bounds
+    table = np.array([(p[1] - start, p[0], p[3], p[7], p[5], p[6], p[8], p[9], p[10]) for p, start in zip(plans, starts)])
+    _, h, _, _, tails, fixed, log_j, factor, loss = table.T
+    node = table[:, :4].repeat(sizes, axis=0)
     starts = starts[:-1]
-    u = np.arange(len(at), dtype=float)
+    u = np.arange(len(node), dtype=float)
     u += node[:, 0]
     u *= node[:, 1]
     w = np.exp(-u)
@@ -372,21 +372,22 @@ def _evaluate(plans, keys, sizes, squared) -> list[tuple[float, float]]:
         m = np.array(keys[0][1], dtype=float)
     else:
         width = max(len(counts) for _, counts in keys)
-        x = np.array([_KEYS[key][-1] + (_KEYS[key][0],) * (width - len(key[1])) for key in keys], dtype=float)[at]
+        x = np.array([_KEYS[key][-1] + (_KEYS[key][0],) * (width - len(key[1])) for key in keys], dtype=float)
+        x = x.repeat(sizes, axis=0)
         x *= (e + 1.0)[:, None]
-        m = np.array([ct + (0,) * (width - len(ct)) for _, ct in keys], dtype=float)[at]
+        m = np.array([ct + (0,) * (width - len(ct)) for _, ct in keys], dtype=float).repeat(sizes, axis=0)
     _, lf = _log_theta(x, m)
     lf += node[:, 2] * lt
     lf += v
     lf += np.log1p(w)
     weight = node[:, 3] * x[:, 0]
     if squared is not None:
-        log_t0, rnd0 = _node_sums(lf.copy(), starts, at, weight, h, fixed)
+        log_t0, rnd0 = _node_sums(lf.copy(), starts, sizes, weight, h, fixed)
         base0 = np.logaddexp(tails, rnd0)
         err0 = np.logaddexp(factor + np.logaddexp(np.logaddexp(log_t0, log_j), base0), base0)
         lf += 2.0 * np.log(lt)
         _, _, _, _, _, tails, fixed, _, _, factor, _ = np.array(squared).T
-    log_t, rnd = _node_sums(lf, starts, at, weight, h, fixed)
+    log_t, rnd = _node_sums(lf, starts, sizes, weight, h, fixed)
     base = np.logaddexp(tails, rnd)
     if squared is None:
         strip = np.logaddexp(np.logaddexp(log_t, log_j), base)
@@ -398,12 +399,12 @@ def _evaluate(plans, keys, sizes, squared) -> list[tuple[float, float]]:
     return list(zip(log_t.tolist(), np.logaddexp(factor + strip, base).tolist()))
 
 
-def _node_sums(lf, starts, at, weight, h, fixed):
+def _node_sums(lf, starts, sizes, weight, h, fixed):
     """(log T, log rounding) per sum from the nodes' log terms lf, which it
     spends, and their rounding weights: T = h sum e^lf, and the rounding
     h sum e^lf weight + T (fixed + eps |log T|)."""
     top = np.maximum.reduceat(lf, starts)
-    lf -= top[at]
+    lf -= top.repeat(sizes)
     f = np.exp(lf, out=lf)
     total = np.add.reduceat(f, starts)
     f *= weight
