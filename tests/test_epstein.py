@@ -524,7 +524,7 @@ def _mp_xi_lattice(n, s, a, cut=80.0):
 @pytest.mark.parametrize(
     "n, s, a, tol",
     [
-        # near order 1/2 scipy's gammaincc errs by up to 2.9e-14 relative
+        # orders at and next to 1/2, the symmetry point of Xi_2, at tight tols
         (2, 0.5, (0.5, 2.0), 1e-15),
         (2, 0.5, (0.5, 2.0), 1e-14),
         (3, 0.5, (0.5, 1.0, 2.0), 1e-15),

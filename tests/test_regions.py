@@ -81,10 +81,10 @@ def test_single_cell_scan_at_origin():
     assert grid.values[(0,)] == pytest.approx(xi(2, 0.5, ScaleVector.unit(2)).value)
 
 
-# a scan of at least epstein._VECTOR_KEYS nodes takes the array form, and
-# with the gate above its size the float form; a node alone takes the float
-# form.  The kratio grids are symmetric, so mirror nodes repeat a sorted
-# scale vector; the flat second axis of the last grid repeats every vector
+# a scan evaluates its nodes in blocks, and with one sum per block the batch
+# is cut everywhere; a node alone is one block.  The kratio grids are
+# symmetric, so mirror nodes repeat a sorted scale vector; the flat second
+# axis of the last grid repeats every vector
 _SCANS = [
     (3, 0.7, kratio_chart(3), [(-2.0, 2.0)] * 2, [5, 5]),
     (10, 2.5, kratio_chart(10, 2), [(-2.0, 2.0)] * 2, [5, 5]),

@@ -83,9 +83,9 @@ def _nodes():
         yield n, s, tuple(np.exp(rng.uniform(-0.3, 0.3, n)).tolist())
 
 
-# the nodes of the theta-rule plan that the lattice engine refused or
-# took seconds on, and the node whose err was once short of its error; the
-# last two with their `_mp_xi` values, which take seconds each
+# equal large scales, a 2^18 scale ratio, a value near the top of double
+# range, and strong anisotropy next to unit scales; the last two with their
+# `_mp_xi` values, which take seconds each to compute
 _TABLE = [
     (2, 0.25, (512.0, 512.0), None),
     (2, 0.3, (2.0**18, 1.0), None),
