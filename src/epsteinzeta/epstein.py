@@ -172,17 +172,19 @@ def _log_theta(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return big_l, np.log(np.expm1(top)) + (big_l - top)
 
 
-def _key_data(keys) -> None:
-    """Put into _KEYS (emptied past 2^14 keys) the data of each group key
-    (scales, counts) it lacks: c_0^2, lam = pi c_0^2, log bounds on
+def _key_data(keys) -> list[tuple]:
+    """The data of each group key (scales, counts), from _KEYS (emptied past
+    2^14 keys) or computed and put there: c_0^2, lam = pi c_0^2, log bounds on
     Theta(1) - 1 (P1) and Theta(kappa_0) - 1 from above and Theta(2) - 1 from
     below, rounding coefficients, whether the sum has no nodes, the cap on
-    t - 1, log(2 m_0 / lam) and the squared scales.  The upper bounds take
-    Theta(t) - 1 <= (Theta(s) - 1) e^{-lam (t - s)}, s = min(t, 100/lam), each
-    term falling at least at the rate of the smallest Q = c_0^2."""
-    missing = [key for key in dict.fromkeys(keys) if key not in _KEYS]
+    t - 1, log(2 m_0 / lam), the squared scales and the counts.  The upper
+    bounds take Theta(t) - 1 <= (Theta(s) - 1) e^{-lam (t - s)}, s = min(t,
+    100/lam), each term falling at least at the rate of the smallest Q = c_0^2.
+    The rows are returned, so a clearing of _KEYS cannot lose them."""
+    found = {key: _KEYS.get(key) for key in keys}
+    missing = [key for key, row in found.items() if row is None]
     if not missing:
-        return
+        return [found[key] for key in keys]
     if len(_KEYS) + len(missing) > 1 << 14:
         _KEYS.clear()
     width = max(len(counts) for _, counts in missing)
@@ -203,15 +205,17 @@ def _key_data(keys) -> None:
         c0 >= 0.5 * _X_CAP, _X_CAP / c0 - 1.0, np.log(2.0 * m0 / lam), np.log(lam),
     )
     for key, row, squares in zip(missing, zip(*(column.tolist() for column in columns)), c2.tolist()):
-        _KEYS[key] = (*row, tuple(squares[: len(key[1])]))
+        found[key] = _KEYS[key] = (*row, tuple(squares[: len(key[1])]), key[1])
+    return [found[key] for key in keys]
 
 
-def _plan(beta: float, tol: float, key: tuple, squared_log: bool) -> tuple:
-    """The rule for one sum: (h, k_lo, k_hi, beta - 1, log I+, log tails,
-    eps P, R, log J, log strip factor, -log kappa) with nodes u = k h for
-    k_lo <= k <= k_hi, none if every node would lie past _X_CAP, and the
-    bounds of `_theta_sums`; the step and the ends only aim at tol."""
-    c0, lam, log_p1, log_tk, log_t2, amp, spread, base, dead, cap, log_pair, log_lam, _ = key
+def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
+    """The rule for one sum with the key data `row`: (h, k_lo, k_hi, beta - 1,
+    log I+, log tails, eps P, R, log J, log strip factor, -log kappa) with
+    nodes u = k h for k_lo <= k <= k_hi, none if every node would lie past
+    _X_CAP, and the bounds of `_theta_sums`; the step and the ends only aim
+    at tol."""
+    c0, lam, log_p1, log_tk, log_t2, amp, spread, base, dead, cap, log_pair, log_lam, _, _ = row
     bm1 = beta - 1.0
     b, low = (bm1, 0.0) if bm1 > 0.0 else (0.0, bm1)
     # I <= P1 int_1^inf t^b e^{-lam (t - 1)} dt, log t under its tangent at tp
@@ -329,13 +333,9 @@ def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tupl
     logs add (G + 8)(1 + L) + 13 n_small; (beta - 1) log t, log t'(u), the
     shift by the largest log term and the pairwise sums add the rest of P.
     """
-    keys = list(zip(scales, counts))
-    _key_data(keys)
-    plans = [_plan(beta, tol, _KEYS[key], False) for beta, tol, key in zip(orders, tols, keys)]
+    rows = _key_data(list(zip(scales, counts)))
+    plans = [_plan(beta, tol, row, False) for beta, tol, row in zip(orders, tols, rows)]
     sizes = [plan[2] - plan[1] + 1 for plan in plans]
-    if sum(sizes) <= _BLOCK and min(sizes) > 0 and not squared_log:
-        found = _evaluate(plans, keys, sizes, None)
-        return [value for value, _ in found], [err for _, err in found]
     values = [(-inf, plan[4] + 1e-12) for plan in plans]  # no nodes: zero within I+
     block, size = [], 0
     for j, plan in enumerate(plans):
@@ -343,16 +343,16 @@ def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tupl
             block.append(j)
             size += sizes[j]
         if block and (size >= _BLOCK or j == len(plans) - 1):
-            squared = [_plan(orders[i], tols[i], _KEYS[keys[i]], True) for i in block] if squared_log else None
-            found = _evaluate([plans[i] for i in block], [keys[i] for i in block], [sizes[i] for i in block], squared)
+            squared = [_plan(orders[i], tols[i], rows[i], True) for i in block] if squared_log else None
+            found = _evaluate([plans[i] for i in block], [rows[i] for i in block], [sizes[i] for i in block], squared)
             for i, value in zip(block, found):
                 values[i] = value
             block, size = [], 0
     return [value for value, _ in values], [err for _, err in values]
 
 
-def _evaluate(plans, keys, sizes, squared) -> list[tuple[float, float]]:
-    """(log value, log err) of the sums with these plans, group keys and node
+def _evaluate(plans, rows, sizes, squared) -> list[tuple[float, float]]:
+    """(log value, log err) of the sums with these plans, key data and node
     counts; with `squared`, their plans for the (log t)^2 weight."""
     starts = list(accumulate(sizes, initial=0))
     # per sum: k less the index of its first node, h, beta - 1, 1.25 eps R; and its bounds
@@ -367,15 +367,10 @@ def _evaluate(plans, keys, sizes, squared) -> list[tuple[float, float]]:
     v = u - w
     e = np.exp(v)
     lt = np.log1p(e)
-    if keys.count(keys[0]) == len(keys):  # one key: its row for every node
-        x = np.multiply.outer(e + 1.0, _KEYS[keys[0]][-1])
-        m = np.array(keys[0][1], dtype=float)
-    else:
-        width = max(len(counts) for _, counts in keys)
-        x = np.array([_KEYS[key][-1] + (_KEYS[key][0],) * (width - len(key[1])) for key in keys], dtype=float)
-        x = x.repeat(sizes, axis=0)
-        x *= (e + 1.0)[:, None]
-        m = np.array([ct + (0,) * (width - len(ct)) for _, ct in keys], dtype=float).repeat(sizes, axis=0)
+    width = max(len(row[-1]) for row in rows)
+    x = np.array([row[-2] + (row[0],) * (width - len(row[-1])) for row in rows], dtype=float).repeat(sizes, axis=0)
+    x *= (e + 1.0)[:, None]
+    m = np.array([row[-1] + (0,) * (width - len(row[-1])) for row in rows], dtype=float).repeat(sizes, axis=0)
     _, lf = _log_theta(x, m)
     lf += node[:, 2] * lt
     lf += v

@@ -117,7 +117,7 @@ def test_reduction_within_rounding_allowance_on_large_lattice():
     orders = [1.1, 0.7, -0.4]
     values, errs = _theta_sums(orders, [(0.5, 1.0, 2.0), *[key[0]] * 2], [(1, 1, 1), *[key[1]] * 2], [1e-10] * 3)
     for value, err, beta in zip(values[1:], errs[1:], orders[1:]):
-        h, k_lo, k_hi = epstein._plan(beta, 1e-10, epstein._KEYS[key], False)[:3]
+        h, k_lo, k_hi = epstein._plan(beta, 1e-10, epstein._key_data([key])[0], False)[:3]
         assert k_hi - k_lo > 60
         u = np.arange(k_lo, k_hi + 1) * h
         w = np.exp(-u)
@@ -177,6 +177,19 @@ def test_unit_scale_grid_evaluates_its_key_once(monkeypatch):
     assert len(planned) == 1
     assert values == [_pair(xi(*node)) for node in nodes]
     assert [shape for shape in calls if shape[1:] == (3, 1)] == planned
+
+
+def test_full_key_cache_keeps_the_keys_of_the_call(monkeypatch):
+    # a call whose new key empties the full cache of key data still has the
+    # data of its keys that were cached before, and the same values
+    nodes = [(3, 0.7, (1.0, 1.0, 1.0)), (3, 0.7, (0.5, 1.0, 2.0))]
+    expected = [_pair(v) for v in xi_many(nodes)]
+    monkeypatch.setattr(epstein, "_KEYS", {})
+    xi(*nodes[0])
+    for i in range((1 << 14) - len(epstein._KEYS)):
+        epstein._KEYS[("filler", i)] = ()
+    assert [_pair(v) for v in xi_many(nodes)] == expected
+    assert len(epstein._KEYS) == 1
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

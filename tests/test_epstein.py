@@ -574,8 +574,7 @@ def test_split_tail_bound_majorises_doubled_threshold(beta, a):
     from epsteinzeta import epstein
 
     key = _groups(tuple(sorted(a)))
-    epstein._key_data([key])
-    h, k_lo, k_hi, *_, = plan = epstein._plan(beta, 1e-10, epstein._KEYS[key], False)
+    h, k_lo, k_hi, *_, = plan = epstein._plan(beta, 1e-10, epstein._key_data([key])[0], False)
     with mpmath.workdps(30):
 
         def node(k):
@@ -616,8 +615,7 @@ def test_theta_majorant_bounds_jtheta():
 
     for a in ((1.0,) * 10, (0.5, 1.0, 2.0), (2.0**-10, 1.0, 2.0**10), (7.0, 9.0), (0.01,) * 3, (30.0,)):
         key = _groups(tuple(sorted(a)))
-        epstein._key_data([key])
-        data = epstein._KEYS[key]
+        [data] = epstein._key_data([key])
         with mpmath.workdps(30):
 
             def excess(t):

@@ -133,14 +133,14 @@ def test_err_bounds_the_step_error(beta, a):
     # over a sweep of tols, and so of steps, the reported err of the step h
     # is at least the change to the step h/4 over a wider range
     key = _groups(tuple(sorted(a)))
-    epstein._key_data([key])
+    [row] = epstein._key_data([key])
     steps = set()
     for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-        plan = epstein._plan(beta, tol, epstein._KEYS[key], False)
+        plan = epstein._plan(beta, tol, row, False)
         steps.add(plan[0])
-        [(log_t, log_err)] = epstein._evaluate([plan], [key], [plan[2] - plan[1] + 1], None)
+        [(log_t, log_err)] = epstein._evaluate([plan], [row], [plan[2] - plan[1] + 1], None)
         fine = _refined(plan, 4)
-        [(log_fine, _)] = epstein._evaluate([fine], [key], [fine[2] - fine[1] + 1], None)
+        [(log_fine, _)] = epstein._evaluate([fine], [row], [fine[2] - fine[1] + 1], None)
         assert abs(math.exp(log_t) - math.exp(log_fine)) <= math.exp(log_err)
     assert len(steps) >= 4
 
