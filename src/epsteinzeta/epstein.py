@@ -181,10 +181,10 @@ def _key_data(keys) -> list[tuple]:
     bounds take Theta(t) - 1 <= (Theta(s) - 1) e^{-lam (t - s)}, s = min(t,
     100/lam), each term falling at least at the rate of the smallest Q = c_0^2.
     The rows are returned, so a clearing of _KEYS cannot lose them."""
-    found = {key: _KEYS.get(key) for key in keys}
-    missing = [key for key, row in found.items() if row is None]
-    if not missing:
-        return [found[key] for key in keys]
+    rows = [_KEYS.get(key) for key in keys]
+    if None not in rows:
+        return rows
+    missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
     if len(_KEYS) + len(missing) > 1 << 14:
         _KEYS.clear()
     width = max(len(counts) for _, counts in missing)
@@ -204,9 +204,10 @@ def _key_data(keys) -> list[tuple]:
         c0, lam, log_p1, ex[:, 2] - lam * (_KAPPA0 - at[:, 2]) + 1e-12, ex[:, 1] - 1e-9, amp, spread, base,
         c0 >= 0.5 * _X_CAP, _X_CAP / c0 - 1.0, np.log(2.0 * m0 / lam), np.log(lam),
     )
+    found = {}
     for key, row, squares in zip(missing, zip(*(column.tolist() for column in columns)), c2.tolist()):
         found[key] = _KEYS[key] = (*row, tuple(squares[: len(key[1])]), key[1])
-    return [found[key] for key in keys]
+    return [found[key] if row is None else row for key, row in zip(keys, rows)]
 
 
 def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
@@ -336,7 +337,7 @@ def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tupl
     rows = _key_data(list(zip(scales, counts)))
     plans = [_plan(beta, tol, row, False) for beta, tol, row in zip(orders, tols, rows)]
     sizes = [plan[2] - plan[1] + 1 for plan in plans]
-    values = [(-inf, plan[4] + 1e-12) for plan in plans]  # no nodes: zero within I+
+    values, errs = [-inf] * len(plans), [plan[4] + 1e-12 for plan in plans]  # no nodes: zero within I+
     block, size = [], 0
     for j, plan in enumerate(plans):
         if sizes[j] > 0:
@@ -345,20 +346,27 @@ def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tupl
         if block and (size >= _BLOCK or j == len(plans) - 1):
             squared = [_plan(orders[i], tols[i], rows[i], True) for i in block] if squared_log else None
             found = _evaluate([plans[i] for i in block], [rows[i] for i in block], [sizes[i] for i in block], squared)
-            for i, value in zip(block, found):
-                values[i] = value
+            for i, value, err in zip(block, *found):
+                values[i], errs[i] = value, err
             block, size = [], 0
-    return [value for value, _ in values], [err for _, err in values]
+    return values, errs
 
 
-def _evaluate(plans, rows, sizes, squared) -> list[tuple[float, float]]:
-    """(log value, log err) of the sums with these plans, key data and node
+def _evaluate(plans, rows, sizes, squared) -> tuple[list[float], list[float]]:
+    """(log values, log errs) of the sums with these plans, key data and node
     counts; with `squared`, their plans for the (log t)^2 weight."""
     starts = list(accumulate(sizes, initial=0))
-    # per sum: k less the index of its first node, h, beta - 1, 1.25 eps R; and its bounds
-    table = np.array([(p[1] - start, p[0], p[3], p[7], p[5], p[6], p[8], p[9], p[10]) for p, start in zip(plans, starts)])
-    _, h, _, _, tails, fixed, log_j, factor, loss = table.T
-    node = table[:, :4].repeat(sizes, axis=0)
+    width = max(len(row[-1]) for row in rows)
+    # per sum: k less the index of its first node, h, beta - 1, 1.25 eps R,
+    # its bounds, and its squared group scales padded with c_0^2 and their
+    # counts padded with 0
+    table = np.array([
+        (p[1] - start, p[0], p[3], p[7], p[5], p[6], p[8], p[9], p[10]) + row[-2]
+        + (row[0],) * (width - len(row[-1])) + row[-1] + (0,) * (width - len(row[-1]))
+        for p, row, start in zip(plans, rows, starts)
+    ])
+    _, h, _, _, tails, fixed, log_j, factor, loss = table[:, :9].T
+    node = table.repeat(sizes, axis=0)
     starts = starts[:-1]
     u = np.arange(len(node), dtype=float)
     u += node[:, 0]
@@ -367,10 +375,8 @@ def _evaluate(plans, rows, sizes, squared) -> list[tuple[float, float]]:
     v = u - w
     e = np.exp(v)
     lt = np.log1p(e)
-    width = max(len(row[-1]) for row in rows)
-    x = np.array([row[-2] + (row[0],) * (width - len(row[-1])) for row in rows], dtype=float).repeat(sizes, axis=0)
-    x *= (e + 1.0)[:, None]
-    m = np.array([row[-1] + (0,) * (width - len(row[-1])) for row in rows], dtype=float).repeat(sizes, axis=0)
+    x = node[:, 9 : 9 + width] * (e + 1.0)[:, None]
+    m = node[:, 9 + width :]
     _, lf = _log_theta(x, m)
     lf += node[:, 2] * lt
     lf += v
@@ -391,7 +397,7 @@ def _evaluate(plans, rows, sizes, squared) -> list[tuple[float, float]]:
             np.logaddexp(_LOG2 + np.logaddexp(log_t, base), np.log(4.0 * loss**2 + _PI**2 / 4.0) + log_j),
             np.log(8.0 * loss**2 + _PI**2 / 4.0) + np.logaddexp(log_t0, err0),
         )
-    return list(zip(log_t.tolist(), np.logaddexp(factor + strip, base).tolist()))
+    return log_t.tolist(), np.logaddexp(factor + strip, base).tolist()
 
 
 def _node_sums(lf, starts, sizes, weight, h, fixed):

@@ -118,8 +118,8 @@ def generic_points(draw, n: int):
 @st.composite
 def extreme_points(draw, n: int):
     """Scales 2^u with u in [-10, 10], of product one from n = 2 on, and a
-    generic s.  Product one keeps both lattices of xi small: at volume 2^9
-    the dual lattice of (2^9, 2^9) needs a radial table past xi's cap."""
+    generic s.  Product one keeps V = 1; xi at volumes up to 2^+-9 is
+    checked against a 30-digit reference in tests/test_rule.py."""
     u = draw(st.lists(st.floats(-10.0, 10.0), min_size=max(n - 1, 1), max_size=max(n - 1, 1)))
     if n > 1:
         u.append(-math.fsum(u))

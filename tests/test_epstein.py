@@ -44,7 +44,8 @@ def test_golden_values():
 def test_xi_homogeneity():
     n, s, lam = 2, 0.8, 3.0
     factor = lam ** (n / 2.0 - 2.0 * s)
-    # 2^-7 scales need a radial table of about 1.8e5 entries
+    # small equal scales put every theta argument of S(s; a) below the
+    # reflection x = 1 for the first nodes
     for a in (ScaleVector([1.0, 2.0]), ScaleVector([2.0**-7, 2.0**-7])):
         left = xi(n, s, a.scaled(lam))
         right = xi(n, s, a)
@@ -201,7 +202,7 @@ def test_permutation_invariance():
 def direct_series_oracle(n, s, radius):
     """Brute-force sum of |k|^{-2s} over the integer ball, with the radial
     integral estimate of the omitted mass.  Independent of the package's
-    grouped-radial enumeration."""
+    theta integral."""
     axes = [np.arange(-radius, radius + 1, dtype=float)] * n
     grids = np.meshgrid(*axes, indexing="ij")
     q = sum(g * g for g in grids)
@@ -293,6 +294,7 @@ def test_large_orders_are_finite_or_precision_errors(n, scale_sets, s_values):
 
 
 def test_overflowing_term_is_rejected_before_any_table():
+    # a typed error exactly where Xi leaves double range, and no earlier:
     # Xi_10(-58.43; 100 .. 100) is 5.72e299 and is returned; at s = -80 V S
     # of the 1/a sum leaves double range, which is a PrecisionError from
     # the sum's log, after no more work than a node inside the range
@@ -392,7 +394,7 @@ def test_precision_error_message_does_not_depend_on_the_batch():
     assert "squared overflows double precision" in messages[0]
 
 
-# the last two are tables of a few hundred entries
+# the last two put x = 4/mmax far below the reflection x = 1
 @pytest.mark.parametrize(
     "dim, mmax", [(1, 30), (2, 40), (3, 30), (4, 20), (5, 12), (2, 400), (3, 300)]
 )
@@ -413,8 +415,8 @@ def test_radial_counts_match_enumeration(dim, mmax):
 
 
 def test_anisotropic_grouping_matches_plain_enumeration():
-    # scales with repeats exercise the radial grouping; a nested-loop oracle
-    # over the same truncation region must agree to roundoff
+    # scales with repeats form groups of equal scales; a nested-loop
+    # lattice sum over pi Q <= 34, through scipy's gammaincc, must agree
     from scipy.special import gammaincc
 
     def nested_oracle(n, s, a, big_t=34.0):
@@ -561,7 +563,7 @@ def test_default_tol_agrees_with_tight_reference(n, s, a):
         (0.7, (1.0, 2.0, 0.5)),
         (-0.4, (2.0**3, 2.0**-3, 1.0)),
         (3.1, (0.6, 1.7, 0.9, 1.1)),
-        # the order's floor 4 beta = 50 lies above T0 = 46.9 and sets T
+        # a large order, whose integrand peaks far right of t = 1
         (12.5, (1.0,) * 21),
     ],
 )

@@ -138,9 +138,9 @@ def test_err_bounds_the_step_error(beta, a):
     for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
         plan = epstein._plan(beta, tol, row, False)
         steps.add(plan[0])
-        [(log_t, log_err)] = epstein._evaluate([plan], [row], [plan[2] - plan[1] + 1], None)
+        [log_t], [log_err] = epstein._evaluate([plan], [row], [plan[2] - plan[1] + 1], None)
         fine = _refined(plan, 4)
-        [(log_fine, _)] = epstein._evaluate([fine], [row], [fine[2] - fine[1] + 1], None)
+        [log_fine], _ = epstein._evaluate([fine], [row], [fine[2] - fine[1] + 1], None)
         assert abs(math.exp(log_t) - math.exp(log_fine)) <= math.exp(log_err)
     assert len(steps) >= 4
 
