@@ -67,6 +67,13 @@ def _check_terms(count: float) -> None:
         raise PrecisionError(f"Bessel sum would need {count:.0f} terms (cap {_MAX_TERMS})")
 
 
+def _finite(x: float) -> float:
+    """x, or OverflowError if it is not finite."""
+    if not math.isfinite(x):
+        raise OverflowError(x)
+    return x
+
+
 def _k_points(a: tuple[float, ...], cap: float) -> np.ndarray:
     """Squared a-weighted norms sum (k_i / a_i)^2 <= cap^2 of the nonzero k in Z^j."""
     cap_sq = cap * cap
@@ -95,46 +102,55 @@ def chowla_selberg_terms(
     _check_generic(n, s)
     a = sv.ascending
     err = 0.0
+    term = "leading term"
+    try:
+        with np.errstate(over="raise"):
+            z2s = riemann_zeta(2.0 * s, cfg)
+            lead_coeff = 2.0 * a[0] ** (-2.0 * s) * math.pi ** (-s) * math.gamma(s)
+            leading = _finite(lead_coeff * z2s.value)
+            err += abs(lead_coeff) * z2s.err
 
-    z2s = riemann_zeta(2.0 * s, cfg)
-    lead_coeff = 2.0 * a[0] ** (-2.0 * s) * math.pi ** (-s) * math.gamma(s)
-    leading = lead_coeff * z2s.value
-    err += abs(lead_coeff) * z2s.err
+            cutoff = math.log(1.0 / cfg.tol) + 40.0
+            tower = []
+            bessel_terms: list[float] = []
+            prod_a = 1.0
+            for j in range(1, n):
+                term = f"zeta term of level {j}"
+                prod_a *= a[j - 1]
+                zj = riemann_zeta(2.0 * s - j, cfg)
+                coeff = (
+                    2.0
+                    * math.pi ** (-s + j / 2.0)
+                    * math.gamma(s - j / 2.0)
+                    / (a[j] ** (2.0 * s - j) * prod_a)
+                )
+                tower.append(_finite(coeff * zj.value))
+                err += abs(coeff) * zj.err
 
-    cutoff = math.log(1.0 / cfg.tol) + 40.0
-    tower = []
-    bessel_terms: list[float] = []
-    prod_a = 1.0
-    for j in range(1, n):
-        prod_a *= a[j - 1]
-        zj = riemann_zeta(2.0 * s - j, cfg)
-        coeff = (
-            2.0
-            * math.pi ** (-s + j / 2.0)
-            * math.gamma(s - j / 2.0)
-            / (a[j] ** (2.0 * s - j) * prod_a)
-        )
-        tower.append(coeff * zj.value)
-        err += abs(coeff) * zj.err
-
-        # every (k, p) with z = 2 pi p a_{j+1} |k|_a <= cutoff; p = 1 admits
-        # the widest k-shells
-        nu = s - j / 2.0
-        norms = np.sqrt(_k_points(a[:j], cutoff / (2.0 * math.pi * a[j])))
-        reps = np.floor(cutoff / (2.0 * math.pi * a[j] * norms))
-        _check_terms(float(reps.sum()))
-        reps = reps.astype(np.int64)
-        p = np.arange(1, int(reps.sum()) + 1) - np.repeat(np.cumsum(reps) - reps, reps)
-        norms = np.repeat(norms, reps)
-        pa = p * a[j]
-        coeffs = (4.0 / prod_a) * (norms / pa) ** nu
-        kv, kerr = bessel_k(nu, 2.0 * math.pi * pa * norms)
-        bessel_terms.extend((coeffs * kv).tolist())
-        err += float(coeffs @ kerr)
-    bessel_tail = math.fsum(bessel_terms)
-    # everything past the cutoff decays like e^{-z}; the +40 margin makes the
-    # omitted block negligible against tol
-    err += cfg.tol * 1e-12 + 1e-15 * (abs(leading) + sum(abs(t) for t in tower))
+                # every (k, p) with z = 2 pi p a_{j+1} |k|_a <= cutoff; p = 1 admits
+                # the widest k-shells
+                term = f"Bessel sum of level {j}"
+                nu = s - j / 2.0
+                norms = np.sqrt(_k_points(a[:j], cutoff / (2.0 * math.pi * a[j])))
+                reps = np.floor(cutoff / (2.0 * math.pi * a[j] * norms))
+                _check_terms(float(reps.sum()))
+                reps = reps.astype(np.int64)
+                p = np.arange(1, int(reps.sum()) + 1) - np.repeat(np.cumsum(reps) - reps, reps)
+                norms = np.repeat(norms, reps)
+                pa = p * a[j]
+                coeffs = (4.0 / prod_a) * (norms / pa) ** nu
+                kv, kerr = bessel_k(nu, 2.0 * math.pi * pa * norms)
+                bessel_terms.extend((coeffs * kv).tolist())
+                err += float(coeffs @ kerr)
+            term = "sum of the Bessel terms"
+            bessel_tail = _finite(math.fsum(bessel_terms))
+            # everything past the cutoff decays like e^{-z}; the +40 margin makes the
+            # omitted block negligible against tol
+            err += cfg.tol * 1e-12 + 1e-15 * (abs(leading) + sum(abs(t) for t in tower))
+            term = "error bound"
+            _finite(err)
+    except (OverflowError, FloatingPointError) as exc:
+        raise PrecisionError(f"the {term} of the Chowla-Selberg expansion of Xi_{n}({s}) leaves double range") from exc
     return CSTerms(leading, tuple(tower), bessel_tail, err)
 
 
@@ -144,5 +160,8 @@ def xi_chowla_selberg(
     """Xi_n(s; a) through the Chowla-Selberg route (generic s only)."""
     sv = ScaleVector.ensure(scales)
     terms = chowla_selberg_terms(n, s, sv, cfg)
-    total = math.fsum((terms.leading, *terms.tower, terms.bessel_tail))
-    return XiValue(sv.V * total, sv.V * terms.err, n, s)
+    try:
+        total = math.fsum((terms.leading, *terms.tower, terms.bessel_tail))
+        return XiValue(_finite(sv.V * total), _finite(sv.V * terms.err), n, s)
+    except OverflowError as exc:
+        raise PrecisionError(f"Xi_{n}({s}) by the Chowla-Selberg expansion leaves double range") from exc

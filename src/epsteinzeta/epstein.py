@@ -140,23 +140,31 @@ _LOG_EPS, _LOG2, _PI, _TWO_PI = math.log(_EPS), math.log(2.0), math.pi, 2.0 * ma
 # steps are multiples of _STEP_UNIT, so every node u = k h is exact; log h per step count
 _STEP_UNIT = 2.0**-10
 _LOG_STEPS = [-inf] + [math.log(k * _STEP_UNIT) for k in range(1, 1025)]
-# no node has pi c_0^2 t past 700, where e^{-pi x} leaves the normal range;
-# a sum with pi c_0^2 past 350 has no nodes
-_X_CAP = 700.0 / math.pi
+# past pi x_0 = 700, where e^{-pi x} leaves the normal range, log(Theta - 1)
+# takes its asymptotic form
+_X_FAR = 700.0 / math.pi
 # nodes per evaluation block, which bounds the temporaries of a long call
 _BLOCK = 1 << 12
 _KEYS: dict[tuple, tuple] = {}  # see `_key_data`
 
 
-def _log_theta(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_theta(x: np.ndarray, m: np.ndarray, far: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(L, log(Theta - 1)) with L = log Theta, Theta = prod_g theta(x_g)^{m_g}
     over the last axis of x, summed in its order.
 
     log theta(x) = log1p(2q (1 + q^3 (1 + q^5))) with q = e^{-pi max(x, 1/x)},
     less log(x)/2 below x = 1, as theta(x) = x^{-1/2} theta(1/x); the omitted
     2 sum_{k >= 4} q^{k^2} is below e^{-15 pi} of 2q.  Where no x is below 1
-    the reflection is skipped: it would subtract zeros.
+    the reflection is skipped: it would subtract zeros.  With `far`, a row
+    whose first x, the smallest, is past _X_FAR takes log(Theta - 1) =
+    -pi x_0 + log(2 sum_g m_g e^{-pi (x_g - x_0)}), exact in double precision
+    there, as the terms of order q_0^2 are below e^{-700} of it.
     """
+    if far:
+        with np.errstate(divide="ignore"):
+            big_l, ex = _log_theta(x, m)
+        tail = np.add.accumulate(np.exp((x[..., :1] - x) * _PI) * m, axis=-1)[..., -1]
+        return big_l, np.where(x[..., 0] > _X_FAR, np.log(2.0 * tail) - _PI * x[..., 0], ex)
     low = x.min() < 1.0
     q = np.exp((np.maximum(x, 1.0 / x) if low else x) * -math.pi)
     q3 = q * q * q
@@ -176,11 +184,12 @@ def _key_data(keys) -> list[tuple]:
     """The data of each group key (scales, counts), from _KEYS (emptied past
     2^14 keys) or computed and put there: c_0^2, lam = pi c_0^2, log bounds on
     Theta(1) - 1 (P1) and Theta(kappa_0) - 1 from above and Theta(2) - 1 from
-    below, rounding coefficients, whether the sum has no nodes, the cap on
-    t - 1, log(2 m_0 / lam), the squared scales and the counts.  The upper
-    bounds take Theta(t) - 1 <= (Theta(s) - 1) e^{-lam (t - s)}, s = min(t,
-    100/lam), each term falling at least at the rate of the smallest Q = c_0^2.
-    The rows are returned, so a clearing of _KEYS cannot lose them."""
+    below, rounding coefficients, log(2 m_0 / lam), log lam, the squared
+    scales and the counts.  The upper bounds take Theta(t) - 1 <= (Theta(s) -
+    1) e^{-lam (t - s)}, s = min(t, 100/lam), each term falling at least at the
+    rate of the smallest Q = c_0^2.  The scales are padded with c_0 and the
+    counts with 0, as in `_evaluate`; at t = 2, x_0 = 2 c_0^2 may pass
+    _X_FAR.  The rows are returned, so a clearing of _KEYS cannot lose them."""
     rows = [_KEYS.get(key) for key in keys]
     if None not in rows:
         return rows
@@ -188,11 +197,10 @@ def _key_data(keys) -> list[tuple]:
     if len(_KEYS) + len(missing) > 1 << 14:
         _KEYS.clear()
     width = max(len(counts) for _, counts in missing)
-    c2 = np.array([sc + (1.0,) * (width - len(sc)) for sc, _ in missing], dtype=float) ** 2
+    c2 = np.array([sc + sc[:1] * (width - len(sc)) for sc, _ in missing], dtype=float) ** 2
     m = np.array([ct + (0,) * (width - len(ct)) for _, ct in missing], dtype=float)
     at = np.minimum(100.0 / math.pi / c2[:, :1] * [1.0, math.inf, 1.0], [1.0, 2.0, _KAPPA0])
-    with np.errstate(divide="ignore"):
-        lg, ex = _log_theta(c2[:, None, :] * at[:, :, None], m[:, None, :])
+    lg, ex = _log_theta(c2[:, None, :] * at[:, :, None], m[:, None, :], bool(c2[:, 0].max() > 0.5 * _X_FAR))
     c0, lg, lam, n, m0 = c2[:, 0], lg[:, 0], math.pi * c2[:, 0], m.sum(axis=1), m[:, 0]
     log_p1 = ex[:, 0] - lam * (1.0 - at[:, 0]) + 1e-12
     small = (m * (c2 < 1.0)).sum(axis=1)
@@ -202,7 +210,7 @@ def _key_data(keys) -> list[tuple]:
     base = ((m > 0.0).sum(axis=1) + 8.0) * (1.0 + lg) + 13.0 * small + 2.5 * np.abs(log_p1) + 25.0
     columns = (
         c0, lam, log_p1, ex[:, 2] - lam * (_KAPPA0 - at[:, 2]) + 1e-12, ex[:, 1] - 1e-9, amp, spread, base,
-        c0 >= 0.5 * _X_CAP, _X_CAP / c0 - 1.0, np.log(2.0 * m0 / lam), np.log(lam),
+        np.log(2.0 * m0 / lam), np.log(lam),
     )
     found = {}
     for key, row, squares in zip(missing, zip(*(column.tolist() for column in columns)), c2.tolist()):
@@ -211,12 +219,13 @@ def _key_data(keys) -> list[tuple]:
 
 
 def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
-    """The rule for one sum with the key data `row`: (h, k_lo, k_hi, beta - 1,
-    log I+, log tails, eps P, R, log J, log strip factor, -log kappa) with
-    nodes u = k h for k_lo <= k <= k_hi, none if every node would lie past
-    _X_CAP, and the bounds of `_theta_sums`; the step and the ends only aim
-    at tol."""
-    c0, lam, log_p1, log_tk, log_t2, amp, spread, base, dead, cap, log_pair, log_lam, _, _ = row
+    """The rule for one sum with the key data `row`, weighted by (log t)^2 if
+    squared_log: (h, k_lo, k_hi, beta - 1, log I+, log tails, eps P, R, log J,
+    log strip factor, -log kappa, far) with nodes u = k h for k_lo <= k <=
+    k_hi, one at least, the bounds of `_theta_sums` and whether c_0^2 t is
+    past _X_FAR at the node after the last; the step and the ends only aim at
+    tol, and I+ bounds the unweighted sum."""
+    c0, lam, log_p1, log_tk, log_t2, amp, spread, base, log_pair, log_lam, _, _ = row
     bm1 = beta - 1.0
     b, low = (bm1, 0.0) if bm1 > 0.0 else (0.0, bm1)
     # I <= P1 int_1^inf t^b e^{-lam (t - 1)} dt, log t under its tangent at tp
@@ -227,8 +236,6 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
     else:
         tp, log_tp = 1.0, 0.0
         log_i = log_p1 - (log(lam - b) if b > 0.0 else log_lam)
-    if dead:
-        return 1.0, 0, -1, 0.0, log_i
     d, loss, sec, log_1mk = _STRIPS[bisect_right(_RUNG_KEYS, 1.0 + abs(bm1))]
     log_a = (b + 1.0) * loss + sec
     log_j = log_1mk - low * loss + log_tk
@@ -255,7 +262,6 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
     z = (g + 2.0 * b + log(g / lam + 1.0)) / lam
     z = (g + b * log1p(z) + log(z)) / lam
     z = z if z * lam > 2.0 else 2.0 / lam
-    z = z if z < cap else cap
     y = log(z)
     if z >= 1.0:
         u = y + 1.0 / (z + 1.0)
@@ -264,8 +270,10 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
         for _ in range(2):
             e = exp(-u)
             u += (y - u + e) / (1.0 + e)
+    top = 709.75 - 2.0 * h  # t - 1 = e^{u - e^-u} is a double at the node after the last
+    u = u if u < top else top
     k_lo = ceil((u_lo if u_lo < u else u) / h)
-    k_hi = floor(u / h) + (1 if z < cap else 0)  # a node past the end, unless it is the cap
+    k_hi = floor(u / h) + 1  # a node past the end
     k_hi = k_hi if k_hi > k_lo else k_lo
     # right of u = (k_hi + 1) h, Theta - 1 <= P1 e^{-lam (t - 1)}, log t (and
     # log log t) lie under their tangents in t, and psi = log(t - 1) +
@@ -273,6 +281,7 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
     u = (k_hi + 1) * h
     w = exp(-u)
     e = exp(u - w)
+    far = c0 * (e + 1.0) > _X_FAR
     lt = log1p(e)
     g, bb = log_p1 + b * lt + u - lam * e, b
     if squared_log:
@@ -303,7 +312,9 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
         ea += _LOG2
     factor = (ea + 2e-13 if ea < -30.0 else ea - log(-expm1(ea))) if ea < 0.0 else inf
     factor -= _LOG2 if squared_log else 0.0
-    return h, k_lo, k_hi, bm1, log_i, tails, (1.25 * fixed + 4.0) * _EPS, 1.25 * _EPS * (amp * grow + 2.5 * _PI), log_j, factor, loss
+    return h, k_lo, k_hi, bm1, log_i, tails, (1.25 * fixed + 4.0) * _EPS, 1.25 * _EPS * (amp * grow + 2.5 * _PI), log_j, factor, loss, far
+
+
 def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tuple[list[float], list[float]]:
     """(log values, log errs) of S(beta; c) = int_1^inf t^{beta-1} (Theta(t) - 1) dt,
     Theta(t) = prod_g theta(c_g^2 t)^{m_g}, for the sums (orders[j], scales[j],
@@ -324,48 +335,47 @@ def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tupl
     and with I <= T + err this is at most e_h A (T + J + rest)/(1 - e_h A).
     With (log t)^2, |log t|^2 <= (log(1 + zeta) - log kappa)^2 + pi^2/4 makes
     M = A (2 I2 + (8 l^2 + pi^2/4) I + (4 l^2 + pi^2/4) J), l = -log kappa,
-    with I within the plain sum's err.
+    with I below the I+ of `_plan`.
 
-    The omitted nodes are bounded in `_plan`.  Every term is positive, so
-    rounding is relative, eps (P + R c_0^2 t) per node: u = k h is exact;
-    t is off by at most max(u, 0)/2 + 3 units; log(Theta - 1) moves by at
-    most 3.4 (1 + L) (x_0 + 0.12 (n/m_0 - 1)) per unit of relative error in
-    x, plus 3.6 n + 6.6 n_small if a scale is below 1, and its sums and
-    logs add (G + 8)(1 + L) + 13 n_small; (beta - 1) log t, log t'(u), the
-    shift by the largest log term and the pairwise sums add the rest of P.
+    Every sum has its nodes, one at least.  A block whose plans let a node
+    reach pi c_0^2 t = 700 takes the asymptotic form of log(Theta - 1) of
+    `_log_theta` at the nodes past it.  The omitted nodes are bounded in
+    `_plan`.  Every term is positive, so rounding is relative, eps (P + R
+    c_0^2 t) per node: u = k h is exact; t is off by at most max(u, 0)/2 + 3
+    units; log(Theta - 1) moves by at most 3.4 (1 + L) (x_0 + 0.12 (n/m_0 -
+    1)) per unit of relative error in x, plus 3.6 n + 6.6 n_small if a scale
+    is below 1, and its sums and logs add (G + 8)(1 + L) + 13 n_small; (beta -
+    1) log t, log t'(u), the shift by the largest log term and the pairwise
+    sums add the rest of P.
     """
     rows = _key_data(list(zip(scales, counts)))
-    plans = [_plan(beta, tol, row, False) for beta, tol, row in zip(orders, tols, rows)]
+    plans = [_plan(beta, tol, row, squared_log) for beta, tol, row in zip(orders, tols, rows)]
     sizes = [plan[2] - plan[1] + 1 for plan in plans]
-    values, errs = [-inf] * len(plans), [plan[4] + 1e-12 for plan in plans]  # no nodes: zero within I+
-    block, size = [], 0
-    for j, plan in enumerate(plans):
-        if sizes[j] > 0:
-            block.append(j)
-            size += sizes[j]
-        if block and (size >= _BLOCK or j == len(plans) - 1):
-            squared = [_plan(orders[i], tols[i], rows[i], True) for i in block] if squared_log else None
-            found = _evaluate([plans[i] for i in block], [rows[i] for i in block], [sizes[i] for i in block], squared)
-            for i, value, err in zip(block, *found):
-                values[i], errs[i] = value, err
-            block, size = [], 0
+    values, errs, first, size = [], [], 0, 0
+    for j, nodes in enumerate(sizes, 1):
+        size += nodes
+        if size >= _BLOCK or j == len(plans):
+            found = _evaluate(plans[first:j], rows[first:j], sizes[first:j], squared_log)
+            values += found[0]
+            errs += found[1]
+            first, size = j, 0
     return values, errs
 
 
-def _evaluate(plans, rows, sizes, squared) -> tuple[list[float], list[float]]:
+def _evaluate(plans, rows, sizes, squared_log: bool) -> tuple[list[float], list[float]]:
     """(log values, log errs) of the sums with these plans, key data and node
-    counts; with `squared`, their plans for the (log t)^2 weight."""
+    counts, with the weight (log t)^2 if squared_log, as the plans are."""
     starts = list(accumulate(sizes, initial=0))
     width = max(len(row[-1]) for row in rows)
     # per sum: k less the index of its first node, h, beta - 1, 1.25 eps R,
     # its bounds, and its squared group scales padded with c_0^2 and their
     # counts padded with 0
     table = np.array([
-        (p[1] - start, p[0], p[3], p[7], p[5], p[6], p[8], p[9], p[10]) + row[-2]
+        (p[1] - start, p[0], p[3], p[7], p[5], p[6], p[8], p[9], p[10], p[4]) + row[-2]
         + (row[0],) * (width - len(row[-1])) + row[-1] + (0,) * (width - len(row[-1]))
         for p, row, start in zip(plans, rows, starts)
     ])
-    _, h, _, _, tails, fixed, log_j, factor, loss = table[:, :9].T
+    _, h, _, _, tails, fixed, log_j, factor, loss, log_i = table[:, :10].T
     node = table.repeat(sizes, axis=0)
     starts = starts[:-1]
     u = np.arange(len(node), dtype=float)
@@ -375,28 +385,23 @@ def _evaluate(plans, rows, sizes, squared) -> tuple[list[float], list[float]]:
     v = u - w
     e = np.exp(v)
     lt = np.log1p(e)
-    x = node[:, 9 : 9 + width] * (e + 1.0)[:, None]
-    m = node[:, 9 + width :]
-    _, lf = _log_theta(x, m)
+    x = node[:, 10 : 10 + width] * (e + 1.0)[:, None]
+    m = node[:, 10 + width :]
+    _, lf = _log_theta(x, m, any(p[11] for p in plans))
     lf += node[:, 2] * lt
     lf += v
     lf += np.log1p(w)
-    weight = node[:, 3] * x[:, 0]
-    if squared is not None:
-        log_t0, rnd0 = _node_sums(lf.copy(), starts, sizes, weight, h, fixed)
-        base0 = np.logaddexp(tails, rnd0)
-        err0 = np.logaddexp(factor + np.logaddexp(np.logaddexp(log_t0, log_j), base0), base0)
+    if squared_log:
         lf += 2.0 * np.log(lt)
-        _, _, _, _, _, tails, fixed, _, _, factor, _ = np.array(squared).T
-    log_t, rnd = _node_sums(lf, starts, sizes, weight, h, fixed)
+    log_t, rnd = _node_sums(lf, starts, sizes, node[:, 3] * x[:, 0], h, fixed)
     base = np.logaddexp(tails, rnd)
-    if squared is None:
-        strip = np.logaddexp(np.logaddexp(log_t, log_j), base)
-    else:
+    if squared_log:
         strip = np.logaddexp(
             np.logaddexp(_LOG2 + np.logaddexp(log_t, base), np.log(4.0 * loss**2 + _PI**2 / 4.0) + log_j),
-            np.log(8.0 * loss**2 + _PI**2 / 4.0) + np.logaddexp(log_t0, err0),
+            np.log(8.0 * loss**2 + _PI**2 / 4.0) + log_i,
         )
+    else:
+        strip = np.logaddexp(np.logaddexp(log_t, log_j), base)
     return log_t.tolist(), np.logaddexp(factor + strip, base).tolist()
 
 
@@ -423,8 +428,8 @@ def _node_sums(lf, starts, sizes, weight, h, fixed):
 
 def gamma_kernel_sum_d2(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     """d^2 S(beta; a) / d beta^2 = integral_1^inf t^{beta-1} (log t)^2 (Theta(t) - 1) dt,
-    by the rule of `_theta_sums` at tol/4, with its strip bound carried by a
-    bound on |log t|^2 in the strip."""
+    by the rule of `_theta_sums` at tol/4 with one plan, whose strip bound
+    takes a bound on |log t|^2 in the strip and the plan's bound I+ on S."""
     (group_scales, counts), _, _ = _scale_data(ScaleVector.ensure(scales).ascending)
     [value], [err] = _theta_sums([float(beta)], [group_scales], [counts], [cfg.tol / 4.0], squared_log=True)
     value, err = _scaled(value, err, 0.0)
@@ -464,13 +469,14 @@ def _groups(asc: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[int, ...]]
 @lru_cache(maxsize=1 << 12)
 def _scale_data(asc: tuple[float, ...]) -> tuple:
     """The groups of the ascending scales and of their reciprocals, and x_min
-    of `_reflected_err`; PrecisionError if a scale or a reciprocal squared
-    leaves double range."""
+    = pi min(1/a)^2 of `_reflected_err`, the smallest lattice value of the
+    reciprocal sum; PrecisionError if a scale or a reciprocal squared, times
+    the 2 pi of the rule's pi c^2 t at t = 2, leaves double range."""
     inv = tuple(1.0 / y for y in reversed(asc))
     for what, y in (("scale", asc[-1]), ("reciprocal scale", inv[-1])):
-        if not y * y < math.inf:
-            raise PrecisionError(f"the {what} {y} squared overflows double precision")
-    return _groups(asc), _groups(inv), _smallest_value(inv[0])
+        if not _TWO_PI * y * y < math.inf:
+            raise PrecisionError(f"the {what} {y} squared overflows double precision (times 2 pi)")
+    return _groups(asc), _groups(inv), math.pi * inv[0] ** 2
 
 
 def _scaled(log_value: float, log_err: float, shift: float) -> tuple[float, float]:
@@ -481,8 +487,6 @@ def _scaled(log_value: float, log_err: float, shift: float) -> tuple[float, floa
         err = math.exp(log_err + shift)
     except OverflowError:
         return math.inf, math.inf
-    if value == 0.0:  # a sum whose every node lies past the cap
-        return value, err
     return value, err + _EPS * (abs(log_value + shift) + abs(shift) + 2.0) * value
 
 
@@ -540,12 +544,6 @@ def _ascending(n: int, a):
     if bad.any():
         raise DomainError(f"all scales must be positive finite reals, got {tuple(a[bad][0].tolist())}")
     return map(tuple, np.sort(a, axis=1).tolist())
-
-
-def _smallest_value(inv_min: float) -> float:
-    """x_min = pi min(1/a)^2, the smallest lattice value of the reciprocal sum;
-    `_scale_data` checks that the largest reciprocal squared is finite."""
-    return math.pi * inv_min**2
 
 
 def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:

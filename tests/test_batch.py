@@ -23,8 +23,9 @@ from epsteinzeta.specfun import riemann_zeta
 
 # repeated values make mixed group patterns such as (1, 2) or (1, 1, 3)
 _SCALES = (1.0, 0.5, 2.0, 0.8, 1.25, 0.7)
-# pi * 1024^2 t lies past the rule's cap from t = 1 on, so S(0.3; 1024) is
-# zero within its bound
+# pi * 1024^2 t lies past 700 from t = 1 on, so every node of S(0.3; 1024)
+# takes the asymptotic form of log(Theta - 1), and the sum is 0.0 in double
+# precision
 _EMPTY = (1, 0.3, (1024.0,))
 
 
@@ -94,11 +95,22 @@ def _rule(beta, a, tol):
 
 
 def test_empty_lattice_sums_to_zero():
-    # every node of S(0.3; 1024) lies past the cap: the sum is zero, with
-    # the bound on it as err, alone and followed by a sum with nodes
+    # every node of S(0.3; 1024) lies past pi c^2 t = 700: the sum is 0.0 in
+    # double precision, and its log value and err are the same bits alone
+    # and followed by a sum of unit scales.  Its err covers S = 2 lam^-beta
+    # Gamma(beta, lam), lam = pi 1024^2, whose omitted terms e^{-pi k^2 t},
+    # k >= 2, are below e^{-3 lam} of it
+    import mpmath
+
     assert _rule(0.3, (1024.0,), EvalConfig().tol / 4.0)[0] == 0.0
-    values, _ = _theta_sums([0.3, 0.3], [(1024.0,), (1.0,)], [(1,), (1,)], [1e-10, 1e-10])
-    assert values == [-math.inf, math.log(_rule(0.3, (1.0,), 1e-10)[0])]
+    [alone], [alone_err] = _theta_sums([0.3], [(1024.0,)], [(1,)], [1e-10])
+    values, errs = _theta_sums([0.3, 0.3], [(1024.0,), (1.0,)], [(1,), (1,)], [1e-10, 1e-10])
+    assert values == [alone, math.log(_rule(0.3, (1.0,), 1e-10)[0])]
+    assert errs[0] == alone_err
+    with mpmath.workdps(30):
+        lam = mpmath.pi * 1024**2
+        exact = 2 * lam**-0.3 * mpmath.gammainc(0.3, lam)
+        assert abs(mpmath.exp(alone) - exact) <= mpmath.exp(alone_err)
     # Xi_1(s; a) = V pi^-s Gamma(s) 2 zeta(2s) a^-2s with V = sqrt(a)
     n, s, (a,) = _EMPTY
     v = xi(n, s, (a,))
@@ -164,9 +176,9 @@ def test_unit_scale_grid_evaluates_its_key_once(monkeypatch):
     calls = []
     real = epstein._log_theta
 
-    def counted(x, m):
+    def counted(x, m, far=False):
         calls.append(x.shape)
-        return real(x, m)
+        return real(x, m, far)
 
     monkeypatch.setattr(epstein, "_log_theta", counted)
     epstein._KEYS.clear()
@@ -200,13 +212,21 @@ def test_full_key_cache_keeps_the_keys_of_the_call(monkeypatch):
 )
 def test_theta_sums_bit_identical_alone_and_in_any_batch(jobs, rnd, gate):
     # sums of several orders and group patterns share blocks, and a block
-    # cut anywhere; a sum's value and err do not depend on its batch
-    jobs = [(beta, *_groups(tuple(sorted(a)))) for beta, a in jobs] + [(1.3, (0.5, 0.7, 1.0), (1, 2, 3))]
-    alone = [_theta_sums([beta], [sc], [ct], [1e-10]) for beta, sc, ct in jobs]
-    alone = [(values[0], errs[0]) for values, errs in alone]
+    # cut anywhere; a sum's value and err do not depend on its batch.  The
+    # key data of the far scale 1024, whose nodes all take the asymptotic
+    # form of log(Theta - 1), is computed in the batch next to wider keys
+    jobs = [(beta, *_groups(tuple(sorted(a)))) for beta, a in jobs]
+    jobs += [(1.3, (0.5, 0.7, 1.0), (1, 2, 3)), (0.3, (1024.0,), (1,))]
     order = list(range(len(jobs)))
     rnd.shuffle(order)
+    epstein._KEYS.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(epstein, "_BLOCK", gate)
         values, errs = _theta_sums(*map(list, zip(*[jobs[i] for i in order])), [1e-10] * len(jobs))
-        assert [(values[order.index(k)], errs[order.index(k)]) for k in range(len(jobs))] == alone
+    batched = [(values[order.index(k)], errs[order.index(k)]) for k in range(len(jobs))]
+    alone = []
+    for beta, sc, ct in jobs:
+        epstein._KEYS.clear()
+        [value], [err] = _theta_sums([beta], [sc], [ct], [1e-10])
+        alone.append((value, err))
+    assert batched == alone

@@ -68,6 +68,28 @@ def test_one_dimensional_reduces_to_zeta_term():
     assert abs(left.value - right.value) <= left.err + right.err
 
 
+@pytest.mark.parametrize(
+    "n, s, a, term",
+    [
+        # Gamma(s) or a_1^-2s past double range
+        (1, 200.0, (0.001,), "leading term"),
+        (3, 180.0, (1.0,) * 3, "leading term"),
+        (2, 172.3, (1.0, 2.0), "leading term"),
+        # the reflected zeta(2s) of a negative order
+        (2, -175.3, (1.0, 1.0), "leading term"),
+        # cosh(nu u) of the Bessel K at a large order
+        (4, 171.3, (1.0,) * 4, "Bessel sum of level 1"),
+        # the coefficient 1/(a_3^(2s - 2) a_1 a_2) past double range
+        (3, 0.7, (1e-200, 1.0, 1e200), "zeta term of level 2"),
+    ],
+)
+def test_terms_past_double_range_raise_precision_error(n, s, a, term):
+    # under the suite's warnings-as-errors, an overflow is a PrecisionError
+    # that names the term, not an OverflowError, a warning or an inf
+    with pytest.raises(PrecisionError, match=term):
+        xi_chowla_selberg(n, s, ScaleVector(a))
+
+
 def test_oversized_bessel_sum_raises():
     # the last tower level of seven unit scales would need 8,417,361 terms
     with pytest.raises(PrecisionError, match="8417361 terms"):

@@ -379,6 +379,17 @@ def test_precision_error_carries_bound():
             xi(len(a), 0.3, ScaleVector(a))
 
 
+@pytest.mark.parametrize("a", [(1e154,), (1e-154,), (1.22e153,), (1.0 / 1.22e153,)])
+def test_scales_at_the_edge_of_double_range_raise_precision_error(a):
+    # 2 pi a^2 past double range, and a sum of c^2 = 1/a^2 whose right end
+    # t - 1 = e^{u - e^-u} would leave it: a PrecisionError with no warning,
+    # next to a scale whose sums stay in range
+    with pytest.raises(PrecisionError):
+        xi(1, 0.3, ScaleVector(a))
+    v = xi(1, 0.3, ScaleVector((8.2e152,)))
+    assert math.isfinite(v.value) and math.isfinite(v.err)
+
+
 def test_precision_error_message_does_not_depend_on_the_batch():
     # one node past double range raises the same message alone and among
     # 20 copies of itself

@@ -120,6 +120,45 @@ def test_log_theta_matches_specfun_theta():
             assert ev == pytest.approx(math.log(2.0) - math.pi * xv, rel=1e-12)
 
 
+def _mp_log_excess(x, m):
+    """log(prod_g jtheta(3, 0, e^{-pi x_g})^{m_g} - 1) with 40 digits past
+    the size of the leading term 2 e^{-pi x_0}, so that nothing cancels."""
+    import mpmath
+
+    with mpmath.workdps(40 + int(math.pi * min(x) / math.log(10.0))):
+        theta3 = [mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * mpmath.mpf(xg))) for xg in x]
+        return mpmath.log(mpmath.fprod(t**k for t, k in zip(theta3, m)) - 1)
+
+
+# one group, and several with the second close enough to x_0 to count
+_GROUPS = [((1.0,), (1,)), ((1.0, 1.0 + 1e-4, 1.5, 3.0), (2, 1, 3, 1))]
+
+
+@pytest.mark.parametrize("ratios, counts", _GROUPS)
+@pytest.mark.parametrize("pi_x0", [690.0, 699.9, 700.1, 745.0, 800.0, 1e4])
+def test_log_theta_far_form_matches_jtheta(pi_x0, ratios, counts):
+    # past pi x_0 = 700 log(Theta - 1) takes its asymptotic form; below it
+    # the far switch leaves the bits of the series form
+    x0 = pi_x0 / math.pi
+    x = np.array([[x0 * r for r in ratios]])
+    m = np.array([counts], dtype=float)
+    _, [log_excess] = _log_theta(x, m, True)
+    exact = _mp_log_excess(x[0].tolist(), counts)
+    assert abs(log_excess - float(exact)) <= 4.0 * np.finfo(float).eps * abs(float(exact))
+    if pi_x0 < 700.0:
+        assert _log_theta(x, m)[1][0] == log_excess
+
+
+@pytest.mark.parametrize("ratios, counts", _GROUPS)
+def test_log_theta_is_continuous_across_the_far_switch(ratios, counts):
+    # at the last double below the switch and the first above it, the two
+    # forms agree to a few eps of log(Theta - 1), the change of pi x_0 included
+    x0 = np.array([np.nextafter(epstein._X_FAR, 0.0), np.nextafter(epstein._X_FAR, np.inf)])
+    x = x0[:, None] * np.array(ratios)
+    _, (below, above) = _log_theta(x, np.array([counts] * 2, dtype=float), True)
+    assert abs(above - below) <= 4.0 * np.finfo(float).eps * 700.0
+
+
 def _refined(plan, factor):
     """The plan with the step divided by factor, over its range of u widened
     by 2 at each end, so that its own omitted nodes are negligible."""
@@ -175,3 +214,31 @@ def test_err_stays_finite_where_tol_is_loose(s, a):
         sm, am = mpmath.mpf(s), mpmath.mpf(a)
         exact = mpmath.sqrt(am) * mpmath.pi**-sm * mpmath.gamma(sm) * 2 * am ** (-2 * sm) * mpmath.zeta(2 * sm)
         assert math.isfinite(v.err) and abs(v.value - exact) <= v.err
+
+
+def _closed_form_nodes():
+    """Seeded (s, a) for n = 1 with s in (-900, 1500) away from the integers
+    and from 1/2, a = e^U(-4, 4), and Xi_1(700; 10) = 2.16e-61."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        s, a = float(rng.uniform(-900.0, 1500.0)), float(math.exp(rng.uniform(-4.0, 4.0)))
+        if abs(s - round(s)) > 1e-3 and abs(s - 0.5) > 1e-3:
+            yield s, a
+    yield 700.0, 10.0
+
+
+def test_err_covers_one_dimensional_closed_form():
+    # Xi_1(s; a) = 2 sqrt(a) pi^-s Gamma(s) a^-2s zeta(2s): every returned
+    # err covers it, and no node in double range raises
+    import mpmath
+
+    for s, a in _closed_form_nodes():
+        with mpmath.workdps(DPS):
+            sm, am = mpmath.mpf(s), mpmath.mpf(a)
+            exact = 2 * mpmath.sqrt(am) * mpmath.pi**-sm * mpmath.gamma(sm) * am ** (-2 * sm) * mpmath.zeta(2 * sm)
+            try:
+                v = xi(1, s, ScaleVector((a,)))
+            except PrecisionError:
+                assert abs(exact) >= 1e300, f"Xi_1({s}; {a}) = {exact} raised"
+                continue
+            assert abs(v.value - exact) <= v.err, (s, a)
