@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import nullcontext
 from itertools import accumulate
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -143,6 +144,8 @@ _LOG_STEPS = [-inf] + [math.log(k * _STEP_UNIT) for k in range(1, 1025)]
 # past pi x_0 = 700, where e^{-pi x} leaves the normal range, log(Theta - 1)
 # takes its asymptotic form
 _X_FAR = 700.0 / math.pi
+# up to x = _X_WIDE, pi x stays in double range
+_X_WIDE = 1e307
 # nodes per evaluation block, which bounds the temporaries of a long call
 _BLOCK = 1 << 12
 _KEYS: dict[tuple, tuple] = {}  # see `_key_data`
@@ -221,10 +224,11 @@ def _key_data(keys) -> list[tuple]:
 def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
     """The rule for one sum with the key data `row`, weighted by (log t)^2 if
     squared_log: (h, k_lo, k_hi, beta - 1, log I+, log tails, eps P, R, log J,
-    log strip factor, -log kappa, far) with nodes u = k h for k_lo <= k <=
-    k_hi, one at least, the bounds of `_theta_sums` and whether c_0^2 t is
-    past _X_FAR at the node after the last; the step and the ends only aim at
-    tol, and I+ bounds the unweighted sum."""
+    log strip factor, -log kappa, far, wide) with nodes u = k h for k_lo <= k
+    <= k_hi, one at least, the bounds of `_theta_sums`, whether c_0^2 t is
+    past _X_FAR at the node after the last and whether pi c_g^2 t of the
+    largest group may pass double range there; the step and the ends only aim
+    at tol, and I+ bounds the unweighted sum."""
     c0, lam, log_p1, log_tk, log_t2, amp, spread, base, log_pair, log_lam, _, _ = row
     bm1 = beta - 1.0
     b, low = (bm1, 0.0) if bm1 > 0.0 else (0.0, bm1)
@@ -282,6 +286,7 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
     w = exp(-u)
     e = exp(u - w)
     far = c0 * (e + 1.0) > _X_FAR
+    wide = row[-2][-1] * (e + 1.0) > _X_WIDE
     lt = log1p(e)
     g, bb = log_p1 + b * lt + u - lam * e, b
     if squared_log:
@@ -312,7 +317,7 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
         ea += _LOG2
     factor = (ea + 2e-13 if ea < -30.0 else ea - log(-expm1(ea))) if ea < 0.0 else inf
     factor -= _LOG2 if squared_log else 0.0
-    return h, k_lo, k_hi, bm1, log_i, tails, (1.25 * fixed + 4.0) * _EPS, 1.25 * _EPS * (amp * grow + 2.5 * _PI), log_j, factor, loss, far
+    return h, k_lo, k_hi, bm1, log_i, tails, (1.25 * fixed + 4.0) * _EPS, 1.25 * _EPS * (amp * grow + 2.5 * _PI), log_j, factor, loss, far, wide
 
 
 def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tuple[list[float], list[float]]:
@@ -385,9 +390,13 @@ def _evaluate(plans, rows, sizes, squared_log: bool) -> tuple[list[float], list[
     v = u - w
     e = np.exp(v)
     lt = np.log1p(e)
-    x = node[:, 10 : 10 + width] * (e + 1.0)[:, None]
     m = node[:, 10 + width :]
-    _, lf = _log_theta(x, m, any(p[11] for p in plans))
+    # x = c_g^2 t, and pi x, overflow only in a group far above c_0, where
+    # x = inf is exact: theta(inf) = 1, and the far form's e^{-pi (x_g - x_0)}
+    # is 0; only a block with a wide plan pays for the errstate
+    with np.errstate(over="ignore") if any(p[12] for p in plans) else nullcontext():
+        x = node[:, 10 : 10 + width] * (e + 1.0)[:, None]
+        _, lf = _log_theta(x, m, any(p[11] for p in plans))
     lf += node[:, 2] * lt
     lf += v
     lf += np.log1p(w)

@@ -14,7 +14,9 @@ bits.  The negative region in these coordinates is convex, hence connected,
 and the certifiers check the discrete shadow of both facts on the sampled
 grid: one 2j-adjacency component, and no positive cell inside the convex
 hull of the negative cells, a test that is exact in every rank of the
-negatives' affine span.
+negatives' affine span.  Rank 2, which covers every 2-d chart, builds the
+hull by Andrew's monotone chain in numpy and plain Python and names a
+witness by a fan triangle of it; only rank >= 3 loads `scipy.spatial`.
 """
 
 from __future__ import annotations
@@ -207,10 +209,14 @@ def certify_discrete_convex(grid_or_labels) -> DiscreteConvexityReport:
     offsets; the candidates are the positive cells of their bounding box on
     that span.  r = 1 is an interval test along the line; otherwise every
     candidate is tested against the facet planes of the hull, in span
-    coordinates, in one product, and the hull's vertices are triangulated
-    only to name the simplex of a hit.  Only exact lattice membership counts:
-    cells merely clipped by the hull would flag the boundary skin of a
-    convex region.  Accepts a RegionGrid or a raw int8 label array.
+    coordinates, in one product, and a simplex of the hull is found only to
+    name a hit.  For r = 2 the hull is the ring of Andrew's monotone chain
+    (`_ring`), its facets are its edges and the simplex is the fan triangle
+    (v_0, v_i, v_i+1) of the ring that holds the hit; only r >= 3 loads
+    `scipy.spatial`, for `ConvexHull` and `Delaunay`.  Only exact lattice
+    membership counts: cells merely clipped by the hull would flag the
+    boundary skin of a convex region.  Accepts a RegionGrid or a raw int8
+    label array.
     """
     labels = grid_or_labels.labels if isinstance(grid_or_labels, RegionGrid) else grid_or_labels
     negative = np.argwhere(labels == NEGATIVE)
@@ -238,6 +244,23 @@ def _hull_witness(labels: np.ndarray, negative: np.ndarray):
         t, x = points[:, 0], coords[:, 0]
         hit = np.flatnonzero((x > t.min() - 1e-9) & (x < t.max() + 1e-9))[:1]
         corners = [t.argmin(), t.argmax()]
+    elif len(basis) == 2:
+        ring = _ring(labels, negative, points)
+        corner = points[ring]
+        edge = np.roll(corner, -1, axis=0) - corner
+        # inward unit normals of the counter-clockwise edges; an off-hull
+        # lattice cell lies at least 1/|integer normal| outside one
+        inward = np.stack([-edge[:, 1], edge[:, 0]], axis=1) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
+        depth = coords @ inward.T - (corner * inward).sum(axis=1)
+        hit = np.flatnonzero((depth >= -1e-9).all(axis=1))[:1]
+        if len(hit):
+            # the fan triangle (v_0, v_i, v_i+1) that holds the hit: the rays
+            # v_0 v_2 .. v_0 v_m-2 turn counter-clockwise, and v_i is the last
+            # whose ray has the hit strictly on its left (see `_ring`)
+            ray = corner[2:-1] - corner[0]
+            offset = coords[hit[0]] - corner[0]
+            i = 1 + int((ray[:, 0] * offset[1] - ray[:, 1] * offset[0] > 0.5).sum())
+            corners = ring[[0, i, i + 1]]
     else:
         from scipy.spatial import ConvexHull, Delaunay
 
@@ -254,6 +277,44 @@ def _hull_witness(labels: np.ndarray, negative: np.ndarray):
     if not len(hit):
         return None
     return tuple(map(tuple, negative[corners].tolist())), tuple(cells[hit[0]].tolist())
+
+
+def _ring(labels: np.ndarray, negative: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Indices into `negative` of the vertices of its hull, counter-clockwise
+    in the span coordinates `points` from the first, for negatives of rank 2:
+    Andrew's monotone chain (Inf. Proc. Letters 9, 1979).
+
+    The chain takes the cells in C order, the order of `negative`: it is
+    lexicographic in their integer indices, so along one direction of their
+    plane with ties broken along another, as the chain needs, and no tie is
+    left to rounding.  A reflected order only swaps the two halves.
+    A negative strictly between two negative neighbours along a grid axis is
+    their midpoint, never a vertex, so the chain skips it.  Twice the area of
+    a triangle of lattice cells in a lattice plane is the norm of an integer
+    vector, 0 or at least 1, so a turn whose cross product is at most 0.5 is
+    straight and drops its middle point."""
+    negatives = labels == NEGATIVE
+    between = np.zeros_like(negatives)
+    for axis in range(labels.ndim):
+        head = (slice(None),) * axis
+        between[head + (slice(1, -1),)] |= negatives[head + (slice(None, -2),)] & negatives[head + (slice(2, None),)]
+    chain = np.flatnonzero(~between[tuple(negative.T)])
+    xy = points[chain].tolist()
+
+    def half(order):
+        kept: list[int] = []
+        for k in order:
+            bx, by = xy[k]
+            while len(kept) > 1:
+                (ox, oy), (ax, ay) = xy[kept[-2]], xy[kept[-1]]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0.5:
+                    break
+                kept.pop()
+            kept.append(k)
+        return kept
+
+    ends = range(len(chain))
+    return chain[half(ends)[:-1] + half(ends[::-1])[:-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,19 @@ def test_overflowing_term_is_rejected_before_any_table():
         xi(10, -80.0, ScaleVector((100.0,) * 10))
 
 
+@pytest.mark.parametrize("scales", [(1e100, 1e-100), (1e120, 1.0, 1e-120)])
+def test_group_far_above_the_least_scale_needs_no_overflow(scales):
+    # c_g^2 t of the large scale passes double range at the nodes of the
+    # small one; it is inf there, which is exact, and no warning escapes
+    # the suite's filterwarnings = error.  Chowla-Selberg agrees:
+    # 3.6178989755461e140 against 3.6178989755462e140 at (1e100, 1e-100)
+    n = len(scales)
+    v = xi(n, 0.3, ScaleVector(scales))
+    other = xi_chowla_selberg(n, 0.3, ScaleVector(scales))
+    assert math.isfinite(v.value) and math.isfinite(v.err)
+    assert abs(v.value - other.value) <= v.err + other.err
+
+
 def _mp_xi(s, terms):
     """pi^{-s} Gamma(s) times `terms`, at 40 digits, for a closed-form Xi."""
     import mpmath

@@ -291,16 +291,108 @@ def test_discrete_convex_disk():
 
 
 def test_discrete_convex_holds_without_triangulation(monkeypatch):
-    # the facet test decides a convex set; Delaunay only names a witness
+    # a full-rank 3-d set is the one path that reaches Delaunay, and its
+    # facet test decides a convex set; Delaunay only names a witness
     import scipy.spatial
 
     def refuse(*args, **kwargs):
         raise AssertionError("Delaunay called on a convex set")
 
     monkeypatch.setattr(scipy.spatial, "Delaunay", refuse)
-    assert certify_discrete_convex(disk_labels()).ok
+    i, j, k = np.indices((9, 9, 9)) - 4
+    ball = np.where(i * i + j * j + k * k <= 10, NEGATIVE, POSITIVE).astype(np.int8)
+    assert certify_discrete_convex(ball).ok
     grid = scan(3, 0.7, kratio_chart(3), [(-2.0, 2.0)] * 2, [21, 21])
     assert certify_discrete_convex(grid).ok
+
+
+def span_points(negative):
+    """Coordinates of the cells in an orthonormal basis of their affine span."""
+    offsets = negative - negative[0]
+    _, sing, vt = np.linalg.svd(offsets, full_matrices=False)
+    return offsets @ vt[sing > 1e-9 * sing[0]].T
+
+
+def seeded_planar_sets():
+    """Planar negative sets: polygons cut from 2-d grids by lattice half-planes,
+    whose boundaries run through many collinear cells, the same with holes and
+    scattered cells, the 41x41 (3, 0.7) `kratio_chart` region, and random
+    subsets of lattice planes in 3-d grids."""
+    rng = np.random.default_rng(23)
+    for trial in range(120):
+        shape = tuple(rng.integers(4, 16, size=2))
+        cells = np.indices(shape).reshape(2, -1).T
+        inside = np.ones(len(cells), dtype=bool)
+        for _ in range(rng.integers(1, 5)):
+            inside &= cells @ rng.integers(-3, 4, size=2) <= rng.integers(0, 20)
+        labels = np.where(inside, NEGATIVE, POSITIVE).reshape(shape).astype(np.int8)
+        if trial % 3:
+            labels[rng.random(shape) < 0.1 * (trial % 3)] = INDETERMINATE
+        yield labels
+    yield scan(3, 0.7, kratio_chart(3), [(-2.0, 2.0)] * 2, [41, 41]).labels
+    for _ in range(60):
+        shape = tuple(rng.integers(3, 8, size=3))
+        cells = np.indices(shape).reshape(3, -1).T
+        normal = rng.integers(-2, 3, size=3)
+        normal[rng.integers(3)] = rng.choice([-1, 1])
+        plane = (cells @ normal == rng.integers(-2, 6)) & (rng.random(len(cells)) < 0.8)
+        yield np.where(plane, NEGATIVE, POSITIVE).reshape(shape).astype(np.int8)
+
+
+def test_ring_vertices_match_scipy_convex_hull():
+    # the monotone chain's ring, over the cells the filter keeps, has the
+    # vertices of the qhull hull of all the negatives
+    from scipy.spatial import ConvexHull
+
+    from epsteinzeta.regions import _ring
+
+    seen = set()
+    for labels in seeded_planar_sets():
+        negative = np.argwhere(labels == NEGATIVE)
+        if len(negative) < 3:
+            continue
+        points = span_points(negative)
+        if points.shape[1] != 2:
+            continue
+        ring = _ring(labels, negative, points)
+        assert len(set(ring.tolist())) == len(ring)
+        assert set(ring.tolist()) == set(ConvexHull(points).vertices.tolist()), labels
+        # counter-clockwise: every turn of the ring is to the left
+        corner = points[ring]
+        edge = np.roll(corner, -1, axis=0) - corner
+        turn = edge[:, 0] * np.roll(edge[:, 1], -1) - edge[:, 1] * np.roll(edge[:, 0], -1)
+        assert (turn > 0.5).all()
+        seen.add((labels.ndim, len(negative) > len(ring)))
+    # some ring in each dimension leaves negatives out
+    assert {(2, True), (3, True)} <= seen
+
+
+def test_planar_scans_and_witnesses_never_import_scipy_spatial():
+    # a fresh interpreter: a 2-d chart scan with both certifiers, and a
+    # planar set with a witness, decided without scipy.spatial
+    import os
+    import subprocess
+    import sys
+
+    import epsteinzeta
+
+    code = """
+import sys
+import numpy as np
+import epsteinzeta as ez
+grid = ez.scan(3, 0.7, ez.kratio_chart(3), [(-2.0, 2.0)] * 2, [9, 9])
+assert ez.certify_connected(grid).connected
+assert ez.certify_discrete_convex(grid).ok
+labels = np.full((21, 21), 1, dtype=np.int8)
+labels[2:19, 2:8] = -1
+labels[2:8, 2:19] = -1
+assert ez.certify_discrete_convex(labels).witness is not None
+sys.exit('scipy.spatial was imported' if 'scipy.spatial' in sys.modules else 0)
+"""
+    src = os.path.dirname(os.path.dirname(epsteinzeta.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_discrete_convex_l_shape_fails_with_witness():
