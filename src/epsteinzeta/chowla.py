@@ -95,6 +95,8 @@ def chowla_selberg_terms(
     they are given in: its total is symmetric in them, its cost is not, and
     the smallest scales first keep the Bessel sums short.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     sv = ScaleVector.ensure(scales)
     if len(sv) != n:
         raise DomainError(f"expected {n} scales, got {len(sv)}")
@@ -149,7 +151,11 @@ def chowla_selberg_terms(
             err += cfg.tol * 1e-12 + 1e-15 * (abs(leading) + sum(abs(t) for t in tower))
             term = "error bound"
             _finite(err)
-    except (OverflowError, FloatingPointError) as exc:
+    except (OverflowError, FloatingPointError, PrecisionError) as exc:
+        # zeta and Bessel K raise their overflows typed, from the OverflowError;
+        # the term cap of _check_terms is no overflow and keeps its message
+        if isinstance(exc, PrecisionError) and not isinstance(exc.__cause__, OverflowError):
+            raise
         raise PrecisionError(f"the {term} of the Chowla-Selberg expansion of Xi_{n}({s}) leaves double range") from exc
     return CSTerms(leading, tuple(tower), bessel_tail, err)
 

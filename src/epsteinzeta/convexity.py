@@ -5,7 +5,10 @@ The chain of custody runs: positivity of h(v) = theta'' theta - theta'^2
 + theta theta' / v on [1, inf) gives strict convexity of u -> log theta(e^u);
 the closed-form determinant of diagonal-plus-rank-structure matrices turns
 that into positive semidefiniteness of the Hessian of products of theta
-factors (Sylvester criterion on leading principal minors); affine invariance
+factors (Sylvester criterion on leading principal minors).  Every link reads
+theta, theta' and theta'' at t = e^{|u|} >= 1 from one call of
+`specfun.theta_with_derivatives`, and the reflection theta(e^u) =
+e^{-u/2} theta(e^{-u}) carries the result to u < 0; affine invariance
 then yields convexity of Xi on constant-log-volume hyperplanes, checked here
 end to end through midpoint inequalities, and the unique minimum at equal
 scales, checked by randomised sampling.
@@ -22,13 +25,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, xi_many
 from .errors import DomainError, PrecisionError
-from .specfun import (
-    _EPS,
-    Approximation,
-    _gauss_series,
-    theta_log_derivatives,
-    theta_with_derivatives,
-)
+from .specfun import _EPS, Approximation, theta_with_derivatives
 
 __all__ = [
     "JnInput",
@@ -132,6 +129,20 @@ def standard_chart(n: int, v=None) -> HyperplaneChart:
 # ---------------------------------------------------------------------------
 
 
+# from |u| = 6 on, t = e^|u| > 400 and every term e^{-pi t k^2} of the theta
+# series underflows, so theta = 1 and theta' = theta'' = 0 there exactly: the
+# limits as |u| -> inf
+_U_FLAT = 6.0
+
+
+def _theta_at(u: float) -> tuple[float, tuple[Approximation, Approximation, Approximation]]:
+    """t = e^{|u|} >= 1, with |u| capped at _U_FLAT, and (theta, theta', theta'') at t."""
+    if math.isnan(u):
+        raise DomainError(f"u must be a number, got {u}")
+    t = math.exp(min(abs(u), _U_FLAT))
+    return t, theta_with_derivatives(t)
+
+
 def h_of_v(v: float) -> Approximation:
     """h(v) = theta''(v) theta(v) - theta'(v)^2 + theta(v) theta'(v) / v.
 
@@ -143,7 +154,14 @@ def h_of_v(v: float) -> Approximation:
     """
     if not v >= 1.0:
         raise DomainError(f"h(v) is evaluated on v >= 1 only, got {v}")
-    th, thp, thpp = theta_with_derivatives(v)
+    h = _h(v, *theta_with_derivatives(v))
+    if not abs(h.value) >= sys.float_info.min:
+        raise PrecisionError(f"h({v}) = {h.value} is below the normal double range")
+    return h
+
+
+def _h(v: float, th: Approximation, thp: Approximation, thpp: Approximation) -> Approximation:
+    """h(v) from theta, theta' and theta'' at v >= 1."""
     value = thpp.value * th.value - thp.value * thp.value + th.value * thp.value / v
     err = (
         abs(thpp.value) * th.err
@@ -152,8 +170,6 @@ def h_of_v(v: float) -> Approximation:
         + (abs(thp.value) * th.err + th.value * thp.err) / v
         + 4.0 * _EPS * (abs(thpp.value) * th.value + thp.value**2 + abs(thp.value) / v)
     )
-    if not abs(value) >= sys.float_info.min:
-        raise PrecisionError(f"h({v}) = {value} is below the normal double range")
     return Approximation(value, err)
 
 
@@ -212,9 +228,14 @@ def det_jn(inp: JnInput) -> float:
     Both summands are nonnegative whenever z_i >= w_i^2, which is exactly the
     log-convexity condition on each factor.
     """
-    d = [zi - wi * wi for zi, wi in zip(inp.z, inp.w)]
+    return _det([zi - wi * wi for zi, wi in zip(inp.z, inp.w)], inp.w)
+
+
+def _det(d: list[float], w) -> float:
+    """prod_i d_i + sum_i w_i^2 prod_{j != i} d_j: the determinant of the
+    matrix with diagonal d_i + w_i^2 and off-diagonal w_i w_j."""
     terms = [math.prod(d)]
-    for i, wi in enumerate(inp.w):
+    for i, wi in enumerate(w):
         terms.append(wi * wi * math.prod(d[:i] + d[i + 1 :]))
     return math.fsum(terms)
 
@@ -237,19 +258,18 @@ def jn_recursion(alphas) -> float:
     """Determinant of the all-ones matrix with diagonal replaced by alphas,
     through the elimination recursion
 
-        D(a_1 .. a_n) = (a_1 - 1) D(a_2 .. a_n) + (-1)^{n-1} prod_{i>=2} (1 - a_i).
+        D(a_1 .. a_n) = (a_1 - 1) D(a_2 .. a_n) + (-1)^{n-1} prod_{i>=2} (1 - a_i),
+
+    unrolled from D(a_n) = a_n up.
     """
     alphas = list(alphas)
     if len(alphas) < 1:
         raise DomainError("need at least one diagonal entry")
-    if len(alphas) == 1:
-        return alphas[0]
-    n = len(alphas)
-    rest = alphas[1:]
-    sign = -1.0 if (n - 1) % 2 else 1.0
-    return (alphas[0] - 1.0) * jn_recursion(rest) + sign * math.prod(
-        1.0 - a for a in rest
-    )
+    det = alphas[-1]
+    for i in range(len(alphas) - 2, -1, -1):
+        sign = -1.0 if (len(alphas) - i - 1) % 2 else 1.0
+        det = (alphas[i] - 1.0) * det + sign * math.prod(1.0 - a for a in alphas[i + 1 :])
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +287,22 @@ class SylvesterReport:
 def sylvester_check(xs) -> SylvesterReport:
     """Leading principal minors of the reduced Hessian of prod_i theta(e^{x_i}).
 
-    With f(x) = theta(e^x), the reduced Hessian has diagonal f''/f and
-    off-diagonal (f'/f)_i (f'/f)_j; its minors are evaluated through the
-    closed determinant form, where z_i - w_i^2 = (log f)'' > 0 makes every
-    minor a sum of positive products.
+    With f(x) = theta(e^x) and F = log f, the reduced Hessian has diagonal
+    f''/f = F'' + F'^2 and off-diagonal F'(x_i) F'(x_j); its minors are
+    evaluated through the closed form of `det_jn` with d_i = F''(x_i) > 0
+    passed as it is, which makes every minor a sum of nonnegative products.
+    F is evaluated at t = e^{|x|} >= 1 only: theta(e^u) = e^{-u/2}
+    theta(e^{-u}) gives F'(-u) = -1/2 - F'(u) and F''(-u) = F''(u).
     """
     xs = tuple(float(x) for x in xs)
-    zs: list[float] = []
+    ds: list[float] = []
     ws: list[float] = []
     for x in xs:
-        t = math.exp(x)
-        g1, g2 = theta_log_derivatives(t)
-        w = t * g1  # (log f)'
-        log_second = t * t * g2 + t * g1  # (log f)''
-        ws.append(w)
-        zs.append(log_second + w * w)  # f''/f
-    minors = tuple(det_jn(JnInput(tuple(zs[:i]), tuple(ws[:i]))) for i in range(1, len(xs) + 1))
+        t, (th, thp, thpp) = _theta_at(x)
+        w = t * thp.value / th.value  # F'(|x|)
+        ws.append(w if x >= 0.0 else -0.5 - w)
+        ds.append(t * t * _h(t, th, thp, thpp).value / th.value**2)
+    minors = tuple(_det(ds[:i], ws[:i]) for i in range(1, len(xs) + 1))
     return SylvesterReport(xs=xs, minors=minors, all_nonnegative=all(m >= 0.0 for m in minors))
 
 
@@ -334,7 +354,7 @@ def log_theta_convexity(us) -> LogConvexityReport:
 
     With t = e^u the derivative is t^2 h(t) / theta(t)^2.  The symmetry
     (log theta(e^u))'' = (log theta(e^{-u}))'' maps negative grid points to
-    positive ones, so t >= 1 and h_of_v applies; like h_of_v, a point past
+    positive ones, so t >= 1 and h(t) applies; like h_of_v, a point past
     u of about 5.4 raises PrecisionError rather than report an unresolved 0.
     """
     us = tuple(float(u) for u in us)
@@ -342,19 +362,22 @@ def log_theta_convexity(us) -> LogConvexityReport:
         raise DomainError("grid must be nonempty")
     results = []
     for u in us:
-        t = math.exp(abs(u))
-        h = h_of_v(t)
-        th, thp, thpp = theta_with_derivatives(t)
+        t, (th, thp, thpp) = _theta_at(u)
+        h = _h(t, th, thp, thpp)
+        if not abs(h.value) >= sys.float_info.min:
+            raise PrecisionError(f"h(e^|u|) = {h.value} at u = {u} is below the normal double range")
         value = t * t * h.value / th.value**2
         err = t * t * (h.err + 2.0 * abs(h.value) * th.err / th.value) / th.value**2
-        # t = fl(e^|u|) is off by up to an ulp, and each e^{-pi t k^2} sees t
-        # through the rounding of pi t k^2: 3 eps t in all, amplified by
-        # |d/dt (t^2 h / theta^2)| <= slope, which is about pi t |value|
+        # t = fl(e^|u|) is off by up to an ulp, amplified by
+        # |d/dt (t^2 h / theta^2)| <= slope, which is about pi t |value|; the
+        # series errs hold the rounding of each pi t k^2.  -theta''' = 2 pi^3 S_6
+        # <= 1.004 pi theta'', as S_6 / S_4, a mean of k^2 under weights
+        # k^4 e^{-pi t k^2}, falls in t from 1.0039 at t = 1
         d0, d1, d2 = th.value, -thp.value, thpp.value
-        d3 = 2.0 * math.pi**3 * _gauss_series(t, 6).value  # -theta'''(t)
+        d3 = 1.004 * math.pi * d2
         dh = d3 * d0 + d1 * d2 + (d1 * d1 + d0 * d2) / t + d0 * d1 / (t * t)
         slope = (2.0 * t * abs(h.value) + t * t * dh) / d0**2 + 2.0 * abs(value) * d1 / d0
-        err += 3.0 * _EPS * t * slope
+        err += _EPS * t * slope
         results.append(Approximation(value, err + 8.0 * _EPS * abs(value)))
     all_pos = all(r.value > 0.0 and r.excludes_zero() for r in results)
     return LogConvexityReport(us=us, second_derivatives=tuple(results), all_positive=all_pos)

@@ -118,6 +118,8 @@ def scan(
     steps = tuple(int(k) for k in steps)
     if len(bounds) != chart.j or len(steps) != chart.j:
         raise DomainError("bounds and steps must match the chart's free dimensions")
+    if any(k < 1 for k in steps):
+        raise DomainError(f"every axis needs at least one step, got {steps}")
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps)]
     shape = tuple(steps)
     _check_not_pole(n, s)

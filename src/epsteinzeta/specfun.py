@@ -1,7 +1,9 @@
 """Self-contained real-argument special functions with tracked error bounds.
 
 Provides the theta function theta(t) = sum_k exp(-pi t k^2) and its first two
-t-derivatives, the Riemann zeta function for real argument, the
+t-derivatives, from one fixed series of four terms at argument >= 1 and the
+reflection theta(t) = t^{-1/2} theta(1/t) below 1, the Riemann zeta function
+for real argument, the
 integration-by-parts partial sum behind the closed-form bounds of the sign
 certificates on the upper incomplete gamma function Gamma(beta, x), and the
 modified Bessel function K_nu(z) over a float or an array of z, by one
@@ -37,9 +39,6 @@ __all__ = [
 ]
 
 _EPS = 2.2204460492503131e-16
-# Keep theta-series errors close to roundoff so downstream error budgets are
-# dominated by the tolerances of the evaluations that use them.
-_SERIES_FLOOR = 1e-17
 # riemann_zeta(s) for -1e-6 < s < 0 is zeta(0) + s zeta'(0), within 1.01 s^2;
 # the functional equation's err there grows like 4e-17/|s| (4e-11 at -1e-6)
 _TAYLOR_AT_ZERO = 1e-6
@@ -66,33 +65,64 @@ class Approximation:
         return f"{self.value!r} ± {self.err:.3g}"
 
 
-def _gauss_series(t: float, power: int) -> Approximation:
-    """sum_{k>=1} k^power exp(-pi t k^2) for t > 0.
+def _theta_rows(t: float, rows: int) -> list[Approximation]:
+    """theta(t) and its first rows - 1 derivatives, t > 0, from the sums
+    S_p = sum_{k>=1} k^p exp(-pi x k^2), p = 0, 2, 4, at x = max(t, 1/t) >= 1.
 
-    Terms eventually decay faster than geometrically; summation stops once the
-    next term is below ``_SERIES_FLOOR`` and less than half of its predecessor,
-    so the tail is majorised by twice the first omitted term.
+    Each S_p is summed over k = 1..4, smallest term first.  Past k = 4 each
+    term is below (6/5)^4 e^{-11 pi} < 1e-14 of the one before, so the
+    omitted terms add at most 2 5^p e^{-25 pi x}.  y = pi x k^2 rounds to
+    within 2 eps y, which moves e^{-y} by 2 y eps of itself; exp, the
+    product with k^p and the additions add 4 eps more of each term, and an
+    exponential that underflows or is subnormal the least subnormal.
+
+    At t >= 1 the rows are 1 + 2 S_0, -2 pi S_2 and 2 pi^2 S_4.  Below 1
+    they differentiate the reflection theta(t) = T^{1/2} theta(T), T = 1/t:
+
+        theta'(t)  = -T^{3/2} (1/2 + S_0 - 2 pi T S_2)
+        theta''(t) =  T^{5/2} (3/4 + 3/2 S_0 - 6 pi T S_2 + 2 pi^2 T^2 S_4),
+
+    and add 8 eps of the magnitudes of their parts to the propagated series
+    errs (2 eps at t >= 1): some 3 eps of operations, and 1.6 eps for the
+    rounding of T, as t |theta^(j+1)(t)| <= 3.2 |theta^(j)(t)| on (0, 1].
+    A row past double range, theta'' below t of about 1e-123, raises
+    PrecisionError.
     """
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    k = 1
-    prev = math.inf
-    while True:
-        term = float(k) ** power * math.exp(-math.pi * t * k * k)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        nxt = float(k + 1) ** power * math.exp(-math.pi * t * (k + 1) * (k + 1))
-        if nxt == 0.0 or (nxt < _SERIES_FLOOR and nxt < 0.5 * term):
-            return Approximation(total, 2.0 * nxt)
-        prev = term
-        k += 1
-        if k > 200_000:
-            raise PrecisionError(
-                f"theta-type series did not converge for t={t}, power={power}",
-                achieved=2.0 * prev,
-            )
+    if not t > 0:
+        raise DomainError(f"theta requires t > 0, got {t}")
+    T, tiny = 1.0 / t, math.ulp(0.0)
+    x = max(t, T)
+    sums = [1.0, 0.0, 0.0, 0.0]  # 1, S_0, S_2, S_4
+    errs = [0.0] + [2.0 * 5.0**p * (math.exp(-25.0 * math.pi * x) + tiny) for p in (0, 2, 4)]
+    for k in (4, 3, 2, 1):
+        y = math.pi * x * (k * k)
+        term = math.exp(-y)
+        # y is inf at x = inf, where term is 0
+        slack = (2.0 * y + 4.0) * _EPS * term + tiny if term else tiny
+        for i, weight in enumerate((1, k * k, k**4), 1):
+            sums[i] += weight * term
+            errs[i] += weight * slack
+    pi = math.pi
+    if t >= 1.0:
+        rounding = 2.0 * _EPS
+        table = [(1.0, (1.0, 2.0)), (1.0, (0.0, 0.0, -2.0 * pi)), (1.0, (0.0, 0.0, 0.0, 2.0 * pi * pi))]
+    else:
+        rounding, scale = 8.0 * _EPS, 1.0 / math.sqrt(t)
+        table = [
+            (scale, (1.0, 2.0)),
+            (-scale * T, (0.5, 1.0, -2.0 * pi * T)),
+            (scale * T * T, (0.75, 1.5, -6.0 * pi * T, 2.0 * pi * pi * T * T)),
+        ]
+    out = []
+    for factor, coefs in table[:rows]:
+        parts = [c * v for c, v in zip(coefs, sums)]
+        err = abs(factor) * (
+            math.fsum(abs(c) * e for c, e in zip(coefs, errs)) + rounding * math.fsum(map(abs, parts))
+        )
+        if not err < math.inf:
+            raise PrecisionError(f"derivative {len(out)} of theta at t = {t} leaves double range")
+        out.append(Approximation(factor * math.fsum(parts), err))
+    return out
 
 
 def theta(t: float) -> Approximation:
@@ -100,54 +130,24 @@ def theta(t: float) -> Approximation:
 
     For t < 1 the value is obtained through the reflection identity
     theta(t) = t^{-1/2} theta(1/t), so the series is always summed with
-    argument >= 1 where it converges in a handful of terms.
+    argument >= 1, where its first four terms suffice.
     """
-    if not t > 0:
-        raise DomainError(f"theta requires t > 0, got {t}")
-    if t < 1.0:
-        inner = _gauss_series(1.0 / t, 0)
-        scale = 1.0 / math.sqrt(t)
-        value = scale * (1.0 + 2.0 * inner.value)
-        err = scale * 2.0 * inner.err + 4.0 * _EPS * value
-        return Approximation(value, err)
-    inner = _gauss_series(t, 0)
-    value = 1.0 + 2.0 * inner.value
-    return Approximation(value, 2.0 * inner.err + 2.0 * _EPS * value)
+    return _theta_rows(t, 1)[0]
 
 
 def theta_with_derivatives(t: float) -> tuple[Approximation, Approximation, Approximation]:
-    """(theta(t), theta'(t), theta''(t)) by termwise differentiation.
-
-    theta'(t)  = -2 pi   sum k^2 exp(-pi t k^2)
-    theta''(t) =  2 pi^2 sum k^4 exp(-pi t k^2)
-
-    The differentiated series converge for every t > 0; no reflection is
-    applied here, so small t just costs more terms.
-    """
-    if not t > 0:
-        raise DomainError(f"theta derivatives require t > 0, got {t}")
-    s0 = _gauss_series(t, 0)
-    s2 = _gauss_series(t, 2)
-    s4 = _gauss_series(t, 4)
-    th = Approximation(1.0 + 2.0 * s0.value, 2.0 * s0.err + 2.0 * _EPS * (1.0 + 2.0 * s0.value))
-    pi = math.pi
-    thp = Approximation(-2.0 * pi * s2.value, 2.0 * pi * s2.err + 4.0 * _EPS * pi * s2.value)
-    thpp = Approximation(
-        2.0 * pi * pi * s4.value, 2.0 * pi * pi * s4.err + 4.0 * _EPS * pi * pi * s4.value
-    )
+    """(theta(t), theta'(t), theta''(t)), t > 0, by termwise differentiation
+    of the series at t >= 1 and of the reflection below (`_theta_rows`)."""
+    th, thp, thpp = _theta_rows(t, 3)
     return th, thp, thpp
 
 
 def theta_log_derivatives(t: float) -> tuple[float, float]:
-    """(theta'/theta, (theta'' theta - theta'^2)/theta^2) at t > 0.
-
-    These are the first two derivatives of log theta, the quantities entering
-    every log-convexity computation downstream.
-    """
+    """(theta'/theta, (theta'' theta - theta'^2)/theta^2) at t > 0: the first
+    two derivatives of log theta."""
     th, thp, thpp = theta_with_derivatives(t)
     g1 = thp.value / th.value
-    g2 = (thpp.value * th.value - thp.value * thp.value) / (th.value * th.value)
-    return g1, g2
+    return g1, thpp.value / th.value - g1 * g1
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +190,8 @@ def riemann_zeta(s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
              zeros; s above -_TAYLOR_AT_ZERO takes the first-order Taylor
              term at 0.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     if s == 1.0:
         raise PoleError("zeta has a pole at s = 1")
     tol = min(cfg.tol, 1e-13)
@@ -225,7 +227,10 @@ def riemann_zeta(s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     # zeros at even s cost no relative accuracy
     m = round(s / 2.0)
     sine = math.sin(math.pi * (s / 2.0 - m)) * (-1.0 if m % 2 else 1.0)
-    factor = 2.0**s * math.pi ** (s - 1.0) * sine * math.gamma(sig)
+    try:
+        factor = 2.0**s * math.pi ** (s - 1.0) * sine * math.gamma(sig)
+    except OverflowError as exc:
+        raise PrecisionError(f"Gamma(1 - s) at s = {s} leaves double range") from exc
     value = factor * rec.value
     err = abs(factor) * (rec.err + abs(dsig) * slope) + 8.0 * _EPS * abs(value)
     return Approximation(value, err)
@@ -374,11 +379,17 @@ def bessel_k(nu: float, z):
     Evenness in the order is structural: the rule sees the order only
     through |nu|, so K_{-nu} = K_nu by construction.
     """
+    if not math.isfinite(nu):
+        raise DomainError(f"bessel_k requires a finite order, got {nu}")
     zs = np.asarray(z, dtype=float)
     if not np.all(zs > 0):
         raise DomainError(f"bessel_k requires z > 0, got {z}")
     flat = zs.ravel()
-    values, errs = _k_trapezoid(abs(nu), flat) if flat.size else (flat, flat)
+    try:
+        values, errs = _k_trapezoid(abs(nu), flat) if flat.size else (flat, flat)
+    except OverflowError as exc:
+        # 2^(m - 3/2) from |nu| of about 1025, and Gamma(m) from 171.6 on
+        raise PrecisionError(f"the majorant constant of K_{nu} leaves double range") from exc
     if zs.ndim == 0:
         return Approximation(float(values[0]), float(errs[0]))
     return values.reshape(zs.shape), errs.reshape(zs.shape)

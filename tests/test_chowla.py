@@ -48,6 +48,12 @@ def test_wrong_number_of_scales_is_a_domain_error():
         chowla_selberg_terms(2, 0.7, ScaleVector([1.0, 1.5, 0.7]))
 
 
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_non_finite_s_is_a_domain_error(s):
+    with pytest.raises(DomainError, match="s must be finite"):
+        xi_chowla_selberg(2, s, ScaleVector([1.0, 2.0]))
+
+
 def test_bessel_tail_positive():
     rng = np.random.default_rng(5)
     for _ in range(8):

@@ -133,6 +133,27 @@ def test_jn_base_cases():
     assert jn_recursion([1.0] * 5) == pytest.approx(0.0, abs=1e-14)
 
 
+def jn_recursive_reference(alphas):
+    """The elimination recursion as written, one call per level."""
+    if len(alphas) == 1:
+        return alphas[0]
+    rest = alphas[1:]
+    sign = -1.0 if (len(alphas) - 1) % 2 else 1.0
+    return (alphas[0] - 1.0) * jn_recursive_reference(rest) + sign * math.prod(1.0 - a for a in rest)
+
+
+def test_jn_recursion_gives_the_bits_of_the_recursive_form():
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        alphas = list(rng.normal(size=int(rng.integers(1, 40))) * 2.0)
+        assert jn_recursion(alphas) == jn_recursive_reference(alphas)
+
+
+def test_jn_recursion_past_the_recursion_limit():
+    alphas = list(np.random.default_rng(25).uniform(1.5, 2.5, size=2000))
+    assert jn_recursion(alphas) == pytest.approx(jn_closed_form(alphas), rel=1e-9)
+
+
 def test_jn_recursion_matches_closed_form():
     rng = np.random.default_rng(23)
     for _ in range(50):
@@ -202,6 +223,49 @@ def test_sylvester_random_points():
         n = int(rng.integers(1, 6))
         xs = rng.uniform(-2.0, 2.0, size=n)
         assert sylvester_check(xs).all_nonnegative
+
+
+@pytest.mark.parametrize("lo, hi", [(-30.0, 30.0), (-8.0, -2.0)])
+def test_sylvester_minors_nonnegative_far_from_zero(lo, hi):
+    # F''(x_i) enters the closed form as it is; taken back out of
+    # F'' + F'^2 it cancels at negative x, where F' is near -1/2
+    rng = np.random.default_rng(34)
+    for _ in range(1000):
+        xs = rng.uniform(lo, hi, size=int(rng.integers(2, 6)))
+        assert sylvester_check(xs).all_nonnegative, xs
+    assert sylvester_check([-5.0, -5.0]).all_nonnegative
+    assert sylvester_check([-20.0, 0.0]).all_nonnegative
+
+
+@pytest.mark.parametrize("x", [-4.0, -1.7, -0.3, 0.3, 1.7])
+def test_sylvester_one_by_one_minor_matches_mpmath(x):
+    # the 1 x 1 minor is f''/f with f(x) = theta(e^x); a negative x goes
+    # through F'(-u) = -1/2 - F'(u) and F''(-u) = F''(u)
+    import mpmath
+
+    with mpmath.workdps(40):
+
+        def f(y):
+            return mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * mpmath.exp(y)))
+
+        exact = mpmath.diff(f, x, 2) / f(x)
+    [minor] = sylvester_check([x]).minors
+    assert minor == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_chain_edges_return_limits_or_typed_errors():
+    # past |x| of about 5.5, F' and F'' are 0 in double precision at t = e^|x|
+    assert sylvester_check([800.0]).minors == (0.0,)
+    assert sylvester_check([-800.0]).minors == (0.25,)
+    assert sylvester_check([-800.0, 800.0]).minors == (0.25, 0.0)
+    with pytest.raises(PrecisionError):
+        log_theta_convexity([800.0])
+    with pytest.raises(PrecisionError):
+        log_theta_convexity([-math.inf])
+    with pytest.raises(DomainError, match="^u must be a number"):
+        log_theta_convexity([0.5, math.nan])
+    with pytest.raises(DomainError, match="^u must be a number"):
+        sylvester_check([math.nan, 0.0])
 
 
 # ---------------------------------------------------------------------------

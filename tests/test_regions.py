@@ -185,6 +185,12 @@ def test_scan_rejects_out_of_range_s():
         scan(3, 1.6, kratio_chart(3), [(-1.0, 1.0)] * 2, [3, 3])
 
 
+@pytest.mark.parametrize("steps", [[0, 0], [3, 0], [-1, 2]])
+def test_scan_rejects_step_counts_below_one(steps):
+    with pytest.raises(DomainError, match="at least one step"):
+        scan(3, 0.7, kratio_chart(3), [(-2.0, 2.0)] * 2, steps)
+
+
 def test_connected_full_grid():
     labels = np.full((7, 7), NEGATIVE, dtype=np.int8)
     report = certify_connected_from_labels(labels)

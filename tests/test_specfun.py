@@ -8,6 +8,7 @@ from epsteinzeta import (
     Approximation,
     DomainError,
     PoleError,
+    PrecisionError,
     bessel_k,
     riemann_zeta,
     theta,
@@ -102,6 +103,42 @@ def test_theta_with_derivatives_err_bounds_are_tiny():
         assert approx.err < 1e-13 * max(1.0, abs(approx.value))
 
 
+def test_theta_and_derivatives_within_err_of_mpmath():
+    # 60-digit references: the differentiated series at t >= 1, and below 1
+    # mpmath.diff of jtheta through theta(t) = t^{-1/2} theta(1/t), which
+    # shares nothing with the reflected derivative forms
+    import mpmath
+
+    ts = np.concatenate([10.0 ** np.random.default_rng(51).uniform(-12.0, 3.0, 40), [1e-10, 1.0]])
+    with mpmath.workdps(60):
+        pi = mpmath.pi
+
+        def reflected(x):
+            return mpmath.jtheta(3, 0, mpmath.exp(-pi / x)) / mpmath.sqrt(x)
+
+        for t in ts.tolist():
+            got = theta_with_derivatives(t)
+            assert theta(t) == got[0]
+            x = mpmath.mpf(t)
+            if t >= 1.0:
+                s0, s2, s4 = (
+                    mpmath.fsum(k**p * mpmath.exp(-pi * x * k * k) for k in range(1, 30))
+                    for p in (0, 2, 4)
+                )
+                exact = (1 + 2 * s0, -2 * pi * s2, 2 * pi**2 * s4)
+            else:
+                exact = tuple(mpmath.diff(reflected, x, j) for j in range(3))
+            for j, (approx, ref) in enumerate(zip(got, exact)):
+                assert abs(mpmath.mpf(approx.value) - ref) <= approx.err, (t, j)
+
+
+def test_theta_derivatives_past_double_range_raise():
+    # theta''(t) is about (3/4) t^{-5/2}, past double range below t = 1e-123
+    assert theta(1e-200).value == pytest.approx(1e100, rel=1e-15)
+    with pytest.raises(PrecisionError):
+        theta_with_derivatives(1e-200)
+
+
 # ---------------------------------------------------------------------------
 # Riemann zeta
 # ---------------------------------------------------------------------------
@@ -164,6 +201,18 @@ def test_zeta_near_zero_matches_mpmath(s):
 def test_zeta_pole():
     with pytest.raises(PoleError):
         riemann_zeta(1.0)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_zeta_non_finite_s_is_a_domain_error(s):
+    with pytest.raises(DomainError, match="s must be finite"):
+        riemann_zeta(s)
+
+
+def test_zeta_gamma_factor_past_double_range_raises():
+    # Gamma(1 - s) = Gamma(301.5) overflows in the functional equation
+    with pytest.raises(PrecisionError):
+        riemann_zeta(-300.5)
 
 
 def test_zeta_functional_equation_branch():
@@ -348,3 +397,17 @@ def test_bessel_k_domain():
         bessel_k(0.5, -1.0)
     with pytest.raises(DomainError):
         bessel_k(0.5, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_bessel_k_non_finite_order_is_a_domain_error(nu):
+    # checked before the step and node count, which a NaN order would size
+    with pytest.raises(DomainError, match="finite order"):
+        bessel_k(nu, 1.0)
+
+
+@pytest.mark.parametrize("nu, z", [(2000.0, 1.0), (-2000.0, np.array([1.0, 2.0])), (200.0, 500.0)])
+def test_bessel_k_order_past_the_majorant_range_raises(nu, z):
+    # 2^(|nu| - 3/2) overflows past |nu| of about 1025, Gamma(|nu|) past 171.6
+    with pytest.raises(PrecisionError):
+        bessel_k(nu, z)
