@@ -68,7 +68,6 @@ from .specfun import (
     bessel_k,
     riemann_zeta,
     theta,
-    theta_log_derivatives,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "JnInput",
     "RegionGrid",
     "theta",
-    "theta_log_derivatives",
     "riemann_zeta",
     "bessel_k",
     "xi",

@@ -17,18 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULT_CONFIG, EvalConfig
-from .epstein import (
-    ScaleVector,
-    XiValue,
-    _dimensions,
-    _kernel_parts,
-    _xi_rows,
-    _xi_value,
-    gamma_kernel_sum_d2,
-)
+from .epstein import ScaleVector, XiValue, _kernel_parts, _nodes, _xi_nodes, _xi_value, gamma_kernel_sum_d2
 from .errors import AnalysisError, DomainError, IndeterminateSignError
 from .specfun import _EPS, Approximation, ibp_partial_sum
 
@@ -93,39 +83,28 @@ class BoundReport:
 
 def decide_signs(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[int, XiValue]]:
     """Sign of Xi_n(s; a) at every node (n, s, scales), with its evaluation,
-    by `_decide_rows` per dimension."""
-    nodes = list(nodes)
-    decided: list = [None] * len(nodes)
-    for n, (at, s, a) in _dimensions(nodes).items():
-        signs, values, rows = _decide_rows(n, s, a, cfg)
-        for i, row in zip(at, rows):
-            decided[i] = signs[row], values[row]
-    return decided
+    by `_decide`."""
+    return _decide(*_nodes(nodes), cfg)
 
 
-def _decide_rows(n: int, s, a, cfg: EvalConfig) -> tuple[list[int], list[XiValue], list[int]]:
-    """(signs, values, at): the sign of Xi_n and its evaluation at each
-    distinct row of the nodes (n, s[i], a[i]), as `_xi_rows` finds them, and
-    the row of each node.
+def _decide(s, a, cfg: EvalConfig) -> list[tuple[int, XiValue]]:
+    """(sign, evaluation) of Xi at each node (s[i], a[i]) of `_xi_nodes`.
 
-    All rows are evaluated in one batched call; the tolerance is then refined
-    tenfold, up to three times, on the rows whose error bound does not yet
-    exclude zero.  A row still undecided gets sign 0 and keeps its tightest
+    All nodes are evaluated in one batched call; the tolerance is then refined
+    tenfold, up to three times, on the nodes whose error bound does not yet
+    exclude zero.  A node still undecided gets sign 0 and keeps its tightest
     evaluation.  The caller checks the poles.
     """
-    s_rows, a_rows, values, at = _xi_rows(n, s, a, cfg)
-    pending = [r for r, v in enumerate(values) if not v.excludes_zero()]
+    values = _xi_nodes(s, a, cfg)
     c = cfg
     for _ in range(_REFINEMENTS):
+        pending = [i for i, v in enumerate(values) if not v.excludes_zero()]
         if not pending:
             break
         c = c.tighter(0.1)
-        _, _, refined, rows = _xi_rows(n, np.take(s_rows, pending), np.take(a_rows, pending, axis=0), c)
-        for r, row in zip(pending, rows):
-            values[r] = refined[row]
-        pending = [r for r in pending if not values[r].excludes_zero()]
-    signs = [(1 if v.value > 0 else -1) if v.excludes_zero() else 0 for v in values]
-    return signs, values, at
+        for i, v in zip(pending, _xi_nodes([s[i] for i in pending], [a[i] for i in pending], c)):
+            values[i] = v
+    return [((1 if v.value > 0 else -1) if v.excludes_zero() else 0, v) for v in values]
 
 
 def decide_sign(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[int, XiValue]:
@@ -142,19 +121,19 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
 
     At unit scales Xi = pole + K with the pole part rising on (0, n/4] and K
     convex and symmetric about n/4, so pole(lo) + K(hi) <= Xi <= pole(hi) + K(lo)
-    on [lo, hi].  Undecided pieces are halved down to _BRACKET_TARGET / 4, each
-    level's new ends in one engine call; where err rather than width keeps a
-    piece undecided, its ends are refined tenfold, up to _REFINEMENTS times.
+    on [lo, hi].  Undecided pieces are halved down to _BRACKET_TARGET / 4, all
+    new ends of a round in one engine call, each at its own tolerance; where
+    err rather than width keeps a piece undecided, its ends are refined
+    tenfold, up to _REFINEMENTS times.
     """
-    unit = ScaleVector.unit(n)
+    unit = (1.0,) * n
     parts, level = {}, {}  # per end: K terms, and the refinements they took
     todo = {0.0: 0, n / 4.0: 0}  # end -> refinements to evaluate it at
     pending, pieces = [(0.0, n / 4.0)], []
     while pending:
-        for k in set(todo.values()):
-            at = [s for s in todo if todo[s] == k]
-            _, _, row_parts, rows = _kernel_parts(n, at, [unit] * len(at), cfg.tighter(0.1**k))
-            parts.update(zip(at, [row_parts[row] for row in rows]))
+        ends = list(todo)
+        found, at = _kernel_parts(ends, [unit] * len(ends), [cfg.tighter(0.1 ** todo[s]).tol for s in ends])
+        parts.update((s, found[row][2:]) for s, row in zip(ends, at))
         level.update(todo)
         todo, split = {}, []
         for lo, hi in pending:

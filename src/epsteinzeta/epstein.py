@@ -21,13 +21,13 @@ depend on the batch; the err adds the strip bound, the omitted nodes and the
 rounding, all proven there.  Sums are kept in logs, with log V added before
 the exponential, so Xi is returned whenever it and its err are in range.
 
-Every node goes through `_kernel_parts`, one engine call per dimension,
-which evaluates each distinct row (s, sorted scales) once: V is a product
-over the sorted scales, so repeated nodes share bits, and the mirror nodes
-of a symmetric chart cost one evaluation.  A row makes two sums, S(s; a) at
-tol/(8V) and S(n/2 - s; 1/a) at tol V/8.  `xi_many`, `xi`,
-`analysis.decide_signs` and `regions.scan` evaluate through it;
-`gamma_kernel_sum_d2` takes the same rule with the weight (log t)^2.
+Every node goes through `_kernel_parts`, one engine call for nodes of any
+dimensions and tolerances, which evaluates each distinct (s, sorted scales,
+tol) once: V is a product over the sorted scales, so repeated nodes share
+bits, and the mirror nodes of a symmetric chart cost one evaluation.  A node
+makes two sums, S(s; a) at tol/(8V) and S(n/2 - s; 1/a) at tol V/8.
+`xi_many`, `xi`, `analysis.decide_signs` and `regions.scan` evaluate through
+it; `gamma_kernel_sum_d2` takes the same rule with the weight (log t)^2.
 """
 
 from __future__ import annotations
@@ -499,26 +499,21 @@ def _scaled(log_value: float, log_err: float, shift: float) -> tuple[float, floa
     return value, err + _EPS * (abs(log_value + shift) + abs(shift) + 2.0) * value
 
 
-def _kernel_parts(n: int, s, a, cfg: EvalConfig) -> tuple:
-    """(s_rows, a_rows, parts, at) for the nodes (n, s[i], a[i]) of one
-    dimension in one engine call, finite at s = 0 and n/2: the distinct rows
-    (s, sorted scales), row r's parts (V, V S(s; a), S(n/2 - s; 1/a) / V, err)
-    and node i's row.  S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) tol V/8, so
-    that their V-weighted errors meet tol.  The scales a[i] are sequences,
-    ScaleVectors or the rows of an (N, n) array.  A volume past double range,
-    or a scale or reciprocal whose square is, raises PrecisionError per node."""
-    s = s.tolist() if isinstance(s, np.ndarray) else s
+def _kernel_parts(s, a, tol) -> tuple:
+    """(parts, at) for the nodes (s[i], a[i], tol[i]) in one engine call:
+    finite s, ascending scale tuples of any length n and a tolerance each.
+    Each distinct node is evaluated once, into its parts row (n, s, V,
+    V S(s; a), S(n/2 - s; 1/a) / V, err), finite at s = 0 and n/2, and
+    at[i] is node i's row.  S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) tol V/8,
+    so that their V-weighted errors meet tol.  A volume past double range, or
+    a scale or reciprocal whose square is, raises PrecisionError per node."""
     orders, scales, counts, tols = [], [], [], []
-    rows, s_rows, a_rows, at = [], [], [], []
-    first: dict[tuple, int] = {}  # (s, sorted scales) -> its row
-    for x, asc in zip(s, _ascending(n, a)):
-        if len(asc) != n:
-            raise DomainError(f"expected {n} scales, got {len(asc)}")
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"s must be finite, got {x}")
-        row = first.setdefault((x, asc), len(rows))
+    rows, at = [], []
+    first: dict[tuple, int] = {}  # (s, scales, tol) -> its row
+    for x, asc, t in zip(s, a, tol):
+        row = first.setdefault((x, asc, t), len(rows))
         if row == len(rows):
+            n = len(asc)
             v = math.sqrt(math.prod(asc))  # as ScaleVector takes it
             if not 0.0 < v < math.inf:
                 raise PrecisionError(f"the volume of the scales {asc} leaves double range")
@@ -526,33 +521,46 @@ def _kernel_parts(n: int, s, a, cfg: EvalConfig) -> tuple:
             orders += [x, n / 2.0 - x]
             scales += [g1, g2]
             counts += [m1, m2]
-            tols += [cfg.tol * (0.5 / v) / 4.0, cfg.tol * (0.5 * v) / 4.0]
-            rows.append((v, x_min))
-            s_rows.append(x)
-            a_rows.append(asc)
+            tols += [t * (0.5 / v) / 4.0, t * (0.5 * v) / 4.0]
+            rows.append((n, x, v, x_min))
         at.append(row)
     values, errs = _theta_sums(orders, scales, counts, tols)
     parts = []
-    for r, (x, (v, x_min)) in enumerate(zip(s_rows, rows)):
+    for r, (n, x, v, x_min) in enumerate(rows):
         shift = math.log(v)
         k1, e1 = _scaled(values[2 * r], errs[2 * r], shift)
         k2, e2 = _scaled(values[2 * r + 1], errs[2 * r + 1], -shift)
-        parts.append((v, k1, k2, e1 + _reflected_err(n, x, k2, e2, x_min)))
-    return s_rows, a_rows, parts, at
+        parts.append((n, x, v, k1, k2, e1 + _reflected_err(n, x, k2, e2, x_min)))
+    return parts, at
 
 
-def _ascending(n: int, a):
-    """The ascending scales of each node: a holds sequences, ScaleVectors or
-    the rows of an (N, n) array, which is checked and sorted as a whole."""
-    if not isinstance(a, np.ndarray):
-        return (ScaleVector.ensure(vector).ascending for vector in a)
-    a = np.asarray(a, dtype=float).reshape(len(a), -1)
-    if a.shape[1] != n or n == 0:
-        raise DomainError(f"expected {n} scales, got {a.shape[1]}")
+def _nodes(nodes) -> tuple[list[float], list[tuple[float, ...]]]:
+    """The s and ascending scales of the nodes (n, s, scales), checked before
+    any node is evaluated: a node inside the guard band of a pole raises
+    PoleError, then bad scales, a count other than n or a non-finite s
+    DomainError."""
+    nodes = [(n, float(x), scales) for n, x, scales in nodes]
+    for n, x, _ in nodes:
+        _check_not_pole(n, x)
+    s, a = [], []
+    for n, x, scales in nodes:
+        asc = ScaleVector.ensure(scales).ascending
+        if len(asc) != n:
+            raise DomainError(f"expected {n} scales, got {len(asc)}")
+        if not math.isfinite(x):
+            raise DomainError(f"s must be finite, got {x}")
+        s.append(x)
+        a.append(asc)
+    return s, a
+
+
+def _array_nodes(a: np.ndarray) -> list[tuple[float, ...]]:
+    """The ascending scales of the rows of an (N, n) array, checked and
+    sorted as a whole, with no ScaleVector per row."""
     bad = ~((a > 0.0) & (a < math.inf)).all(axis=1)
     if bad.any():
         raise DomainError(f"all scales must be positive finite reals, got {tuple(a[bad][0].tolist())}")
-    return map(tuple, np.sort(a, axis=1).tolist())
+    return list(map(tuple, np.sort(a, axis=1).tolist()))
 
 
 def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:
@@ -567,39 +575,19 @@ def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> 
     return XiValue(value, err, n, s)
 
 
-def _xi_rows(n: int, s, a, cfg: EvalConfig) -> tuple:
-    """(s_rows, a_rows, values, at): `_kernel_parts` with the XiValue of each
-    distinct row in place of its parts.  The caller checks the poles."""
-    s_rows, a_rows, parts, at = _kernel_parts(n, s, a, cfg)
-    return s_rows, a_rows, [_xi_value(n, x, *part) for x, part in zip(s_rows, parts)], at
-
-
-def _dimensions(nodes) -> dict[int, tuple[list[int], list[float], list]]:
-    """The nodes (n, s, scales) per dimension n: their indices, s and scales.
-    A node inside the guard band of a pole raises PoleError, before any node
-    is evaluated."""
-    dims: dict[int, tuple[list[int], list[float], list]] = {}
-    for i, (n, s, scales) in enumerate(nodes):
-        s = float(s)
-        _check_not_pole(n, s)
-        at, ss, aa = dims.setdefault(n, ([], [], []))
-        at.append(i)
-        ss.append(s)
-        aa.append(scales)
-    return dims
+def _xi_nodes(s, a, cfg: EvalConfig) -> list[XiValue]:
+    """The XiValue at each node (s[i], a[i]) of `_kernel_parts` at cfg.tol, one
+    object shared by repeated nodes.  The caller checks the poles."""
+    parts, at = _kernel_parts(s, a, [cfg.tol] * len(s))
+    values = [_xi_value(*part) for part in parts]
+    return [values[row] for row in at]
 
 
 def xi_many(nodes, cfg: EvalConfig = DEFAULT_CONFIG) -> list[XiValue]:
-    """Xi_n(s; a) at every node (n, s, scales), in one batched engine call per
-    dimension; each value and err is the one `xi` returns at that node, bit
-    for bit."""
-    nodes = list(nodes)
-    values: list = [None] * len(nodes)
-    for n, (at, s, a) in _dimensions(nodes).items():
-        _, _, rows, row_at = _xi_rows(n, s, a, cfg)
-        for i, row in zip(at, row_at):
-            values[i] = rows[row]
-    return values
+    """Xi_n(s; a) at every node (n, s, scales), of any dimensions, in one
+    batched engine call; each value and err is the one `xi` returns at that
+    node, bit for bit."""
+    return _xi_nodes(*_nodes(nodes), cfg)
 
 
 def xi(n: int, s: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:

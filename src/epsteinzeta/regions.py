@@ -4,16 +4,16 @@ discrete-convexity certification of the negative region.
 A scan labels every node of a rectangular grid in chart coordinates with the
 sign of Xi there; a sign is only asserted when the error bound excludes zero,
 otherwise the node is marked indeterminate and keeps its tightest
-evaluation.  The chart gives the scales of all nodes as one array, and one
-batched engine call decides them (`analysis._decide_rows`), refining only
-the rows still undecided, with no Python object per node.  Xi is symmetric
-in the scales and the engine evaluates each distinct sorted scale vector
-once per call, so mirror nodes of a symmetric chart, such as those across
-the diagonal of a `kratio_chart` grid, cost one evaluation and get the same
-bits.  The negative region in these coordinates is convex, hence connected,
-and the certifiers check the discrete shadow of both facts on the sampled
-grid: one 2j-adjacency component, and no positive cell inside the convex
-hull of the negative cells, a test that is exact in every rank of the
+evaluation.  The chart gives the scales of all nodes as one array, sorted
+as a whole with no ScaleVector per node, and one batched engine call decides
+them (`analysis._decide`), refining only the nodes still undecided.  Xi is
+symmetric in the scales and the engine evaluates each distinct sorted scale
+vector once per call, so mirror nodes of a symmetric chart, such as those
+across the diagonal of a `kratio_chart` grid, cost one evaluation and get
+the same bits.  The negative region in these coordinates is convex, hence
+connected, and the certifiers check the discrete shadow of both facts on the
+sampled grid: one 2j-adjacency component, and no positive cell inside the
+convex hull of the negative cells, a test that is exact in every rank of the
 negatives' affine span.  Rank 2, which covers every 2-d chart, builds the
 hull by Andrew's monotone chain in numpy and plain Python and names a
 witness by a fan triangle of it; only rank >= 3 loads `scipy.spatial`.
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _decide_rows
+from .analysis import _decide
 from .config import DEFAULT_CONFIG, EvalConfig
 from .convexity import HyperplaneChart
-from .epstein import _check_not_pole
+from .epstein import _array_nodes, _check_not_pole
 from .errors import DomainError
 
 __all__ = [
@@ -107,9 +107,9 @@ def scan(
     """Label the sign of Xi_n(s; chart(b)) at every grid node.
 
     The nodes' scales exp(v + A b) come from the chart as one (N, n) array,
-    and `analysis._decide_rows` decides each distinct sorted scale vector
-    once, refining the undecided ones; every node gets the bits of `xi` at
-    its scales, or of its tightest refinement."""
+    checked and sorted as a whole, and `analysis._decide` decides each
+    distinct sorted scale vector once, refining the undecided ones; every
+    node gets the bits of `xi` at its scales, or of its tightest refinement."""
     if chart.n != n:
         raise DomainError(f"chart is {chart.n}-dimensional, expected {n}")
     if not 0.0 < s < n / 2.0:
@@ -125,11 +125,11 @@ def scan(
     _check_not_pole(n, s)
     # every node's chart point, in C order, and its scales from one chart call
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.j)
-    # one sign per distinct row; sign 0, undecided, is INDETERMINATE
-    signs, decided, at = _decide_rows(n, np.full(len(points), s), chart._rows(points), cfg)
-    labels = np.array(signs, dtype=np.int8)[at].reshape(shape)
-    values = np.array([value.value for value in decided])[at].reshape(shape)
-    errs = np.array([value.err for value in decided])[at].reshape(shape)
+    # sign 0, undecided, is INDETERMINATE
+    decided = _decide([float(s)] * len(points), _array_nodes(chart._rows(points)), cfg)
+    labels = np.array([sign for sign, _ in decided], dtype=np.int8).reshape(shape)
+    values = np.array([value.value for _, value in decided]).reshape(shape)
+    errs = np.array([value.err for _, value in decided]).reshape(shape)
     return RegionGrid(chart, n, s, bounds, steps, labels, values, errs)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "Approximation",
     "theta",
     "theta_with_derivatives",
-    "theta_log_derivatives",
     "riemann_zeta",
     "bessel_k",
 ]
@@ -142,14 +141,6 @@ def theta_with_derivatives(t: float) -> tuple[Approximation, Approximation, Appr
     return th, thp, thpp
 
 
-def theta_log_derivatives(t: float) -> tuple[float, float]:
-    """(theta'/theta, (theta'' theta - theta'^2)/theta^2) at t > 0: the first
-    two derivatives of log theta."""
-    th, thp, thpp = theta_with_derivatives(t)
-    g1 = thp.value / th.value
-    return g1, thpp.value / th.value - g1 * g1
-
-
 # ---------------------------------------------------------------------------
 # Riemann zeta
 # ---------------------------------------------------------------------------
@@ -160,8 +151,12 @@ def _zeta_direct(s: float, tol: float) -> tuple[float, float]:
     For real s >= 0 every derivative of x^{-s} keeps one sign, so the
     remainder is at most the first omitted correction term.  Below s = 2 the
     head and the pole term N^{1-s}/(s-1) cancel, so the roundoff allowance
-    is taken on both rather than on their sum.
+    is taken on both rather than on their sum.  From s = 1075 on, where that
+    term's s^5 may overflow, zeta(s) - 1 <= 2^-s (1 + 2/(s - 1)) is below the
+    least subnormal.
     """
+    if s >= 1075.0:
+        return 1.0, math.ulp(0.0)
     n = 24
     while True:
         # first omitted correction term bounds the remainder
@@ -185,7 +180,8 @@ def riemann_zeta(s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     """Riemann zeta for real s != 1.
 
     s >= 0 : direct series with Euler-Maclaurin tail correction.
-    s < 0  : classical functional equation, recursing on zeta(1 - s);
+    s < 0  : classical functional equation, recursing on zeta(1 - s), with
+             its factor in logs where Gamma(1 - s) overflows;
              trivial zeros at negative even integers are returned as exact
              zeros; s above -_TAYLOR_AT_ZERO takes the first-order Taylor
              term at 0.
@@ -229,10 +225,21 @@ def riemann_zeta(s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approximation:
     sine = math.sin(math.pi * (s / 2.0 - m)) * (-1.0 if m % 2 else 1.0)
     try:
         factor = 2.0**s * math.pi ** (s - 1.0) * sine * math.gamma(sig)
-    except OverflowError as exc:
-        raise PrecisionError(f"Gamma(1 - s) at s = {s} leaves double range") from exc
+        # fl(pi) is within eps/4 of pi, relative, which the power amplifies
+        # |s - 1| times: some 30 eps at s = -170
+        rounding = (8.0 + 0.25 * abs(s - 1.0)) * _EPS
+    except OverflowError:
+        # Gamma(1 - s) past double range: the factor in logs, as
+        # epstein._z_from_xi takes it, with the rounding of its exponent
+        log_factor = s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
+        log_factor += math.log(abs(sine)) + math.lgamma(sig)
+        try:
+            factor = math.copysign(math.exp(log_factor), sine)
+        except OverflowError as exc:
+            raise PrecisionError(f"zeta({s}) leaves double range") from exc
+        rounding = 8.0 * _EPS * (abs(log_factor) + 4.0)
     value = factor * rec.value
-    err = abs(factor) * (rec.err + abs(dsig) * slope) + 8.0 * _EPS * abs(value)
+    err = abs(factor) * (rec.err + abs(dsig) * slope) + rounding * abs(value)
     return Approximation(value, err)
 
 
@@ -300,6 +307,10 @@ def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # at most e^{z (1 - cos d)} cos(d)^-m.  d shrinks like z^-1/2 past z of
     # about 50, which holds the nodes near 12 however large z is
     lead = _K_AIM + math.log(4.0 * max(1.0, 2.0 ** (m - 1.5)))
+    # from z = (2 lead + 710 nu)/1e308 up, 2 lead/z and the last node u* below
+    # stay in double range, and cosh and sinh at u* + 2h < 709.9
+    if z.min() < (2.0 * lead + 710.0 * nu) / 1e308:
+        raise PrecisionError(f"the nodes of K_{nu} at z = {z.min()} leave double range")
     d = np.minimum(_K_STRIP, np.sqrt(2.0 * lead / z))
     cos_d = np.cos(d)
     h = (2.0 * math.pi) * d / (lead - m * np.log(cos_d) + (1.0 - cos_d) * z)

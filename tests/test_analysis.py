@@ -109,13 +109,13 @@ def test_decide_sign_exhausts_its_refinements(monkeypatch):
     from epsteinzeta import analysis
 
     tols = []
-    rows = analysis._xi_rows
+    nodes = analysis._xi_nodes
 
-    def counting(n, s, a, cfg):
+    def counting(s, a, cfg):
         tols.append(cfg.tol)
-        return rows(n, s, a, cfg)
+        return nodes(s, a, cfg)
 
-    monkeypatch.setattr(analysis, "_xi_rows", counting)
+    monkeypatch.setattr(analysis, "_xi_nodes", counting)
     node = (10, 1.0899267578125, ScaleVector.unit(10))
     cfgs = [EvalConfig(tol=1.0)]
     for _ in range(3):
@@ -127,6 +127,46 @@ def test_decide_sign_exhausts_its_refinements(monkeypatch):
     [(sign, value)] = decide_signs([node], cfgs[0])
     tightest = xi(*node, cfgs[-1])
     assert sign == 0 and (value.value, value.err) == (tightest.value, tightest.err)
+
+
+def test_sign_pieces_evaluate_each_round_in_one_engine_call(monkeypatch):
+    # every new end of a bisection round goes into one engine call at its
+    # own refinement level: 25 calls at n = 11, tol 1, where one call per
+    # level of a round took 27
+    from epsteinzeta import analysis, epstein
+
+    calls = []
+    sums = epstein._theta_sums
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return sums(*args, **kwargs)
+
+    monkeypatch.setattr(epstein, "_theta_sums", counting)
+    cfg = EvalConfig(tol=1.0)
+    pieces = analysis._sign_pieces(11, cfg)
+    monkeypatch.undo()
+    assert len(calls) == 25
+    assert [sign for _, _, sign, _ in pieces] == [-1] * 20 + [0] * 54 + [1] * 23
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == 11 / 4.0
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    # each bound is the same bits as its end evaluated alone at one of the
+    # tolerances cfg.tighter(0.1 ** k) of the refinements
+    unit = ScaleVector.unit(11).ascending
+    tols = [cfg.tighter(0.1**k).tol for k in range(4)]
+
+    def bounds(pole_at, end, side):
+        parts, _ = epstein._kernel_parts([end] * 4, [unit] * 4, tols)
+        values = [epstein._xi_value(11, pole_at, *part[2:]) for part in parts]
+        return {v.value + side * v.err for v in values}
+
+    for lo, hi, sign, bound in pieces:
+        if sign < 0:
+            assert bound in bounds(hi, lo, 1.0)
+        elif sign > 0:
+            assert bound in bounds(lo, hi, -1.0)
+        else:
+            assert math.isnan(bound)
 
 
 def test_interval_symmetry_of_signs():

@@ -78,6 +78,37 @@ def test_node_bit_identical_alone_and_in_any_batch(batch, rnd, gate):
         assert [_pair(shuffled[order.index(k)]) for k in range(len(batch))] == alone
 
 
+def test_mixed_dimensions_make_one_engine_call(monkeypatch):
+    # a seeded batch of n = 1..6 with repeated nodes and permuted scales is
+    # one call of the rule, one per dimension no longer, and every node gets
+    # the bits of xi alone
+    rnd = np.random.default_rng(26)
+    batch = []
+    for n in range(1, 7):
+        for _ in range(3):
+            s = float(rnd.uniform(0.1, n / 2.0 - 0.1))
+            batch.append((n, s, tuple(rnd.choice(_SCALES, n).tolist())))
+    batch += batch[:4] + [(n, s, a[::-1]) for n, s, a in batch[4:10]]
+    batch = [batch[i] for i in rnd.permutation(len(batch))]
+    alone = [_pair(xi(*node)) for node in batch]
+    calls = []
+    sums = epstein._theta_sums
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return sums(*args, **kwargs)
+
+    monkeypatch.setattr(epstein, "_theta_sums", counting)
+    values = xi_many(batch)
+    assert len(calls) == 1
+    assert [_pair(v) for v in values] == alone
+    # repeated nodes, and nodes with permuted scales, share one evaluation
+    first = {}
+    for (_, s, a), v in zip(batch, values):
+        assert first.setdefault((s, tuple(sorted(a))), v) is v
+    assert len(first) == 18
+
+
 def test_chunk_cuts_leave_results_bit_identical(monkeypatch):
     chart = kratio_chart(3)
     batch = [(3, 0.7, chart.scales([x, y])) for x in (-1.5, 0.0, 0.8) for y in (-0.4, 0.0, 1.9)]

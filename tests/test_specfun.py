@@ -12,7 +12,6 @@ from epsteinzeta import (
     bessel_k,
     riemann_zeta,
     theta,
-    theta_log_derivatives,
 )
 from epsteinzeta.analysis import _STAIRS
 from epsteinzeta.specfun import ibp_partial_sum, theta_with_derivatives
@@ -21,6 +20,14 @@ from epsteinzeta.specfun import ibp_partial_sum, theta_with_derivatives
 # ---------------------------------------------------------------------------
 # theta
 # ---------------------------------------------------------------------------
+
+
+def theta_log_derivatives(t):
+    """(theta'/theta, (theta'' theta - theta'^2)/theta^2): the first two
+    derivatives of log theta at t, from `theta_with_derivatives`."""
+    th, thp, thpp = theta_with_derivatives(t)
+    g1 = thp.value / th.value
+    return g1, thpp.value / th.value - g1 * g1
 
 
 def theta_oracle(t, kmax=10):
@@ -210,9 +217,42 @@ def test_zeta_non_finite_s_is_a_domain_error(s):
 
 
 def test_zeta_gamma_factor_past_double_range_raises():
-    # Gamma(1 - s) = Gamma(301.5) overflows in the functional equation
+    # the factor of the functional equation, with Gamma(1 - s) = Gamma(301.5),
+    # takes zeta(-300.5) to about 1.7e375
     with pytest.raises(PrecisionError):
         riemann_zeta(-300.5)
+
+
+@pytest.mark.parametrize("s", [-171.0, -200.5, -259.4])
+def test_zeta_in_range_where_gamma_overflows_matches_mpmath(s):
+    # Gamma(1 - s) alone leaves double range, zeta(s) does not: the factor of
+    # the functional equation is taken in logs
+    import mpmath
+
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(mpmath.mpf(s))
+        v = riemann_zeta(s)
+        assert abs(mpmath.mpf(v.value) - exact) <= v.err
+        assert v.err <= 1e-11 * abs(exact)
+
+
+def test_zeta_err_covers_the_power_of_pi():
+    # fl(pi)^(s - 1) is off pi^(s - 1) by up to |s - 1| eps/4, relative:
+    # about 30 eps next to where Gamma(1 - s) overflows
+    import mpmath
+
+    with mpmath.workdps(40):
+        for s in np.linspace(-170.55, -60.3, 24).tolist():
+            v = riemann_zeta(s)
+            assert abs(mpmath.mpf(v.value) - mpmath.zeta(mpmath.mpf(s))) <= v.err
+
+
+@pytest.mark.parametrize("s", [1075.0, 1e62, 1e308])
+def test_zeta_at_huge_s_is_one(s):
+    # zeta(s) - 1 <= 2^-s (1 + 2/(s - 1)) lies below the least subnormal;
+    # past s of about 4.5e61 the series' remainder term used to overflow
+    v = riemann_zeta(s)
+    assert v.value == 1.0 and v.err == math.ulp(0.0)
 
 
 def test_zeta_functional_equation_branch():
@@ -397,6 +437,17 @@ def test_bessel_k_domain():
         bessel_k(0.5, -1.0)
     with pytest.raises(DomainError):
         bessel_k(0.5, np.array([1.0, 0.0]))
+
+
+def test_bessel_k_below_the_node_range_raises_precision_error():
+    # below z of about 2e-307, 36/z overflows and the node count would wrap;
+    # the call is decided before any array is sized, with no warning
+    for z in (1e-310, np.array([1.0, 1e-310])):
+        with pytest.raises(PrecisionError, match="z = 1e-310"):
+            bessel_k(0.5, z)
+    # above the limit the rule still holds: K_{1/2}(z) = sqrt(pi / (2z)) e^{-z}
+    v = bessel_k(0.5, 1e-305)
+    assert abs(v.value - math.sqrt(math.pi / 2e-305)) <= v.err
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
