@@ -14,6 +14,8 @@ Covers the three computational pillars of that analysis:
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,40 +123,135 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
 
     At unit scales Xi = pole + K with the pole part rising on (0, n/4] and K
     convex and symmetric about n/4, so pole(lo) + K(hi) <= Xi <= pole(hi) + K(lo)
-    on [lo, hi].  Undecided pieces are halved down to _BRACKET_TARGET / 4, all
-    new ends of a round in one engine call, each at its own tolerance; where
-    err rather than width keeps a piece undecided, its ends are refined
-    tenfold, up to _REFINEMENTS times.
+    on [lo, hi].  Each round decides its pieces by `_round`: undecided pieces
+    are halved down to _BRACKET_TARGET / 4, and where err rather than width
+    keeps a piece undecided, its ends are refined tenfold, up to _REFINEMENTS
+    times.  Every end is evaluated once per refinement level, each at its own
+    tolerance.  A round whose ends are not all known makes one engine call,
+    which also carries the ends that `_forecast` expects later rounds to ask
+    for; the pieces depend only on the rounds, so they are the same bits with
+    or without the forecast.
     """
     unit = (1.0,) * n
-    parts, level = {}, {}  # per end: K terms, and the refinements they took
+    known = {}  # (end, refinements) -> its K terms (V, k1, k2, err)
+    level = {}  # end -> the refinements its K terms took
     todo = {0.0: 0, n / 4.0: 0}  # end -> refinements to evaluate it at
     pending, pieces = [(0.0, n / 4.0)], []
+
+    def bounds(lo, hi):
+        upper = _xi_value(n, hi, *known[lo, level[lo]])
+        if lo == 0:
+            return upper.value, upper.err, -math.inf, 0.0, 0.0
+        lower = _xi_value(n, lo, *known[hi, level[hi]])
+        return upper.value, upper.err, lower.value, lower.err, 0.0
+
     while pending:
-        ends = list(todo)
-        found, at = _kernel_parts(ends, [unit] * len(ends), [cfg.tighter(0.1 ** todo[s]).tol for s in ends])
-        parts.update((s, found[row][2:]) for s, row in zip(ends, at))
+        ends = [end for end in todo.items() if end not in known]
+        if ends:
+            ends += _forecast(n, pending, {**level, **todo}, known)
+            found, at = _kernel_parts(
+                [s for s, _ in ends], [unit] * len(ends), [cfg.tighter(0.1**k).tol for _, k in ends]
+            )
+            known.update((end, found[row][2:]) for end, row in zip(ends, at))
         level.update(todo)
-        todo, split = {}, []
-        for lo, hi in pending:
-            refine = [s for s in (lo, hi) if level[s] < _REFINEMENTS]
-            upper = _xi_value(n, hi, *parts[lo])
-            lower = _xi_value(n, lo, *parts[hi]) if lo > 0 else XiValue(-math.inf, 0.0, n, lo)
-            if upper.value + upper.err < 0:
-                pieces.append((lo, hi, -1, upper.value + upper.err))
-            elif lower.value - lower.err > 0:
-                pieces.append((lo, hi, 1, lower.value - lower.err))
-            elif refine and upper.err + lower.err > upper.value - lower.value:
-                todo.update((s, level[s] + 1) for s in refine)
-                split.append((lo, hi))
-            elif hi - lo > _BRACKET_TARGET / 4:
-                mid = 0.5 * (lo + hi)
-                todo[mid] = max(level[lo], level[hi])
-                split += [(lo, mid), (mid, hi)]
-            else:
-                pieces.append((lo, hi, 0, math.nan))
-        pending = split
+        decided, todo, pending = _round(pending, bounds, level)
+        pieces += decided
     return sorted(pieces)
+
+
+def _round(pending, bounds, level):
+    """(pieces, todo, split) of one round over the pieces (lo, hi) of `pending`.
+
+    bounds(lo, hi) gives (upper, its err, lower, its err, gauge) on [lo, hi]
+    for ends at the refinements of `level`.  A piece is negative under
+    upper + err < 0, positive over lower - err > 0; otherwise its ends are
+    refined (todo: end -> refinements) where err outweighs the width term,
+    or it is halved down to _BRACKET_TARGET / 4, or it stays undecided.  The
+    gauge is 0 for evaluated bounds, where this is the whole rule; a forecast
+    passes its model's own error, and a piece with a bound within that gauge
+    of zero is left out of the round.
+    """
+    pieces, todo, split = [], {}, []
+    for lo, hi in pending:
+        upper, upper_err, lower, lower_err, gauge = bounds(lo, hi)
+        refine = [s for s in (lo, hi) if level[s] < _REFINEMENTS]
+        if upper + upper_err < -gauge:
+            pieces.append((lo, hi, -1, upper + upper_err))
+        elif lower - lower_err > gauge:
+            pieces.append((lo, hi, 1, lower - lower_err))
+        elif upper + upper_err < gauge or lower - lower_err > -gauge:
+            continue  # a bound within the gauge of zero: the sign is not forecast
+        elif refine and upper_err + lower_err > upper - lower:
+            todo.update((s, level[s] + 1) for s in refine)
+            split.append((lo, hi))
+        elif hi - lo > _BRACKET_TARGET / 4:
+            mid = 0.5 * (lo + hi)
+            todo[mid] = max(level[lo], level[hi])
+            split += [(lo, mid), (mid, hi)]
+        else:
+            pieces.append((lo, hi, 0, math.nan))
+    return pieces, todo, split
+
+
+def _forecast(n: int, pending, level, known) -> list[tuple[float, int]]:
+    """Ends (s, refinements), none of them in `known`, that the rounds after
+    the one over `pending` (ends at the refinements of `level`) will ask for.
+
+    The rounds run by `_round` on plain float bounds: an evaluated end reads
+    its K terms, an end known at another refinement its K with err scaled by
+    0.1 per level, and an unknown end the quadratic through the three nearest
+    known ends, with the nearest one's err scaled likewise and the gap between
+    that quadratic and the linear interpolation as gauge.  There is no
+    forecast before three distinct ends are known, and it holds at most as
+    many ends as `known`, so one engine call at most doubles the ends known
+    however poor the model.
+    """
+    best = {}  # end -> (refinements, K, err) at its finest known level
+    for (s, k), (_, k1, k2, err) in known.items():
+        if k >= best.get(s, (-1,))[0]:
+            best[s] = (k, k1 + k2, err)
+    if len(best) < 3:
+        return []
+    xs = sorted(best)
+    half = n / 2.0
+
+    @functools.cache
+    def end(s, k):  # (K, err, gauge) of the end s at k refinements
+        if (s, k) in known:
+            _, k1, k2, err = known[s, k]
+            return k1 + k2, err, 0.0
+        if s in best:
+            kb, kk, err = best[s]
+            return kk, err * 0.1 ** (k - kb), 0.0
+        i = bisect.bisect(xs, s)  # 0 and n/4 are known, so 0 < i < len(xs)
+        a, b = xs[i - 1], xs[i]
+        # the three nearest: a, b and the nearer of their outer neighbours
+        j = i - 2 if i == len(xs) - 1 or (i >= 2 and s - xs[i - 2] < xs[i + 1] - s) else i - 1
+        x0, x1, x2 = xs[j : j + 3]
+        y0, y1, y2 = (best[x][1] for x in (x0, x1, x2))
+        quad = (
+            y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
+            + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
+            + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
+        )
+        line = best[a][1] + (best[b][1] - best[a][1]) * (s - a) / (b - a)
+        kn, _, err = best[a if s - a <= b - s else b]
+        return quad, err * 0.1 ** (k - kn), abs(quad - line)
+
+    def bounds(lo, hi):
+        k_lo, e_lo, g_lo = end(lo, level[lo])
+        k_hi, e_hi, g_hi = end(hi, level[hi])
+        upper = k_lo - 1.0 / hi - 1.0 / (half - hi)
+        if lo == 0:
+            return upper, e_lo, -math.inf, 0.0, g_lo
+        return upper, e_lo, k_hi - 1.0 / lo - 1.0 / (half - lo), e_hi, g_lo + g_hi
+
+    level, ends = dict(level), []
+    while pending and len(ends) < len(known):
+        _, todo, pending = _round(pending, bounds, level)
+        ends += [new for new in todo.items() if new not in known][: len(known) - len(ends)]
+        level.update(todo)
+    return ends
 
 
 def find_positive_interval(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SignInterval | None:
@@ -164,7 +261,9 @@ def find_positive_interval(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SignInte
     n >= 10 the signs are certified negative on (0, lo] and positive on
     [hi, n/4] around one bracket [lo, hi] of width <= 1e-5, whose midpoint is
     gamma.  Any other sign pattern, a bracket reaching s = 0 included, raises
-    AnalysisError; a wider bracket IndeterminateSignError.
+    AnalysisError; a wider bracket IndeterminateSignError.  The pieces come
+    from `_sign_pieces`, whose forecast evaluates the ends of some 22
+    bisection rounds in 5 or 6 engine calls.
     """
     if n <= 9:
         verify_negative_range(n, cfg)

@@ -309,8 +309,22 @@ def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = _K_AIM + math.log(4.0 * max(1.0, 2.0 ** (m - 1.5)))
     # from z = (2 lead + 710 nu)/1e308 up, 2 lead/z and the last node u* below
     # stay in double range, and cosh and sinh at u* + 2h < 709.9
-    if z.min() < (2.0 * lead + 710.0 * nu) / 1e308:
-        raise PrecisionError(f"the nodes of K_{nu} at z = {z.min()} leave double range")
+    z0 = float(z.min())
+    if z0 < (2.0 * lead + 710.0 * nu) / 1e308:
+        raise PrecisionError(f"the nodes of K_{nu} at z = {z0} leave double range")
+    # u* falls in z and h <= 2 pi _K_STRIP / lead, so no node passes u* at z0
+    # plus that step.  While nu u < 708 there, cosh(nu u), the sums and the
+    # rounding terms (up to e^8 K) stay in double range; near 709.5 the last
+    # nodes' cosh(nu u) overflows, or, at orders near 1, the rounding terms
+    # of K_nu(z0), about (2/z0)^nu, do
+    top = math.acosh(1.0 + (_K_AIM + nu * math.acosh(1.0 + _K_AIM / z0)) / z0)
+    top += 2.0 * math.pi * _K_STRIP / lead
+    if nu * top > 708.0:
+        # caused by the overflow it pre-empts, as the majorant's are, so that
+        # chowla_selberg_terms names the term it left double range in
+        raise PrecisionError(f"K_{nu}(z) at z = {z0} leaves double range") from OverflowError(
+            f"cosh({nu} u) at u = {top}"
+        )
     d = np.minimum(_K_STRIP, np.sqrt(2.0 * lead / z))
     cos_d = np.cos(d)
     h = (2.0 * math.pi) * d / (lead - m * np.log(cos_d) + (1.0 - cos_d) * z)

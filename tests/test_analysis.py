@@ -130,9 +130,10 @@ def test_decide_sign_exhausts_its_refinements(monkeypatch):
 
 
 def test_sign_pieces_evaluate_each_round_in_one_engine_call(monkeypatch):
-    # every new end of a bisection round goes into one engine call at its
-    # own refinement level: 25 calls at n = 11, tol 1, where one call per
-    # level of a round took 27
+    # a round whose ends are not all known makes one engine call, at each
+    # end's own refinement level, which also carries the ends the forecast
+    # expects later rounds to ask for: 7 calls at n = 11, tol 1, where one
+    # call per round took 25
     from epsteinzeta import analysis, epstein
 
     calls = []
@@ -146,7 +147,7 @@ def test_sign_pieces_evaluate_each_round_in_one_engine_call(monkeypatch):
     cfg = EvalConfig(tol=1.0)
     pieces = analysis._sign_pieces(11, cfg)
     monkeypatch.undo()
-    assert len(calls) == 25
+    assert len(calls) == 7
     assert [sign for _, _, sign, _ in pieces] == [-1] * 20 + [0] * 54 + [1] * 23
     assert pieces[0][0] == 0.0 and pieces[-1][1] == 11 / 4.0
     assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
@@ -167,6 +168,59 @@ def test_sign_pieces_evaluate_each_round_in_one_engine_call(monkeypatch):
             assert bound in bounds(lo, hi, -1.0)
         else:
             assert math.isnan(bound)
+
+
+_FORECAST_CASES = [
+    (11, 1.0), (10, 1e-3), (10, 1e-9), (14, 0.5), (21, 1e-9), (9, 1e-2), (9, 1e-9), (5, 1e-9), (28, 1e-9), (30, 1e-9)
+]
+
+
+def test_sign_pieces_forecast_is_speculation(monkeypatch):
+    # the forecast only chooses which ends an engine call carries: without it
+    # every round decides the same pieces from the same bits
+    from epsteinzeta import analysis
+
+    def bits(pieces):
+        return [(lo.hex(), hi.hex(), sign, bound.hex()) for lo, hi, sign, bound in pieces]
+
+    cases = [(n, EvalConfig(tol=tol)) for n, tol in _FORECAST_CASES]
+    forecast = [bits(analysis._sign_pieces(n, cfg)) for n, cfg in cases]
+    monkeypatch.setattr(analysis, "_forecast", lambda *args: [])
+    assert [bits(analysis._sign_pieces(n, cfg)) for n, cfg in cases] == forecast
+
+
+def test_sign_pieces_forecast_cuts_engine_calls(monkeypatch):
+    from epsteinzeta import analysis
+
+    calls, extra = [], []
+    kernel_parts, forecast = analysis._kernel_parts, analysis._forecast
+
+    def counting(s, a, tol):
+        calls.append(list(zip(s, tol)))
+        return kernel_parts(s, a, tol)
+
+    def recording(n, pending, level, known):
+        ends = forecast(n, pending, level, known)
+        extra.append(len(ends))
+        return ends
+
+    monkeypatch.setattr(analysis, "_kernel_parts", counting)
+    monkeypatch.setattr(analysis, "_forecast", recording)
+    for n in range(10, 22):
+        calls.clear()
+        analysis._sign_pieces(n, EvalConfig())
+        assert len(calls) <= 8, n
+    # the doubling guard: no call carries more forecast ends than the ends
+    # known before it, and no end is evaluated twice
+    calls.clear()
+    extra.clear()
+    analysis._sign_pieces(11, EvalConfig(tol=1.0))
+    assert len(extra) == len(calls) and sum(extra) > 0
+    known = set()
+    for call, forecast_ends in zip(calls, extra):
+        assert forecast_ends <= len(known)
+        assert known.isdisjoint(call) and len(set(call)) == len(call)
+        known.update(call)
 
 
 def test_interval_symmetry_of_signs():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,34 @@ def test_bessel_k_below_the_node_range_raises_precision_error():
     # above the limit the rule still holds: K_{1/2}(z) = sqrt(pi / (2z)) e^{-z}
     v = bessel_k(0.5, 1e-305)
     assert abs(v.value - math.sqrt(math.pi / 2e-305)) <= v.err
+
+
+@pytest.mark.parametrize("nu, z", [(2.0, 1e-160), (1.5, 1e-250), (-2.0, np.array([1.0, 1e-160]))])
+def test_bessel_k_past_double_range_raises_precision_error(nu, z):
+    # K_nu(z) is about Gamma(nu)/2 (2/z)^nu, past double range here, where
+    # cosh(nu u) at the last nodes would overflow: the call is decided before
+    # any array is sized, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=rf"K_{abs(nu)}\(z\) at z = 1e-"):
+            bessel_k(nu, z)
+    # inside double range the rule still holds: K_2(z) = 2/z^2 - 1/2 + O(z^2 log z)
+    v = bessel_k(2.0, 1e-150)
+    assert abs(v.value - 2e300) <= v.err
+
+
+def test_bessel_k_is_finite_or_a_precision_error():
+    # from z = 1e-308 up, each order gives a finite value and err or raises
+    # PrecisionError, with no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 4.2, 10.0, 50.0, 150.0):
+            for z in np.geomspace(1e-308, 100.0, 64):
+                try:
+                    v = bessel_k(nu, float(z))
+                except PrecisionError:
+                    continue
+                assert math.isfinite(v.value) and math.isfinite(v.err), (nu, z)
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
