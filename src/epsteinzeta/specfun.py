@@ -6,14 +6,14 @@ reflection theta(t) = t^{-1/2} theta(1/t) below 1, the Riemann zeta function
 for real argument, the
 integration-by-parts partial sum behind the closed-form bounds of the sign
 certificates on the upper incomplete gamma function Gamma(beta, x), and the
-modified Bessel function K_nu(z) over a float or an array of z, by one
+modified Bessel function K_nu(z) over floats or arrays of nu and z, by one
 trapezoidal rule for every z > 0 whose error bound comes from the strip of
 analyticity of its integrand.  The engine (epstein._theta_sums) applies the
 same kind of rule to the theta integrals of Xi, so no incomplete gamma
 function is evaluated.
 
 theta, riemann_zeta and bessel_k return an :class:`Approximation` (bessel_k on
-an array: arrays of values and errors): a double precision value paired with
+arrays: arrays of values and errors): a double precision value paired with
 an absolute error bound derived from the truncation analysis of the series or
 quadrature used.  The bounds are truncation bounds plus small roundoff
 allowances, not directed-rounding enclosures.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,7 +281,7 @@ _K_AIM = 36.0
 _K_BLOCK = 1 << 13
 
 
-def _k_majorant(nu: float, x: np.ndarray) -> np.ndarray:
+def _k_majorant(runs, x: np.ndarray) -> np.ndarray:
     """M_nu(x) = c e^{-x} (sqrt(pi/(2x)) + Gamma(m)/2 (2/x)^m) >= K_nu(x) for
     nu >= 0, x > 0, with m = max(nu, 1/2) and c = max(1, 2^{m - 3/2}).
 
@@ -293,23 +294,58 @@ def _k_majorant(nu: float, x: np.ndarray) -> np.ndarray:
     integrals Gamma(m + 1/2) and Gamma(2m) (2x)^{1/2-m}, which the
     duplication formula turns into the Gamma(m)/2 (2/x)^m term.  Each
     integral alone is a lower bound on the whole, so M/(2c) <= K_m <= M.
+
+    ``runs`` is the list of `_KOrder` of `_k_trapezoid`, whose slices cover x.
     """
-    m = max(nu, 0.5)
-    c = max(1.0, 2.0 ** (m - 1.5))
-    return c * np.exp(-x) * (np.sqrt(math.pi / (2.0 * x)) + 0.5 * math.gamma(m) * (2.0 / x) ** m)
+    power = 2.0 / x
+    for run in runs:
+        # a float exponent, as numpy takes x ** 0.5 by sqrt and x ** 2 by square
+        power[run.lo:run.hi] = power[run.lo:run.hi] ** run.m
+    c, half_gamma = _k_spread(runs, "c"), _k_spread(runs, "half_gamma")
+    return c * np.exp(-x) * (np.sqrt(math.pi / (2.0 * x)) + half_gamma * power)
 
 
-def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The trapezoidal rule of `bessel_k` at every z of a 1-d array, nu >= 0."""
+def _k_log_majorant(nu: float, x: float) -> float:
+    """log M_nu(x) of `_k_majorant` for nu >= 0 and a float x > 0, taken in
+    logs, so that it is finite wherever x is."""
     m = max(nu, 0.5)
+    near = 0.5 * math.log(math.pi / (2.0 * x))
+    far = math.lgamma(m) - math.log(2.0) + m * math.log(2.0 / x)
+    top = max(near, far)
+    log_c = max(0.0, (m - 1.5) * math.log(2.0))
+    return log_c - x + top + math.log1p(math.exp(min(near, far) - top))
+
+
+class _KOrder(NamedTuple):
+    """The constants of one order nu >= 0 of a `bessel_k` call, for its z in
+    the slice lo:hi."""
+
+    nu: float
+    lo: int
+    hi: int
+    m: float
+    c: float
+    lead: float
+    half_gamma: float
+
+
+def _k_order(nu: float, lo: int, hi: int, z: np.ndarray) -> _KOrder:
+    """The constants of order nu >= 0 at z[lo:hi], once both range checks
+    have passed at the least of those z."""
+    m = max(nu, 0.5)
+    try:
+        c = max(1.0, 2.0 ** (m - 1.5))
+    except OverflowError as exc:
+        # 2^(m - 3/2) from nu of about 1025
+        raise PrecisionError(f"the majorant constant of K_{nu} leaves double range") from exc
     # h puts the strip bound near e^-_K_AIM of K: K >= M/(2c) for nu >= 1/2
     # (each Gamma integral alone is a lower bound), and M(z cos d) / M(z) is
     # at most e^{z (1 - cos d)} cos(d)^-m.  d shrinks like z^-1/2 past z of
     # about 50, which holds the nodes near 12 however large z is
-    lead = _K_AIM + math.log(4.0 * max(1.0, 2.0 ** (m - 1.5)))
+    lead = _K_AIM + math.log(4.0 * c)
     # from z = (2 lead + 710 nu)/1e308 up, 2 lead/z and the last node u* below
     # stay in double range, and cosh and sinh at u* + 2h < 709.9
-    z0 = float(z.min())
+    z0 = float(z[lo:hi].min())
     if z0 < (2.0 * lead + 710.0 * nu) / 1e308:
         raise PrecisionError(f"the nodes of K_{nu} at z = {z0} leave double range")
     # u* falls in z and h <= 2 pi _K_STRIP / lead, so no node passes u* at z0
@@ -325,6 +361,35 @@ def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise PrecisionError(f"K_{nu}(z) at z = {z0} leaves double range") from OverflowError(
             f"cosh({nu} u) at u = {top}"
         )
+    try:
+        half_gamma = 0.5 * math.gamma(m)
+    except OverflowError as exc:
+        # Gamma(m) from 171.6 on
+        raise PrecisionError(f"the majorant constant of K_{nu} leaves double range") from exc
+    return _KOrder(nu, lo, hi, m, c, lead, half_gamma)
+
+
+def _k_spread(runs, name: str):
+    """The constant ``name`` of each run, as a float for one run and else as
+    an array over the run slices."""
+    if len(runs) == 1:
+        return getattr(runs[0], name)
+    return np.repeat([getattr(r, name) for r in runs], [r.hi - r.lo for r in runs])
+
+
+def _k_trapezoid(nu, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoidal rule of `bessel_k` at every z of a 1-d array: nu >= 0
+    is a float, or an array like z whose equal orders stand in runs.
+
+    Each run gets its constants and range checks once, from `_k_order`; every
+    other step is elementwise, so each z gets the bits of a call on it alone.
+    """
+    if np.ndim(nu) == 0:
+        runs = [_k_order(float(nu), 0, z.size, z)]
+    else:
+        cuts = [0, *(np.flatnonzero(nu[1:] != nu[:-1]) + 1).tolist(), z.size]
+        runs = [_k_order(float(nu[lo]), lo, hi, z) for lo, hi in zip(cuts, cuts[1:])]
+    nu, m, lead = _k_spread(runs, "nu"), _k_spread(runs, "m"), _k_spread(runs, "lead")
     d = np.minimum(_K_STRIP, np.sqrt(2.0 * lead / z))
     cos_d = np.cos(d)
     h = (2.0 * math.pi) * d / (lead - m * np.log(cos_d) + (1.0 - cos_d) * z)
@@ -349,7 +414,7 @@ def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.cosh(u)
         x *= z[lo:hi].repeat(size)
         f = np.exp(-x)
-        u *= nu
+        u *= nu if np.ndim(nu) == 0 else nu[lo:hi].repeat(size)
         f *= np.cosh(u)
         f[starts] *= 0.5
         values[lo:hi] = np.add.reduceat(f, starts)
@@ -358,7 +423,7 @@ def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values *= h
     # strip bound 2 K_nu(z cos d) / (e^{2 pi d / h} - 1), with K_nu <= M_nu
     q = (2.0 * math.pi) * d / h
-    strip = 2.0 * _k_majorant(nu, z * cos_d) * np.exp(-q) / -np.expm1(-q)
+    strip = 2.0 * _k_majorant(runs, z * cos_d) * np.exp(-q) / -np.expm1(-q)
     # past the last node, log f <= g(u) = nu u - z cosh u, concave: the sum
     # from the first omitted node u1 on is at most e^{g(u1)} / (1 - e^{h g'(u1)})
     top = last * h
@@ -377,11 +442,15 @@ def _k_trapezoid(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, strip + tail + rounding
 
 
-def bessel_k(nu: float, z):
+def bessel_k(nu, z):
     """Modified Bessel function of the second kind, K_nu(z), z > 0, real nu.
 
-    ``z`` is a float or an array.  A float gives an :class:`Approximation`;
-    an array gives the pair (values, errs) of arrays of its shape.
+    ``nu`` and ``z`` are floats or arrays that broadcast together.  Two
+    floats give an :class:`Approximation`; otherwise the result is the pair
+    (values, errs) of arrays of the broadcast shape.  Each element has the
+    bits of the call on its own order and argument alone: the constants and
+    range checks of each distinct order are taken once, and every other step
+    is elementwise.
 
     K_nu(z) = int_0^inf f(u) du with f(u) = e^{-z cosh u} cosh(nu u) is
     evaluated by one trapezoidal rule, T_h = h (f(0)/2 + sum_{k>=1} f(kh)),
@@ -404,17 +473,35 @@ def bessel_k(nu: float, z):
     Evenness in the order is structural: the rule sees the order only
     through |nu|, so K_{-nu} = K_nu by construction.
     """
-    if not math.isfinite(nu):
-        raise DomainError(f"bessel_k requires a finite order, got {nu}")
+    orders = np.abs(np.asarray(nu, dtype=float))
+    if not np.all(np.isfinite(orders)):
+        bad = orders.ravel()[~np.isfinite(orders.ravel())][0]
+        raise DomainError(f"bessel_k requires a finite order, got {bad}")
     zs = np.asarray(z, dtype=float)
     if not np.all(zs > 0):
         raise DomainError(f"bessel_k requires z > 0, got {z}")
+    if orders.ndim == 0:
+        orders = float(orders)
+    else:
+        try:
+            orders, zs = np.broadcast_arrays(orders, zs)
+        except ValueError as exc:
+            raise DomainError(f"orders of shape {orders.shape} do not broadcast with z of shape {zs.shape}") from exc
     flat = zs.ravel()
-    try:
-        values, errs = _k_trapezoid(abs(nu), flat) if flat.size else (flat, flat)
-    except OverflowError as exc:
-        # 2^(m - 3/2) from |nu| of about 1025, and Gamma(m) from 171.6 on
-        raise PrecisionError(f"the majorant constant of K_{nu} leaves double range") from exc
+    if not flat.size:
+        values, errs = flat, flat
+    elif np.ndim(orders) == 0:
+        values, errs = _k_trapezoid(orders, flat)
+    else:
+        # each distinct order in one run, keeping the order of the z within it
+        flat_nu = orders.ravel()
+        heads = flat_nu[np.flatnonzero(flat_nu[1:] != flat_nu[:-1]) + 1].tolist()
+        if len(set(heads)) == len(heads) and flat_nu[0] not in heads:
+            values, errs = _k_trapezoid(flat_nu, flat)
+        else:
+            perm = np.argsort(flat_nu, kind="stable")
+            values, errs = np.empty_like(flat), np.empty_like(flat)
+            values[perm], errs[perm] = _k_trapezoid(flat_nu[perm], flat[perm])
     if zs.ndim == 0:
         return Approximation(float(values[0]), float(errs[0]))
     return values.reshape(zs.shape), errs.reshape(zs.shape)

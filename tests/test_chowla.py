@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from epsteinzeta import (
     DomainError,
+    bessel_k,
     EvalConfig,
     NotGenericError,
     PrecisionError,
@@ -14,7 +16,8 @@ from epsteinzeta import (
     xi,
     xi_chowla_selberg,
 )
-from epsteinzeta.chowla import chowla_selberg_terms
+from epsteinzeta import chowla
+from epsteinzeta.chowla import _k_points, _tail_cutoff, chowla_selberg_terms
 
 
 def test_cross_check_unit_square():
@@ -87,6 +90,8 @@ def test_one_dimensional_reduces_to_zeta_term():
         (4, 171.3, (1.0,) * 4, "Bessel sum of level 1"),
         # the coefficient 1/(a_3^(2s - 2) a_1 a_2) past double range
         (3, 0.7, (1e-200, 1.0, 1e200), "zeta term of level 2"),
+        # a_2^(2s - 1) a_1 underflows to 0 under the coefficient of level 1
+        (2, -3.71, (5.6e69, 2.0e-99), "zeta term of level 1"),
     ],
 )
 def test_terms_past_double_range_raise_precision_error(n, s, a, term):
@@ -97,9 +102,9 @@ def test_terms_past_double_range_raise_precision_error(n, s, a, term):
 
 
 def test_oversized_bessel_sum_raises():
-    # the last tower level of seven unit scales would need 8,417,361 terms
-    with pytest.raises(PrecisionError, match="8417361 terms"):
-        xi_chowla_selberg(7, 1.3, ScaleVector.unit(7))
+    # the last tower level of eight unit scales would need 2,998,409 terms
+    with pytest.raises(PrecisionError, match="2998409 terms"):
+        xi_chowla_selberg(8, 1.3, ScaleVector.unit(8))
     # in ascending order the 1/1024 axis leads and the sum stays short
     a = ScaleVector([1024.0, 1.0 / 1024.0])
     left, right = xi_chowla_selberg(2, 0.7, a), xi(2, 0.7, a)
@@ -168,7 +173,7 @@ def test_xi_agrees_with_chowla_selberg_and_under_reversed_scales(n, data):
     assert abs(ours.value - reversed_.value) <= ours.err + reversed_.err
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_xi_agrees_with_chowla_selberg_at_scales_up_to_two_to_the_ten(n, data):
@@ -179,3 +184,85 @@ def test_xi_agrees_with_chowla_selberg_at_scales_up_to_two_to_the_ten(n, data):
         reject()
     ours = xi(n, s, a)
     assert abs(ours.value - other.value) <= ours.err + other.err
+
+
+@pytest.mark.parametrize(
+    "n, a",
+    [(3, (1e10,) * 3)] + [(2, (x, y)) for x in (1e150, 1e-150) for y in (1e150, 1e-150)],
+)
+def test_extreme_volumes_give_a_finite_value_or_a_precision_error(n, a):
+    # each level omits at most tol / (16 V (n - 1)) of its Bessel sum, so the
+    # omitted tail adds at most tol/16 to err at any volume; the cutoff is
+    # solved in logs, without a warning or a bare ValueError/OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            v = xi_chowla_selberg(n, 0.7, a)
+        except PrecisionError:
+            return
+    assert math.isfinite(v.value) and math.isfinite(v.err)
+    # the rest of err is the zeta factors' and the rounding, near 1e-13 of the terms
+    assert v.err <= 1e-9 / 16.0 + 1e-12 * abs(v.value)
+
+
+def _tail_points():
+    """Seeded (n, s, ascending scales) with n = 2..4: scales near 1, of
+    product one at up to 2^+-10, and those at volume 2^+-20; s in
+    (-1, n/2 + 1), so some levels have nu = s - j/2 < 0."""
+    rng = np.random.default_rng(28)
+    points = []
+    for kind in range(3):
+        for n in (2, 3, 4):
+            for _ in range(3):
+                if kind == 0:
+                    u = rng.uniform(-1.0, 1.0, n)
+                else:
+                    u = rng.uniform(-10.0 / (n - 1), 10.0 / (n - 1), n - 1)
+                    u = np.append(u, -u.sum())
+                if kind == 2:
+                    u += rng.choice([-20.0, 20.0]) * 2.0 / n
+                s = float(rng.uniform(-1.0, n / 2.0 + 1.0))
+                points.append((n, s, tuple(sorted(2.0**u))))
+    return points
+
+
+@pytest.mark.parametrize("n, s, a", _tail_points())
+def test_tail_bound_covers_the_omitted_bessel_terms(n, s, a):
+    # the Bessel terms of each level past its cutoff Z, up to the former cut
+    # log(1/tol) + 40 (and at least Z + 20), sum to at most the level's bound,
+    # and the bound stays within the level's budget tol / (16 V (n - 1))
+    tol = 1e-9
+    log_budget = math.log(tol / (16.0 * (n - 1))) - 0.5 * math.fsum(map(math.log, a))
+    for j in range(1, n):
+        nu = s - j / 2.0
+        cut, bound = _tail_cutoff(a, j, nu, log_budget)
+        assert bound <= math.exp(log_budget)
+        top = max(math.log(1.0 / tol) + 40.0, cut + 20.0)
+        b = a[j]
+        norms = np.sqrt(_k_points(a[:j], top / (2.0 * math.pi * b)))
+        if not norms.size:
+            continue
+        p = np.arange(1, int(top / (2.0 * math.pi * b * norms.min())) + 1)
+        norms, p = (x.ravel() for x in np.meshgrid(norms, p))
+        z = 2.0 * math.pi * p * b * norms
+        keep = (z > cut) & (z <= top)
+        if not keep.any():
+            continue
+        kv, kerr = bessel_k(nu, z[keep])
+        coeffs = 4.0 / math.prod(a[:j]) * (norms[keep] / (p[keep] * b)) ** nu
+        assert math.fsum((coeffs * (kv + kerr)).tolist()) <= bound, (j, cut)
+
+
+def test_one_bessel_k_call_per_evaluation(monkeypatch):
+    # every tower level's Bessel terms go to bessel_k in one call
+    calls = []
+
+    def counted(nu, z):
+        calls.append(np.size(z))
+        return bessel_k(nu, z)
+
+    monkeypatch.setattr(chowla, "bessel_k", counted)
+    for n in (2, 3, 4):
+        calls.clear()
+        xi_chowla_selberg(n, 1.1, ScaleVector([0.8, 1.3, 1.1, 0.9][:n]))
+        assert len(calls) == 1 and calls[0] > 0

@@ -491,3 +491,39 @@ def test_bessel_k_order_past_the_majorant_range_raises(nu, z):
     # 2^(|nu| - 3/2) overflows past |nu| of about 1025, Gamma(|nu|) past 171.6
     with pytest.raises(PrecisionError):
         bessel_k(nu, z)
+
+
+def test_bessel_k_array_of_orders_equals_its_scalar_calls():
+    # each element keeps the bits of the call on its own order and argument,
+    # whether the orders come in runs or interleaved, and K_{-nu} = K_nu
+    rng = np.random.default_rng(11)
+    z = np.exp(rng.uniform(-4.0, 4.5, 400))
+    for nus in (
+        np.repeat([0.2, -0.3, 0.8, 1.5], 100),
+        rng.choice([0.0, 0.5, -0.5, 1.0, 2.0, -1.7, 4.2], 400),
+    ):
+        values, errs = bessel_k(nus, z)
+        for nu, x, value, err in zip(nus.tolist(), z.tolist(), values.tolist(), errs.tolist()):
+            for order in (nu, -nu):
+                one = bessel_k(order, x)
+                assert (one.value, one.err) == (value, err)
+    # an array of orders broadcasts with z, and one order with an array of z
+    values, errs = bessel_k(np.array([[0.5], [1.5]]), np.array([1.0, 2.0, 3.0]))
+    assert values.shape == errs.shape == (2, 3)
+    row, row_errs = bessel_k(1.5, np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(values[1], row) and np.array_equal(errs[1], row_errs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bessel_k_non_finite_order_in_an_array_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match="finite order"):
+        bessel_k(np.array([0.5, bad, 1.0]), np.array([1.0, 2.0, 3.0]))
+
+
+def test_bessel_k_array_of_orders_names_the_order_past_double_range():
+    # K_2(1e-160) leaves double range; the order in range beside it does not
+    # hide it, and the error names that order and its least z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=r"K_2\.0\(z\) at z = 1e-160"):
+            bessel_k(np.array([0.5, 0.5, -2.0]), np.array([1.0, 1e-160, 1e-160]))
