@@ -133,7 +133,7 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
     or without the forecast.
     """
     unit = (1.0,) * n
-    known = {}  # (end, refinements) -> its K terms (V, k1, k2, err)
+    known = {}  # (end, refinements) -> its K terms (V, k1, k2, err, F)
     level = {}  # end -> the refinements its K terms took
     todo = {0.0: 0, n / 4.0: 0}  # end -> refinements to evaluate it at
     pending, pieces = [(0.0, n / 4.0)], []
@@ -207,7 +207,7 @@ def _forecast(n: int, pending, level, known) -> list[tuple[float, int]]:
     however poor the model.
     """
     best = {}  # end -> (refinements, K, err) at its finest known level
-    for (s, k), (_, k1, k2, err) in known.items():
+    for (s, k), (_, k1, k2, err, _) in known.items():
         if k >= best.get(s, (-1,))[0]:
             best[s] = (k, k1 + k2, err)
     if len(best) < 3:
@@ -218,7 +218,7 @@ def _forecast(n: int, pending, level, known) -> list[tuple[float, int]]:
     @functools.cache
     def end(s, k):  # (K, err, gauge) of the end s at k refinements
         if (s, k) in known:
-            _, k1, k2, err = known[s, k]
+            _, k1, k2, err, _ = known[s, k]
             return k1 + k2, err, 0.0
         if s in best:
             kb, kk, err = best[s]

@@ -25,7 +25,19 @@ Every node goes through `_kernel_parts`, one engine call for nodes of any
 dimensions and tolerances, which evaluates each distinct (s, sorted scales,
 tol) once: V is a product over the sorted scales, so repeated nodes share
 bits, and the mirror nodes of a symmetric chart cost one evaluation.  A node
-makes two sums, S(s; a) at tol/(8V) and S(n/2 - s; 1/a) at tol V/8.
+makes two sums, S(s; a) at tol/(8V) and S(n/2 - s; 1/a) at tol V/8.  A node
+of volume far from 1 is evaluated at 2^k a, of volume near 1, and scaled
+back by homogeneity, Xi_n(s; 2^k a) = 2^{k (n/2 - 2s)} Xi_n(s; a), so that
+its pole terms do not cancel against its kernel parts.
+
+`_evaluate` takes the sums of a block of about _BLOCK nodes in one pass of
+numpy arrays laid out group-major: one contiguous row per field and per
+group of equal scales, along which the nodes of the sums follow one another.
+Its table comes from per-field columns of the plans and the group data of
+the key cache, and the log theta of the groups are added one group after
+another, in their ascending order, whatever the shape of the block; numpy's
+own reductions would add a long contiguous axis pairwise, and a node's bits
+would then depend on its block.
 `xi_many`, `xi`, `analysis.decide_signs` and `regions.scan` evaluate through
 it; `gamma_kernel_sum_d2` takes the same rule with the weight (log t)^2.
 """
@@ -33,11 +45,13 @@ it; `gamma_kernel_sum_d2` takes the same rule with the weight (log t)^2.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from contextlib import nullcontext
-from itertools import accumulate
+from itertools import accumulate, chain, zip_longest
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter, sub
 from math import ceil, exp, expm1, floor, inf, log, log1p, sqrt
 
 import numpy as np
@@ -49,6 +63,8 @@ from .specfun import _EPS, Approximation
 __all__ = ["EvalConfig", "ScaleVector", "XiValue", "xi", "xi_many", "z", "hat_xi"]
 
 _POLE_GUARD = 1e-6
+# the least subnormal, past any rounding of a product that underflows
+_TINY = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -138,6 +154,7 @@ _KAPPA0 = math.exp(-_STRIPS[0][1])
 _RUNG = np.argmin([(36.0 + np.geomspace(1.0, 1e4, 4000) * k + c) / d for d, k, c, _ in _STRIPS], axis=0)
 _RUNG_KEYS = [float(np.geomspace(1.0, 1e4, 4000)[np.argmax(_RUNG >= r)]) for r in range(1, _RUNG.max() + 1)]
 _LOG_EPS, _LOG2, _PI, _TWO_PI = math.log(_EPS), math.log(2.0), math.pi, 2.0 * math.pi
+_LOG_MAX = math.log(sys.float_info.max)
 # steps are multiples of _STEP_UNIT, so every node u = k h is exact; log h per step count
 _STEP_UNIT = 2.0**-10
 _LOG_STEPS = [-inf] + [math.log(k * _STEP_UNIT) for k in range(1, 1025)]
@@ -151,31 +168,47 @@ _BLOCK = 1 << 12
 _KEYS: dict[tuple, tuple] = {}  # see `_key_data`
 
 
-def _log_theta(x: np.ndarray, m: np.ndarray, far: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _log_theta(
+    x: np.ndarray, m: np.ndarray | None, far: bool = False, low: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """(L, log(Theta - 1)) with L = log Theta, Theta = prod_g theta(x_g)^{m_g}
-    over the last axis of x, summed in its order.
+    over the last axis of x, its groups, ascending, summed in their order one
+    after another; m None stands for counts of 1.  `_evaluate` passes the
+    transpose of its group-major arrays, whose groups are contiguous rows.
 
     log theta(x) = log1p(2q (1 + q^3 (1 + q^5))) with q = e^{-pi max(x, 1/x)},
     less log(x)/2 below x = 1, as theta(x) = x^{-1/2} theta(1/x); the omitted
-    2 sum_{k >= 4} q^{k^2} is below e^{-15 pi} of 2q.  Where no x is below 1
-    the reflection is skipped: it would subtract zeros.  With `far`, a row
-    whose first x, the smallest, is past _X_FAR takes log(Theta - 1) =
-    -pi x_0 + log(2 sum_g m_g e^{-pi (x_g - x_0)}), exact in double precision
-    there, as the terms of order q_0^2 are below e^{-700} of it.
+    2 sum_{k >= 4} q^{k^2} is below e^{-15 pi} of 2q.  With low False, which
+    says that no x is below 1, the reflection is skipped: at x >= 1 it
+    subtracts zeros, the same bits.  With `far`, a row whose first x, the
+    smallest, is past _X_FAR takes log(Theta - 1) = -pi x_0 + log(2 sum_g m_g
+    e^{-pi (x_g - x_0)}), exact in double precision there, as the terms of
+    order q_0^2 are below e^{-700} of it.
     """
     if far:
         with np.errstate(divide="ignore"):
-            big_l, ex = _log_theta(x, m)
-        tail = np.add.accumulate(np.exp((x[..., :1] - x) * _PI) * m, axis=-1)[..., -1]
-        return big_l, np.where(x[..., 0] > _X_FAR, np.log(2.0 * tail) - _PI * x[..., 0], ex)
-    low = x.min() < 1.0
-    q = np.exp((np.maximum(x, 1.0 / x) if low else x) * -math.pi)
-    q3 = q * q * q
-    lth = np.log1p((q3 * (q3 * q * q + 1.0) + 1.0) * q * 2.0)
+            big_l, ex = _log_theta(x, m, low=low)
+        tail = np.exp((x[..., :1] - x) * _PI)
+        return big_l, np.where(x[..., 0] > _X_FAR, np.log(2.0 * _group_sum(tail, m)) - _PI * x[..., 0], ex)
+    q = np.multiply(np.maximum(x, 1.0 / x) if low else x, -math.pi)
+    np.exp(q, out=q)
+    q3 = q * q
+    q3 *= q
+    # 2q (1 + q^3 (1 + q^5)), in the operations and order of its unfolded form
+    lth = q3 * q
+    lth *= q
+    lth += 1.0
+    lth *= q3
+    lth += 1.0
+    lth *= q
+    lth *= 2.0
+    np.log1p(lth, out=lth)
     if low:
-        lth -= 0.5 * np.minimum(np.log(x), 0.0)
-    lth *= m
-    big_l = np.add.accumulate(lth, axis=-1)[..., -1] if lth.shape[-1] > 1 else lth[..., 0]
+        half = np.log(x)
+        np.minimum(half, 0.0, out=half)
+        half *= 0.5
+        lth -= half
+    big_l = _group_sum(lth, m)
     if big_l.max() <= 700.0:
         return big_l, np.log(np.expm1(big_l))
     # log(e^L - 1) = L in double precision past L = 700, where e^L overflows
@@ -183,16 +216,35 @@ def _log_theta(x: np.ndarray, m: np.ndarray, far: bool = False) -> tuple[np.ndar
     return big_l, np.log(np.expm1(top)) + (big_l - top)
 
 
+def _group_sum(terms: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+    """sum_g m_g terms_g over the last axis, in place, one group after another
+    in a fixed order whatever the shape; numpy's own reductions would sum a
+    long contiguous axis pairwise.  The blocks of `_evaluate` come group-major,
+    in Fortran order here, and a loop adds their contiguous group rows; the
+    key data of `_key_data` come with each row's groups side by side, where
+    np.add.accumulate adds them along the row in one call.  Both add g = 0,
+    1, 2, ... in turn, so the bits do not depend on the layout."""
+    if m is not None:
+        terms *= m
+    if terms.shape[-1] > 1 and not terms.flags.f_contiguous:
+        return np.add.accumulate(terms, axis=-1)[..., -1]
+    total = terms[..., 0]
+    for g in range(1, terms.shape[-1]):
+        total += terms[..., g]
+    return total
+
+
 def _key_data(keys) -> list[tuple]:
     """The data of each group key (scales, counts), from _KEYS (emptied past
     2^14 keys) or computed and put there: c_0^2, lam = pi c_0^2, log bounds on
     Theta(1) - 1 (P1) and Theta(kappa_0) - 1 from above and Theta(2) - 1 from
-    below, rounding coefficients, log(2 m_0 / lam), log lam, the squared
-    scales and the counts.  The upper bounds take Theta(t) - 1 <= (Theta(s) -
-    1) e^{-lam (t - s)}, s = min(t, 100/lam), each term falling at least at the
-    rate of the smallest Q = c_0^2.  The scales are padded with c_0 and the
-    counts with 0, as in `_evaluate`; at t = 2, x_0 = 2 c_0^2 may pass
-    _X_FAR.  The rows are returned, so a clearing of _KEYS cannot lose them."""
+    below, rounding coefficients, log(2 m_0 / lam), log lam, whether every
+    count is 1, the squared scales and the counts.  The upper bounds take
+    Theta(t) - 1 <= (Theta(s) - 1) e^{-lam (t - s)}, s = min(t, 100/lam),
+    each term falling at least at the rate of the smallest Q = c_0^2.  The
+    scales are padded with c_0 and the counts with 0; at t = 2, x_0 = 2 c_0^2
+    may pass _X_FAR.  The rows are returned, so a clearing of _KEYS cannot
+    lose them."""
     rows = [_KEYS.get(key) for key in keys]
     if None not in rows:
         return rows
@@ -217,7 +269,7 @@ def _key_data(keys) -> list[tuple]:
     )
     found = {}
     for key, row, squares in zip(missing, zip(*(column.tolist() for column in columns)), c2.tolist()):
-        found[key] = _KEYS[key] = (*row, tuple(squares[: len(key[1])]), key[1])
+        found[key] = _KEYS[key] = (*row, max(key[1]) == 1, tuple(squares[: len(key[1])]), key[1])
     return [found[key] if row is None else row for key, row in zip(keys, rows)]
 
 
@@ -229,7 +281,7 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
     past _X_FAR at the node after the last and whether pi c_g^2 t of the
     largest group may pass double range there; the step and the ends only aim
     at tol, and I+ bounds the unweighted sum."""
-    c0, lam, log_p1, log_tk, log_t2, amp, spread, base, log_pair, log_lam, _, _ = row
+    c0, lam, log_p1, log_tk, log_t2, amp, spread, base, log_pair, log_lam, _, _, _ = row
     bm1 = beta - 1.0
     b, low = (bm1, 0.0) if bm1 > 0.0 else (0.0, bm1)
     # I <= P1 int_1^inf t^b e^{-lam (t - 1)} dt, log t under its tangent at tp
@@ -369,40 +421,46 @@ def _theta_sums(orders, scales, counts, tols, squared_log: bool = False) -> tupl
 
 def _evaluate(plans, rows, sizes, squared_log: bool) -> tuple[list[float], list[float]]:
     """(log values, log errs) of the sums with these plans, key data and node
-    counts, with the weight (log t)^2 if squared_log, as the plans are."""
+    counts, with the weight (log t)^2 if squared_log, as the plans are.
+
+    The node arrays are group-major: one contiguous row per field or group,
+    the sums' nodes one after another along it.  A sum's squared group
+    scales are padded with inf, whose theta is 1 and log theta 0, exactly."""
     starts = list(accumulate(sizes, initial=0))
-    width = max(len(row[-1]) for row in rows)
-    # per sum: k less the index of its first node, h, beta - 1, 1.25 eps R,
-    # its bounds, and its squared group scales padded with c_0^2 and their
-    # counts padded with 0
-    table = np.array([
-        (p[1] - start, p[0], p[3], p[7], p[5], p[6], p[8], p[9], p[10], p[4]) + row[-2]
-        + (row[0],) * (width - len(row[-1])) + row[-1] + (0,) * (width - len(row[-1]))
-        for p, row, start in zip(plans, rows, starts)
-    ])
-    _, h, _, _, tails, fixed, log_j, factor, loss, log_i = table[:, :10].T
-    node = table.repeat(sizes, axis=0)
-    starts = starts[:-1]
-    u = np.arange(len(node), dtype=float)
-    u += node[:, 0]
-    u *= node[:, 1]
+    fields = list(zip(*plans))
+    squares = list(zip_longest(*map(itemgetter(-2), rows), fillvalue=inf))
+    counts = [] if all(map(itemgetter(10), rows)) else list(zip_longest(*map(itemgetter(-1), rows), fillvalue=1))
+    # per sum: h and its bounds; then per node: k less the index of its
+    # sum's first node, h, beta - 1, 1.25 eps R, the squared scales of each
+    # group and, unless all are 1, the counts of each group
+    columns = [*itemgetter(0, 4, 5, 6, 8, 9, 10)(fields), map(sub, fields[1], starts), fields[0], fields[3], fields[7]]
+    columns += squares + counts
+    table = np.fromiter(chain.from_iterable(columns), float, len(columns) * len(plans)).reshape(len(columns), -1)
+    h, log_i, tails, fixed, log_j, factor, loss = table[:7]
+    node = table[7:].repeat(sizes, axis=1)
+    width = len(squares)
+    u = np.arange(node.shape[1], dtype=float)
+    u += node[0]
+    u *= node[1]
     w = np.exp(-u)
     v = u - w
     e = np.exp(v)
     lt = np.log1p(e)
-    m = node[:, 10 + width :]
+    x = node[4 : 4 + width]
+    m = node[4 + width :].T if counts else None
     # x = c_g^2 t, and pi x, overflow only in a group far above c_0, where
     # x = inf is exact: theta(inf) = 1, and the far form's e^{-pi (x_g - x_0)}
     # is 0; only a block with a wide plan pays for the errstate
-    with np.errstate(over="ignore") if any(p[12] for p in plans) else nullcontext():
-        x = node[:, 10 : 10 + width] * (e + 1.0)[:, None]
-        _, lf = _log_theta(x, m, any(p[11] for p in plans))
-    lf += node[:, 2] * lt
+    with np.errstate(over="ignore") if any(fields[12]) else nullcontext():
+        x *= e + 1.0
+        # no x = c_g^2 t is below 1 where no c_0^2 is, as t > 1
+        _, lf = _log_theta(x.T, m, any(fields[11]), min(squares[0]) < 1.0)
+    lf += node[2] * lt
     lf += v
     lf += np.log1p(w)
     if squared_log:
         lf += 2.0 * np.log(lt)
-    log_t, rnd = _node_sums(lf, starts, sizes, node[:, 3] * x[:, 0], h, fixed)
+    log_t, rnd = _node_sums(lf, starts[:-1], sizes, node[3] * x[0], h, fixed)
     base = np.logaddexp(tails, rnd)
     if squared_log:
         strip = np.logaddexp(
@@ -439,7 +497,7 @@ def gamma_kernel_sum_d2(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -
     """d^2 S(beta; a) / d beta^2 = integral_1^inf t^{beta-1} (log t)^2 (Theta(t) - 1) dt,
     by the rule of `_theta_sums` at tol/4 with one plan, whose strip bound
     takes a bound on |log t|^2 in the strip and the plan's bound I+ on S."""
-    (group_scales, counts), _, _ = _scale_data(ScaleVector.ensure(scales).ascending)
+    (group_scales, counts), _, _ = _checked_groups(ScaleVector.ensure(scales).ascending)
     [value], [err] = _theta_sums([float(beta)], [group_scales], [counts], [cfg.tol / 4.0], squared_log=True)
     value, err = _scaled(value, err, 0.0)
     if not err < math.inf:
@@ -475,8 +533,7 @@ def _groups(asc: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[int, ...]]
     return scales, (1,) * len(asc) if len(scales) == len(asc) else tuple(map(asc.count, scales))
 
 
-@lru_cache(maxsize=1 << 12)
-def _scale_data(asc: tuple[float, ...]) -> tuple:
+def _checked_groups(asc: tuple[float, ...]) -> tuple:
     """The groups of the ascending scales and of their reciprocals, and x_min
     = pi min(1/a)^2 of `_reflected_err`, the smallest lattice value of the
     reciprocal sum; PrecisionError if a scale or a reciprocal squared, times
@@ -486,6 +543,19 @@ def _scale_data(asc: tuple[float, ...]) -> tuple:
         if not _TWO_PI * y * y < math.inf:
             raise PrecisionError(f"the {what} {y} squared overflows double precision (times 2 pi)")
     return _groups(asc), _groups(inv), math.pi * inv[0] ** 2
+
+
+@lru_cache(maxsize=1 << 12)
+def _scale_data(asc: tuple[float, ...]) -> tuple:
+    """(V, log V, k, groups, reciprocal groups, x_min) of the ascending scales,
+    the last three as `_checked_groups` gives them, with V = sqrt(prod a_i)
+    as ScaleVector takes it and k = -round(2 log2(V) / n), which puts the
+    volume of 2^k a within a factor 2^{n/4} of 1; PrecisionError if V, and
+    then if a scale or a reciprocal squared, leaves double range."""
+    v = math.sqrt(math.prod(asc))
+    if not 0.0 < v < math.inf:
+        raise PrecisionError(f"the volume of the scales {asc} leaves double range")
+    return (v, math.log(v), -round(2.0 * math.log2(v) / len(asc)), *_checked_groups(asc))
 
 
 def _scaled(log_value: float, log_err: float, shift: float) -> tuple[float, float]:
@@ -499,39 +569,87 @@ def _scaled(log_value: float, log_err: float, shift: float) -> tuple[float, floa
     return value, err + _EPS * (abs(log_value + shift) + abs(shift) + 2.0) * value
 
 
-def _kernel_parts(s, a, tol) -> tuple:
+# the largest |k (2s - n/2)| at which a node is evaluated at 2^k a: F and
+# tol/F stay within 2^+-600, far inside double range
+_HOMOGENEITY_RANGE = 600.0
+
+
+def _kernel_parts(s, a, tol, homogeneous: bool = True) -> tuple:
     """(parts, at) for the nodes (s[i], a[i], tol[i]) in one engine call:
     finite s, ascending scale tuples of any length n and a tolerance each.
     Each distinct node is evaluated once, into its parts row (n, s, V,
-    V S(s; a), S(n/2 - s; 1/a) / V, err), finite at s = 0 and n/2, and
-    at[i] is node i's row.  S(s; a) gets tol/(8V) and S(n/2 - s; 1/a) tol V/8,
-    so that their V-weighted errors meet tol.  A volume past double range, or
-    a scale or reciprocal whose square is, raises PrecisionError per node."""
-    orders, scales, counts, tols = [], [], [], []
-    rows, at = [], []
+    V S(s; a), S(n/2 - s; 1/a) / V, err, F), finite at s = 0 and n/2, and
+    at[i] is node i's row; Xi is F times the pole terms at V plus the two
+    kernel parts, as `_xi_value` takes them.  S(s; a) gets tol/(8V) and
+    S(n/2 - s; 1/a) tol V/8, so that their V-weighted errors meet tol.  A
+    volume past double range, or a scale or reciprocal whose square is,
+    raises PrecisionError per node.
+
+    By homogeneity, Xi_n(s; a) = F Xi_n(s; 2^k a) with F = 2^{k (2s - n/2)},
+    so where homogeneous a node whose k of `_scale_data` is not 0 is
+    evaluated at the scales 2^k a of `_rescaled`, where the pole terms no
+    longer cancel against the kernel parts; the row then holds V and the
+    parts of 2^k a.  A node whose parts at 2^k a leave double range is
+    evaluated at a instead."""
+    orders, scales, counts, tols, rows, distinct, at = [], [], [], [], [], [], []
     first: dict[tuple, int] = {}  # (s, scales, tol) -> its row
-    for x, asc, t in zip(s, a, tol):
-        row = first.setdefault((x, asc, t), len(rows))
+    for node in zip(s, a, tol):
+        row = first.setdefault(node, len(rows))
         if row == len(rows):
-            n = len(asc)
-            v = math.sqrt(math.prod(asc))  # as ScaleVector takes it
-            if not 0.0 < v < math.inf:
-                raise PrecisionError(f"the volume of the scales {asc} leaves double range")
-            (g1, m1), (g2, m2), x_min = _scale_data(asc)
-            orders += [x, n / 2.0 - x]
-            scales += [g1, g2]
-            counts += [m1, m2]
-            tols += [t * (0.5 / v) / 4.0, t * (0.5 * v) / 4.0]
-            rows.append((n, x, v, x_min))
+            x, asc, t = node
+            n, factor, data = len(asc), 1.0, _scale_data(asc)
+            if data[2] and homogeneous:
+                data, factor, t = _rescaled(x, asc, t, data)
+            v, shift, _, (g1, m1), (g2, m2), x_min = data
+            orders += (x, n / 2.0 - x)
+            scales += (g1, g2)
+            counts += (m1, m2)
+            tols += (t * (0.5 / v) / 4.0, t * (0.5 * v) / 4.0)
+            rows.append((n, x, v, shift, x_min, factor))
+            distinct.append(node)
         at.append(row)
     values, errs = _theta_sums(orders, scales, counts, tols)
-    parts = []
-    for r, (n, x, v, x_min) in enumerate(rows):
-        shift = math.log(v)
-        k1, e1 = _scaled(values[2 * r], errs[2 * r], shift)
-        k2, e2 = _scaled(values[2 * r + 1], errs[2 * r + 1], -shift)
-        parts.append((n, x, v, k1, k2, e1 + _reflected_err(n, x, k2, e2, x_min)))
+    parts, again = [], []
+    for (n, x, v, shift, x_min, factor), v1, v2, e1, e2 in zip(rows, values[::2], values[1::2], errs[::2], errs[1::2]):
+        k1, e1 = _scaled(v1, e1, shift)
+        k2, e2 = _scaled(v2, e2, -shift)
+        err = e1 + _reflected_err(n, x, k2, e2, x_min)
+        if factor != 1.0 and not err < math.inf:
+            again.append(len(parts))
+        parts.append((n, x, v, k1, k2, err, factor))
+    if again:
+        found, _ = _kernel_parts(*zip(*[distinct[r] for r in again]), False)
+        for r, part in zip(again, found):
+            parts[r] = part
     return parts, at
+
+
+def _rescaled(s: float, asc: tuple[float, ...], tol: float, data: tuple) -> tuple:
+    """(scale data, F, tol) to evaluate Xi_n(s; a) at, a = asc with the scale
+    data of `_scale_data` and k != 0: those of 2^k a, exact, of volume near
+    1, with F = 2^{k (2s - n/2)} and min(tol, tol/F), so that F times the
+    err meets tol and the sums at 2^k a are never coarser than tol.  Or a's
+    own with F = 1: where |k (2s - n/2)| passes _HOMOGENEITY_RANGE, where
+    2^k a leaves the range of `_scale_data`, or where the rule's tail bound
+    on a sum at a, weighted by V or 1/V, leaves double range, which makes
+    the node a PrecisionError at a, as it stays."""
+    n = len(asc)
+    v, shift, k, key1, key2, _ = data
+    power = k * (2.0 * s - n / 2.0)
+    if not abs(power) <= _HOMOGENEITY_RANGE:
+        return data, 1.0, tol
+    row1, row2 = _key_data([key1, key2])
+    if (
+        _plan(s, tol * (0.5 / v) / 4.0, row1, False)[5] + shift >= _LOG_MAX
+        or _plan(n / 2.0 - s, tol * (0.5 * v) / 4.0, row2, False)[5] - shift >= _LOG_MAX
+    ):
+        return data, 1.0, tol
+    try:
+        scaled = _scale_data(tuple(math.ldexp(y, k) for y in asc))
+    except PrecisionError:
+        return data, 1.0, tol
+    factor = 2.0**power
+    return scaled, factor, tol / factor if factor > 1.0 else tol
 
 
 def _nodes(nodes) -> tuple[list[float], list[tuple[float, ...]]]:
@@ -563,13 +681,20 @@ def _array_nodes(a: np.ndarray) -> list[tuple[float, ...]]:
     return list(map(tuple, np.sort(a, axis=1).tolist()))
 
 
-def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float) -> XiValue:
-    """Xi's pole terms at s plus a kernel part k1 + k2 +- kerr of `_kernel_parts`."""
+def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float, factor: float) -> XiValue:
+    """Xi's pole terms at s plus a kernel part k1 + k2 +- kerr of `_kernel_parts`,
+    times its factor F: the rounding of F's exponent and power, about eps
+    |log F|, and of the two products goes into err as 2 eps (|log F| + 2)
+    times |value| + err."""
     try:
         value = math.fsum((-v / s, -(1.0 / v) / (n / 2.0 - s), k1, k2))
     except (OverflowError, ValueError):  # a partial sum or V S(s; a) is past double range
         value = math.inf
     err = kerr + 4.0 * _EPS * (v / abs(s) + 1.0 / (v * abs(n / 2.0 - s)) + abs(value))
+    if factor != 1.0:
+        value *= factor
+        err *= factor
+        err += 2.0 * _EPS * (abs(math.log(factor)) + 2.0) * (abs(value) + err) + _TINY
     if not err < math.inf:
         raise PrecisionError(f"Xi_{n}({s}) overflows double precision")
     return XiValue(value, err, n, s)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -165,7 +166,7 @@ def _zeta_direct(s: float, tol: float) -> tuple[float, float]:
         if rem < tol or n >= 1 << 16:
             break
         n *= 2
-    head = math.fsum(float(k) ** (-s) for k in range(1, n))
+    head = math.fsum(map(pow, map(float, range(1, n)), repeat(-s)))
     nf = float(n)
     tail = (
         nf ** (1.0 - s) / (s - 1.0)

@@ -21,12 +21,15 @@ from epsteinzeta import epstein
 from epsteinzeta.epstein import _groups, _theta_sums
 from epsteinzeta.specfun import riemann_zeta
 
-# repeated values make mixed group patterns such as (1, 2) or (1, 1, 3)
-_SCALES = (1.0, 0.5, 2.0, 0.8, 1.25, 0.7)
+# repeated values make mixed group patterns such as (1, 2) or (1, 1, 3);
+# ten distinct values let draws of n up to 12 reach 8 groups and more
+_SCALES = (1.0, 0.5, 2.0, 0.8, 1.25, 0.7, 1.6, 0.9, 3.0, 0.4)
 # pi * 1024^2 t lies past 700 from t = 1 on, so every node of S(0.3; 1024)
 # takes the asymptotic form of log(Theta - 1), and the sum is 0.0 in double
 # precision
 _EMPTY = (1, 0.3, (1024.0,))
+# the same with 8 groups: one node of width 8, a block of its own at gate 1
+_WIDE_EMPTY = tuple(1024.0 * 1.1**i for i in range(8))
 
 
 def _regular(n: int, s: float) -> bool:
@@ -36,7 +39,7 @@ def _regular(n: int, s: float) -> bool:
 
 @st.composite
 def nodes(draw):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     a = tuple(draw(st.lists(st.sampled_from(_SCALES), min_size=n, max_size=n)))
     # s < 0 and s > n/2 give orders beta <= 0, the integers -1 and n/2 + 1
     # the order -1 itself
@@ -203,13 +206,29 @@ def test_groups_are_runs_of_equal_scales():
             assert [asc.count(x) for x in scales] == list(counts)
 
 
+@pytest.mark.parametrize("counted", [False, True])
+def test_group_sum_of_a_node_alone_is_that_of_its_block(counted):
+    # the groups' log theta are added one after another whatever the shape:
+    # numpy's own reduction adds the contiguous group axis of a one-node
+    # block pairwise from 8 groups on, and a node alone would then differ in
+    # the last bit from the same node in a block
+    rng = np.random.default_rng(29)
+    for width in range(1, 41):
+        x = rng.uniform(0.05, 3.0, (width, 16))  # group-major, as `_evaluate` lays it out
+        m = rng.integers(1, 4, (width, 16)).astype(float) if counted else None
+        block = epstein._log_theta(x.T, None if m is None else m.T)
+        for j in range(16):
+            alone = epstein._log_theta(x[:, j : j + 1].T, None if m is None else m[:, j : j + 1].T)
+            assert [float(part[0]) for part in alone] == [float(part[j]) for part in block]
+
+
 def test_unit_scale_grid_evaluates_its_key_once(monkeypatch):
     calls = []
     real = epstein._log_theta
 
-    def counted(x, m, far=False):
+    def counted(x, *rest):
         calls.append(x.shape)
-        return real(x, m, far)
+        return real(x, *rest)
 
     monkeypatch.setattr(epstein, "_log_theta", counted)
     epstein._KEYS.clear()
@@ -237,7 +256,7 @@ def test_full_key_cache_keeps_the_keys_of_the_call(monkeypatch):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    st.lists(st.tuples(st.floats(-3.0, 12.0), st.lists(st.sampled_from(_SCALES), min_size=1, max_size=6)), min_size=1, max_size=10),
+    st.lists(st.tuples(st.floats(-3.0, 12.0), st.lists(st.sampled_from(_SCALES), min_size=1, max_size=12)), min_size=1, max_size=10),
     st.randoms(use_true_random=False),
     st.sampled_from((1, 40)),
 )
@@ -245,9 +264,11 @@ def test_theta_sums_bit_identical_alone_and_in_any_batch(jobs, rnd, gate):
     # sums of several orders and group patterns share blocks, and a block
     # cut anywhere; a sum's value and err do not depend on its batch.  The
     # key data of the far scale 1024, whose nodes all take the asymptotic
-    # form of log(Theta - 1), is computed in the batch next to wider keys
+    # form of log(Theta - 1), is computed in the batch next to wider keys;
+    # its 8-group twin has one node, so alone it sums its groups over a
+    # block of one node
     jobs = [(beta, *_groups(tuple(sorted(a)))) for beta, a in jobs]
-    jobs += [(1.3, (0.5, 0.7, 1.0), (1, 2, 3)), (0.3, (1024.0,), (1,))]
+    jobs += [(1.3, (0.5, 0.7, 1.0), (1, 2, 3)), (0.3, (1024.0,), (1,)), (0.3, _WIDE_EMPTY, (1,) * 8)]
     order = list(range(len(jobs)))
     rnd.shuffle(order)
     epstein._KEYS.clear()

@@ -326,6 +326,21 @@ def _mp_xi(s, terms):
         return mpmath.pi**-s * mpmath.gamma(s) * terms(s)
 
 
+@pytest.mark.parametrize("a", [1e30, 1e-30, 1e10, 1e100])
+def test_extreme_volumes_match_one_dimensional_closed_form(a):
+    # Xi_1(0.3; a) = 2 sqrt(a) pi^{-s} Gamma(s) a^{-2s} zeta(2s) is about
+    # -8.3e-3 a^{-0.1}, while its pole terms are of order V = sqrt(a) or 1/V:
+    # evaluated at 2^k a, of volume near 1, and scaled back by homogeneity,
+    # the value lies within its err, and err is below 1e-10 of it
+    import mpmath
+
+    v = xi(1, 0.3, ScaleVector((a,)))
+    am = mpmath.mpf(a)
+    exact = _mp_xi(0.3, lambda s: 2 * mpmath.sqrt(am) * am ** (-2 * s) * mpmath.zeta(2 * s))
+    assert abs(v.value - exact) <= v.err
+    assert v.err <= 1e-10 * abs(float(exact))
+
+
 @pytest.mark.parametrize("s, a", [(-100.3, 0.01), (120.3, 1.0), (160.7, 1.0)])
 def test_large_orders_match_one_dimensional_closed_form(s, a):
     # Xi_1(s; a) = sqrt(a) pi^{-s} Gamma(s) 2 a^{-2s} zeta(2s); the order
