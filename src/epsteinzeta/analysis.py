@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .epstein import ScaleVector, XiValue, _kernel_parts, _nodes, _xi_nodes, _xi_value, gamma_kernel_sum_d2
-from .errors import AnalysisError, DomainError, IndeterminateSignError
+from .errors import AnalysisError, DomainError, IndeterminateSignError, PrecisionError
 from .specfun import _EPS, Approximation, ibp_partial_sum
 
 __all__ = [
@@ -385,7 +385,9 @@ def hat_xi_second_derivative(
     if not 0.0 < s_hat < 1.0:
         raise DomainError(f"normalised argument must lie in (0, 1), got {s_hat}")
     unit = ScaleVector.unit(n)
-    pole = -(4.0 / n) * (1.0 / s_hat**3 + 1.0 / (1.0 - s_hat) ** 3)
+    pole = -(4.0 / n) * (1.0 / s_hat**3 + 1.0 / (1.0 - s_hat) ** 3) if s_hat**3 else -math.inf
+    if not pole > -math.inf:  # 1/s_hat^3 overflows from s_hat of about 6e-104
+        raise PrecisionError(f"the pole part of hat-Xi''_{n} at s_hat = {s_hat} leaves double range")
     beta_a, beta_b = n * s_hat / 2.0, n * (1.0 - s_hat) / 2.0
     d2a = gamma_kernel_sum_d2(beta_a, unit, cfg)
     d2b = d2a if beta_b == beta_a else gamma_kernel_sum_d2(beta_b, unit, cfg)

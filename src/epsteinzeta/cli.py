@@ -36,7 +36,7 @@ import numpy as np
 
 from . import analysis, convexity, regions
 from .config import EvalConfig
-from .epstein import ScaleVector, _z_from_xi, xi, xi_many
+from .epstein import ScaleVector, _check_node_count, _z_from_xi, xi, xi_many
 from .errors import DomainError, IndeterminateSignError
 
 EXIT_OK = 0
@@ -173,6 +173,7 @@ def _cmd_eval(args, cfg: EvalConfig, out: _Output) -> None:
 
 def _cmd_interval(args, cfg: EvalConfig, out: _Output) -> None:
     if args.sweep:
+        _check_node_count(args.sweep, "--sweep")
         unit = ScaleVector.unit(args.n)
         points = [(i + 0.5) / args.sweep * (args.n / 2.0) for i in range(args.sweep)]
         for s, v in zip(points, xi_many([(args.n, s, unit) for s in points], cfg)):
@@ -232,6 +233,7 @@ def _cmd_bounds(args, cfg: EvalConfig, out: _Output) -> None:
 
 def _cmd_convexity(args, cfg: EvalConfig, out: _Output) -> None:
     s = _resolve_s(args)
+    _check_node_count(3 * args.samples, "--samples")  # three nodes per midpoint pair
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, bool, str]] = []
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .epstein import ScaleVector, XiValue, xi_many
+from .epstein import ScaleVector, XiValue, _check_node_count, xi_many
 from .errors import DomainError, PrecisionError
 from .specfun import _EPS, Approximation, theta_with_derivatives
 
@@ -107,12 +108,14 @@ class HyperplaneChart:
 
         v + A b is summed column by column, v + A[:, 0] b_0 + A[:, 1] b_1 + ...,
         in the same IEEE operations for every row, so a row of a batch gives
-        the bits of the point alone.
+        the bits of the point alone.  A scale past double range is inf or nan,
+        with no warning, for the scale checks of the callers to refuse.
         """
         logs = np.repeat(self.v[None, :], len(points), axis=0)
-        for d in range(self.j):
-            logs += points[:, d, None] * self.A[:, d]
-        return np.exp(logs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d in range(self.j):
+                logs += points[:, d, None] * self.A[:, d]
+            return np.exp(logs)
 
 
 def standard_chart(n: int, v=None) -> HyperplaneChart:
@@ -226,7 +229,8 @@ def det_jn(inp: JnInput) -> float:
         prod_i (z_i - w_i^2) + sum_i w_i^2 prod_{j != i} (z_j - w_j^2).
 
     Both summands are nonnegative whenever z_i >= w_i^2, which is exactly the
-    log-convexity condition on each factor.
+    log-convexity condition on each factor.  A determinant past double range
+    raises PrecisionError.
     """
     return _det([zi - wi * wi for zi, wi in zip(inp.z, inp.w)], inp.w)
 
@@ -237,7 +241,11 @@ def _det(d: list[float], w) -> float:
     terms = [math.prod(d)]
     for i, wi in enumerate(w):
         terms.append(wi * wi * math.prod(d[:i] + d[i + 1 :]))
-    return math.fsum(terms)
+    with suppress(OverflowError, ValueError):  # a partial sum past double range, or inf - inf
+        total = math.fsum(terms)
+        if math.isfinite(total):
+            return total
+    raise PrecisionError(f"the determinant of the diagonal {d} and weights {w} leaves double range")
 
 
 def assemble_jn(inp: JnInput) -> np.ndarray:
@@ -411,6 +419,7 @@ def verify_minimum_at_equal_scales(
     """
     if n < 2:
         raise DomainError("minimum check needs n >= 2")
+    _check_node_count(samples, "the minimum check")
     b = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, n - 1))
     # a draw's log-scales are b and the balancing -sum(b)
     fars = np.maximum(np.abs(b).max(axis=1), np.abs(b.sum(axis=1))) > 0.05

@@ -28,7 +28,8 @@ bits, and the mirror nodes of a symmetric chart cost one evaluation.  A node
 makes two sums, S(s; a) at tol/(8V) and S(n/2 - s; 1/a) at tol V/8.  A node
 of volume far from 1 is evaluated at 2^k a, of volume near 1, and scaled
 back by homogeneity, Xi_n(s; 2^k a) = 2^{k (n/2 - 2s)} Xi_n(s; a), so that
-its pole terms do not cancel against its kernel parts.
+its pole terms do not cancel against its kernel parts, and again at a only
+where its parts there leave double range; no sum is planned outside the call.
 
 `_evaluate` takes the sums of a block of about _BLOCK nodes in one pass of
 numpy arrays laid out group-major: one contiguous row per field and per
@@ -45,9 +46,8 @@ it; `gamma_kernel_sum_d2` takes the same rule with the weight (log t)^2.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import accumulate, chain, zip_longest
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -63,6 +63,10 @@ from .specfun import _EPS, Approximation
 __all__ = ["EvalConfig", "ScaleVector", "XiValue", "xi", "xi_many", "z", "hat_xi"]
 
 _POLE_GUARD = 1e-6
+# the most nodes a scan, sample or sweep may ask for, checked before any is
+# allocated: a 41^3 grid passes, and 2^17 draws of the minimum check at
+# n = 10 peak at 0.8 GB of RSS
+_MAX_NODES = 1 << 17
 # the least subnormal, past any rounding of a product that underflows
 _TINY = 2.0**-1074
 
@@ -154,7 +158,6 @@ _KAPPA0 = math.exp(-_STRIPS[0][1])
 _RUNG = np.argmin([(36.0 + np.geomspace(1.0, 1e4, 4000) * k + c) / d for d, k, c, _ in _STRIPS], axis=0)
 _RUNG_KEYS = [float(np.geomspace(1.0, 1e4, 4000)[np.argmax(_RUNG >= r)]) for r in range(1, _RUNG.max() + 1)]
 _LOG_EPS, _LOG2, _PI, _TWO_PI = math.log(_EPS), math.log(2.0), math.pi, 2.0 * math.pi
-_LOG_MAX = math.log(sys.float_info.max)
 # steps are multiples of _STEP_UNIT, so every node u = k h is exact; log h per step count
 _STEP_UNIT = 2.0**-10
 _LOG_STEPS = [-inf] + [math.log(k * _STEP_UNIT) for k in range(1, 1025)]
@@ -254,15 +257,19 @@ def _key_data(keys) -> list[tuple]:
     width = max(len(counts) for _, counts in missing)
     c2 = np.array([sc + sc[:1] * (width - len(sc)) for sc, _ in missing], dtype=float) ** 2
     m = np.array([ct + (0,) * (width - len(ct)) for _, ct in missing], dtype=float)
-    at = np.minimum(100.0 / math.pi / c2[:, :1] * [1.0, math.inf, 1.0], [1.0, 2.0, _KAPPA0])
-    lg, ex = _log_theta(c2[:, None, :] * at[:, :, None], m[:, None, :], bool(c2[:, 0].max() > 0.5 * _X_FAR))
-    c0, lg, lam, n, m0 = c2[:, 0], lg[:, 0], math.pi * c2[:, 0], m.sum(axis=1), m[:, 0]
-    log_p1 = ex[:, 0] - lam * (1.0 - at[:, 0]) + 1e-12
-    small = (m * (c2 < 1.0)).sum(axis=1)
-    # the sensitivity of log(Theta - 1) to x: per unit of x_0, and fixed
-    amp = 3.4 * (1.0 + lg)
-    spread = 0.12 * (n / m0 - 1.0) * amp + np.where(small > 0.0, 3.6 * n + 6.6 * small, 0.0)
-    base = ((m > 0.0).sum(axis=1) + 8.0) * (1.0 + lg) + 13.0 * small + 2.5 * np.abs(log_p1) + 25.0
+    # c_0^2 near either end of double range takes 100/(pi c_0^2), pi/x or
+    # base to inf: the caps are exact, e^{-pi/x} is 0, and an err of inf
+    # raises PrecisionError for the node
+    with np.errstate(over="ignore"):
+        at = np.minimum(100.0 / math.pi / c2[:, :1] * [1.0, math.inf, 1.0], [1.0, 2.0, _KAPPA0])
+        lg, ex = _log_theta(c2[:, None, :] * at[:, :, None], m[:, None, :], bool(c2[:, 0].max() > 0.5 * _X_FAR))
+        c0, lg, lam, n, m0 = c2[:, 0], lg[:, 0], math.pi * c2[:, 0], m.sum(axis=1), m[:, 0]
+        log_p1 = ex[:, 0] - lam * (1.0 - at[:, 0]) + 1e-12
+        small = (m * (c2 < 1.0)).sum(axis=1)
+        # the sensitivity of log(Theta - 1) to x: per unit of x_0, and fixed
+        amp = 3.4 * (1.0 + lg)
+        spread = 0.12 * (n / m0 - 1.0) * amp + np.where(small > 0.0, 3.6 * n + 6.6 * small, 0.0)
+        base = ((m > 0.0).sum(axis=1) + 8.0) * (1.0 + lg) + 13.0 * small + 2.5 * np.abs(log_p1) + 25.0
     columns = (
         c0, lam, log_p1, ex[:, 2] - lam * (_KAPPA0 - at[:, 2]) + 1e-12, ex[:, 1] - 1e-9, amp, spread, base,
         np.log(2.0 * m0 / lam), np.log(lam),
@@ -286,12 +293,16 @@ def _plan(beta: float, tol: float, row: tuple, squared_log: bool) -> tuple:
     b, low = (bm1, 0.0) if bm1 > 0.0 else (0.0, bm1)
     # I <= P1 int_1^inf t^b e^{-lam (t - 1)} dt, log t under its tangent at tp
     tp = (b + sqrt(b)) / lam if b > 0.0 else 0.0
+    # lam - b/tp is 0 where b/tp rounds to lam, from b of about 2^106
+    rate = lam - b / tp if tp > 1.0 else lam - b
+    if not rate > 0.0:
+        raise PrecisionError(f"the theta integral of order {beta} has no decay rate in double precision")
     if tp > 1.0:
         log_tp = log(tp)
-        log_i = log_p1 + b * (log_tp - 1.0 + 1.0 / tp) - log(lam - b / tp)
+        log_i = log_p1 + b * (log_tp - 1.0 + 1.0 / tp) - log(rate)
     else:
         tp, log_tp = 1.0, 0.0
-        log_i = log_p1 - (log(lam - b) if b > 0.0 else log_lam)
+        log_i = log_p1 - (log(rate) if b > 0.0 else log_lam)
     d, loss, sec, log_1mk = _STRIPS[bisect_right(_RUNG_KEYS, 1.0 + abs(bm1))]
     log_a = (b + 1.0) * loss + sec
     log_j = log_1mk - low * loss + log_tk
@@ -505,6 +516,12 @@ def gamma_kernel_sum_d2(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -
     return Approximation(value, err)
 
 
+def _check_node_count(count: int, what: str) -> None:
+    """DomainError if `what` asks for more than _MAX_NODES nodes."""
+    if count > _MAX_NODES:
+        raise DomainError(f"{what} asks for {count} nodes, more than the {_MAX_NODES} one call may take")
+
+
 def _check_not_pole(n: int, s: float) -> None:
     if min(abs(s), abs(s - n / 2.0)) < _POLE_GUARD:
         raise PoleError(f"s={s} is inside the guard band around a pole of Xi_{n}")
@@ -589,8 +606,8 @@ def _kernel_parts(s, a, tol, homogeneous: bool = True) -> tuple:
     so where homogeneous a node whose k of `_scale_data` is not 0 is
     evaluated at the scales 2^k a of `_rescaled`, where the pole terms no
     longer cancel against the kernel parts; the row then holds V and the
-    parts of 2^k a.  A node whose parts at 2^k a leave double range is
-    evaluated at a instead."""
+    parts of 2^k a.  The nodes whose parts at 2^k a leave double range, the
+    only range test on 2^k a, are evaluated at a in one more call."""
     orders, scales, counts, tols, rows, distinct, at = [], [], [], [], [], [], []
     first: dict[tuple, int] = {}  # (s, scales, tol) -> its row
     for node in zip(s, a, tol):
@@ -629,27 +646,15 @@ def _rescaled(s: float, asc: tuple[float, ...], tol: float, data: tuple) -> tupl
     data of `_scale_data` and k != 0: those of 2^k a, exact, of volume near
     1, with F = 2^{k (2s - n/2)} and min(tol, tol/F), so that F times the
     err meets tol and the sums at 2^k a are never coarser than tol.  Or a's
-    own with F = 1: where |k (2s - n/2)| passes _HOMOGENEITY_RANGE, where
-    2^k a leaves the range of `_scale_data`, or where the rule's tail bound
-    on a sum at a, weighted by V or 1/V, leaves double range, which makes
-    the node a PrecisionError at a, as it stays."""
-    n = len(asc)
-    v, shift, k, key1, key2, _ = data
-    power = k * (2.0 * s - n / 2.0)
-    if not abs(power) <= _HOMOGENEITY_RANGE:
-        return data, 1.0, tol
-    row1, row2 = _key_data([key1, key2])
-    if (
-        _plan(s, tol * (0.5 / v) / 4.0, row1, False)[5] + shift >= _LOG_MAX
-        or _plan(n / 2.0 - s, tol * (0.5 * v) / 4.0, row2, False)[5] - shift >= _LOG_MAX
-    ):
-        return data, 1.0, tol
-    try:
-        scaled = _scale_data(tuple(math.ldexp(y, k) for y in asc))
-    except PrecisionError:
-        return data, 1.0, tol
-    factor = 2.0**power
-    return scaled, factor, tol / factor if factor > 1.0 else tol
+    own with F = 1: where |k (2s - n/2)| passes _HOMOGENEITY_RANGE, or where
+    2^k a leaves the range of `_scale_data`; no sum is planned here."""
+    k = data[2]
+    power = k * (2.0 * s - len(asc) / 2.0)
+    if abs(power) <= _HOMOGENEITY_RANGE:
+        with suppress(PrecisionError):  # 2^k a past the range of _scale_data
+            scaled, factor = _scale_data(tuple(math.ldexp(y, k) for y in asc)), 2.0**power
+            return scaled, factor, tol / factor if factor > 1.0 else tol
+    return data, 1.0, tol
 
 
 def _nodes(nodes) -> tuple[list[float], list[tuple[float, ...]]]:

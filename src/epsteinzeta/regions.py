@@ -21,6 +21,7 @@ witness by a fan triangle of it; only rank >= 3 loads `scipy.spatial`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .analysis import _decide
 from .config import DEFAULT_CONFIG, EvalConfig
 from .convexity import HyperplaneChart
-from .epstein import _array_nodes, _check_not_pole
+from .epstein import _array_nodes, _check_node_count, _check_not_pole
 from .errors import DomainError
 
 __all__ = [
@@ -120,6 +121,7 @@ def scan(
         raise DomainError("bounds and steps must match the chart's free dimensions")
     if any(k < 1 for k in steps):
         raise DomainError(f"every axis needs at least one step, got {steps}")
+    _check_node_count(math.prod(steps), f"a scan of {steps} steps")
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps)]
     shape = tuple(steps)
     _check_not_pole(n, s)

@@ -282,7 +282,7 @@ _K_AIM = 36.0
 _K_BLOCK = 1 << 13
 
 
-def _k_majorant(runs, x: np.ndarray) -> np.ndarray:
+def _k_majorant(runs, c: np.ndarray, half_gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M_nu(x) = c e^{-x} (sqrt(pi/(2x)) + Gamma(m)/2 (2/x)^m) >= K_nu(x) for
     nu >= 0, x > 0, with m = max(nu, 1/2) and c = max(1, 2^{m - 3/2}).
 
@@ -296,14 +296,15 @@ def _k_majorant(runs, x: np.ndarray) -> np.ndarray:
     duplication formula turns into the Gamma(m)/2 (2/x)^m term.  Each
     integral alone is a lower bound on the whole, so M/(2c) <= K_m <= M.
 
-    ``runs`` is the list of `_KOrder` of `_k_trapezoid`, whose slices cover x.
+    ``runs`` is the list of `_KOrder` of `_k_trapezoid`, whose slices cover x,
+    and c and half_gamma are their constants spread over x.
     """
     power = 2.0 / x
     for run in runs:
         # a float exponent, as numpy takes x ** 0.5 by sqrt and x ** 2 by square
         power[run.lo:run.hi] = power[run.lo:run.hi] ** run.m
-    c, half_gamma = _k_spread(runs, "c"), _k_spread(runs, "half_gamma")
-    return c * np.exp(-x) * (np.sqrt(math.pi / (2.0 * x)) + half_gamma * power)
+    # (pi/2)/x has the bits of pi/(2x), which overflows from x of 9e307
+    return c * np.exp(-x) * (np.sqrt((0.5 * math.pi) / x) + half_gamma * power)
 
 
 def _k_log_majorant(nu: float, x: float) -> float:
@@ -321,7 +322,6 @@ class _KOrder(NamedTuple):
     """The constants of one order nu >= 0 of a `bessel_k` call, for its z in
     the slice lo:hi."""
 
-    nu: float
     lo: int
     hi: int
     m: float
@@ -367,30 +367,20 @@ def _k_order(nu: float, lo: int, hi: int, z: np.ndarray) -> _KOrder:
     except OverflowError as exc:
         # Gamma(m) from 171.6 on
         raise PrecisionError(f"the majorant constant of K_{nu} leaves double range") from exc
-    return _KOrder(nu, lo, hi, m, c, lead, half_gamma)
+    return _KOrder(lo, hi, m, c, lead, half_gamma)
 
 
-def _k_spread(runs, name: str):
-    """The constant ``name`` of each run, as a float for one run and else as
-    an array over the run slices."""
-    if len(runs) == 1:
-        return getattr(runs[0], name)
-    return np.repeat([getattr(r, name) for r in runs], [r.hi - r.lo for r in runs])
+def _k_trapezoid(nu: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoidal rule of `bessel_k` at every z of a nonempty 1-d array,
+    with the orders nu >= 0, an array like z whose equal orders stand in runs.
 
-
-def _k_trapezoid(nu, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The trapezoidal rule of `bessel_k` at every z of a 1-d array: nu >= 0
-    is a float, or an array like z whose equal orders stand in runs.
-
-    Each run gets its constants and range checks once, from `_k_order`; every
-    other step is elementwise, so each z gets the bits of a call on it alone.
+    Each run gets its constants and range checks once, from `_k_order`, and
+    spreads them over its slice; every other step is elementwise, so each z
+    gets the bits of a call on it alone.
     """
-    if np.ndim(nu) == 0:
-        runs = [_k_order(float(nu), 0, z.size, z)]
-    else:
-        cuts = [0, *(np.flatnonzero(nu[1:] != nu[:-1]) + 1).tolist(), z.size]
-        runs = [_k_order(float(nu[lo]), lo, hi, z) for lo, hi in zip(cuts, cuts[1:])]
-    nu, m, lead = _k_spread(runs, "nu"), _k_spread(runs, "m"), _k_spread(runs, "lead")
+    cuts = [0, *(np.flatnonzero(nu[1:] != nu[:-1]) + 1).tolist(), z.size]
+    runs = [_k_order(float(nu[lo]), lo, hi, z) for lo, hi in zip(cuts, cuts[1:])]
+    _, _, m, c, lead, half_gamma = np.repeat(np.array(runs), np.diff(cuts), axis=0).T
     d = np.minimum(_K_STRIP, np.sqrt(2.0 * lead / z))
     cos_d = np.cos(d)
     h = (2.0 * math.pi) * d / (lead - m * np.log(cos_d) + (1.0 - cos_d) * z)
@@ -415,7 +405,7 @@ def _k_trapezoid(nu, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.cosh(u)
         x *= z[lo:hi].repeat(size)
         f = np.exp(-x)
-        u *= nu if np.ndim(nu) == 0 else nu[lo:hi].repeat(size)
+        u *= nu[lo:hi].repeat(size)
         f *= np.cosh(u)
         f[starts] *= 0.5
         values[lo:hi] = np.add.reduceat(f, starts)
@@ -424,7 +414,7 @@ def _k_trapezoid(nu, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values *= h
     # strip bound 2 K_nu(z cos d) / (e^{2 pi d / h} - 1), with K_nu <= M_nu
     q = (2.0 * math.pi) * d / h
-    strip = 2.0 * _k_majorant(runs, z * cos_d) * np.exp(-q) / -np.expm1(-q)
+    strip = 2.0 * _k_majorant(runs, c, half_gamma, z * cos_d) * np.exp(-q) / -np.expm1(-q)
     # past the last node, log f <= g(u) = nu u - z cosh u, concave: the sum
     # from the first omitted node u1 on is at most e^{g(u1)} / (1 - e^{h g'(u1)})
     top = last * h
@@ -448,10 +438,10 @@ def bessel_k(nu, z):
 
     ``nu`` and ``z`` are floats or arrays that broadcast together.  Two
     floats give an :class:`Approximation`; otherwise the result is the pair
-    (values, errs) of arrays of the broadcast shape.  Each element has the
-    bits of the call on its own order and argument alone: the constants and
-    range checks of each distinct order are taken once, and every other step
-    is elementwise.
+    (values, errs) of arrays of the broadcast shape.  The orders are sorted
+    stably into runs, whose constants and range checks are taken once, and
+    every other step is elementwise, so each element has the bits of the
+    call on its own order and argument alone.
 
     K_nu(z) = int_0^inf f(u) du with f(u) = e^{-z cosh u} cosh(nu u) is
     evaluated by one trapezoidal rule, T_h = h (f(0)/2 + sum_{k>=1} f(kh)),
@@ -481,28 +471,16 @@ def bessel_k(nu, z):
     zs = np.asarray(z, dtype=float)
     if not np.all(zs > 0):
         raise DomainError(f"bessel_k requires z > 0, got {z}")
-    if orders.ndim == 0:
-        orders = float(orders)
-    else:
-        try:
-            orders, zs = np.broadcast_arrays(orders, zs)
-        except ValueError as exc:
-            raise DomainError(f"orders of shape {orders.shape} do not broadcast with z of shape {zs.shape}") from exc
+    try:
+        orders, zs = np.broadcast_arrays(orders, zs)
+    except ValueError as exc:
+        raise DomainError(f"orders of shape {orders.shape} do not broadcast with z of shape {zs.shape}") from exc
     flat = zs.ravel()
-    if not flat.size:
-        values, errs = flat, flat
-    elif np.ndim(orders) == 0:
-        values, errs = _k_trapezoid(orders, flat)
-    else:
+    values, errs = np.empty_like(flat), np.empty_like(flat)
+    if flat.size:
         # each distinct order in one run, keeping the order of the z within it
-        flat_nu = orders.ravel()
-        heads = flat_nu[np.flatnonzero(flat_nu[1:] != flat_nu[:-1]) + 1].tolist()
-        if len(set(heads)) == len(heads) and flat_nu[0] not in heads:
-            values, errs = _k_trapezoid(flat_nu, flat)
-        else:
-            perm = np.argsort(flat_nu, kind="stable")
-            values, errs = np.empty_like(flat), np.empty_like(flat)
-            values[perm], errs[perm] = _k_trapezoid(flat_nu[perm], flat[perm])
+        perm = np.argsort(orders.ravel(), kind="stable")
+        values[perm], errs[perm] = _k_trapezoid(orders.ravel()[perm], flat[perm])
     if zs.ndim == 0:
         return Approximation(float(values[0]), float(errs[0]))
     return values.reshape(zs.shape), errs.reshape(zs.shape)

@@ -7,6 +7,7 @@ from epsteinzeta import (
     DomainError,
     EvalConfig,
     IndeterminateSignError,
+    PrecisionError,
     ScaleVector,
     classify_critical_point,
     decide_sign,
@@ -315,6 +316,13 @@ def test_second_derivative_values(n):
     unhatted = d2.value / (n / 2.0) ** 2
     assert unhatted == pytest.approx(REFERENCE_XI_DD[n], abs=1e-6)
     assert d2.err / (n / 2.0) ** 2 < 1e-6
+
+
+def test_second_derivative_pole_part_past_double_range_raises_precision_error():
+    # s_hat^3 underflows to 0 at 1e-110 and 1/s_hat^3 overflows at 1e-105
+    for s_hat in (1e-110, 1e-105):
+        with pytest.raises(PrecisionError, match="pole part"):
+            hat_xi_second_derivative(3, s_hat)
 
 
 def test_first_derivative_vanishes_at_center():

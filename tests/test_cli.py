@@ -299,6 +299,28 @@ def test_convexity_at_one_dimension_is_an_evaluation_error(capsys):
     assert out == "error: standard chart needs n >= 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "3", "--s", "0.7", "--grid", "20000"],
+        ["interval", "--n", "3", "--sweep", "400000000"],
+        ["verify-min", "--n", "3", "--s", "0.9", "--samples", "400000000"],
+        ["convexity", "--n", "3", "--s", "0.9", "--samples", "400000000"],
+    ],
+)
+def test_size_past_the_node_limit_is_an_evaluation_error(argv, capsys):
+    # refused before anything is allocated or evaluated
+    code, out = run_cli(argv, capsys)
+    assert code == EXIT_ERROR
+    assert out.startswith("error: ") and "more than the 131072" in out
+
+
+def test_order_whose_decay_rate_rounds_to_zero_is_an_evaluation_error(capsys):
+    code, out = run_cli(["eval", "--n", "2", "--s", "1e100"], capsys)
+    assert code == EXIT_ERROR
+    assert out == "error: the theta integral of order 1e+100 has no decay rate in double precision\n"
+
+
 def test_non_finite_s_is_an_evaluation_error(capsys):
     code, out = run_cli(["eval", "--n", "2", "--s", "inf"], capsys)
     assert code == EXIT_ERROR

@@ -18,6 +18,7 @@ from epsteinzeta import (
     jn_recursion,
     log_theta_convexity,
     midpoint_convexity_xi,
+    scan,
     standard_chart,
     sylvester_check,
     verify_minimum_at_equal_scales,
@@ -124,6 +125,15 @@ def test_det_nonnegative_under_hypothesis():
         w = rng.normal(size=n)
         zvals = w**2 + rng.uniform(0.0, 2.0, size=n)
         assert det_jn(JnInput(tuple(zvals), tuple(w))) >= 0.0
+
+
+def test_determinant_past_double_range_raises_precision_error():
+    # a partial sum of fsum past double range, and a product that is inf
+    with pytest.raises(PrecisionError, match="determinant"):
+        jn_closed_form([1e308, 2.0])
+    with pytest.raises(PrecisionError, match="determinant"):
+        det_jn(JnInput((1e200, 1e200), (1.0, 1.0)))
+    assert jn_closed_form([1e300, 2.0]) == 2e300
 
 
 def test_jn_base_cases():
@@ -266,6 +276,18 @@ def test_chain_edges_return_limits_or_typed_errors():
         log_theta_convexity([0.5, math.nan])
     with pytest.raises(DomainError, match="^u must be a number"):
         sylvester_check([math.nan, 0.0])
+
+
+def test_chart_point_past_double_range_is_a_domain_error():
+    # e^800 overflows and e^-800 underflows: the scale checks refuse the
+    # point, with no numpy warning, alone, in a midpoint triple and in a scan
+    chart = standard_chart(3)
+    with pytest.raises(DomainError, match="positive finite"):
+        chart.scales([800.0, 0.0])
+    with pytest.raises(DomainError, match="positive finite"):
+        midpoint_convexity_xi(3, 0.7, chart, [800.0, 0.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match="positive finite"):
+        scan(3, 0.7, chart, [(-800.0, 800.0)] * 2, [3, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +433,12 @@ def test_minimum_draws_match_one_draw_per_sample(n, monkeypatch):
         logs = rng.uniform(-1.0, 1.0, size=n - 1)
         expected.append(tuple(np.exp(np.append(logs, -logs.sum())).tolist()))
     assert seen == expected
+
+
+def test_minimum_with_more_samples_than_one_call_takes_is_a_domain_error():
+    # refused before the draws are allocated: 4e8 of them would take gigabytes
+    with pytest.raises(DomainError, match="131072"):
+        verify_minimum_at_equal_scales(3, 0.9, 400_000_000)
 
 
 def test_minimum_needs_two_dimensions():

@@ -13,6 +13,7 @@ from epsteinzeta import (
     SpecialPointError,
     decide_signs,
     hat_xi,
+    verify_minimum_at_equal_scales,
     xi,
     xi_chowla_selberg,
     xi_many,
@@ -326,12 +327,13 @@ def _mp_xi(s, terms):
         return mpmath.pi**-s * mpmath.gamma(s) * terms(s)
 
 
-@pytest.mark.parametrize("a", [1e30, 1e-30, 1e10, 1e100])
+@pytest.mark.parametrize("a", [1e30, 1e-30, 1e10, 1e100, 1.22e153, 1.0 / 1.22e153])
 def test_extreme_volumes_match_one_dimensional_closed_form(a):
     # Xi_1(0.3; a) = 2 sqrt(a) pi^{-s} Gamma(s) a^{-2s} zeta(2s) is about
     # -8.3e-3 a^{-0.1}, while its pole terms are of order V = sqrt(a) or 1/V:
     # evaluated at 2^k a, of volume near 1, and scaled back by homogeneity,
-    # the value lies within its err, and err is below 1e-10 of it
+    # the value lies within its err, and err is below 1e-10 of it; near
+    # 1.22e153 the rule's tail bound at a itself would leave double range
     import mpmath
 
     v = xi(1, 0.3, ScaleVector((a,)))
@@ -407,15 +409,42 @@ def test_precision_error_carries_bound():
             xi(len(a), 0.3, ScaleVector(a))
 
 
-@pytest.mark.parametrize("a", [(1e154,), (1e-154,), (1.22e153,), (1.0 / 1.22e153,)])
+@pytest.mark.parametrize("a", [(1e154,), (1e-154,)])
 def test_scales_at_the_edge_of_double_range_raise_precision_error(a):
-    # 2 pi a^2 past double range, and a sum of c^2 = 1/a^2 whose right end
-    # t - 1 = e^{u - e^-u} would leave it: a PrecisionError with no warning,
-    # next to a scale whose sums stay in range
+    # 2 pi a^2, or 2 pi / a^2, past double range: a PrecisionError with no
+    # warning, next to a scale whose sums stay in range
     with pytest.raises(PrecisionError):
         xi(1, 0.3, ScaleVector(a))
     v = xi(1, 0.3, ScaleVector((8.2e152,)))
     assert math.isfinite(v.value) and math.isfinite(v.err)
+
+
+@pytest.mark.parametrize("s", [1e100, -1e40])
+def test_order_whose_decay_rate_rounds_to_zero_raises_precision_error(s):
+    # from an order of about 2^106 on, b/tp rounds to lam in the plan's decay
+    # rate lam - b/tp: a PrecisionError naming the order, through every entry
+    # that evaluates the node, not a bare ValueError from log
+    a = ScaleVector((1.0, 2.0))
+    calls = [lambda: xi(2, s, a), lambda: decide_signs([(2, s, a)]), lambda: verify_minimum_at_equal_scales(2, s, 3)]
+    if s > 0:  # z is exactly 0 at negative integers, with no Xi
+        calls.append(lambda: z(2, s, a))
+    for call in calls:
+        with pytest.raises(PrecisionError, match="order 1e\\+(100|40)"):
+            call()
+
+
+@pytest.mark.parametrize("scales", [(2.437285730321045e153, 1.5256555806955473e153), (5e153,), (1.0 / 3e153,)])
+def test_key_of_a_tiny_squared_scale_needs_no_overflow(scales):
+    # below c_0^2 of about 1.8e-307, 100/(pi c_0^2) and pi/x of the key's
+    # theta values pass double range, where their results are exact: no
+    # warning escapes the suite's filterwarnings = error
+    n = len(scales)
+    for s in (0.3, 3.4276634033413362):
+        try:
+            v = xi(n, s, ScaleVector(scales))
+        except PrecisionError:
+            continue
+        assert math.isfinite(v.value) and math.isfinite(v.err)
 
 
 def test_precision_error_message_does_not_depend_on_the_batch():

@@ -191,6 +191,15 @@ def test_scan_rejects_step_counts_below_one(steps):
         scan(3, 0.7, kratio_chart(3), [(-2.0, 2.0)] * 2, steps)
 
 
+def test_scan_of_more_nodes_than_one_call_takes_is_a_domain_error():
+    # refused before the grid is allocated: 20000^2 chart points would take
+    # 6 GiB for the meshgrid alone; a 41^3 grid is still taken
+    with pytest.raises(DomainError, match="131072"):
+        scan(3, 0.7, standard_chart(3), [(-2.0, 2.0)] * 2, [20000, 20000])
+    with pytest.raises(DomainError, match="131072"):
+        scan(4, 1.1, kratio_chart(4), [(-2.0, 2.0)] * 3, [51, 51, 51])
+
+
 def test_connected_full_grid():
     labels = np.full((7, 7), NEGATIVE, dtype=np.int8)
     report = certify_connected_from_labels(labels)

@@ -466,12 +466,12 @@ def test_bessel_k_past_double_range_raises_precision_error(nu, z):
 
 
 def test_bessel_k_is_finite_or_a_precision_error():
-    # from z = 1e-308 up, each order gives a finite value and err or raises
-    # PrecisionError, with no overflow warning on the way
+    # from z = 1e-308 up to 1e308, each order gives a finite value and err or
+    # raises PrecisionError, with no overflow warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 4.2, 10.0, 50.0, 150.0):
-            for z in np.geomspace(1e-308, 100.0, 64):
+            for z in [*np.geomspace(1e-308, 100.0, 64), *np.geomspace(1e3, 1e308, 16)]:
                 try:
                     v = bessel_k(nu, float(z))
                 except PrecisionError:
