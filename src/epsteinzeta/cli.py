@@ -248,17 +248,14 @@ def _cmd_convexity(args, cfg: EvalConfig, out: _Output) -> None:
     checks.append(("coefficient_claims", claim.all_positive, f"q(1) = {claim.q1:.6f}"))
     log_rep = convexity.log_theta_convexity([0.25 * k for k in range(-8, 9)])
     checks.append(("log_theta_convex", log_rep.all_positive, ""))
-    syl_ok = True
-    for _ in range(args.samples):
-        xs = rng.uniform(-2.0, 2.0, size=min(args.n, 5))
-        syl_ok &= convexity.sylvester_check(xs).all_nonnegative
+    # one draw per check gives the stream of drawing each sample in turn
+    points = rng.uniform(-2.0, 2.0, size=(args.samples, min(args.n, 5)))
+    syl_ok = all(convexity.sylvester_check(xs).all_nonnegative for xs in points)
     checks.append(("sylvester_minors", syl_ok, f"{args.samples} points"))
     chart = convexity.standard_chart(args.n)
-    mid_ok = True
-    for _ in range(args.samples):
-        b1 = rng.uniform(-1.0, 1.0, size=chart.j)
-        b2 = rng.uniform(-1.0, 1.0, size=chart.j)
-        mid_ok &= convexity.midpoint_convexity_xi(args.n, s, chart, b1, b2, cfg).holds
+    pairs = rng.uniform(-1.0, 1.0, size=(args.samples, 2, chart.j))
+    mids = convexity._midpoints(args.n, s, chart, pairs[:, 0], pairs[:, 1], cfg)
+    mid_ok = all(report.holds for report in mids)
     checks.append(("midpoint_convexity", mid_ok, f"{args.samples} pairs"))
 
     for name, passed, detail in checks:

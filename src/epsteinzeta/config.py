@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -17,7 +19,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+            raise DomainError(f"tol must be positive, got {self.tol}")
 
     def tighter(self, factor: float) -> "EvalConfig":
         """A copy with tol scaled by ``factor`` (used for sign refinement)."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .epstein import ScaleVector, XiValue, _check_node_count, xi_many
+from .epstein import ScaleVector, XiValue, _array_nodes, _check_node_count, _xi_nodes
 from .errors import DomainError, PrecisionError
 from .specfun import _EPS, Approximation, theta_with_derivatives
 
@@ -95,13 +95,9 @@ class HyperplaneChart:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def scales(self, b):
-        """The ScaleVector exp(v + A b) at a chart point b of j coordinates,
-        or the list of them at the rows of an (N, j) array b."""
-        b = np.asarray(b, dtype=float)
-        points = b.reshape(-1 if b.ndim == 2 else 1, self.j)
-        vectors = [ScaleVector(row) for row in self._rows(points).tolist()]
-        return vectors if b.ndim == 2 else vectors[0]
+    def scales(self, b) -> ScaleVector:
+        """The ScaleVector exp(v + A b) at a chart point b of j coordinates."""
+        return ScaleVector(self._rows(np.asarray(b, dtype=float).reshape(1, -1))[0].tolist())
 
     def _rows(self, points: np.ndarray) -> np.ndarray:
         """exp(v + A b) at every row b of the (N, j) array points, as an (N, n) array.
@@ -109,8 +105,10 @@ class HyperplaneChart:
         v + A b is summed column by column, v + A[:, 0] b_0 + A[:, 1] b_1 + ...,
         in the same IEEE operations for every row, so a row of a batch gives
         the bits of the point alone.  A scale past double range is inf or nan,
-        with no warning, for the scale checks of the callers to refuse.
+        with no warning, for `_array_nodes` to refuse; another shape is a DomainError.
         """
+        if points.ndim != 2 or points.shape[1] != self.j:
+            raise DomainError(f"a chart point has {self.j} coordinates, got shape {points.shape}")
         logs = np.repeat(self.v[None, :], len(points), axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
             for d in range(self.j):
@@ -337,16 +335,27 @@ def midpoint_convexity_xi(
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> MidpointReport:
     """Check Xi(mid) <= (Xi(b1) + Xi(b2))/2 + combined error along a chart."""
-    if chart.n != n:
-        raise DomainError(f"chart is {chart.n}-dimensional, expected {n}")
-    b1 = np.asarray(b1, dtype=float).reshape(chart.j)
-    b2 = np.asarray(b2, dtype=float).reshape(chart.j)
-    left, right, mid = xi_many(
-        [(n, s, scales) for scales in chart.scales(np.array([b1, b2, 0.5 * (b1 + b2)]))], cfg
-    )
-    slack = 0.5 * (left.value + right.value) - mid.value
-    allowance = 0.5 * (left.err + right.err) + mid.err
-    return MidpointReport(left, right, mid, slack, holds=slack >= -allowance)
+    return _midpoints(n, s, chart, np.reshape(b1, (1, -1)), np.reshape(b2, (1, -1)), cfg)[0]
+
+
+def _midpoints(
+    n: int, s: float, chart: HyperplaneChart, b1, b2, cfg: EvalConfig
+) -> list[MidpointReport]:
+    """The MidpointReport of each pair of rows of the (N, j) arrays of chart
+    points b1 and b2, from one engine call over their 3N nodes."""
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    if b1.shape != b2.shape:
+        raise DomainError(f"a chart point has {chart.j} coordinates, got {b1.shape} and {b2.shape}")
+    # a midpoint past double range is inf, for the scale check to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = np.concatenate([b1, b2, 0.5 * (b1 + b2)])
+    values = _xi_nodes(*_array_nodes(n, s, chart._rows(points)), cfg)
+    k, reports = len(b1), []
+    for left, right, mid in zip(values[:k], values[k : 2 * k], values[2 * k :]):
+        slack = 0.5 * (left.value + right.value) - mid.value
+        allowance = 0.5 * (left.err + right.err) + mid.err
+        reports.append(MidpointReport(left, right, mid, slack, holds=slack >= -allowance))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -417,30 +426,23 @@ def verify_minimum_at_equal_scales(
     log-coordinates.  A draw fails at most once.
     min_margin is None when no draw is that far.
     """
-    if n < 2:
-        raise DomainError("minimum check needs n >= 2")
     _check_node_count(samples, "the minimum check")
+    chart = standard_chart(n)  # refuses n < 2
     b = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, n - 1))
     # a draw's log-scales are b and the balancing -sum(b)
     fars = np.maximum(np.abs(b).max(axis=1), np.abs(b.sum(axis=1))) > 0.05
-    base, *values = xi_many(
-        [(n, s, scales) for scales in [ScaleVector.unit(n), *standard_chart(n).scales(b)]], cfg
-    )
-    failures = 0
-    margins = []
-    for far, value in zip(fars.tolist(), values):
-        gap = value.value - base.value
-        combined = value.err + base.err
-        if far:
-            margins.append(gap)
-        # a far draw must also clear the base strictly; undecidable counts as failure
-        if gap < -2.0 * combined or (far and gap <= combined):
-            failures += 1
+    # the base point b = 0 maps to exactly (1 .. 1)
+    points = np.concatenate([np.zeros((1, n - 1)), b])
+    base, *values = _xi_nodes(*_array_nodes(n, s, chart._rows(points)), cfg)
+    gaps = np.array([value.value for value in values]) - base.value
+    combined = np.array([value.err for value in values]) + base.err
+    # a far draw must also clear the base strictly; undecidable counts as failure
+    failures = int(np.count_nonzero((gaps < -2.0 * combined) | (fars & (gaps <= combined))))
     return MinimumReport(
         n=n,
         s=s,
         samples=samples,
         failures=failures,
-        min_margin=min(margins, default=None),
+        min_margin=float(gaps[fars].min()) if fars.any() else None,
         holds=failures == 0,
     )

@@ -39,8 +39,9 @@ the key cache, and the log theta of the groups are added one group after
 another, in their ascending order, whatever the shape of the block; numpy's
 own reductions would add a long contiguous axis pairwise, and a node's bits
 would then depend on its block.
-`xi_many`, `xi`, `analysis.decide_signs` and `regions.scan` evaluate through
-it; `gamma_kernel_sum_d2` takes the same rule with the weight (log t)^2.
+`xi_many`, `xi`, `analysis.decide_signs` and every chart caller, through
+`_array_nodes`, evaluate through it; `gamma_kernel_sum_d2` takes the same rule
+with the weight (log t)^2.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ __all__ = ["EvalConfig", "ScaleVector", "XiValue", "xi", "xi_many", "z", "hat_xi
 
 _POLE_GUARD = 1e-6
 # the most nodes a scan, sample or sweep may ask for, checked before any is
-# allocated: a 41^3 grid passes, and 2^17 draws of the minimum check at
-# n = 10 peak at 0.8 GB of RSS
+# allocated: a 41^3 grid passes, and the engine holds about 5.5 KB per node
+# of ten distinct scales, so 2^17 of them at n = 10 peak near 0.75 GB of RSS
 _MAX_NODES = 1 << 17
 # the least subnormal, past any rounding of a product that underflows
 _TINY = 2.0**-1074
@@ -677,13 +678,19 @@ def _nodes(nodes) -> tuple[list[float], list[tuple[float, ...]]]:
     return s, a
 
 
-def _array_nodes(a: np.ndarray) -> list[tuple[float, ...]]:
-    """The ascending scales of the rows of an (N, n) array, checked and
-    sorted as a whole, with no ScaleVector per row."""
+def _array_nodes(n: int, s: float, a: np.ndarray) -> tuple[list[float], list[tuple[float, ...]]]:
+    """`_nodes`' result for the nodes (n, s, row) at the rows of an (N, m) array
+    a, after its pole, scale, count and s checks in its order; sorted as a whole."""
+    s = float(s)
+    _check_not_pole(n, s)
     bad = ~((a > 0.0) & (a < math.inf)).all(axis=1)
     if bad.any():
         raise DomainError(f"all scales must be positive finite reals, got {tuple(a[bad][0].tolist())}")
-    return list(map(tuple, np.sort(a, axis=1).tolist()))
+    if a.shape[1] != n:
+        raise DomainError(f"expected {n} scales, got {a.shape[1]}")
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+    return [s] * len(a), list(map(tuple, np.sort(a, axis=1).tolist()))
 
 
 def _xi_value(n: int, s: float, v: float, k1: float, k2: float, kerr: float, factor: float) -> XiValue:

@@ -4,8 +4,8 @@ discrete-convexity certification of the negative region.
 A scan labels every node of a rectangular grid in chart coordinates with the
 sign of Xi there; a sign is only asserted when the error bound excludes zero,
 otherwise the node is marked indeterminate and keeps its tightest
-evaluation.  The chart gives the scales of all nodes as one array, sorted
-as a whole with no ScaleVector per node, and one batched engine call decides
+evaluation.  The chart gives the scales of all nodes as one array, which
+`epstein._array_nodes` checks and sorts as a whole, and one batched call decides
 them (`analysis._decide`), refining only the nodes still undecided.  Xi is
 symmetric in the scales and the engine evaluates each distinct sorted scale
 vector once per call, so mirror nodes of a symmetric chart, such as those
@@ -29,7 +29,7 @@ import numpy as np
 from .analysis import _decide
 from .config import DEFAULT_CONFIG, EvalConfig
 from .convexity import HyperplaneChart
-from .epstein import _array_nodes, _check_node_count, _check_not_pole
+from .epstein import _array_nodes, _check_node_count
 from .errors import DomainError
 
 __all__ = [
@@ -111,8 +111,6 @@ def scan(
     checked and sorted as a whole, and `analysis._decide` decides each
     distinct sorted scale vector once, refining the undecided ones; every
     node gets the bits of `xi` at its scales, or of its tightest refinement."""
-    if chart.n != n:
-        raise DomainError(f"chart is {chart.n}-dimensional, expected {n}")
     if not 0.0 < s < n / 2.0:
         raise DomainError(f"s must lie in the critical range (0, {n / 2}), got {s}")
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -123,15 +121,13 @@ def scan(
         raise DomainError(f"every axis needs at least one step, got {steps}")
     _check_node_count(math.prod(steps), f"a scan of {steps} steps")
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps)]
-    shape = tuple(steps)
-    _check_not_pole(n, s)
     # every node's chart point, in C order, and its scales from one chart call
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.j)
     # sign 0, undecided, is INDETERMINATE
-    decided = _decide([float(s)] * len(points), _array_nodes(chart._rows(points)), cfg)
-    labels = np.array([sign for sign, _ in decided], dtype=np.int8).reshape(shape)
-    values = np.array([value.value for _, value in decided]).reshape(shape)
-    errs = np.array([value.err for _, value in decided]).reshape(shape)
+    decided = _decide(*_array_nodes(n, s, chart._rows(points)), cfg)
+    labels = np.array([sign for sign, _ in decided], dtype=np.int8).reshape(steps)
+    values = np.array([value.value for _, value in decided]).reshape(steps)
+    errs = np.array([value.err for _, value in decided]).reshape(steps)
     return RegionGrid(chart, n, s, bounds, steps, labels, values, errs)
 
 

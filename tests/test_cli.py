@@ -160,6 +160,23 @@ def test_convexity_command(capsys):
     assert "FAIL" not in out
 
 
+def test_convexity_command_evaluates_its_midpoints_in_one_engine_call(monkeypatch, capsys):
+    from epsteinzeta import convexity, epstein
+
+    calls = []
+    inner = epstein._xi_nodes
+
+    def counted(s, a, cfg):
+        calls.append(len(s))
+        return inner(s, a, cfg)
+
+    monkeypatch.setattr(epstein, "_xi_nodes", counted)
+    monkeypatch.setattr(convexity, "_xi_nodes", counted, raising=False)
+    code, out = run_cli(["convexity", "--n", "3", "--s", "0.9", "--samples", "5"], capsys)
+    assert code == EXIT_OK and "[ok] midpoint_convexity 5 pairs" in out
+    assert calls == [15]  # the three nodes of each of the 5 pairs
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "--n", "10"])  # missing --s

@@ -288,6 +288,30 @@ def test_chart_point_past_double_range_is_a_domain_error():
         midpoint_convexity_xi(3, 0.7, chart, [800.0, 0.0], [0.0, 0.0])
     with pytest.raises(DomainError, match="positive finite"):
         scan(3, 0.7, chart, [(-800.0, 800.0)] * 2, [3, 3])
+    # 1e308 + 1e308 overflows to the midpoint inf, refused as its scales are
+    with pytest.raises(DomainError, match="positive finite"):
+        midpoint_convexity_xi(3, 0.7, chart, [1e308, 0.0], [1e308, 0.0])
+
+
+def test_chart_point_of_the_wrong_length_is_a_domain_error():
+    chart = standard_chart(3)
+    with pytest.raises(DomainError, match="2 coordinates"):
+        chart.scales([1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match="2 coordinates"):
+        midpoint_convexity_xi(3, 0.7, chart, [1.0, 2.0, 3.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match="2 coordinates"):
+        midpoint_convexity_xi(3, 0.7, chart, [0.0, 0.0], [1.0])
+    with pytest.raises(DomainError, match="2 coordinates"):
+        midpoint_convexity_xi(3, 0.7, chart, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+
+def test_chart_of_another_dimension_is_a_domain_error():
+    # the one array check counts the scales of every chart row against n
+    chart = standard_chart(3)
+    with pytest.raises(DomainError, match="expected 4 scales, got 3"):
+        midpoint_convexity_xi(4, 0.7, chart, [0.0, 0.0], [0.5, 0.5])
+    with pytest.raises(DomainError, match="expected 4 scales, got 3"):
+        scan(4, 0.7, chart, [(-1.0, 1.0)] * 2, [3, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +408,14 @@ def test_midpoint_random_pairs():
         assert midpoint_convexity_xi(3, 1.1, chart, b1, b2).holds
 
 
+def test_midpoint_batch_rows_equal_one_pair_calls():
+    # the pairs of one engine call get the reports of one call per pair, bit for bit
+    chart = standard_chart(4)
+    b1, b2 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2, 6, chart.j))
+    batch = convexity._midpoints(4, 1.3, chart, b1, b2, EvalConfig())
+    assert batch == [midpoint_convexity_xi(4, 1.3, chart, x, y) for x, y in zip(b1, b2)]
+
+
 def test_midpoint_degenerate_pair():
     chart = standard_chart(3)
     report = midpoint_convexity_xi(3, 1.1, chart, [0.3, -0.2], [0.3, -0.2])
@@ -405,10 +437,10 @@ def test_minimum_margin_is_none_without_a_far_draw():
 
 def test_minimum_counts_one_failure_per_draw(monkeypatch):
     # every draw lies 1 below the base: far draws fail both tests, once each
-    def below_base(nodes, cfg):
-        return [XiValue(-float(i > 0), 1e-12, n, s) for i, (n, s, _) in enumerate(nodes)]
+    def below_base(s, a, cfg):
+        return [XiValue(-float(i > 0), 1e-12, len(scales), x) for i, (x, scales) in enumerate(zip(s, a))]
 
-    monkeypatch.setattr(convexity, "xi_many", below_base)
+    monkeypatch.setattr(convexity, "_xi_nodes", below_base)
     report = verify_minimum_at_equal_scales(3, 0.9, samples=5)
     assert report.failures == 5
     assert not report.holds
@@ -417,21 +449,22 @@ def test_minimum_counts_one_failure_per_draw(monkeypatch):
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_minimum_draws_match_one_draw_per_sample(n, monkeypatch):
     # one (samples, n - 1) draw through the chart gives the bits of drawing
-    # each sample alone and balancing it by -sum; from n = 9 the chart's
-    # sequential sum and numpy's pairwise sum may part by an ulp
+    # each sample alone and balancing it by -sum, each row sorted ascending
+    # for the engine; from n = 9 the chart's sequential sum and numpy's
+    # pairwise sum may part by an ulp
     seen = []
 
-    def record(nodes, cfg):
-        seen.extend(scales.a for _, _, scales in nodes)
-        return [XiValue(0.0, 0.0, n, 0.4)] * len(nodes)
+    def record(s, a, cfg):
+        seen.extend(a)
+        return [XiValue(0.0, 0.0, n, 0.4)] * len(a)
 
-    monkeypatch.setattr(convexity, "xi_many", record)
+    monkeypatch.setattr(convexity, "_xi_nodes", record)
     verify_minimum_at_equal_scales(n, 0.4, samples=7, seed=3)
     rng = np.random.default_rng(3)
     expected = [(1.0,) * n]
     for _ in range(7):
         logs = rng.uniform(-1.0, 1.0, size=n - 1)
-        expected.append(tuple(np.exp(np.append(logs, -logs.sum())).tolist()))
+        expected.append(tuple(sorted(np.exp(np.append(logs, -logs.sum())).tolist())))
     assert seen == expected
 
 

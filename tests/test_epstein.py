@@ -13,6 +13,8 @@ from epsteinzeta import (
     SpecialPointError,
     decide_signs,
     hat_xi,
+    midpoint_convexity_xi,
+    standard_chart,
     verify_minimum_at_equal_scales,
     xi,
     xi_chowla_selberg,
@@ -73,6 +75,17 @@ def test_non_finite_s_is_a_domain_error(s):
         z(2, s, unit)
     with pytest.raises(DomainError, match="finite"):
         decide_signs([(2, 0.5, unit), (2, s, unit)])
+    # the chart callers check their one array of nodes the same way
+    with pytest.raises(DomainError, match="finite"):
+        verify_minimum_at_equal_scales(2, s, 3)
+    with pytest.raises(DomainError, match="finite"):
+        midpoint_convexity_xi(2, s, standard_chart(2), [0.5], [-0.5])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_tolerance_that_is_not_positive_is_a_domain_error(tol):
+    with pytest.raises(DomainError, match="tol must be positive"):
+        EvalConfig(tol=tol)
 
 
 def test_z_matches_one_dimensional_zeta():

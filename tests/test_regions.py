@@ -68,11 +68,11 @@ def test_kratio_chart_matches_ratio_parameterisation():
 )
 def test_chart_scales_batch_rows_equal_one_point_calls(chart):
     points = np.random.default_rng(chart.n).uniform(-2.5, 2.5, (50, chart.j))
-    batch = chart.scales(points)
-    assert len(batch) == len(points)
-    for row, scales in zip(points, batch):
-        one = chart.scales(row)
-        assert (scales.a, scales.V) == (one.a, one.V)
+    batch = chart._rows(points)
+    assert batch.shape == (len(points), chart.n)
+    for point, row in zip(points, batch.tolist()):
+        one = chart.scales(point)
+        assert (tuple(row), ScaleVector(row).V) == (one.a, one.V)
 
 
 def test_single_cell_scan_at_origin():
