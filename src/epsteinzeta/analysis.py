@@ -15,7 +15,6 @@ Covers the three computational pillars of that analysis:
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -141,9 +140,9 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
     def bounds(lo, hi):
         upper = _xi_value(n, hi, *known[lo, level[lo]])
         if lo == 0:
-            return upper.value, upper.err, -math.inf, 0.0, 0.0
+            return upper.value, upper.err, -math.inf, 0.0
         lower = _xi_value(n, lo, *known[hi, level[hi]])
-        return upper.value, upper.err, lower.value, lower.err, 0.0
+        return upper.value, upper.err, lower.value, lower.err
 
     while pending:
         ends = [end for end in todo.items() if end not in known]
@@ -162,25 +161,20 @@ def _sign_pieces(n: int, cfg: EvalConfig) -> list[tuple[float, float, int, float
 def _round(pending, bounds, level):
     """(pieces, todo, split) of one round over the pieces (lo, hi) of `pending`.
 
-    bounds(lo, hi) gives (upper, its err, lower, its err, gauge) on [lo, hi]
-    for ends at the refinements of `level`.  A piece is negative under
-    upper + err < 0, positive over lower - err > 0; otherwise its ends are
-    refined (todo: end -> refinements) where err outweighs the width term,
-    or it is halved down to _BRACKET_TARGET / 4, or it stays undecided.  The
-    gauge is 0 for evaluated bounds, where this is the whole rule; a forecast
-    passes its model's own error, and a piece with a bound within that gauge
-    of zero is left out of the round.
+    bounds(lo, hi) gives (upper, its err, lower, its err) on [lo, hi] for ends
+    at the refinements of `level`.  A piece is negative under upper + err < 0,
+    positive over lower - err > 0; otherwise its ends are refined (todo: end
+    -> refinements) where err outweighs the width term, or it is halved down
+    to _BRACKET_TARGET / 4, or it stays undecided.
     """
     pieces, todo, split = [], {}, []
     for lo, hi in pending:
-        upper, upper_err, lower, lower_err, gauge = bounds(lo, hi)
+        upper, upper_err, lower, lower_err = bounds(lo, hi)
         refine = [s for s in (lo, hi) if level[s] < _REFINEMENTS]
-        if upper + upper_err < -gauge:
+        if upper + upper_err < 0:
             pieces.append((lo, hi, -1, upper + upper_err))
-        elif lower - lower_err > gauge:
+        elif lower - lower_err > 0:
             pieces.append((lo, hi, 1, lower - lower_err))
-        elif upper + upper_err < gauge or lower - lower_err > -gauge:
-            continue  # a bound within the gauge of zero: the sign is not forecast
         elif refine and upper_err + lower_err > upper - lower:
             todo.update((s, level[s] + 1) for s in refine)
             split.append((lo, hi))
@@ -197,54 +191,37 @@ def _forecast(n: int, pending, level, known) -> list[tuple[float, int]]:
     """Ends (s, refinements), none of them in `known`, that the rounds after
     the one over `pending` (ends at the refinements of `level`) will ask for.
 
-    The rounds run by `_round` on plain float bounds: an evaluated end reads
-    its K terms, an end known at another refinement its K with err scaled by
-    0.1 per level, and an unknown end the quadratic through the three nearest
-    known ends, with the nearest one's err scaled likewise and the gap between
-    that quadratic and the linear interpolation as gauge.  There is no
-    forecast before three distinct ends are known, and it holds at most as
-    many ends as `known`, so one engine call at most doubles the ends known
-    however poor the model.
+    The rounds run by `_round` on plain float bounds.  An end takes the K of
+    its finest known refinement level; an unknown end takes the chord of that
+    K at the two known ends around it (K is convex) and the nearer one's err.
+    Either err is scaled by 0.1 per level it lacks.  The forecast holds at
+    most as many ends as `known`, so one engine call at most doubles the ends
+    known however poor the model.
     """
     best = {}  # end -> (refinements, K, err) at its finest known level
     for (s, k), (_, k1, k2, err, _) in known.items():
         if k >= best.get(s, (-1,))[0]:
             best[s] = (k, k1 + k2, err)
-    if len(best) < 3:
-        return []
     xs = sorted(best)
     half = n / 2.0
 
-    @functools.cache
-    def end(s, k):  # (K, err, gauge) of the end s at k refinements
-        if (s, k) in known:
-            _, k1, k2, err, _ = known[s, k]
-            return k1 + k2, err, 0.0
+    def end(s, k):  # (K, err) of the end s at k refinements
         if s in best:
             kb, kk, err = best[s]
-            return kk, err * 0.1 ** (k - kb), 0.0
-        i = bisect.bisect(xs, s)  # 0 and n/4 are known, so 0 < i < len(xs)
-        a, b = xs[i - 1], xs[i]
-        # the three nearest: a, b and the nearer of their outer neighbours
-        j = i - 2 if i == len(xs) - 1 or (i >= 2 and s - xs[i - 2] < xs[i + 1] - s) else i - 1
-        x0, x1, x2 = xs[j : j + 3]
-        y0, y1, y2 = (best[x][1] for x in (x0, x1, x2))
-        quad = (
-            y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
-            + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
-            + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
-        )
-        line = best[a][1] + (best[b][1] - best[a][1]) * (s - a) / (b - a)
-        kn, _, err = best[a if s - a <= b - s else b]
-        return quad, err * 0.1 ** (k - kn), abs(quad - line)
+        else:
+            i = bisect.bisect(xs, s)  # 0 and n/4 are known, so 0 < i < len(xs)
+            a, b = xs[i - 1], xs[i]
+            kb, _, err = best[a if s - a <= b - s else b]
+            kk = best[a][1] + (best[b][1] - best[a][1]) * (s - a) / (b - a)
+        return kk, err * 0.1 ** (k - kb)
 
     def bounds(lo, hi):
-        k_lo, e_lo, g_lo = end(lo, level[lo])
-        k_hi, e_hi, g_hi = end(hi, level[hi])
+        k_lo, e_lo = end(lo, level[lo])
         upper = k_lo - 1.0 / hi - 1.0 / (half - hi)
         if lo == 0:
-            return upper, e_lo, -math.inf, 0.0, g_lo
-        return upper, e_lo, k_hi - 1.0 / lo - 1.0 / (half - lo), e_hi, g_lo + g_hi
+            return upper, e_lo, -math.inf, 0.0
+        k_hi, e_hi = end(hi, level[hi])
+        return upper, e_lo, k_hi - 1.0 / lo - 1.0 / (half - lo), e_hi
 
     level, ends = dict(level), []
     while pending and len(ends) < len(known):
@@ -263,7 +240,7 @@ def find_positive_interval(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SignInte
     gamma.  Any other sign pattern, a bracket reaching s = 0 included, raises
     AnalysisError; a wider bracket IndeterminateSignError.  The pieces come
     from `_sign_pieces`, whose forecast evaluates the ends of some 22
-    bisection rounds in 5 or 6 engine calls.
+    bisection rounds in 4 or 5 engine calls.
     """
     if n <= 9:
         verify_negative_range(n, cfg)

@@ -518,7 +518,9 @@ def gamma_kernel_sum_d2(beta: float, scales, cfg: EvalConfig = DEFAULT_CONFIG) -
 
 
 def _check_node_count(count: int, what: str) -> None:
-    """DomainError if `what` asks for more than _MAX_NODES nodes."""
+    """DomainError if `what` asks for fewer than 0 or more than _MAX_NODES nodes."""
+    if count < 0:
+        raise DomainError(f"{what} asks for {count} nodes, fewer than 0")
     if count > _MAX_NODES:
         raise DomainError(f"{what} asks for {count} nodes, more than the {_MAX_NODES} one call may take")
 

@@ -25,7 +25,7 @@ from epsteinzeta import (
     xi,
 )
 from epsteinzeta import convexity
-from epsteinzeta.convexity import assemble_jn, _c_coeff
+from epsteinzeta.convexity import CoefficientReport, assemble_jn, _c_coeff
 from epsteinzeta.specfun import theta
 
 
@@ -85,6 +85,17 @@ def test_claims_at_worst_case():
 def test_diagonal_coefficient_value():
     assert _c_coeff(3, 3, 1.0) == pytest.approx(-2.0 * 9.0)  # -2 k^2 / v at k = 3
     assert _c_coeff(0, 2, 1.0) == pytest.approx(16.0 * math.pi - 4.0)
+
+
+def test_claims_equal_the_double_loop():
+    # both minima sit at k = 1 for every kmax: the report is the same bits as
+    # the minima taken over every 0 <= j < k <= kmax
+    for kmax in range(2, 61):
+        min_off = min(_c_coeff(j, k, 1.0) for k in range(1, kmax + 1) for j in range(k))
+        min_pair = min(_c_coeff(k - 1, k, 1.0) + 0.5 * _c_coeff(k, k, 1.0) for k in range(1, kmax + 1))
+        q1 = _c_coeff(0, 1, 1.0) + 0.5 * _c_coeff(1, 1, 1.0)
+        expected = CoefficientReport(kmax, min_off, min_pair, q1, min_off > 0.0 and min_pair > 0.0)
+        assert coefficient_positivity_check(kmax) == expected, kmax
 
 
 def test_claims_domain():
@@ -472,6 +483,14 @@ def test_minimum_with_more_samples_than_one_call_takes_is_a_domain_error():
     # refused before the draws are allocated: 4e8 of them would take gigabytes
     with pytest.raises(DomainError, match="131072"):
         verify_minimum_at_equal_scales(3, 0.9, 400_000_000)
+
+
+def test_minimum_with_negative_samples_is_a_domain_error():
+    # refused by the node-count check, not by numpy's draw; no draws stay vacuous
+    with pytest.raises(DomainError, match="-1 nodes"):
+        verify_minimum_at_equal_scales(3, 0.9, -1)
+    report = verify_minimum_at_equal_scales(3, 0.9, 0)
+    assert report.holds and report.failures == 0 and report.min_margin is None
 
 
 def test_minimum_needs_two_dimensions():
